@@ -1,0 +1,49 @@
+"""FFT sizing and linear convolution shared by the transform routes.
+
+Every padded FFT in the package takes its length from :func:`fast_len`,
+the smallest 5-smooth integer 2^a 3^b 5^c at or above the requested
+size; pocketfft runs such lengths at full radix speed, whereas a large
+prime factor (65537, say) sets the cost of the whole transform (Frigo &
+Johnson, Proc. IEEE 93 (2005) 216).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+__all__ = ["fast_len", "convolve", "correlate"]
+
+
+def fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, for n >= 1."""
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            q = -(-n // p35)  # ceil(n / p35)
+            best = min(best, p35 * (1 << (q - 1).bit_length()))
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution, out[i] = sum_j a[j] b[i - j], length len(a) + len(b) - 1.
+
+    Real inputs take the rfft route; complex inputs the full FFT.
+    """
+    size = a.size + b.size - 1
+    L = fast_len(size)
+    if np.iscomplexobj(a) or np.iscomplexobj(b):
+        return np.fft.ifft(np.fft.fft(a, L) * np.fft.fft(b, L))[:size]
+    return np.fft.irfft(np.fft.rfft(a, L) * np.fft.rfft(b, L), L)[:size]
+
+
+def correlate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Real correlation out[i] = sum_j a[j] b[i + j], i = 0..len(b) - 1, b zero padded."""
+    L = fast_len(a.size + b.size - 1)
+    return np.fft.irfft(np.conj(np.fft.rfft(a, L)) * np.fft.rfft(b, L), L)[: b.size]

@@ -4,7 +4,7 @@ Subcommands: ``transform`` (transform CSV), ``hilbert`` (a chosen
 conjugate as CSV), ``radial`` (r,leray,ibp,oracle columns) and
 ``verify`` (a named check suite with a plain-text report plus a CSV
 twin).  Exit codes: 0 success, 1 verification failures (report still
-written), 2 bad flags, 3 bad input data.
+written), 2 bad flags, 3 bad input data or a request too large for memory.
 """
 
 from __future__ import annotations
@@ -223,6 +223,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:
+        detail = " ".join(str(exc).split())
+        print(f"error: out of memory{': ' + detail if detail else ''}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -2,9 +2,12 @@
 
 The transform convention throughout is ghat(t) = int g(x) e^{-i t x} dx.
 The reference quadrature is the composite trapezoid evaluated at each
-frequency node; a chirp-z accelerated path covers uniform frequency
-grids and matches the direct sum to better than 1e-10 on the test
-corpus (asserted in the test suite).
+frequency node.  Two exact FFT paths replace the direct sum: nodes on
+the lattice k pi/(b - a), which include the default Nyquist grid, are
+bins of one length-2(n - 1) DFT, and other uniform grids take a chirp-z
+(zoom DFT) path padded to a fast 5-smooth length.  Both match the
+direct sum to better than 1e-10 on the test corpus (asserted in the
+test suite).  Periodic coefficients are one FFT of the period samples.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fft import convolve
 from .grids import DecayClass, Grid, SampledFunction, derivative, integrate
 from .hilbert import hilbert_multiplier
 from .reports import VerificationReport
@@ -90,12 +94,26 @@ def _zoom_dft(coeffs: np.ndarray, x0: float, h: float, t0: float, dt: float, m: 
     # -j'k' = ((j'-k')^2 - j'^2 - k'^2)/2 and j'-k' = (j-k) + (kc-jc)
     p = np.arange(-(m - 1), n)
     w = np.exp(0.5j * theta * (p + (kc - jc)) ** 2)
-    L = 1
-    while L < n + w.size - 1:
-        L *= 2
-    conv = np.fft.ifft(np.fft.fft(a, L) * np.fft.fft(w[::-1], L))
-    core = conv[n - 1 : n - 1 + m]
+    core = convolve(a, w[::-1])[n - 1 : n - 1 + m]
     return np.exp(-1j * kk * dt * xc) * np.exp(-0.5j * theta * kk * kk) * core
+
+
+def _lattice_dft(coeffs: np.ndarray, x0: float, t: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """F(t) = sum_j coeffs_j e^{-i t x_j} at t = k pi/(b - a), from one DFT.
+
+    With x_j = x0 + j (b - a)/(n - 1) the kernel is e^{-i t x0} times
+    e^{-2 pi i k j / N}, N = 2(n - 1): bin k mod N of a single length-N
+    DFT of the zero-padded coefficients.  Real input reads the negative
+    bins as conjugates, so mirrored nodes come out exactly conjugate.
+    """
+    N = 2 * (coeffs.size - 1)
+    k = k % N
+    if np.iscomplexobj(coeffs):
+        bins = np.fft.fft(coeffs, N)[k]
+    else:
+        bins = np.fft.rfft(coeffs, N)[np.minimum(k, N - k)]
+        bins = np.where(k > N // 2, np.conj(bins), bins)
+    return np.exp(-1j * t * x0) * bins
 
 
 _ZOOM_CHUNK = 4096
@@ -104,18 +122,24 @@ _ZOOM_CHUNK = 4096
 def transform_values(f: SampledFunction, t: np.ndarray) -> np.ndarray:
     """Trapezoid quadrature of int f(x) e^{-i t x} dx at the given frequencies.
 
-    Uniform frequency grids route through the chirp-z (zoom DFT) path,
-    which matches the direct sum to a few ulps; other node sets fall
-    back to the direct chunked sum.
+    Nodes on the lattice k pi/(b - a) -- the default Nyquist grid among
+    them -- are bins of one length-2(n - 1) DFT.  Other uniform grids of
+    two or more nodes route through the chirp-z (zoom DFT) path; both
+    match the direct sum to a few ulps.  Remaining node sets fall back
+    to the direct chunked sum.
     """
     t = np.asarray(t, dtype=float)
     wf = _trapezoid_weights(f) * f.values
-    if t.size >= 64:
-        dt = np.diff(t)
-        # linspace spacing jitters by ~eps * max|t|; nodes that uniform are
-        # indistinguishable from the exact arithmetic progression here
+    if t.size >= 2:
+        # linspace spacing jitters by ~eps * max|t|; nodes that close to an
+        # exact arithmetic progression or lattice are indistinguishable here
         jitter = 64.0 * np.finfo(float).eps * max(abs(float(t[0])), abs(float(t[-1])), 1.0)
-        if dt.size and np.all(np.abs(dt - dt[0]) <= jitter):
+        lattice = math.pi / f.grid.width
+        k = np.rint(t / lattice)
+        if np.all(np.abs(t - k * lattice) <= jitter):
+            return _lattice_dft(wf, f.grid.a, t, k.astype(np.int64))
+        dt = np.diff(t)
+        if np.all(np.abs(dt - dt[0]) <= jitter):
             step = float(dt[0])
             out = np.empty(t.size, dtype=complex)
             for s in range(0, t.size, _ZOOM_CHUNK):
@@ -148,7 +172,11 @@ def fourier_transform(
     if cutoff <= 0.0:
         raise ValueError("cutoff must be positive")
     if m is None:
-        m = 2 * int(math.ceil(cutoff * f.grid.width / math.pi)) + 1
+        # at the Nyquist default steps is n - 1 up to rounding; a float ceil
+        # of n - 1 + ulp would add two nodes and miss the lattice grid
+        steps = cutoff * f.grid.width / math.pi
+        nearest = round(steps)
+        m = 2 * (nearest if math.isclose(steps, nearest, rel_tol=1e-12) else math.ceil(steps)) + 1
     m = int(m)
     if m < 2:
         raise ValueError("need at least two frequency samples")
@@ -309,16 +337,11 @@ def fourier_coefficients(f: SampledFunction, kmax: int) -> CoefficientSet:
         raise ValueError("kmax must be a positive integer")
     if kmax >= N / 2:
         raise ValueError(f"kmax={kmax} aliases on {N} periodic samples (need kmax < {N/2:g})")
-    v = f.values[:N]
-    h = f.grid.width / N
     ks = np.arange(-kmax, kmax + 1)
-    phases = np.exp(-1j * np.outer(ks, f.x[:N]))
-    coeffs = (h / f.grid.width) * (phases @ v)
+    # x_j = a + 2 pi j / N, so e^{-i k x_j} = e^{-i k a} e^{-2 pi i k j / N}
+    coeffs = np.fft.fft(f.values[:N])[ks % N] * np.exp(-1j * ks * f.grid.a) / N
     mags = np.abs(coeffs)
-    partial = np.empty(kmax + 1)
-    partial[0] = mags[kmax]
-    for K in range(1, kmax + 1):
-        partial[K] = partial[K - 1] + mags[kmax - K] + mags[kmax + K]
+    partial = np.cumsum(np.concatenate(([mags[kmax]], mags[kmax - 1 :: -1] + mags[kmax + 1 :])))
     return CoefficientSet(kmax=kmax, coefficients=coeffs, abs_partial_sums=partial)
 
 

@@ -4,10 +4,12 @@ Four routes are provided:
 
 * :func:`hilbert_pv` -- principal-value quadrature of the symmetric
   difference form (1/pi) int_0^inf {f(x-u) - f(x+u)} du/u, with u-nodes
-  at half-spacing offsets so the singularity is never sampled,
+  at half-spacing offsets so the singularity is never sampled, evaluated
+  as one rfft convolution and one correlation,
 * :func:`hilbert_multiplier` -- frequency-domain route through the sign
-  multiplier, with periodization debias and a guarded algebraic tail
-  extension for slowly decaying inputs,
+  multiplier on a zero-padded FFT of fast 5-smooth length, with
+  periodization debias and a guarded algebraic tail extension for
+  slowly decaying inputs,
 * :func:`modified_hilbert` -- the augmented kernel 1/(x-t) + t/(1+t^2),
   well defined for bounded inputs,
 * :func:`periodic_conjugate` -- the cotangent-kernel conjugate function
@@ -24,8 +26,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
+from ._fft import convolve, correlate, fast_len
 from .grids import DecayClass, SampledFunction
 
 __all__ = [
@@ -87,11 +89,8 @@ def _require_line_input(f: SampledFunction, op: str, allow_bounded: bool = False
 
 def _pair_sums(gbar: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A_i = sum_j w_j gbar[i-1-j], B_i = sum_j w_j gbar[i+j], zero padded."""
-    n = gbar.size + 1
-    conv = fftconvolve(weights, gbar)
-    A = np.concatenate(([0.0], conv[: n - 1]))
-    corr = fftconvolve(weights[::-1], gbar)
-    B = np.concatenate((corr[gbar.size - 1 :], [0.0]))
+    A = np.concatenate(([0.0], convolve(weights, gbar)[: gbar.size]))
+    B = np.concatenate((correlate(weights, gbar), [0.0]))
     return A, B
 
 
@@ -206,7 +205,8 @@ def _tail_correction(f: SampledFunction) -> np.ndarray:
 def hilbert_multiplier(f: SampledFunction, pad_factor: int = 16) -> SampledFunction:
     """Hilbert transform through the frequency-domain sign multiplier.
 
-    The samples are zero padded ``pad_factor``-fold, transformed,
+    The samples are zero padded to N = fast_len(pad_factor * n), the
+    smallest 5-smooth length at least ``pad_factor``-fold, transformed,
     multiplied by MULTIPLIER_SIGN * i * sign(freq) and transformed back.
     Two exact corrections restore line semantics from the circular
     transform: (i) the periodization kernel difference
@@ -220,7 +220,7 @@ def hilbert_multiplier(f: SampledFunction, pad_factor: int = 16) -> SampledFunct
     if pad_factor < 1:
         raise ValueError("pad_factor must be >= 1")
     n, h, x = f.n, f.h, f.x
-    N = pad_factor * n
+    N = fast_len(pad_factor * n)
     padded = np.zeros(N)
     padded[:n] = f.values
     freq = np.fft.fftfreq(N, d=h)

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
-from scipy.special import jv
 
 from .grids import DecayClass, Grid, SampledFunction, derivative
 
@@ -139,7 +137,7 @@ def fractional_integral(p: RadialProfile, n_u: int = 2049) -> FractionalIntegral
             "fractional_integral requires dim >= 2; dim = 1 reads I as f0 itself "
             "(handled by radial_ft_leray)"
         )
-    pref = 2.0 / gamma_fn((p.dim - 1) / 2.0)
+    pref = 2.0 / math.gamma((p.dim - 1) / 2.0)
     vals = pref * _smooth_substitution_integral(p, p.dim - 2, p.f0.values, n_u)
     # I(0) is the full tail integral, generally nonzero, so the samples
     # carry the vanishing tag (identically zero past the support radius)
@@ -335,6 +333,8 @@ def radial_ft_oracle(p: RadialProfile, radii) -> np.ndarray:
     quadratured directly on the profile grid.  Shares nothing with the
     reduction routes beyond the profile samples.
     """
+    from scipy.special import jv  # only the oracle needs scipy; keeps start-up light
+
     radii = _check_radii(radii)
     s = p.f0.x
     w = np.full(s.size, p.f0.h)

@@ -30,6 +30,16 @@ def test_transform_box_zero_frequency_row(tmp_path):
     assert row0[2] == 0.0
 
 
+def test_transform_default_grid_has_two_n_minus_one_rows(tmp_path):
+    out = tmp_path / "t.csv"
+    n = 2**14 + 1
+    rc = main(["transform", "--family", "gaussian", "--n", str(n), "--out", str(out)])
+    assert rc == EXIT_OK
+    _, data = read_csv(out)
+    assert data.shape[0] == 2 * n - 1
+    assert data[-1, 0] == pytest.approx(math.pi * (n - 1) / 100.0, rel=1e-12)
+
+
 def test_hilbert_poisson_matches_conjugate(tmp_path):
     out = tmp_path / "h.csv"
     rc = main(
@@ -148,6 +158,21 @@ def test_data_error_exit_code(tmp_path):
     bad.write_text("x,value\n0,1\n0.5,nonsense\n")
     rc = main(["hilbert", "--csv", str(bad), "--out", str(tmp_path / "h.csv")])
     assert rc == EXIT_DATA
+
+
+def test_memory_error_maps_to_data_exit_code(tmp_path, monkeypatch, capsys):
+    import bvfourier.cli as cli
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.37 GiB for an array with shape (318309887,)")
+
+    monkeypatch.setattr(cli, "fourier_transform", out_of_memory)
+    rc = main(["transform", "--family", "box", "--width", "2", "--n", "65", "--out", str(tmp_path / "t.csv")])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and "2.37 GiB" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_hilbert_rejects_double_input(tmp_path):

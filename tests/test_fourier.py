@@ -109,6 +109,36 @@ def test_chirp_z_path_matches_direct_reference():
     assert np.max(np.abs(fast - direct)) <= 1e-10
 
 
+def direct_transform(f, t):
+    """O(n m) trapezoid sum, the reference every fast path must reproduce."""
+    w = np.full(f.n, f.h)
+    w[0] = w[-1] = f.h / 2
+    return np.array([np.sum(w * f.values * np.exp(-1j * tk * f.x)) for tk in t])
+
+
+def test_default_grid_takes_the_lattice_dft_and_matches_direct_sum():
+    f = line_function(Family.POISSON_KERNEL, n=2**10 + 1)
+    res = fourier_transform(f)
+    t = res.freq_grid.points
+    assert t.size == 2 * f.n - 1
+    assert np.max(np.abs(t + t[::-1])) <= 1e-14 * t[-1]  # mirrored end nodes +-pi/h
+    assert t[-1] == pytest.approx(math.pi / f.h, rel=1e-14)
+    want = direct_transform(f, t)
+    i0 = np.flatnonzero(t == 0.0)[0]
+    assert res.values[i0] == complex(integrate(f))
+    want[i0] = integrate(f)
+    assert np.max(np.abs(res.values - want)) <= 1e-12
+    assert abs(res.values[0] - want[0]) <= 1e-12 and abs(res.values[-1] - want[-1]) <= 1e-12
+    assert res.conjugate_symmetry_defect() == 0.0
+
+
+@pytest.mark.parametrize("m", [2, 5, 63])
+def test_short_uniform_grids_match_direct_sum(m):
+    f = line_function(Family.POISSON_KERNEL, n=2**12)
+    for t in (np.linspace(-3.3, 7.1, m), np.arange(m) * (math.pi / f.grid.width)):
+        assert np.max(np.abs(transform_values(f, t) - direct_transform(f, t))) <= 1e-10
+
+
 def test_transform_argument_validation():
     f = line_function(Family.GAUSSIAN, n=257)
     with pytest.raises(ValueError):
@@ -266,6 +296,24 @@ def test_coefficients_triangle_wave_decay():
     assert abs(cs.coefficient(2)) <= 1e-7
     sums = cs.abs_partial_sums
     assert (sums[512] - sums[256]) / sums[256] <= 0.005
+
+
+def test_coefficients_match_phase_matrix_reference():
+    grid = make_uniform_grid(-math.pi, math.pi, 1001)
+    x = grid.points
+    f = SampledFunction(grid, np.exp(np.sin(x)) + np.abs(x) * np.cos(3 * x), DecayClass.PERIODIC)
+    kmax = 300
+    cs = fourier_coefficients(f, kmax)
+    ks = np.arange(-kmax, kmax + 1)
+    N = f.n - 1
+    want = np.exp(-1j * np.outer(ks, x[:N])) @ f.values[:N] / N
+    assert np.max(np.abs(cs.coefficients - want)) <= 1e-13
+    mags = np.abs(cs.coefficients)
+    sums = [mags[kmax]]
+    for K in range(1, kmax + 1):
+        sums.append(sums[-1] + mags[kmax - K] + mags[kmax + K])
+    # the two summation orders differ by at most kmax roundings of the running sum
+    assert np.max(np.abs(cs.abs_partial_sums - np.array(sums))) <= kmax * np.finfo(float).eps * sums[-1]
 
 
 def test_coefficients_aliasing_guard():

@@ -54,7 +54,10 @@ def test_total_variation_is_subadditive(u, v):
 @settings(max_examples=300, deadline=None)
 def test_total_variation_dominates_endpoint_gap(values):
     f = as_function(values)
-    assert total_variation(f) >= abs(values[-1] - values[0]) - 1e-12
+    tv = total_variation(f)
+    # exact in the continuum; the float sum of |differences| rounds at the data's scale
+    slack = 4.0 * len(values) * np.finfo(float).eps * tv
+    assert tv >= abs(values[-1] - values[0]) - slack
 
 
 @given(st.floats(min_value=0.01, max_value=2.0 * math.pi - 0.01), st.integers(min_value=1, max_value=500))
