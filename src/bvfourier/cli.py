@@ -110,7 +110,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     result = fourier_transform(f, cutoff=args.cutoff, m=args.m)
     buf = io.StringIO()
     buf.write("t,re,im\n")
-    for t, v in zip(result.freq_grid.points, result.values):
+    for t, v in zip(result.freqs, result.values):
         buf.write(f"{_fmt(t)},{_fmt(v.real)},{_fmt(v.imag)}\n")
     _atomic_write(Path(args.out), buf.getvalue())
     return EXIT_OK

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fft import convolve
-from .grids import DecayClass, Grid, SampledFunction, derivative, integrate
+from .grids import DecayClass, Grid, SampledFunction, derivative, integrate, trapezoid_weights
 from .hilbert import hilbert_multiplier
 from .reports import VerificationReport
 
@@ -40,17 +40,17 @@ __all__ = [
 
 @dataclass
 class TransformResult:
-    """Sampled transform values on a symmetric frequency grid."""
+    """Sampled transform values at the symmetric frequency nodes ``freqs``."""
 
-    freq_grid: Grid
+    freqs: np.ndarray
     values: np.ndarray
     cutoff: float
     source_domain: tuple[float, float]
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
-        if self.values.size != self.freq_grid.n:
-            raise ValueError("values length must match the frequency grid")
+        if self.values.size != self.freqs.size:
+            raise ValueError("values length must match the frequency nodes")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("transform values must be finite")
 
@@ -67,12 +67,6 @@ class H1Report:
     hilbert_l1_norm: float
     h1_norm: float
     cancellation_residual: float
-
-
-def _trapezoid_weights(f: SampledFunction) -> np.ndarray:
-    w = np.full(f.n, f.h)
-    w[0] = w[-1] = 0.5 * f.h
-    return w
 
 
 def _zoom_dft(coeffs: np.ndarray, x0: float, h: float, t0: float, dt: float, m: int) -> np.ndarray:
@@ -129,7 +123,7 @@ def transform_values(f: SampledFunction, t: np.ndarray) -> np.ndarray:
     to the direct chunked sum.
     """
     t = np.asarray(t, dtype=float)
-    wf = _trapezoid_weights(f) * f.values
+    wf = trapezoid_weights(f.grid) * f.values
     if t.size >= 2:
         # linspace spacing jitters by ~eps * max|t|; nodes that close to an
         # exact arithmetic progression or lattice are indistinguishable here
@@ -190,7 +184,7 @@ def fourier_transform(
     if zero.size:
         values[zero[0]] = complex(integrate(f))
     return TransformResult(
-        freq_grid=Grid(float(t[0]), float(t[-1]), m),
+        freqs=t,
         values=values,
         cutoff=cutoff,
         source_domain=(f.grid.a, f.grid.b),
@@ -239,7 +233,7 @@ def h1_report(g: SampledFunction) -> H1Report:
     """
     if not g.is_real():
         raise ValueError("h1_report expects real-valued samples")
-    w = _trapezoid_weights(g)
+    w = trapezoid_weights(g.grid)
     l1 = float(np.sum(w * np.abs(g.values)))
     hil = hilbert_multiplier(g)
     hl1 = float(np.sum(w * np.abs(hil.values)))

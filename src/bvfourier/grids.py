@@ -31,6 +31,7 @@ __all__ = [
     "family_value",
     "family_derivative",
     "integrate",
+    "trapezoid_weights",
     "total_variation",
     "derivative",
     "lebesgue_point_defect",
@@ -305,11 +306,17 @@ def sample(spec: FamilySpec, grid: Grid) -> SampledFunction:
     return SampledFunction(grid, family_value(spec, grid.points), decay)
 
 
+def trapezoid_weights(grid: Grid) -> np.ndarray:
+    """Composite-trapezoid weights: h at interior nodes, h/2 at both ends."""
+    w = np.full(grid.n, grid.h)
+    w[0] = w[-1] = 0.5 * grid.h
+    return w
+
+
 def integrate(f: SampledFunction) -> float | complex:
     """Composite-trapezoid integral over the grid."""
-    v = f.values
-    total = f.h * (np.sum(v) - 0.5 * (v[0] + v[-1]))
-    return complex(total) if np.iscomplexobj(v) else float(total)
+    total = np.sum(trapezoid_weights(f.grid) * f.values)
+    return complex(total) if np.iscomplexobj(f.values) else float(total)
 
 
 def total_variation(f: SampledFunction) -> float:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fft import convolve, correlate, fast_len
-from .grids import DecayClass, SampledFunction
+from .grids import DecayClass, SampledFunction, trapezoid_weights
 
 __all__ = [
     "PvConfig",
@@ -240,8 +240,7 @@ def hilbert_multiplier(f: SampledFunction, pad_factor: int = 16) -> SampledFunct
     # Cauchy kernel is smooth and is removed via the moment expansion
     # Delta(u) = -pi^2 u / (3 P^2) - pi^4 u^3 / (45 P^4) + O(P^-6).
     P = N * h
-    w = np.full(n, h)
-    w[0] = w[-1] = 0.5 * h
+    w = trapezoid_weights(f.grid)
     mom = [float(np.sum(w * f.values * x**k)) for k in range(4)]
     delta = -(np.pi / (3.0 * P * P)) * (x * mom[0] - mom[1]) - (np.pi**3 / (45.0 * P**4)) * (
         x**3 * mom[0] - 3.0 * x**2 * mom[1] + 3.0 * x * mom[2] - mom[3]

@@ -70,7 +70,6 @@ class Profile:
     kmax_pair: tuple[int, int] = (256, 512)
     radial_n: int = 8193
     radial_r: float = 2.0
-    radial_nu: int = 2049
     l1_dt: float = 0.02
     cutoffs: tuple[float, ...] = (25.0, 50.0, 100.0, 200.0)
     # bounds
@@ -112,7 +111,6 @@ PROFILES: dict[str, Profile] = {
         periodic_n=2**10,
         kmax_pair=(128, 256),
         radial_n=1025,
-        radial_nu=513,
         l1_dt=0.05,
         # the coarse grid's Nyquist is ~129, so the transform-mass cutoffs
         # stay below it; coarse-h quadrature bias loosens two radial bounds
@@ -414,7 +412,7 @@ def _radial_profile(p: Profile, values_fn, dim: int, r_end: float | None = None)
 def _checks_radial(p: Profile) -> list[VerificationReport]:
     out = []
     ball3 = _radial_profile(p, lambda s: (s <= 1.0).astype(float), 3)
-    frac3 = fractional_integral(ball3, n_u=p.radial_nu)
+    frac3 = fractional_integral(ball3)
     radii = np.round(np.arange(0.1, 10.0 + 1e-9, 0.1), 10)
     exact = 4.0 * math.pi * (np.sin(radii) - radii * np.cos(radii)) / radii**3
     mask = np.abs(exact) >= 1e-3 * float(np.max(np.abs(exact)))
@@ -431,7 +429,7 @@ def _checks_radial(p: Profile) -> list[VerificationReport]:
         )
     )
     ball2 = _radial_profile(p, lambda s: (s <= 1.0).astype(float), 2)
-    frac2 = fractional_integral(ball2, n_u=p.radial_nu)
+    frac2 = fractional_integral(ball2)
     s = frac2.samples.x
     inside = s < 1.0
     closed = (2.0 / math.sqrt(math.pi)) * np.sqrt(1.0 - s[inside] ** 2)
@@ -453,7 +451,7 @@ def _checks_radial(p: Profile) -> list[VerificationReport]:
     radii = np.linspace(0.5, 10.0, 39)
     for dim in (2, 3):
         prof = _radial_profile(p, bump, dim)
-        frac = fractional_integral(prof, n_u=p.radial_nu)
+        frac = fractional_integral(prof)
         oracle = radial_ft_oracle(prof, radii)
         scale = float(np.max(np.abs(oracle)))
         d_leray = float(np.max(np.abs(radial_ft_leray(prof, radii, frac=frac) - oracle))) / scale

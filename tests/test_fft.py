@@ -41,3 +41,17 @@ def test_cli_import_leaves_scipy_unloaded():
         [sys.executable, "-c", code], env={"PYTHONPATH": src}, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_odd_dimension_radial_call_leaves_scipy_unloaded(tmp_path):
+    # half-integer Bessel orders are elementary; only even dims need scipy
+    src = str(Path(bvfourier.__file__).resolve().parents[1])
+    argv = ["radial", "--family", "box", "--dim", "3", "--radii", "0.5,1,2", "--out", str(tmp_path / "r.csv")]
+    code = (
+        "import sys; from bvfourier.cli import main; rc = main(sys.argv[1:]); "
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv], env={"PYTHONPATH": src}, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "0 []"

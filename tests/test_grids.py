@@ -235,8 +235,12 @@ def test_csv_rejects_bad_files(tmp_path):
 
 def test_trapezoid_integral_against_quad():
     from bvfourier import integrate
+    from bvfourier.grids import trapezoid_weights
 
     grid = make_uniform_grid(-8, 8, 2**12 + 1)
+    w = trapezoid_weights(grid)
+    assert w[0] == w[-1] == 0.5 * grid.h and np.all(w[1:-1] == grid.h)
     f = sample(FamilySpec(Family.GAUSSIAN), grid)
+    assert integrate(f) == float(np.sum(w * f.values))
     oracle, _ = quad(lambda x: math.exp(-x * x / 2.0), -8, 8)
     assert integrate(f) == pytest.approx(oracle, abs=1e-10)

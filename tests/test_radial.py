@@ -74,7 +74,7 @@ def test_fractional_integral_ball_dim3():
 
 
 def test_fractional_integral_disc_dim2_closed_form():
-    # singular weight handled by the smoothing substitution
+    # singular weight integrated exactly on the cut-off profile
     frac = fractional_integral(ball(2))
     s = frac.samples.x
     inside = s < 1.0
@@ -82,9 +82,53 @@ def test_fractional_integral_disc_dim2_closed_form():
     assert np.max(np.abs(frac.samples.values[inside] - expected)) <= 1e-6
 
 
+@pytest.mark.parametrize("rho", [1.0, 0.75])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7])
+def test_fractional_integral_ball_closed_form_all_dims(dim, rho):
+    # a grid-aligned ball has no slope changes: I is f0(Rs) times the ball term
+    frac = fractional_integral(profile(lambda s: (s <= rho).astype(float), dim))
+    s = frac.samples.x
+    expected = np.where(
+        s < rho,
+        2.0 * np.clip(rho * rho - s * s, 0.0, None) ** ((dim - 1) / 2.0) / ((dim - 1) * math.gamma((dim - 1) / 2.0)),
+        0.0,
+    )
+    assert np.max(np.abs(frac.samples.values - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def piecewise_linear_quad(p, i):
+    """I(s_i) of the linear interpolant of f0 cut off at its last nonzero
+    sample, by adaptive quadrature cell by cell; the cell at t = s_i takes
+    the algebraic endpoint weight (s - t)^q of (s^2 - t^2)^q."""
+    s, f, n = p.f0.x, p.f0.values, p.dim
+    t, q = s[i], (n - 3) / 2.0
+    total = 0.0
+    for j in range(i, int(np.flatnonzero(f)[-1])):
+        lo, hi = s[j], s[j + 1]
+
+        def f0(x, lo=lo, fl=f[j], slope=(f[j + 1] - f[j]) / (hi - lo)):
+            return fl + slope * (x - lo)
+
+        if j == i and t > 0.0:
+            v, _ = quad(lambda x: x * f0(x) * (x + t) ** q, lo, hi, weight="alg", wvar=(q, 0.0), epsabs=0.0, epsrel=1e-13)
+        else:
+            v, _ = quad(lambda x: x * f0(x) * (x * x - t * t) ** q, lo, hi, epsabs=0.0, epsrel=1e-13)
+        total += v
+    return 2.0 / math.gamma((n - 1) / 2.0) * total
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_fractional_integral_matches_quadrature_of_the_linear_interpolant(dim):
+    p = bump(dim, n=129)
+    vals = fractional_integral(p).samples.values
+    rows = np.linspace(0, np.flatnonzero(p.f0.values)[-1] - 1, 20).astype(int)
+    want = np.array([piecewise_linear_quad(p, i) for i in rows])
+    assert np.max(np.abs(vals[rows] - want)) <= 1e-12 * np.max(np.abs(vals))
+
+
 def test_fractional_integral_is_linear():
-    # node layout follows the detected support radius, so exact linearity
-    # holds among profiles sharing it (the map is then a fixed quadrature)
+    # the cut-off follows the detected support radius, so linearity holds
+    # to roundoff among profiles sharing it
     def first(s):
         inside = np.abs(s - 1.0) <= 0.5
         out = np.zeros_like(s)
@@ -106,8 +150,9 @@ def test_fractional_integral_is_linear():
 
 
 def test_fractional_integral_near_linear_across_supports():
-    # mixing support radii moves the quadrature nodes, so linearity only
-    # holds to quadrature accuracy when an indicator edge sits mid-range
+    # each profile is cut off at its own last nonzero sample: alone the
+    # ball stops at s = 1, inside the sum its edge is the linear ramp to
+    # the next node, so linearity only holds to O(h) across supports
     p1 = bump(3)
     p2 = ball(3)
     combined = RadialProfile(
@@ -190,6 +235,14 @@ def test_three_way_agreement_on_smooth_bumps(dim):
     assert np.max(np.abs(radial_ft_ibp(p, radii) - oracle)) <= 1e-3 * scale
 
 
+def test_ibp_disc_dim2_integrates_the_jump_end():
+    # f0 jumps at the cut-off, so I' has an integrable (1 - t)^(-1/2) end
+    p = profile(lambda s: (s <= 1.0).astype(float), 2, n=8193)
+    radii = np.array([0.5, 1.0, 2.0, 5.0])
+    got = radial_ft_ibp(p, radii)
+    assert np.max(np.abs(got - 2.0 * math.pi * j1(radii) / radii)) <= math.sqrt(p.f0.h) * math.pi  # F(0) = pi
+
+
 def test_ibp_small_radii_delegate_to_the_direct_route():
     p = bump(3)
     out = radial_ft_ibp(p, [0.05, 0.5])
@@ -228,6 +281,16 @@ def test_oracle_disc_transform_converges_to_bessel_form():
         errs.append(float(np.max(np.abs(got - expected))))
     assert errs[0] / errs[1] >= 1.8
     assert errs[1] <= 2e-3  # half-cell radius smear ~ pi*h*|J0|
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_half_integer_bessel_matches_scipy(k):
+    from scipy.special import jv
+
+    from bvfourier.radial import _half_integer_jv
+
+    x = np.linspace(0.0, 60.0, 60001)
+    assert np.max(np.abs(_half_integer_jv(k, x) - jv(k + 0.5, x))) <= 1e-12
 
 
 def test_oracle_zero_profile():
