@@ -34,7 +34,6 @@ from .grids import (
 )
 from .hilbert import (
     MULTIPLIER_SIGN,
-    PvConfig,
     hilbert_multiplier,
     hilbert_pv,
     kernel_difference,

@@ -46,7 +46,14 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
 
-_FAMILY_PARAM_FLAGS = ("width", "sigma", "scale", "taper", "period")
+# family scale flag -> (FamilySpec parameter, help text), shared by every input command
+_FAMILY_FLAGS = {
+    "width": ("width", "support width (box, triangle, raised_cosine, smoothed_box)"),
+    "sigma": ("sigma", "gaussian scale"),
+    "scale": ("a", "scale parameter a (poisson kernels)"),
+    "taper": ("taper", "smoothed_box taper length"),
+    "period": ("period", "period (triangle_wave_periodic)"),
+}
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -59,44 +66,40 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
-def _add_grid_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--a", type=float, default=-50.0, help="grid left endpoint")
-    sub.add_argument("--b", type=float, default=50.0, help="grid right endpoint")
-    sub.add_argument("--n", type=int, default=2**14 + 1, help="sample count")
-
-
-def _add_input_args(sub: argparse.ArgumentParser) -> None:
+def _add_input_args(sub: argparse.ArgumentParser, csv_help: str) -> None:
     sub.add_argument("--family", choices=[f.value for f in Family], help="built-in test family")
-    sub.add_argument("--csv", help="CSV input (x,value) instead of a family")
+    sub.add_argument("--csv", help=csv_help)
+    for flag, (_, help_text) in _FAMILY_FLAGS.items():
+        sub.add_argument(f"--{flag}", type=float, help=help_text)
+
+
+def _add_line_input_args(sub: argparse.ArgumentParser) -> None:
+    _add_input_args(sub, "CSV input (x,value) instead of a family")
     sub.add_argument(
         "--decay",
         choices=[d.value for d in DecayClass],
         default=DecayClass.VANISHING_AT_INFINITY.value,
         help="decay class flag for CSV input",
     )
-    sub.add_argument("--width", type=float, help="support width (box, triangle, raised_cosine, smoothed_box)")
-    sub.add_argument("--sigma", type=float, help="gaussian scale")
-    sub.add_argument("--scale", type=float, help="scale parameter a (poisson kernels)")
-    sub.add_argument("--taper", type=float, help="smoothed_box taper length")
-    sub.add_argument("--period", type=float, help="period (triangle_wave_periodic)")
+    sub.add_argument("--a", type=float, default=-50.0, help="grid left endpoint")
+    sub.add_argument("--b", type=float, default=50.0, help="grid right endpoint")
+    sub.add_argument("--n", type=int, default=2**14 + 1, help="sample count")
 
 
-def _family_params(args: argparse.Namespace) -> dict[str, float]:
-    mapping = {"width": "width", "sigma": "sigma", "scale": "a", "taper": "taper", "period": "period"}
-    out = {}
-    for flag, param in mapping.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            out[param] = value
-    return out
+def _family_spec(args: argparse.Namespace) -> FamilySpec | None:
+    """The family the flags name, or None for CSV input; exactly one must be given."""
+    if (args.family is None) == (args.csv is None):
+        raise ValueError("exactly one of --family / --csv is required")
+    if args.family is None:
+        return None
+    params = {param: getattr(args, flag) for flag, (param, _) in _FAMILY_FLAGS.items() if getattr(args, flag) is not None}
+    return FamilySpec(Family(args.family), params)
 
 
 def _load_input(args: argparse.Namespace) -> SampledFunction:
-    if (args.family is None) == (args.csv is None):
-        raise ValueError("exactly one of --family / --csv is required")
-    if args.csv is not None:
+    spec = _family_spec(args)
+    if spec is None:
         return read_samples_csv(args.csv, DecayClass(args.decay))
-    spec = FamilySpec(Family(args.family), _family_params(args))
     if spec.family is Family.TRIANGLE_WAVE_PERIODIC:
         period = spec.params["period"]
         grid = make_uniform_grid(-period / 2.0, period / 2.0, args.n)
@@ -137,16 +140,12 @@ def _cmd_hilbert(args: argparse.Namespace) -> int:
 
 def _cmd_radial(args: argparse.Namespace) -> int:
     radii = np.array([float(tok) for tok in args.radii.split(",") if tok.strip()])
-    if args.csv is not None:
+    spec = _family_spec(args)
+    if spec is None:
         profile = read_radial_csv(args.csv, args.dim)
-    elif args.family is not None:
-        spec = FamilySpec(Family(args.family), _family_params(args))
-        grid = make_uniform_grid(0.0, args.b, args.n)
-        vals = family_value(spec, grid.points)
-        decay = DecayClass.COMPACT_SUPPORT if vals[0] == 0.0 and vals[-1] == 0.0 else DecayClass.VANISHING_AT_INFINITY
-        profile = RadialProfile(SampledFunction(grid, vals, decay), args.dim)
     else:
-        raise ValueError("radial needs --csv or --family")
+        grid = make_uniform_grid(0.0, args.b, args.n)
+        profile = RadialProfile.from_samples(grid, family_value(spec, grid.points), args.dim)
     frac = fractional_integral(profile) if profile.dim >= 2 else None
     leray = radial_ft_leray(profile, radii, frac=frac)
     ibp = radial_ft_ibp(profile, radii, frac=frac)
@@ -182,25 +181,20 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_tr = subs.add_parser("transform", help="sampled Fourier transform as t,re,im CSV")
-    _add_input_args(p_tr)
-    _add_grid_args(p_tr)
+    _add_line_input_args(p_tr)
     p_tr.add_argument("--cutoff", type=float, default=None, help="max |t| (default: Nyquist pi/h)")
     p_tr.add_argument("--m", type=int, default=None, help="frequency sample count")
     p_tr.add_argument("--out", default="transform.csv")
     p_tr.set_defaults(func=_cmd_transform)
 
     p_hi = subs.add_parser("hilbert", help="a chosen conjugation operator as x,value CSV")
-    _add_input_args(p_hi)
-    _add_grid_args(p_hi)
+    _add_line_input_args(p_hi)
     p_hi.add_argument("--method", choices=sorted(_HILBERT_METHODS), default="pv")
     p_hi.add_argument("--out", default="hilbert.csv")
     p_hi.set_defaults(func=_cmd_hilbert)
 
     p_ra = subs.add_parser("radial", help="radial transforms as r,leray,ibp,oracle CSV")
-    p_ra.add_argument("--family", choices=[f.value for f in Family])
-    p_ra.add_argument("--csv", help="radial profile CSV (s,f0)")
-    for flag in _FAMILY_PARAM_FLAGS:
-        p_ra.add_argument(f"--{flag}", type=float)
+    _add_input_args(p_ra, "radial profile CSV (s,f0) instead of a family")
     p_ra.add_argument("--b", type=float, default=2.0, help="profile outer radius")
     p_ra.add_argument("--n", type=int, default=8193, help="profile sample count")
     p_ra.add_argument("--dim", type=int, required=True, help="ambient dimension")

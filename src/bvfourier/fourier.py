@@ -44,8 +44,6 @@ class TransformResult:
 
     freqs: np.ndarray
     values: np.ndarray
-    cutoff: float
-    source_domain: tuple[float, float]
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
@@ -183,12 +181,7 @@ def fourier_transform(
     zero = np.flatnonzero(t == 0.0)
     if zero.size:
         values[zero[0]] = complex(integrate(f))
-    return TransformResult(
-        freqs=t,
-        values=values,
-        cutoff=cutoff,
-        source_domain=(f.grid.a, f.grid.b),
-    )
+    return TransformResult(freqs=t, values=values)
 
 
 def l1_norm_ft(
@@ -245,32 +238,26 @@ def h1_report(g: SampledFunction) -> H1Report:
     )
 
 
-def hardy_check(
-    g: SampledFunction,
-    cutoff: float | None = None,
-    tol: float = 1e-2,
-    freq_spacing: float | None = None,
-) -> VerificationReport:
+def hardy_check(g: SampledFunction, tol: float = 1e-2) -> VerificationReport:
     """Hardy inequality probe: int |ghat(t)|/|t| dt <= (1 + tol) * ||g||_H1.
 
-    The integrand is only integrable because ghat(0) = 0 for Hardy-space
-    members, so a symmetric window of one frequency spacing around zero
-    is excised and the cancellation residual is a hard precondition.
+    The integral runs up to the Nyquist cutoff pi/h.  The integrand is
+    only integrable because ghat(0) = 0 for Hardy-space members, so a
+    symmetric window of one frequency spacing pi/(b - a) around zero is
+    excised and the cancellation residual is a hard precondition.
     The ratio lhs/rhs is recorded in the notes as the empirical
     convention constant whether or not the unit-constant bound holds.
     """
+    if g.n < 3:
+        raise ValueError("hardy_check needs at least three samples")
     report = h1_report(g)
     if report.cancellation_residual > 1e-6 * max(report.l1_norm, 1e-300):
         raise ValueError(
             f"cancellation residual {report.cancellation_residual:.3e} exceeds "
             f"1e-6 * ||g||_L1; the |ghat(t)|/|t| integrand would be singular at 0"
         )
-    if cutoff is None:
-        cutoff = nyquist_cutoff(g.grid)
-    if freq_spacing is None:
-        freq_spacing = math.pi / g.grid.width
-    if cutoff <= freq_spacing:
-        raise ValueError("cutoff must exceed one frequency spacing")
+    cutoff = nyquist_cutoff(g.grid)
+    freq_spacing = math.pi / g.grid.width
     k = int(math.ceil((cutoff - freq_spacing) / freq_spacing)) * 4 + 1
     t = np.linspace(freq_spacing, cutoff, k)
     mag = np.abs(transform_values(g, t))

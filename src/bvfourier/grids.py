@@ -373,35 +373,48 @@ def lebesgue_point_defect(f: SampledFunction, x: float, t: float) -> float:
     return float(np.trapezoid(dev, pts) / abs(t))
 
 
-def read_samples_csv(path: str | Path, decay_class: DecayClass | str) -> SampledFunction:
-    """Load a user-supplied function from a two-column ``x,value`` CSV.
+def _read_uniform_csv(path: str | Path, header: tuple[str, str], min_rows: int) -> tuple[Grid, np.ndarray]:
+    """Grid and values of a two-column CSV whose first column is the abscissa.
 
-    The header row is required, x must be strictly increasing and
-    equispaced to a relative tolerance of 1e-9 on the spacing; the decay
-    class is supplied by the caller as a side flag.
+    The header row must name the two columns; the abscissa must be
+    finite, strictly increasing and equispaced to a relative tolerance
+    of 1e-9 on the spacing.
     """
     path = Path(path)
+    name = header[0]
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            got = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty CSV") from None
-        if [c.strip().lower() for c in header] != ["x", "value"]:
-            raise ValueError(f"{path}: expected header 'x,value', got {header!r}")
+        if [c.strip().lower() for c in got] != list(header):
+            raise ValueError(f"{path}: expected header {','.join(header)!r}, got {got!r}")
         rows = [row for row in reader if row]
     try:
         data = np.array([[float(r[0]), float(r[1])] for r in rows])
     except (ValueError, IndexError) as exc:
         raise ValueError(f"{path}: malformed data row ({exc})") from None
-    if data.shape[0] < 2:
-        raise ValueError(f"{path}: need at least two samples")
+    if data.shape[0] < min_rows:
+        raise ValueError(f"{path}: need at least {min_rows} samples")
     xs, vals = data[:, 0], data[:, 1]
+    if not np.all(np.isfinite(xs)):
+        raise ValueError(f"{path}: {name} must be finite")
     dx = np.diff(xs)
     if np.any(dx <= 0):
-        raise ValueError(f"{path}: x must be strictly increasing")
+        raise ValueError(f"{path}: {name} must be strictly increasing")
     h = (xs[-1] - xs[0]) / (xs.size - 1)
     if np.max(np.abs(dx - h)) > 1e-9 * h:
-        raise ValueError(f"{path}: x must be equispaced (relative tolerance 1e-9)")
-    grid = Grid(float(xs[0]), float(xs[-1]), int(xs.size))
+        raise ValueError(f"{path}: {name} must be equispaced (relative tolerance 1e-9)")
+    return Grid(float(xs[0]), float(xs[-1]), int(xs.size)), vals
+
+
+def read_samples_csv(path: str | Path, decay_class: DecayClass | str) -> SampledFunction:
+    """Load a user-supplied function from a two-column ``x,value`` CSV.
+
+    x must be finite, strictly increasing and equispaced (see
+    :func:`_read_uniform_csv`); the decay class is supplied by the
+    caller as a side flag.
+    """
+    grid, vals = _read_uniform_csv(path, ("x", "value"), 2)
     return SampledFunction(grid, vals, DecayClass(decay_class))

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +30,6 @@ from ._fft import convolve, correlate, fast_len
 from .grids import DecayClass, SampledFunction, trapezoid_weights
 
 __all__ = [
-    "PvConfig",
     "MULTIPLIER_SIGN",
     "hilbert_pv",
     "hilbert_multiplier",
@@ -47,35 +45,8 @@ __all__ = [
 # Poisson kernel to minus its conjugate.
 MULTIPLIER_SIGN = -1.0
 
-_LINE_DECAYS = (DecayClass.COMPACT_SUPPORT, DecayClass.VANISHING_AT_INFINITY)
-
-
-@dataclass(frozen=True)
-class PvConfig:
-    """Quadrature controls for the principal-value routes.
-
-    ``delta_min`` is the smallest exclusion radius around the
-    singularity; the default half spacing places the first u-node at
-    h/2, the smallest offset the midpoint scheme supports.  Larger
-    values (up to one spacing) drop leading u-nodes, which is useful
-    for bias studies.
-    """
-
-    delta_min: float | None = None
-    pairing: str = "symmetric_difference"
-
-    def __post_init__(self):
-        if self.pairing != "symmetric_difference":
-            raise ValueError(f"unsupported pairing {self.pairing!r}")
-        if self.delta_min is not None and not self.delta_min > 0.0:
-            raise ValueError("delta_min must be positive")
-
-    def start_index(self, h: float) -> int:
-        if self.delta_min is None:
-            return 0
-        if self.delta_min > h * (1.0 + 1e-12):
-            raise ValueError(f"delta_min={self.delta_min} exceeds the grid spacing {h}")
-        return 0 if self.delta_min <= 0.5 * h * (1.0 + 1e-12) else 1
+# hilbert_multiplier zero pads to at least this many times the sample count
+_PAD_FACTOR = 16
 
 
 def _require_line_input(f: SampledFunction, op: str, allow_bounded: bool = False) -> None:
@@ -94,18 +65,14 @@ def _pair_sums(gbar: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.nd
     return A, B
 
 
-def _pv_values(f: SampledFunction, cfg: PvConfig) -> np.ndarray:
-    h = f.h
-    j0 = cfg.start_index(h)
+def _pv_values(f: SampledFunction) -> np.ndarray:
     gbar = 0.5 * (f.values[1:] + f.values[:-1])  # midpoint samples
     weights = 1.0 / (np.arange(f.n - 1) + 0.5)
-    if j0:
-        weights[:j0] = 0.0
     A, B = _pair_sums(gbar, weights)
     return (A - B) / np.pi
 
 
-def hilbert_pv(f: SampledFunction, cfg: PvConfig | None = None) -> SampledFunction:
+def hilbert_pv(f: SampledFunction) -> SampledFunction:
     """Principal-value Hilbert transform on the line.
 
     Quadrature nodes sit at u = (j + 1/2) h, so symmetric cancellation
@@ -115,11 +82,10 @@ def hilbert_pv(f: SampledFunction, cfg: PvConfig | None = None) -> SampledFuncti
     transform of an integrable function decays like 1/x.
     """
     _require_line_input(f, "hilbert_pv")
-    cfg = cfg or PvConfig()
-    return f.with_values(_pv_values(f, cfg), DecayClass.VANISHING_AT_INFINITY)
+    return f.with_values(_pv_values(f), DecayClass.VANISHING_AT_INFINITY)
 
 
-def modified_hilbert(f: SampledFunction, cfg: PvConfig | None = None) -> SampledFunction:
+def modified_hilbert(f: SampledFunction) -> SampledFunction:
     """Hilbert transform with the augmented kernel 1/(x-t) + t/(1+t^2).
 
     The added term makes the integral well defined near infinity for
@@ -130,11 +96,10 @@ def modified_hilbert(f: SampledFunction, cfg: PvConfig | None = None) -> Sampled
     additive over the kernel split.
     """
     _require_line_input(f, "modified_hilbert", allow_bounded=True)
-    cfg = cfg or PvConfig()
     xm = 0.5 * (f.x[1:] + f.x[:-1])
     gbar = 0.5 * (f.values[1:] + f.values[:-1])
     offset = (f.h / np.pi) * float(np.sum(gbar * xm / (1.0 + xm * xm)))
-    out = _pv_values(f, cfg) + offset
+    out = _pv_values(f) + offset
     decay = DecayClass.BOUNDED if f.decay_class is DecayClass.BOUNDED else DecayClass.VANISHING_AT_INFINITY
     return f.with_values(out, decay)
 
@@ -202,11 +167,11 @@ def _tail_correction(f: SampledFunction) -> np.ndarray:
     return corr
 
 
-def hilbert_multiplier(f: SampledFunction, pad_factor: int = 16) -> SampledFunction:
+def hilbert_multiplier(f: SampledFunction) -> SampledFunction:
     """Hilbert transform through the frequency-domain sign multiplier.
 
-    The samples are zero padded to N = fast_len(pad_factor * n), the
-    smallest 5-smooth length at least ``pad_factor``-fold, transformed,
+    The samples are zero padded to N = fast_len(_PAD_FACTOR n), the
+    smallest 5-smooth length at least 16-fold, transformed,
     multiplied by MULTIPLIER_SIGN * i * sign(freq) and transformed back.
     Two exact corrections restore line semantics from the circular
     transform: (i) the periodization kernel difference
@@ -217,10 +182,8 @@ def hilbert_multiplier(f: SampledFunction, pad_factor: int = 16) -> SampledFunct
     imaginary residue is checked against 1e-8 relative and discarded.
     """
     _require_line_input(f, "hilbert_multiplier")
-    if pad_factor < 1:
-        raise ValueError("pad_factor must be >= 1")
     n, h, x = f.n, f.h, f.x
-    N = fast_len(pad_factor * n)
+    N = fast_len(_PAD_FACTOR * n)
     padded = np.zeros(N)
     padded[:n] = f.values
     freq = np.fft.fftfreq(N, d=h)

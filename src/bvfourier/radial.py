@@ -21,14 +21,14 @@ upper limits truncate there.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .grids import DecayClass, Grid, SampledFunction, derivative, trapezoid_weights
+from .grids import DecayClass, Grid, SampledFunction, _read_uniform_csv, derivative, trapezoid_weights
 
 __all__ = [
     "RadialProfile",
@@ -67,11 +67,23 @@ class RadialProfile:
                 f"(|f0(R)| <= {_TAIL_TOL:g} * max|f0|); extend the grid"
             )
 
-    @property
-    def support_radius(self) -> float:
-        """Radius of the last nonzero sample (grid end if none are zero)."""
-        nz = np.flatnonzero(self.f0.values != 0.0)
-        return float(self.f0.x[nz[-1]]) if nz.size else 0.0
+    @classmethod
+    def from_samples(cls, grid: Grid, values, dim: int) -> "RadialProfile":
+        """Profile from samples on [0, R], tagged by its two window ends.
+
+        The left endpoint is the radial center, so compact_support (which
+        requires zero window ends) only fits profiles vanishing there too;
+        every other profile is tagged vanishing_at_infinity.
+        """
+        compact = values[0] == 0.0 and values[-1] == 0.0
+        decay = DecayClass.COMPACT_SUPPORT if compact else DecayClass.VANISHING_AT_INFINITY
+        return cls(SampledFunction(grid, values, decay), dim)
+
+    @cached_property
+    def support_index(self) -> int:
+        """Index J of the last nonzero sample, the cut-off Rs = s_J (0 if none)."""
+        nz = np.flatnonzero(self.f0.values)
+        return int(nz[-1]) if nz.size else 0
 
 
 @dataclass(frozen=True)
@@ -196,8 +208,7 @@ def fractional_integral(p: RadialProfile) -> FractionalIntegral:
         )
     n, s, f = p.dim, p.f0.x, p.f0.values
     vals, slope = np.zeros(s.size), np.zeros(s.size)
-    nz = np.flatnonzero(f)
-    J = int(nz[-1]) if nz.size else 0
+    J = p.support_index
     if J > 0:
         t, sk = s[:J], s[: J + 1]
         a = np.zeros(J + 1)
@@ -278,8 +289,8 @@ def _check_radii(radii) -> np.ndarray:
     radii = np.asarray(radii, dtype=float)
     if radii.size == 0:
         raise ValueError("need at least one radius")
-    if np.any(radii <= 0.0):
-        raise ValueError("radii must be positive")
+    if not np.all(np.isfinite(radii) & (radii > 0.0)):
+        raise ValueError("radii must be finite and positive")
     return radii
 
 
@@ -329,8 +340,7 @@ def _with_jump_end(p: RadialProfile, slope: np.ndarray) -> np.ndarray:
     functions, so the trigonometric factor the caller applies is
     integrated against g in product form; the samples elsewhere stand.
     """
-    nz = np.flatnonzero(p.f0.values)
-    J = int(nz[-1]) if nz.size else 0
+    J = p.support_index
     if J == 0:
         return slope
     h, fJ, R, a = p.f0.h, p.f0.values[J], p.f0.x[J], p.f0.x[J - 1]
@@ -466,41 +476,21 @@ def radial_ft_oracle(p: RadialProfile, radii) -> np.ndarray:
         def bessel(x):
             return jv(n / 2.0 - 1.0, x)
     s = p.f0.x
-    wf = trapezoid_weights(p.f0.grid) * p.f0.values * s ** (n / 2.0)
+    w = trapezoid_weights(p.f0.grid) * p.f0.values
+    wf = w * s ** (n / 2.0)
+    # for n = 1 the kernel J_{-1/2}(s r) s^{1/2} reads inf * 0 at the s = 0
+    # node, so that node enters through its limit sqrt(2 / (pi r)) instead
+    lo = 1 if n == 1 else 0
     rows = max(1, _BLOCK // s.size)
     out = np.empty(radii.size)
     for i in range(0, radii.size, rows):
-        out[i : i + rows] = bessel(np.outer(radii[i : i + rows], s)) @ wf
+        out[i : i + rows] = bessel(np.outer(radii[i : i + rows], s[lo:])) @ wf[lo:]
+    if n == 1:
+        out += w[0] * np.sqrt(2.0 / (math.pi * radii))
     return (2.0 * math.pi) ** (n / 2.0) * radii ** (1.0 - n / 2.0) * out
 
 
 def read_radial_csv(path: str | Path, dim: int) -> RadialProfile:
     """Load a radial profile from a two-column ``s,f0`` CSV (s from 0, equispaced)."""
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty CSV") from None
-        if [c.strip().lower() for c in header] != ["s", "f0"]:
-            raise ValueError(f"{path}: expected header 's,f0', got {header!r}")
-        rows = [row for row in reader if row]
-    try:
-        data = np.array([[float(r[0]), float(r[1])] for r in rows])
-    except (ValueError, IndexError) as exc:
-        raise ValueError(f"{path}: malformed data row ({exc})") from None
-    if data.shape[0] < 3:
-        raise ValueError(f"{path}: need at least three samples")
-    s, vals = data[:, 0], data[:, 1]
-    ds = np.diff(s)
-    if np.any(ds <= 0):
-        raise ValueError(f"{path}: s must be strictly increasing")
-    h = (s[-1] - s[0]) / (s.size - 1)
-    if np.max(np.abs(ds - h)) > 1e-9 * h:
-        raise ValueError(f"{path}: s must be equispaced (relative tolerance 1e-9)")
-    grid = Grid(float(s[0]), float(s[-1]), int(s.size))
-    # the left endpoint is the radial center; only profiles vanishing
-    # there as well qualify as compactly supported window functions
-    decay = DecayClass.COMPACT_SUPPORT if vals[0] == 0.0 and vals[-1] == 0.0 else DecayClass.VANISHING_AT_INFINITY
-    return RadialProfile(SampledFunction(grid, vals, decay), int(dim))
+    grid, vals = _read_uniform_csv(path, ("s", "f0"), 3)
+    return RadialProfile.from_samples(grid, vals, int(dim))

@@ -402,11 +402,7 @@ def _checks_periodic(p: Profile) -> list[VerificationReport]:
 
 def _radial_profile(p: Profile, values_fn, dim: int, r_end: float | None = None) -> RadialProfile:
     grid = make_uniform_grid(0.0, r_end or p.radial_r, p.radial_n)
-    vals = values_fn(grid.points)
-    # the left endpoint is the radial center, so compact_support (which
-    # requires zero window ends) only fits profiles vanishing there too
-    decay = DecayClass.COMPACT_SUPPORT if vals[0] == 0.0 and vals[-1] == 0.0 else DecayClass.VANISHING_AT_INFINITY
-    return RadialProfile(SampledFunction(grid, vals, decay), dim)
+    return RadialProfile.from_samples(grid, values_fn(grid.points), dim)
 
 
 def _checks_radial(p: Profile) -> list[VerificationReport]:

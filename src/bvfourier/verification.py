@@ -13,7 +13,7 @@ import numpy as np
 
 from .fourier import l1_norm_ft
 from .grids import SampledFunction, derivative, total_variation
-from .hilbert import PvConfig, hilbert_pv, modified_hilbert
+from .hilbert import hilbert_pv, modified_hilbert
 from .reports import VerificationReport
 
 __all__ = [
@@ -88,9 +88,7 @@ def _jump_exclusion_mask(fprime: SampledFunction) -> np.ndarray:
     return mask
 
 
-def conjugate_derivative_defect(
-    f: SampledFunction, bound: float = 1e-2, cfg: PvConfig | None = None
-) -> VerificationReport:
+def conjugate_derivative_defect(f: SampledFunction, bound: float = 1e-2) -> VerificationReport:
     """Commutation defect sup |d/dx(modified Hilbert f) - H(f')|.
 
     The supremum runs over the middle 80% of the grid, excluding points
@@ -98,9 +96,9 @@ def conjugate_derivative_defect(
     points of f', so jump-adjacent nodes are excluded rather than
     special-cased).
     """
-    lhs = derivative(modified_hilbert(f, cfg))
+    lhs = derivative(modified_hilbert(f))
     fp = derivative(f)
-    rhs = hilbert_pv(fp, cfg)
+    rhs = hilbert_pv(fp)
     mask = _jump_exclusion_mask(fp)
     if not np.any(mask):
         raise ValueError("every interior point is jump-adjacent; f' has no smooth region")

@@ -182,6 +182,23 @@ def test_hilbert_rejects_double_input(tmp_path):
     assert rc == EXIT_DATA
 
 
+def test_radial_rejects_double_input(tmp_path, capsys):
+    prof = tmp_path / "prof.csv"
+    prof.write_text("s,f0\n0,1\n1,1\n2,0\n")
+    args = ["radial", "--family", "box", "--csv", str(prof), "--dim", "3", "--radii", "1"]
+    assert main(args + ["--out", str(tmp_path / "r.csv")]) == EXIT_DATA
+    assert capsys.readouterr().err == "error: exactly one of --family / --csv is required\n"
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_radial_rejects_non_finite_radii(tmp_path, capsys):
+    args = ["radial", "--family", "box", "--width", "2", "--dim", "3", "--n", "257", "--radii", "nan,1,inf"]
+    assert main(args + ["--out", str(tmp_path / "r.csv")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: radii must be finite") and err.count("\n") == 1
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_hilbert_from_csv_round_trip(tmp_path):
     src = tmp_path / "g.csv"
     x = np.linspace(-20.0, 20.0, 2049)

@@ -231,6 +231,9 @@ def test_csv_rejects_bad_files(tmp_path):
     p.write_text("x,value\n0,1\n-1,2\n")
     with pytest.raises(ValueError, match="increasing"):
         read_samples_csv(p, DecayClass.BOUNDED)
+    p.write_text("x,value\n0,0\nnan,1\n2,0\n")
+    with pytest.raises(ValueError, match="finite"):
+        read_samples_csv(p, DecayClass.BOUNDED)
 
 
 def test_trapezoid_integral_against_quad():

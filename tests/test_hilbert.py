@@ -10,7 +10,6 @@ from bvfourier import (
     DecayClass,
     Family,
     FamilySpec,
-    PvConfig,
     SampledFunction,
     fourier_coefficients,
     hilbert_multiplier,
@@ -91,16 +90,6 @@ def test_pv_rejects_wrong_inputs():
     cplx = SampledFunction(grid, np.exp(1j * grid.points), DecayClass.BOUNDED)
     with pytest.raises(ValueError, match="real"):
         hilbert_pv(cplx)
-
-
-def test_pv_config_validation():
-    f = line_function(Family.GAUSSIAN, n=257)
-    with pytest.raises(ValueError):
-        hilbert_pv(f, PvConfig(delta_min=10 * f.h))
-    with pytest.raises(ValueError):
-        PvConfig(delta_min=-1.0)
-    out = hilbert_pv(f, PvConfig(delta_min=f.h / 2))
-    assert np.array_equal(out.values, hilbert_pv(f).values)
 
 
 def test_multiplier_zero_is_zero():

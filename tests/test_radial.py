@@ -140,7 +140,7 @@ def test_fractional_integral_is_linear():
 
     p1 = profile(first, 3)
     p2 = profile(second, 3)
-    assert p1.support_radius == p2.support_radius
+    assert p1.support_index == p2.support_index
     combined = RadialProfile(
         p1.f0.with_values(2.0 * p1.f0.values + 0.5 * p2.f0.values, DecayClass.COMPACT_SUPPORT), 3
     )
@@ -208,6 +208,16 @@ def test_leray_dim1_matches_even_extension_transform():
     even = sample(FamilySpec(Family.GAUSSIAN), make_uniform_grid(-8.0, 8.0, 4097))
     expected = transform_values(even, radii).real
     assert np.max(np.abs(got - expected)) <= 1e-6
+
+
+def test_oracle_dim1_takes_the_limit_at_the_center():
+    # J_{-1/2}(s r) s^{1/2} is inf * 0 at s = 0; the Bessel route must use its
+    # limit there and match the even-extension transform like the leray route
+    p = profile(lambda s: np.exp(-s * s / 2.0), 1, r_end=8.0, n=2049)
+    radii = np.linspace(0.1, 5.0, 17)
+    exact = math.sqrt(2.0 * math.pi) * np.exp(-radii * radii / 2.0)
+    assert np.max(np.abs(radial_ft_leray(p, radii) - exact)) <= 1e-6
+    assert np.max(np.abs(radial_ft_oracle(p, radii) - exact)) <= 1e-6
 
 
 def test_leray_zero_profile_and_bad_radii():
@@ -326,6 +336,9 @@ def test_radial_csv_errors(tmp_path):
         read_radial_csv(path, 2)
     path.write_text("s,f0\n0,1\n1,0\n3,0\n")
     with pytest.raises(ValueError, match="equispaced"):
+        read_radial_csv(path, 2)
+    path.write_text("s,f0\n0,1\nnan,0\n2,0\n")
+    with pytest.raises(ValueError, match="finite"):
         read_radial_csv(path, 2)
 
 
