@@ -3,10 +3,11 @@
 The transform convention throughout is ghat(t) = int g(x) e^{-i t x} dx.
 The reference quadrature is the composite trapezoid evaluated at each
 frequency node.  Two exact FFT paths replace the direct sum: nodes on
-the lattice k pi/(b - a), which include the default Nyquist grid, are
-bins of one length-2(n - 1) DFT, and other uniform grids take a chirp-z
-(zoom DFT) path padded to a fast 5-smooth length.  Both match the
-direct sum to better than 1e-10 on the test corpus (asserted in the
+an L-fold sub-lattice k pi/(L (b - a)) with L <= 8 are bins of one
+zero-padded DFT of length 2 L (n - 1) (L = 1 holds the default Nyquist
+grid, L = 4 the Hardy probe's grid), and other uniform grids take a
+chirp-z (zoom DFT) path padded to a fast 5-smooth length.  Both match
+the direct sum to better than 1e-10 on the test corpus (asserted in the
 test suite).  Periodic coefficients are one FFT of the period samples.
 """
 
@@ -90,15 +91,16 @@ def _zoom_dft(coeffs: np.ndarray, x0: float, h: float, t0: float, dt: float, m: 
     return np.exp(-1j * kk * dt * xc) * np.exp(-0.5j * theta * kk * kk) * core
 
 
-def _lattice_dft(coeffs: np.ndarray, x0: float, t: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """F(t) = sum_j coeffs_j e^{-i t x_j} at t = k pi/(b - a), from one DFT.
+def _lattice_dft(coeffs: np.ndarray, x0: float, t: np.ndarray, k: np.ndarray, fold: int) -> np.ndarray:
+    """F(t) = sum_j coeffs_j e^{-i t x_j} at t = k pi/(L (b - a)), from one DFT.
 
-    With x_j = x0 + j (b - a)/(n - 1) the kernel is e^{-i t x0} times
-    e^{-2 pi i k j / N}, N = 2(n - 1): bin k mod N of a single length-N
-    DFT of the zero-padded coefficients.  Real input reads the negative
-    bins as conjugates, so mirrored nodes come out exactly conjugate.
+    With x_j = x0 + j (b - a)/(n - 1) and L = ``fold`` the kernel is
+    e^{-i t x0} times e^{-2 pi i k j / N}, N = 2 L (n - 1): bin k mod N
+    of a single length-N DFT of the zero-padded coefficients.  Real input
+    reads the negative bins as conjugates, so mirrored nodes come out
+    exactly conjugate.
     """
-    N = 2 * (coeffs.size - 1)
+    N = 2 * fold * (coeffs.size - 1)
     k = k % N
     if np.iscomplexobj(coeffs):
         bins = np.fft.fft(coeffs, N)[k]
@@ -109,16 +111,20 @@ def _lattice_dft(coeffs: np.ndarray, x0: float, t: np.ndarray, k: np.ndarray) ->
 
 
 _ZOOM_CHUNK = 4096
+# finest sub-lattice pi/(L (b - a)) served by one DFT; its length 2 L (n - 1)
+# grows with L, finer uniform grids take the zoom DFT
+_MAX_FOLD = 8
 
 
 def transform_values(f: SampledFunction, t: np.ndarray) -> np.ndarray:
     """Trapezoid quadrature of int f(x) e^{-i t x} dx at the given frequencies.
 
-    Nodes on the lattice k pi/(b - a) -- the default Nyquist grid among
-    them -- are bins of one length-2(n - 1) DFT.  Other uniform grids of
-    two or more nodes route through the chirp-z (zoom DFT) path; both
-    match the direct sum to a few ulps.  Remaining node sets fall back
-    to the direct chunked sum.
+    Nodes on an L-fold sub-lattice k pi/(L (b - a)), L = 1..8, are bins
+    of one zero-padded DFT of length 2 L (n - 1); the smallest such L is
+    taken, so the default Nyquist grid is L = 1 and the Hardy probe's
+    grid L = 4.  Other uniform grids of two or more nodes route through
+    the chirp-z (zoom DFT) path; both match the direct sum to a few ulps.
+    Remaining node sets fall back to the direct chunked sum.
     """
     t = np.asarray(t, dtype=float)
     wf = trapezoid_weights(f.grid) * f.values
@@ -126,10 +132,11 @@ def transform_values(f: SampledFunction, t: np.ndarray) -> np.ndarray:
         # linspace spacing jitters by ~eps * max|t|; nodes that close to an
         # exact arithmetic progression or lattice are indistinguishable here
         jitter = 64.0 * np.finfo(float).eps * max(abs(float(t[0])), abs(float(t[-1])), 1.0)
-        lattice = math.pi / f.grid.width
-        k = np.rint(t / lattice)
-        if np.all(np.abs(t - k * lattice) <= jitter):
-            return _lattice_dft(wf, f.grid.a, t, k.astype(np.int64))
+        for fold in range(1, _MAX_FOLD + 1):
+            lattice = math.pi / (fold * f.grid.width)
+            k = np.rint(t / lattice)
+            if np.all(np.abs(t - k * lattice) <= jitter):
+                return _lattice_dft(wf, f.grid.a, t, k.astype(np.int64), fold)
         dt = np.diff(t)
         if np.all(np.abs(dt - dt[0]) <= jitter):
             step = float(dt[0])

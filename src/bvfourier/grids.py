@@ -392,8 +392,9 @@ def _read_uniform_csv(path: str | Path, header: tuple[str, str], min_rows: int) 
             raise ValueError(f"{path}: expected header {','.join(header)!r}, got {got!r}")
         rows = [row for row in reader if row]
     try:
-        data = np.array([[float(r[0]), float(r[1])] for r in rows])
-    except (ValueError, IndexError) as exc:
+        # unpacking rejects rows with a missing or an extra field
+        data = np.array([[float(x), float(v)] for x, v in rows])
+    except ValueError as exc:
         raise ValueError(f"{path}: malformed data row ({exc})") from None
     if data.shape[0] < min_rows:
         raise ValueError(f"{path}: need at least {min_rows} samples")

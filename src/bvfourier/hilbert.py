@@ -184,13 +184,16 @@ def hilbert_multiplier(f: SampledFunction) -> SampledFunction:
     _require_line_input(f, "hilbert_multiplier")
     n, h, x = f.n, f.h, f.x
     N = fast_len(_PAD_FACTOR * n)
-    padded = np.zeros(N)
-    padded[:n] = f.values
-    freq = np.fft.fftfreq(N, d=h)
-    mult = MULTIPLIER_SIGN * 1j * np.sign(freq)
+    spec = np.fft.fft(f.values, N)
+    # MULTIPLIER_SIGN * i * sign(freq), applied in place: bins 1..half are the
+    # positive frequencies, the last half bins the negative ones; bin 0 and
+    # the Nyquist bin of even N have no well defined sign
+    half = (N - 1) // 2
+    spec[1 : half + 1] *= complex(0.0, MULTIPLIER_SIGN)
+    spec[N - half :] *= complex(0.0, -MULTIPLIER_SIGN)
+    spec[0] = 0.0
     if N % 2 == 0:
-        mult[N // 2] = 0.0  # Nyquist bin has no well defined sign
-    spec = np.fft.fft(padded) * mult
+        spec[N // 2] = 0.0
     out_c = np.fft.ifft(spec)
     real_scale = float(np.max(np.abs(out_c.real)))
     residue = float(np.max(np.abs(out_c.imag))) / (real_scale + 1e-300)

@@ -160,6 +160,16 @@ def test_data_error_exit_code(tmp_path):
     assert rc == EXIT_DATA
 
 
+def test_transform_csv_row_with_extra_field_exits_data(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x,value\n0,0,7\n1,1,8\n2,0,9\n")
+    rc = main(["transform", "--csv", str(bad), "--out", str(tmp_path / "t.csv")])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "malformed data row" in err and err.count("\n") == 1
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_memory_error_maps_to_data_exit_code(tmp_path, monkeypatch, capsys):
     import bvfourier.cli as cli
 

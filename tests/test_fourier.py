@@ -96,11 +96,34 @@ def test_real_input_gives_conjugate_symmetric_transform(family):
     assert res.conjugate_symmetry_defect() <= 1e-10
 
 
-def test_chirp_z_path_matches_direct_reference():
+@pytest.fixture
+def dft_paths(monkeypatch):
+    """Record the fast paths transform_values takes: the fold L of each
+    (sub-)lattice DFT and the number of zoom-DFT chunks."""
+    import bvfourier.fourier as fourier
+
+    taken = {"folds": [], "zoom": 0}
+    lattice_dft, zoom_dft = fourier._lattice_dft, fourier._zoom_dft
+
+    def lattice_spy(coeffs, x0, t, k, fold):
+        taken["folds"].append(fold)
+        return lattice_dft(coeffs, x0, t, k, fold)
+
+    def zoom_spy(*args):
+        taken["zoom"] += 1
+        return zoom_dft(*args)
+
+    monkeypatch.setattr(fourier, "_lattice_dft", lattice_spy)
+    monkeypatch.setattr(fourier, "_zoom_dft", zoom_spy)
+    return taken
+
+
+def test_chirp_z_path_matches_direct_reference(dft_paths):
     # accelerated evaluation must agree with the direct trapezoid sum
     f = line_function(Family.POISSON_KERNEL, n=2**12)
     t = np.linspace(-40.0, 40.0, 4097)  # uniform grid takes the czt path
     fast = transform_values(f, t)
+    assert dft_paths == {"folds": [], "zoom": 2}
     w = np.full(f.n, f.h)
     w[0] = w[-1] = f.h / 2
     direct = np.empty(t.size, dtype=complex)
@@ -130,6 +153,62 @@ def test_default_grid_takes_the_lattice_dft_and_matches_direct_sum():
     assert np.max(np.abs(res.values - want)) <= 1e-12
     assert abs(res.values[0] - want[0]) <= 1e-12 and abs(res.values[-1] - want[-1]) <= 1e-12
     assert res.conjugate_symmetry_defect() == 0.0
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+@pytest.mark.parametrize("fold", [2, 3, 4, 8])
+def test_sub_lattice_path_matches_direct_sum(fold, complex_values, dft_paths):
+    f = line_function(Family.POISSON_KERNEL, n=2**8 + 1)
+    if complex_values:
+        f = f.with_values(f.values * np.exp(0.3j * f.x) + 0.1j * f.values**2)
+    # mirrored nodes k pi/(L W), |k| <= L (n - 1): both end nodes sit on the
+    # Nyquist bin of the length-2L(n - 1) DFT, and k = 1 is on no coarser lattice
+    half = np.arange(fold * (f.n - 1) + 1) * (math.pi / (fold * f.grid.width))
+    t = np.concatenate((-half[:0:-1], half))
+    got = transform_values(f, t)
+    assert dft_paths == {"folds": [fold], "zoom": 0}
+    want = direct_transform(f, t)
+    assert np.max(np.abs(got - want)) <= 1e-10
+    assert abs(got[0] - want[0]) <= 1e-10 and abs(got[-1] - want[-1]) <= 1e-10
+    if not complex_values:
+        assert np.array_equal(got[::-1], np.conj(got))
+
+
+def test_hardy_nodes_take_the_four_fold_sub_lattice(dft_paths):
+    g = derivative(line_function(Family.TRIANGLE, n=2**8))
+    hardy_check(g)
+    assert dft_paths == {"folds": [4], "zoom": 0}
+    # the probe's nodes linspace(pi/W, pi/h, 4(n - 2) + 1) are k pi/(4W), k = 4..4(n - 1)
+    t = np.linspace(math.pi / g.grid.width, math.pi / g.h, 4 * (g.n - 2) + 1)
+    assert np.max(np.abs(transform_values(g, t) - direct_transform(g, t))) <= 1e-10
+
+
+def test_nine_fold_grid_falls_back_to_zoom(dft_paths):
+    f = line_function(Family.POISSON_KERNEL, n=2**8 + 1)
+    t = np.arange(-100, 101) * (math.pi / (9 * f.grid.width))
+    got = transform_values(f, t)
+    assert dft_paths == {"folds": [], "zoom": 1}
+    assert np.max(np.abs(got - direct_transform(f, t))) <= 1e-10
+
+
+def test_hardy_suite_runs_six_multipliers_and_no_zoom(monkeypatch, dft_paths):
+    # one hilbert_multiplier per hardy_check (3 families x 2 grids), every
+    # transform on the 4-fold sub-lattice
+    import bvfourier.fourier as fourier
+    import bvfourier.suites as suites
+
+    calls = []
+    multiplier = fourier.hilbert_multiplier
+
+    def spy(f):
+        calls.append(f.n)
+        return multiplier(f)
+
+    monkeypatch.setattr(fourier, "hilbert_multiplier", spy)
+    monkeypatch.setattr(suites, "hilbert_multiplier", spy)
+    suites._checks_hardy(suites.PROFILES["fast"])
+    assert len(calls) == 6
+    assert dft_paths == {"folds": [4] * 6, "zoom": 0}
 
 
 @pytest.mark.parametrize("m", [2, 5, 63])

@@ -236,6 +236,14 @@ def test_csv_rejects_bad_files(tmp_path):
         read_samples_csv(p, DecayClass.BOUNDED)
 
 
+def test_csv_rejects_rows_with_extra_or_missing_fields(tmp_path):
+    p = tmp_path / "bad.csv"
+    for body in ("0,0,7\n1,1,8\n2,0,9\n", "0,0\n1,1,8\n2,0\n", "0,0\n1\n2,0\n"):
+        p.write_text("x,value\n" + body)
+        with pytest.raises(ValueError, match="malformed data row"):
+            read_samples_csv(p, DecayClass.BOUNDED)
+
+
 def test_trapezoid_integral_against_quad():
     from bvfourier import integrate
     from bvfourier.grids import trapezoid_weights

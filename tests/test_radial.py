@@ -340,6 +340,9 @@ def test_radial_csv_errors(tmp_path):
     path.write_text("s,f0\n0,1\nnan,0\n2,0\n")
     with pytest.raises(ValueError, match="finite"):
         read_radial_csv(path, 2)
+    path.write_text("s,f0\n0,1,5\n1,0,5\n2,0,5\n")
+    with pytest.raises(ValueError, match="malformed data row"):
+        read_radial_csv(path, 2)
 
 
 def test_derivative_budget_reported():
