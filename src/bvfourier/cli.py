@@ -62,8 +62,12 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.12g}"
+def _write_table(path: str, header: str, *columns: np.ndarray) -> None:
+    """Write real columns under a header line: the first (the abscissa) in shortest
+    round-trip form, so it reads back bit for bit, the rest to 12 significant digits."""
+    table = np.column_stack(columns)
+    row = "%r" + ",%.12g" * (table.shape[1] - 1) + "\n"
+    _atomic_write(Path(path), header + "\n" + (row * table.shape[0]) % tuple(table.ravel().tolist()))
 
 
 def _add_input_args(sub: argparse.ArgumentParser, csv_help: str) -> None:
@@ -111,11 +115,7 @@ def _load_input(args: argparse.Namespace) -> SampledFunction:
 def _cmd_transform(args: argparse.Namespace) -> int:
     f = _load_input(args)
     result = fourier_transform(f, cutoff=args.cutoff, m=args.m)
-    buf = io.StringIO()
-    buf.write("t,re,im\n")
-    for t, v in zip(result.freqs, result.values):
-        buf.write(f"{_fmt(t)},{_fmt(v.real)},{_fmt(v.imag)}\n")
-    _atomic_write(Path(args.out), buf.getvalue())
+    _write_table(args.out, "t,re,im", result.freqs, result.values.real, result.values.imag)
     return EXIT_OK
 
 
@@ -130,11 +130,7 @@ _HILBERT_METHODS = {
 def _cmd_hilbert(args: argparse.Namespace) -> int:
     f = _load_input(args)
     out = _HILBERT_METHODS[args.method](f)
-    buf = io.StringIO()
-    buf.write("x,value\n")
-    for x, v in zip(out.x, out.values):
-        buf.write(f"{_fmt(x)},{_fmt(float(v))}\n")
-    _atomic_write(Path(args.out), buf.getvalue())
+    _write_table(args.out, "x,value", out.x, out.values)
     return EXIT_OK
 
 
@@ -150,11 +146,7 @@ def _cmd_radial(args: argparse.Namespace) -> int:
     leray = radial_ft_leray(profile, radii, frac=frac)
     ibp = radial_ft_ibp(profile, radii, frac=frac)
     oracle = radial_ft_oracle(profile, radii)
-    buf = io.StringIO()
-    buf.write("r,leray,ibp,oracle\n")
-    for r, a, b, c in zip(radii, leray, ibp, oracle):
-        buf.write(f"{_fmt(r)},{_fmt(a)},{_fmt(b)},{_fmt(c)}\n")
-    _atomic_write(Path(args.out), buf.getvalue())
+    _write_table(args.out, "r,leray,ibp,oracle", radii, leray, ibp, oracle)
     return EXIT_OK
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -376,26 +377,28 @@ def lebesgue_point_defect(f: SampledFunction, x: float, t: float) -> float:
 def _read_uniform_csv(path: str | Path, header: tuple[str, str], min_rows: int) -> tuple[Grid, np.ndarray]:
     """Grid and values of a two-column CSV whose first column is the abscissa.
 
-    The header row must name the two columns; the abscissa must be
-    finite, strictly increasing and equispaced to a relative tolerance
-    of 1e-9 on the spacing.
+    The header row must name the two columns.  Every data row holds
+    exactly two float fields, comma separated and optionally double
+    quoted; blank lines are skipped and there are no comments.  The
+    abscissa must be finite, strictly increasing and equispaced to a
+    relative tolerance of 1e-9 on the spacing.
     """
     path = Path(path)
     name = header[0]
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            got = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty CSV") from None
+        got = next(csv.reader(fh), None)
+        if got is None:
+            raise ValueError(f"{path}: empty CSV")
         if [c.strip().lower() for c in got] != list(header):
             raise ValueError(f"{path}: expected header {','.join(header)!r}, got {got!r}")
-        rows = [row for row in reader if row]
-    try:
-        # unpacking rejects rows with a missing or an extra field
-        data = np.array([[float(x), float(v)] for x, v in rows])
-    except ValueError as exc:
-        raise ValueError(f"{path}: malformed data row ({exc})") from None
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2, dtype=float)
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed data row ({exc})") from None
+    if data.size and data.shape[1] != 2:
+        raise ValueError(f"{path}: malformed data row (expected 2 fields, got {data.shape[1]})")
     if data.shape[0] < min_rows:
         raise ValueError(f"{path}: need at least {min_rows} samples")
     xs, vals = data[:, 0], data[:, 1]

@@ -131,11 +131,13 @@ def _inverse_power_transforms(x: np.ndarray, R: float, kmax: int) -> np.ndarray:
 def _tail_correction(f: SampledFunction) -> np.ndarray:
     """Hilbert contribution of fitted inverse-power tails outside the window.
 
-    Each side's outer 5% of samples is fitted with sum_k c_k (Rm/|t|)^k,
-    k = 1..5, and the transform of the modelled tail beyond
-    Rm = boundary + h/2 is added in closed form.  Sides whose samples
-    are negligible, or not consistent with algebraic decay (relative
-    fit residual above 1e-3), are skipped; the correction then degrades
+    Each side's outer 5% of samples (at least 32) is fitted with
+    sum_k c_k (Rm/|t|)^k, k = 1..5, and the transform of the modelled
+    tail beyond Rm = boundary + h/2 is added in closed form.  Sides
+    whose window does not fit (the two windows would overlap, or the
+    window would reach the origin), whose samples are negligible, or
+    whose samples are not consistent with algebraic decay (relative fit
+    residual above 1e-3) are skipped; the correction then degrades
     gracefully to plain truncation.
     """
     n, h, x = f.n, f.h, f.x
@@ -143,14 +145,15 @@ def _tail_correction(f: SampledFunction) -> np.ndarray:
     kmax = 5
     scale = float(np.max(np.abs(f.values)))
     corr = np.zeros(n)
-    if scale == 0.0:
+    if scale == 0.0 or 2 * m > n:
         return corr
     for side in (1, -1):
         if side > 0:
             xs, fs, boundary = x[-m:], f.values[-m:], f.grid.b
         else:
             xs, fs, boundary = -x[:m][::-1], f.values[:m][::-1], -f.grid.a
-        if np.max(np.abs(fs)) < 1e-12 * scale:
+        # xs[0] is the window's sample nearest the origin
+        if xs[0] <= 0.0 or np.max(np.abs(fs)) < 1e-12 * scale:
             continue
         Rm = boundary + 0.5 * h
         basis = np.stack([(Rm / xs) ** k for k in range(1, kmax + 1)], axis=1)

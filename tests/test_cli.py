@@ -1,10 +1,16 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bvfourier.cli import EXIT_CHECK_FAILED, EXIT_DATA, EXIT_OK, main
+import bvfourier
+from bvfourier.cli import EXIT_CHECK_FAILED, EXIT_DATA, EXIT_OK, _write_table, main
+from bvfourier.grids import make_uniform_grid, read_samples_csv
 
 
 def read_csv(path):
@@ -222,3 +228,42 @@ def test_hilbert_from_csv_round_trip(tmp_path):
 
     expected = 2.0 / math.sqrt(math.pi) * dawsn(data[:, 0] / math.sqrt(2.0))
     assert np.max(np.abs(data[:, 1] - expected)) <= 1e-4
+
+
+def test_write_table_value_columns_match_the_row_loop(tmp_path):
+    special = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e16, 1e-5, 123456789012.5, -1.0 / 3.0]
+    values = np.array([complex(a, b) for a in special for b in special] + [complex(-0.0, -0.0)])
+    t = np.linspace(-3.0, 7.0, values.size)
+    out = tmp_path / "t.csv"
+    _write_table(str(out), "t,re,im", t, values.real, values.imag)
+    # the per-row loop the writer replaced, kept as the reference for the value columns
+    ref = ["t,re,im"] + [f"{tt:.12g},{v.real:.12g},{v.imag:.12g}" for tt, v in zip(t, values)]
+    lines = out.read_text().splitlines()
+    assert lines[0] == ref[0] and len(lines) == len(ref)
+    for line, want in zip(lines[1:], ref[1:]):
+        assert line.split(",")[1:] == want.split(",")[1:]
+    assert np.array_equal([float(line.split(",")[0]) for line in lines[1:]], t)
+
+
+@pytest.mark.parametrize("n", [16385, 65537])
+def test_hilbert_output_reads_back_as_transform_input(tmp_path, n):
+    h, t = tmp_path / "h.csv", tmp_path / "t.csv"
+    assert main(["hilbert", "--family", "gaussian", "--n", str(n), "--out", str(h)]) == EXIT_OK
+    assert main(["transform", "--csv", str(h), "--out", str(t)]) == EXIT_OK
+    grid = make_uniform_grid(-50.0, 50.0, n)
+    assert np.array_equal(read_samples_csv(h, "vanishing_at_infinity").x, grid.points)
+    assert np.array_equal(read_csv(h)[1][:, 0], grid.points)
+
+
+@pytest.mark.parametrize("window", [["--n", "3"], ["--a", "-20", "--b", "20", "--n", "63"], ["--a", "-20", "--b", "20", "--n", "61"]])
+def test_multiplier_on_short_grids_returns(tmp_path, window):
+    # a tail window reaching x = 0 once hung in LAPACK, so run in a child with a timeout
+    out = tmp_path / "h.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(bvfourier.__file__).parents[1]))
+    args = ["hilbert", "--family", "gaussian", *window, "--method", "multiplier", "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "bvfourier.cli", *args], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == EXIT_OK and proc.stderr == ""
+    _, data = read_csv(out)
+    assert data.shape == (int(window[-1]), 2) and np.all(np.isfinite(data))

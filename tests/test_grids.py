@@ -1,4 +1,7 @@
+import csv
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from bvfourier import (
     DecayClass,
     Family,
     FamilySpec,
+    Grid,
     SampledFunction,
     derivative,
     family_value,
@@ -17,6 +21,7 @@ from bvfourier import (
     sample,
     total_variation,
 )
+from bvfourier.grids import _read_uniform_csv
 
 
 def test_two_point_grid():
@@ -242,6 +247,98 @@ def test_csv_rejects_rows_with_extra_or_missing_fields(tmp_path):
         p.write_text("x,value\n" + body)
         with pytest.raises(ValueError, match="malformed data row"):
             read_samples_csv(p, DecayClass.BOUNDED)
+
+
+def _loop_read_csv(path, header, min_rows):
+    # the row-loop reader that np.loadtxt replaced, kept as the reference
+    path = Path(path)
+    name = header[0]
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            got = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty CSV") from None
+        if [c.strip().lower() for c in got] != list(header):
+            raise ValueError(f"{path}: expected header {','.join(header)!r}, got {got!r}")
+        rows = [row for row in reader if row]
+    try:
+        data = np.array([[float(x), float(v)] for x, v in rows])
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed data row ({exc})") from None
+    if data.shape[0] < min_rows:
+        raise ValueError(f"{path}: need at least {min_rows} samples")
+    xs, vals = data[:, 0], data[:, 1]
+    if not np.all(np.isfinite(xs)):
+        raise ValueError(f"{path}: {name} must be finite")
+    dx = np.diff(xs)
+    if np.any(dx <= 0):
+        raise ValueError(f"{path}: {name} must be strictly increasing")
+    h = (xs[-1] - xs[0]) / (xs.size - 1)
+    if np.max(np.abs(dx - h)) > 1e-9 * h:
+        raise ValueError(f"{path}: {name} must be equispaced (relative tolerance 1e-9)")
+    return Grid(float(xs[0]), float(xs[-1]), int(xs.size)), vals
+
+
+def _read_outcome(reader, path):
+    """("ok", grid, value bytes) or ("error", message up to its parenthesised detail)."""
+    try:
+        grid, vals = reader(path, ("x", "value"), 2)
+    except ValueError as exc:
+        return ("error", str(exc).split(" (")[0])
+    return ("ok", grid, vals.tobytes())
+
+
+READER_CORPUS = {
+    "plain": "x,value\n0,1\n1,2\n2,3\n",
+    "quoted": 'x,value\n"0","1"\n"1",2\n2,"3"\n',
+    "quoted header": '"x","value"\n0,1\n1,2\n',
+    "crlf": "x,value\r\n0,1\r\n1,2\r\n",
+    "no final newline": "x,value\n0,1\n1,2",
+    "blank lines": "x,value\n\n0,1\n\n\n1,2\n\n",
+    "spaces around fields": " X , Value \n 0 , 1 \n1 ,2 \n",
+    "exponents": "x,value\n-1e0,+1E3\n.0,.5\n1.,5e-324\n",
+    "whitespace-only line": "x,value\n0,1\n   \n1,2\n",
+    "whitespace-only body": "x,value\n \t \n",
+    "quoted delimiter": 'x,value\n"0,5",1\n1,2\n',
+    "trailing comma": "x,value\n0,1,\n1,2,\n",
+    "trailing comma on one row": "x,value\n0,1\n1,2,\n",
+    "empty field": "x,value\n0,\n1,2\n",
+    "hash in field": "x,value\n0,1#c\n1,2\n",
+    "hash line": "x,value\n0,1\n# note\n1,2\n",
+    "empty file": "",
+    "header only": "x,value\n",
+    "wrong header": "u,v\n0,1\n1,2\n",
+    "one row": "x,value\n0,1\n",
+    "one field": "x,value\n0\n1\n",
+    "three fields": "x,value\n0,1,2\n1,2,3\n",
+    "one row short": "x,value\n0,1\n1\n2,0\n",
+    "inf and nan values": "x,value\n0,inf\n1,nan\n2,-inf\n3,-Infinity\n",
+    "nan in x": "x,value\n0,0\nnan,1\n2,0\n",
+    "inf in x": "x,value\n0,0\n1,1\ninf,0\n",
+    "hex": "x,value\n0,0x10\n1,2\n",
+    "not increasing": "x,value\n0,1\n-1,2\n",
+    "not equispaced": "x,value\n0,1\n2,2\n3,3\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(READER_CORPUS))
+def test_csv_reader_matches_row_loop_reference(tmp_path, name):
+    p = tmp_path / "f.csv"
+    p.write_bytes(READER_CORPUS[name].encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # e.g. loadtxt's "input contained no data"
+        assert _read_outcome(_read_uniform_csv, p) == _read_outcome(_loop_read_csv, p)
+
+
+def test_csv_reader_rejects_digit_group_underscores(tmp_path):
+    # deliberate grammar change: Python's float() accepts "1_0", the C parser does not
+    p = tmp_path / "f.csv"
+    p.write_text("x,value\n0,1_0\n1,2\n")
+    assert _read_outcome(_loop_read_csv, p)[0] == "ok"
+    with pytest.raises(ValueError, match="malformed data row"):
+        _read_uniform_csv(p, ("x", "value"), 2)
+
 
 
 def test_trapezoid_integral_against_quad():
