@@ -215,6 +215,22 @@ def test_radial_rejects_non_finite_radii(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--family", "box", "--dim", "344"],
+        ["--family", "box", "--dim", "400"],
+        ["--family", "gaussian", "--b", "8", "--dim", "345"],
+    ],
+)
+def test_radial_rejects_dimensions_past_the_float_range(tmp_path, capsys, args):
+    # Gamma(n/2) overflows float64 from n = 344 on: one error line, not a traceback
+    assert main(["radial", *args, "--radii", "1", "--out", str(tmp_path / "r.csv")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: dimension must be at most 343") and err.count("\n") == 1
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_hilbert_from_csv_round_trip(tmp_path):
     src = tmp_path / "g.csv"
     x = np.linspace(-20.0, 20.0, 2049)

@@ -34,7 +34,7 @@ def test_convolve_and_correlate_match_numpy():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # start-up cost: scipy is only needed lazily, by the radial Bessel oracle
+    # start-up cost: the package needs numpy only
     src = str(Path(bvfourier.__file__).resolve().parents[1])
     code = "import sys, bvfourier.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run(
@@ -43,15 +43,25 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
-def test_odd_dimension_radial_call_leaves_scipy_unloaded(tmp_path):
-    # half-integer Bessel orders are elementary; only even dims need scipy
+def test_radial_commands_run_with_scipy_blocked(tmp_path):
+    # every Bessel order of the oracle, half-integer and integer, is computed
+    # in-package: with scipy unimportable the radial commands exit as before
     src = str(Path(bvfourier.__file__).resolve().parents[1])
-    argv = ["radial", "--family", "box", "--dim", "3", "--radii", "0.5,1,2", "--out", str(tmp_path / "r.csv")]
+    runs = [
+        ["radial", "--family", "box", "--dim", str(d), "--radii", "0.5,1,2", "--out", str(tmp_path / f"r{d}.csv")]
+        for d in range(1, 6)
+    ]
+    runs.append(["verify", "--suite", "radial", "--profile", "fast", "--out", str(tmp_path / "v.txt")])
     code = (
-        "import sys; from bvfourier.cli import main; rc = main(sys.argv[1:]); "
-        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "import io, sys, contextlib; sys.modules['scipy'] = None\n"
+        "from bvfourier.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        rc = main(argv)\n"
+        "    print(rc)\n"
+        "print(sorted(m for m, mod in sys.modules.items() if m.split('.')[0] == 'scipy' and mod is not None))"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code, *argv], env={"PYTHONPATH": src}, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env={"PYTHONPATH": src}, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "0 []"
+    assert out.stdout.split("\n")[:-1] == ["0"] * 6 + ["[]"]

@@ -1,9 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import j1
+from scipy.special import j1, jv
 
 from bvfourier import (
     DecayClass,
@@ -18,6 +20,7 @@ from bvfourier import (
     radial_ft_oracle,
     read_radial_csv,
 )
+from bvfourier.radial import _MAX_DIM, _half_integer_jv, _integer_jv, _kink_sum_even
 
 
 def profile(values_fn, dim, r_end=2.0, n=2049):
@@ -31,14 +34,15 @@ def ball(dim, n=2049):
     return profile(lambda s: (s <= 1.0).astype(float), dim, n=n)
 
 
-def bump(dim, n=2049):
-    def values(s):
-        inside = np.abs(s - 1.0) <= 0.5
-        out = np.zeros_like(s)
-        out[inside] = 0.5 * (1.0 + np.cos(np.pi * (s[inside] - 1.0) / 0.5))
-        return out
+def bump_values(s):
+    inside = np.abs(s - 1.0) <= 0.5
+    out = np.zeros_like(s)
+    out[inside] = 0.5 * (1.0 + np.cos(np.pi * (s[inside] - 1.0) / 0.5))
+    return out
 
-    return profile(values, dim, n=n)
+
+def bump(dim, n=2049):
+    return profile(bump_values, dim, n=n)
 
 
 def test_leray_condition_zero_profile():
@@ -293,14 +297,114 @@ def test_oracle_disc_transform_converges_to_bessel_form():
     assert errs[1] <= 2e-3  # half-cell radius smear ~ pi*h*|J0|
 
 
+@pytest.mark.parametrize("dim", [4, 6])
+def test_oracle_even_ball_converges_to_bessel_form(dim):
+    # the node at s = 1 carries weight h where the ball's edge wants h/2, so
+    # the error is at most h/2 (2 pi)^{n/2} max_x x^{1-n/2} J_{n/2-1}(x)
+    # = h pi^{n/2} / Gamma(n/2), and halves when the profile doubles
+    radii = np.linspace(0.5, 10.0, 20)
+    expected = (2.0 * math.pi / radii) ** (dim / 2.0) * jv(dim / 2.0, radii)
+    errs = [float(np.max(np.abs(radial_ft_oracle(ball(dim, n=n), radii) - expected))) for n in (2049, 4097)]
+    assert errs[0] / errs[1] >= 1.8
+    assert errs[1] <= math.pi ** (dim / 2.0) / math.gamma(dim / 2.0) * (2.0 / 4096)
+
+
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_half_integer_bessel_matches_scipy(k):
-    from scipy.special import jv
-
-    from bvfourier.radial import _half_integer_jv
-
     x = np.linspace(0.0, 60.0, 60001)
     assert np.max(np.abs(_half_integer_jv(k, x) - jv(k + 0.5, x))) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [*range(11), 39])
+def test_integer_bessel_matches_scipy(k):
+    # both sides of the series/Miller switch at x = 1 and the Miller/Hankel one at 25 + k^2
+    edges = [b * f for b in (1.0, 25.0 + k * k) for f in (1.0 - 2e-16, 1.0, 1.0 + 2e-16, 1.0 - 1e-9, 1.0 + 1e-9)]
+    x = np.concatenate((np.linspace(0.0, 200.0, 20001), np.geomspace(1e-12, 1.0, 2001), edges))
+    assert np.max(np.abs(_integer_jv(k, x) - jv(k, x))) <= 1e-14
+
+
+def reference_kink_sum_even(a, h, n):
+    """The direct O(N K) kink sum of _kink_sum_even, over row blocks of all kinks."""
+    rows_total = a.size - 1
+    out, slope = np.zeros(rows_total), np.zeros(rows_total)
+    cols = np.flatnonzero(a)
+    if cols.size == 0:
+        return out, slope
+    inv = 1.0 / cols[-1]
+    rows = max(1, 2**16 // cols.size)
+    for i0 in range(0, rows_total, rows):
+        c = cols[np.searchsorted(cols, i0, side="right") :]
+        if c.size == 0:
+            break
+        ci, ac = c.astype(float), a[c]
+        ri = np.arange(i0, min(i0 + rows, rows_total), dtype=float)
+        u = np.sqrt(np.maximum(ci * ci - (ri * ri)[:, None], 0.0))
+        theta = np.arcsinh(u / np.where(ri > 0.0, ri, np.inf)[:, None])
+        u *= inv
+        y, x = ci * inv, ri * inv
+        g, up = theta, u
+        for k in range(n // 2 - 1):
+            g = (y * up - (2 * k + 1) * (x * x)[:, None] * g) / (2 * k + 2)
+            up = up * (u * u)
+        gs = g @ ac
+        out[i0 : i0 + rows] = (up @ (ac * y) / (n - 1) - x * x * gs) / n
+        if n == 2:
+            slope[i0 : i0 + rows] = -x * gs
+    L = h * cols[-1]
+    return L**n * out, L * slope
+
+
+def slope_changes(p):
+    """(a, h): the slope changes a_j that fractional_integral hands to the kink sum."""
+    f, J = p.f0.values, p.support_index
+    a = np.zeros(J + 1)
+    a[1:] = np.diff(np.diff(f[: J + 1]) / p.f0.h, append=0.0)
+    return a, p.f0.h
+
+
+def gaussian(dim, n):
+    return profile(lambda s: np.exp(-s * s / 2.0), dim, r_end=8.0, n=n)
+
+
+@pytest.mark.parametrize("n", [4097, 8193])
+@pytest.mark.parametrize("dim", [2, 4, 6, 8])
+@pytest.mark.parametrize("shape", [bump, gaussian])
+def test_hierarchical_kink_sum_matches_the_direct_sum(shape, dim, n):
+    a, h = slope_changes(shape(dim, n))
+    got, dgot = _kink_sum_even(a, h, dim)
+    want, dwant = reference_kink_sum_even(a, h, dim)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    if dim == 2:
+        assert np.max(np.abs(dgot - dwant)) <= 1e-14 * np.max(np.abs(dwant))
+
+
+def best_of_3(fn, *args):
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        fn(*args)
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+
+def test_hierarchical_kink_sum_scales_as_n_log_n():
+    # at most 2.5x per doubling over two doublings (the direct sum takes 4x),
+    # and at least 4x faster than the direct sum at the larger size
+    small, large = (slope_changes(bump(2, n)) for n in (8193, 32769))
+    cost = best_of_3(_kink_sum_even, *large, 2)
+    assert cost <= 2.5**2 * best_of_3(_kink_sum_even, *small, 2)
+    assert best_of_3(reference_kink_sum_even, *large, 2) >= 4.0 * cost
+
+
+def test_dimension_limit_is_where_a_prefactor_overflows():
+    for n in (_MAX_DIM - 1, _MAX_DIM):
+        for v in (math.gamma((n - 1) / 2.0), math.pi ** ((n - 1) / 2.0), (2.0 * math.pi) ** (n / 2.0), math.gamma(n / 2.0)):
+            assert math.isfinite(v)
+    with pytest.raises(OverflowError):
+        math.gamma((_MAX_DIM + 1) / 2.0)
+    RadialProfile(ball(2).f0, _MAX_DIM)
+    with pytest.raises(ValueError, match=f"at most {_MAX_DIM}"):
+        RadialProfile(ball(2).f0, _MAX_DIM + 1)
 
 
 def test_oracle_zero_profile():
@@ -366,3 +470,35 @@ def test_higher_dimensions_run_through_the_differencing_path(dim):
     scale = float(np.max(np.abs(oracle)))
     assert np.max(np.abs(radial_ft_ibp(p, radii) - oracle)) <= 1e-4 * scale
     assert np.max(np.abs(radial_ft_leray(p, radii) - oracle)) <= 1e-4 * scale
+
+
+@given(st.integers(min_value=2, max_value=5), st.floats(min_value=0.25, max_value=4.0))
+@settings(max_examples=40, deadline=None)
+def test_dilation_scales_every_route(dim, lam):
+    # the same samples on [0, R/lam] read f0(lam s), whose transform is
+    # lam^-n F(r/lam): evaluated at r = lam rho against F(rho)
+    N, R = 129, 2.0
+    vals = bump_values(np.linspace(0.0, R, N))
+    p = RadialProfile.from_samples(make_uniform_grid(0.0, R, N), vals, dim)
+    p_lam = RadialProfile.from_samples(make_uniform_grid(0.0, R / lam, N), vals, dim)
+    rho = np.array([1.0, 2.5, 5.0, 9.0])
+    eps = np.finfo(float).eps
+    top = radial_ft_leray(p, [1e-9])[0]  # max|F| = F(0): f0 >= 0 and so I >= 0
+    max_i = float(np.max(fractional_integral(p).samples.values))
+    # Each route sums N weighted samples times a kernel bounded by its r = 0
+    # value (cos, or x^{1-n/2} J_{n/2-1}(x)); the two sides differ by the
+    # sums' rounding (N eps), the kernel argument's (2 eps r R), and for
+    # leray and ibp the roundoff of the I samples, at most 128 eps max|I|
+    # (see _differencing_order_budget), summed over [0, R].  Below, the
+    # absolute terms of the oracle sum at most to max|F| and those of the
+    # leray sum to 2 pi^{(n-1)/2} R max|I| >= max|F|.  The ibp route takes
+    # n - 1 derivatives, each at most dividing the roundoff by h, and
+    # rho^{1-n} <= 1.
+    sums = eps * (N + 2.0 * rho.max() * R)
+    leray = sums * top + 2.0 * math.pi ** ((dim - 1) / 2.0) * R * (128.0 * eps + sums) * max_i
+    oracle = sums * top
+    ibp = leray * p.f0.h ** (1 - dim)
+    for route, slack in ((radial_ft_leray, leray), (radial_ft_ibp, ibp), (radial_ft_oracle, oracle)):
+        got = route(p_lam, lam * rho)
+        want = lam**-dim * route(p, rho)
+        assert np.max(np.abs(got - want)) <= lam**-dim * slack, route.__name__
