@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["fast_len", "convolve", "correlate"]
+__all__ = ["fast_len", "convolve", "convolve_and_correlate"]
 
 
 def fast_len(n: int) -> int:
@@ -43,7 +43,11 @@ def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(a, L) * np.fft.rfft(b, L), L)[:size]
 
 
-def correlate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Real correlation out[i] = sum_j a[j] b[i + j], i = 0..len(b) - 1, b zero padded."""
+def convolve_and_correlate(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real (sum_j a[j] b[i - j], sum_j a[j] b[i + j]) for i = 0..len(b) - 1, b zero padded.
+
+    The two share one pair of spectra: two rffts and two irffts in all.
+    """
     L = fast_len(a.size + b.size - 1)
-    return np.fft.irfft(np.conj(np.fft.rfft(a, L)) * np.fft.rfft(b, L), L)[: b.size]
+    fa, fb = np.fft.rfft(a, L), np.fft.rfft(b, L)
+    return np.fft.irfft(fa * fb, L)[: b.size], np.fft.irfft(np.conj(fa) * fb, L)[: b.size]

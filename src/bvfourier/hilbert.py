@@ -5,11 +5,11 @@ Four routes are provided:
 * :func:`hilbert_pv` -- principal-value quadrature of the symmetric
   difference form (1/pi) int_0^inf {f(x-u) - f(x+u)} du/u, with u-nodes
   at half-spacing offsets so the singularity is never sampled, evaluated
-  as one rfft convolution and one correlation,
-* :func:`hilbert_multiplier` -- frequency-domain route through the sign
-  multiplier on a zero-padded FFT of fast 5-smooth length, with
-  periodization debias and a guarded algebraic tail extension for
-  slowly decaying inputs,
+  as one rfft convolution and one correlation from shared spectra,
+* :func:`hilbert_multiplier` -- the sign multiplier of a 16-fold
+  zero-padded circular transform, applied exactly as a real convolution
+  with its closed-form odd cotangent kernel, with periodization debias
+  and a guarded algebraic tail extension for slowly decaying inputs,
 * :func:`modified_hilbert` -- the augmented kernel 1/(x-t) + t/(1+t^2),
   well defined for bounded inputs,
 * :func:`periodic_conjugate` -- the cotangent-kernel conjugate function
@@ -26,7 +26,7 @@ import warnings
 
 import numpy as np
 
-from ._fft import convolve, correlate, fast_len
+from ._fft import convolve, convolve_and_correlate, fast_len
 from .grids import DecayClass, SampledFunction, trapezoid_weights
 
 __all__ = [
@@ -48,6 +48,15 @@ MULTIPLIER_SIGN = -1.0
 # hilbert_multiplier zero pads to at least this many times the sample count
 _PAD_FACTOR = 16
 
+# _inverse_power_transforms sums its power series sum_m r^m / (k + m),
+# r = x/R, where |r| < _SERIES_RHO.  Every partial sum exceeds (1 - rho)/k
+# (the terms shrink, and alternate when r < 0), and an addend below s eps/4
+# leaves a float s unchanged.  Term m is below rho^m / k, so the terms from
+# _SERIES_TERMS on change no bit of the sum once
+# rho^_SERIES_TERMS < (1 - rho) eps / 4, which gives 32 terms.
+_SERIES_RHO = 0.3
+_SERIES_TERMS = math.ceil(math.log((1.0 - _SERIES_RHO) * np.finfo(float).eps / 4.0) / math.log(_SERIES_RHO))
+
 
 def _require_line_input(f: SampledFunction, op: str, allow_bounded: bool = False) -> None:
     if not f.is_real():
@@ -60,9 +69,8 @@ def _require_line_input(f: SampledFunction, op: str, allow_bounded: bool = False
 
 def _pair_sums(gbar: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A_i = sum_j w_j gbar[i-1-j], B_i = sum_j w_j gbar[i+j], zero padded."""
-    A = np.concatenate(([0.0], convolve(weights, gbar)[: gbar.size]))
-    B = np.concatenate((correlate(weights, gbar), [0.0]))
-    return A, B
+    conv, corr = convolve_and_correlate(weights, gbar)
+    return np.concatenate(([0.0], conv)), np.concatenate((corr, [0.0]))
 
 
 def _pv_values(f: SampledFunction) -> np.ndarray:
@@ -112,12 +120,12 @@ def _inverse_power_transforms(x: np.ndarray, R: float, kmax: int) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     J = np.zeros((kmax + 1, x.size))
-    small = np.abs(x) < 0.3 * R
+    small = np.abs(x) < _SERIES_RHO * R
     r = x[small] / R
     for k in range(1, kmax + 1):
         s = np.zeros_like(r)
         term = np.ones_like(r)
-        for m in range(120):
+        for m in range(_SERIES_TERMS):
             s += term / (k + m)
             term *= r
         J[k, small] = -s / R**k
@@ -170,39 +178,57 @@ def _tail_correction(f: SampledFunction) -> np.ndarray:
     return corr
 
 
-def hilbert_multiplier(f: SampledFunction) -> SampledFunction:
-    """Hilbert transform through the frequency-domain sign multiplier.
+def _circular_kernel(n: int, N: int) -> np.ndarray:
+    """Inverse DFT of length N of the sign multiplier, at offsets m = -(n-1)..n-1.
 
-    The samples are zero padded to N = fast_len(_PAD_FACTOR n), the
-    smallest 5-smooth length at least 16-fold, transformed,
-    multiplied by MULTIPLIER_SIGN * i * sign(freq) and transformed back.
-    Two exact corrections restore line semantics from the circular
-    transform: (i) the periodization kernel difference
-    (pi/P) cot(pi u / P) - 1/u is removed through its cubic moment
-    expansion, and (ii) for vanishing_at_infinity input the tails
-    outside the window are extended by a fitted inverse-power model
-    (skipped for compactly supported or non-algebraic data).  The
-    imaginary residue is checked against 1e-8 relative and discarded.
+    The multiplier MULTIPLIER_SIGN * i * sign(k), zero at bin 0 and at the
+    Nyquist bin of even N, has the real odd inverse DFT (the discrete
+    Hilbert kernel; Kak, Proc. IEEE 58 (1970) 585)
+
+        even N:  -MULTIPLIER_SIGN (2/N) cot(pi m / N) at odd m, 0 at even m,
+        odd N:   -MULTIPLIER_SIGN (cos(pi m / N) - cos(pi m)) / (N sin(pi m / N)),
+
+    and 0 at m = 0.  It is N-periodic, so for N >= 2n the circular
+    convolution of n samples with it is the linear one on |m| < n.
+    """
+    m = np.arange(1 - n, n)
+    phi = (np.pi / N) * m
+    K = np.zeros(m.size)
+    if N % 2 == 0:
+        odd = (m & 1) == 1
+        K[odd] = (-2.0 * MULTIPLIER_SIGN / N) / np.tan(phi[odd])
+    else:
+        nz = m != 0
+        alt = np.where(m[nz] & 1, -1.0, 1.0)  # cos(pi m)
+        K[nz] = -MULTIPLIER_SIGN * (np.cos(phi[nz]) - alt) / (N * np.sin(phi[nz]))
+    return K
+
+
+def hilbert_multiplier(f: SampledFunction) -> SampledFunction:
+    """Hilbert transform through the exact kernel of the sign multiplier.
+
+    The route is the circular transform of the samples zero padded to
+    N = fast_len(_PAD_FACTOR n), the smallest 5-smooth length at least
+    16-fold, under the multiplier MULTIPLIER_SIGN * i * sign(freq).  Only
+    n outputs of n nonzero samples are needed, so it is evaluated exactly
+    as one real linear convolution with the multiplier's closed-form
+    kernel (:func:`_circular_kernel`) on offsets |m| < n, one rfft of
+    length fast_len(3n - 2).  Two exact corrections restore line
+    semantics from the circular transform: (i) the periodization kernel
+    difference (pi/P) cot(pi u / P) - 1/u, P = N h, is removed through
+    its cubic moment expansion, and (ii) for vanishing_at_infinity input
+    the tails outside the window are extended by a fitted inverse-power
+    model (skipped for compactly supported or non-algebraic data).  The
+    kernel is checked to be exactly odd, so the multiplier is purely
+    imaginary and the transform of real input is real.
     """
     _require_line_input(f, "hilbert_multiplier")
     n, h, x = f.n, f.h, f.x
     N = fast_len(_PAD_FACTOR * n)
-    spec = np.fft.fft(f.values, N)
-    # MULTIPLIER_SIGN * i * sign(freq), applied in place: bins 1..half are the
-    # positive frequencies, the last half bins the negative ones; bin 0 and
-    # the Nyquist bin of even N have no well defined sign
-    half = (N - 1) // 2
-    spec[1 : half + 1] *= complex(0.0, MULTIPLIER_SIGN)
-    spec[N - half :] *= complex(0.0, -MULTIPLIER_SIGN)
-    spec[0] = 0.0
-    if N % 2 == 0:
-        spec[N // 2] = 0.0
-    out_c = np.fft.ifft(spec)
-    real_scale = float(np.max(np.abs(out_c.real)))
-    residue = float(np.max(np.abs(out_c.imag))) / (real_scale + 1e-300)
-    if real_scale > 0.0 and residue > 1e-8:
-        raise ValueError(f"imaginary residue {residue:.2e} exceeds 1e-8 relative")
-    out = out_c.real[:n]
+    K = _circular_kernel(n, N)
+    if not np.array_equal(K[::-1], -K):
+        raise ValueError("multiplier kernel is not odd, so the transform would have an imaginary residue")
+    out = convolve(f.values, K)[n - 1 : 2 * n - 1]
 
     # periodization debias: the circular transform realizes the
     # cotangent kernel with period P = N h; its difference from the

@@ -403,14 +403,9 @@ def _ibp_integrand(p: RadialProfile, frac: FractionalIntegral) -> np.ndarray:
     if p.dim == 3:
         # I(t) = 2 int_t^R s f0 ds gives I'' = -2 f0 - 2 t f0' exactly
         return -2.0 * p.f0.values - 2.0 * s * derivative(p.f0).values
-    # generic fallback: iterated central differences of the I samples
-    order = p.dim - 1
-    if frac.derivative_order_available < order:
-        raise ValueError(
-            f"I^{order} is not numerically trustworthy "
-            f"(budget {frac.derivative_order_available}); refine the profile"
-        )
-    return _iterated_even_gradients(frac.samples.values, p.f0.h, order)
+    # generic fallback (budget checked by radial_ft_ibp): iterated central
+    # differences of the I samples
+    return _iterated_even_gradients(frac.samples.values, p.f0.h, p.dim - 1)
 
 
 def _with_jump_end(p: RadialProfile, slope: np.ndarray) -> np.ndarray:
@@ -496,6 +491,14 @@ def radial_ft_ibp(
         return radial_ft_leray(p, radii)
     if frac is None:
         frac = fractional_integral(p)
+    # the generic route differences I to order n - 1, and the boundary
+    # check to n - 2: refuse past the budget before differencing at all
+    order = p.dim - 1
+    if p.dim > 3 and frac.derivative_order_available < order:
+        raise ValueError(
+            f"I^{order} is not numerically trustworthy "
+            f"(budget {frac.derivative_order_available}); refine the profile"
+        )
     _check_boundary_terms(p, frac)
     integrand = _ibp_integrand(p, frac)
     out = np.empty(radii.size)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -228,6 +229,18 @@ def test_radial_rejects_dimensions_past_the_float_range(tmp_path, capsys, args):
     assert main(["radial", *args, "--radii", "1", "--out", str(tmp_path / "r.csv")]) == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("error: dimension must be at most 343") and err.count("\n") == 1
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_radial_refuses_past_the_differencing_budget_before_differencing(tmp_path, capsys):
+    # the refusal comes before any differencing, whose overflow warnings
+    # would otherwise precede the one error line
+    args = ["radial", "--family", "box", "--dim", "343", "--radii", "1", "--out", str(tmp_path / "r.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: I^342 is not numerically trustworthy") and err.count("\n") == 1
     assert not (tmp_path / "r.csv").exists()
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,11 @@ from bvfourier import (
     periodic_conjugate,
     sample,
 )
+from bvfourier import hilbert
+from bvfourier._fft import fast_len
+from bvfourier.cli import EXIT_DATA, main
+from bvfourier.grids import trapezoid_weights
+from bvfourier.hilbert import _circular_kernel, _inverse_power_transforms
 
 RIG = dict(a=-50.0, b=50.0)
 
@@ -121,6 +127,113 @@ def test_multiplier_sign_is_pinned_by_the_poisson_pair():
     right = np.max(np.abs(interior(got - q)))
     flipped = np.max(np.abs(interior(-got - q)))
     assert flipped / right > 100.0
+
+
+def sign_multiplier(N):
+    """MULTIPLIER_SIGN * i * sign(k) on the N DFT bins, zero at bin 0 and at an even N's Nyquist bin."""
+    spec = np.zeros(N, dtype=complex)
+    half = (N - 1) // 2
+    spec[1 : half + 1] = complex(0.0, MULTIPLIER_SIGN)
+    spec[N - half :] = complex(0.0, -MULTIPLIER_SIGN)
+    return spec
+
+
+def reference_multiplier_circular(f):
+    """hilbert_multiplier by the complex route: the sign multiplier applied
+    between two complex FFTs of length N, with the imaginary-residue check
+    at 1e-8, then the same two corrections."""
+    n, h, x = f.n, f.h, f.x
+    N = fast_len(hilbert._PAD_FACTOR * n)
+    out_c = np.fft.ifft(np.fft.fft(f.values, N) * sign_multiplier(N))
+    real_scale = float(np.max(np.abs(out_c.real)))
+    assert float(np.max(np.abs(out_c.imag))) <= 1e-8 * real_scale
+    out = out_c.real[:n]
+    P = N * h
+    w = trapezoid_weights(f.grid)
+    mom = [float(np.sum(w * f.values * x**k)) for k in range(4)]
+    out -= -(np.pi / (3.0 * P * P)) * (x * mom[0] - mom[1]) - (np.pi**3 / (45.0 * P**4)) * (
+        x**3 * mom[0] - 3.0 * x**2 * mom[1] + 3.0 * x * mom[2] - mom[3]
+    )
+    if f.decay_class is DecayClass.VANISHING_AT_INFINITY:
+        out += hilbert._tail_correction(f)
+    return out
+
+
+@pytest.mark.parametrize("N", [1620, 1215, 1125])
+def test_circular_kernel_is_the_inverse_dft_of_the_sign_multiplier(N):
+    # even N = 1620 and odd N = 1215, 1125 (5-smooth, as fast_len gives them)
+    n = 101
+    ref = np.fft.ifft(sign_multiplier(N))[np.arange(1 - n, n) % N]
+    scale = float(np.max(np.abs(ref.real)))
+    # the residue check the complex route ran on every call: a real odd
+    # kernel is what makes the transform of real input real
+    assert float(np.max(np.abs(ref.imag))) <= 1e-8 * scale
+    K = _circular_kernel(n, N)
+    assert np.array_equal(K[::-1], -K)
+    assert float(np.max(np.abs(K - ref.real))) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("family", [Family.GAUSSIAN, Family.POISSON_KERNEL, Family.BOX])
+@pytest.mark.parametrize("n", [257, 4096, 2**14 + 1, 2**16 + 1])
+def test_multiplier_matches_the_complex_fft_route(family, n):
+    f = line_function(family, n=n)
+    got = hilbert_multiplier(f).values
+    want = reference_multiplier_circular(f)
+    assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(want))
+
+
+def test_multiplier_peak_memory_stays_below_one_padded_complex_array():
+    # one complex array of the padded length N takes 16 N bytes
+    n = 2**16 + 1
+    f = line_function(Family.GAUSSIAN, n=n)
+    hilbert_multiplier(f)
+    tracemalloc.start()
+    try:
+        hilbert_multiplier(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * fast_len(hilbert._PAD_FACTOR * n)
+
+
+def test_multiplier_rejects_a_kernel_that_is_not_odd(tmp_path, capsys, monkeypatch):
+    def skewed(n, N):
+        K = _circular_kernel(n, N)
+        K[n] += 1e-3  # an even part: the multiplier would gain a real part
+        return K
+
+    monkeypatch.setattr(hilbert, "_circular_kernel", skewed)
+    with pytest.raises(ValueError, match="not odd"):
+        hilbert_multiplier(line_function(Family.GAUSSIAN, n=257))
+    args = ["hilbert", "--family", "gaussian", "--n", "257", "--method", "multiplier"]
+    assert main(args + ["--out", str(tmp_path / "h.csv")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: multiplier kernel is not odd") and err.count("\n") == 1
+
+
+def test_inverse_power_series_length_changes_no_bit():
+    # the derived term count against a 120-term loop, far past convergence
+    rng = np.random.default_rng(11)
+    for R in (1.0, 50.0 + 50.0 / 4096, 1e3):
+        edge = 0.3 * R
+        x = np.concatenate(
+            (
+                np.linspace(-edge, edge, 2001),
+                rng.uniform(-edge, edge, 2000),
+                np.nextafter(np.array([edge, -edge]), 0.0),
+                [0.0, 1e-300, -1e-300],
+            )
+        )
+        J = _inverse_power_transforms(x, R, 5)
+        small = np.abs(x) < edge
+        r = x[small] / R
+        for k in range(1, 6):
+            s = np.zeros_like(r)
+            term = np.ones_like(r)
+            for m in range(120):
+                s += term / (k + m)
+                term *= r
+            assert np.array_equal(J[k, small], -s / R**k)
 
 
 def test_modified_zero_is_zero():
