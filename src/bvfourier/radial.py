@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .fourier import transform_values
 from .grids import DecayClass, Grid, SampledFunction, _read_uniform_csv, derivative, trapezoid_weights
 
 __all__ = [
@@ -43,8 +44,7 @@ __all__ = [
 
 _TAIL_TOL = 1e-10
 _BOUNDARY_TOL = 1e-6
-_BLOCK = 2**16  # float64 elements per temporary array in the blocked passes (<= 2^18)
-_SUB_BLOCK = _BLOCK // 4  # the same for passes that keep up to eight such arrays live
+_SUB_BLOCK = 2**14  # float64 elements per temporary array; blocked passes keep up to eight live
 _LEAF = 32  # finest index box width of the even-dimension kink sum
 # largest dimension whose prefactors Gamma((n-1)/2), pi^{(n-1)/2}, (2 pi)^{n/2}
 # and the oracle series' Gamma(nu + 1) = Gamma(n/2) are all finite in float64:
@@ -359,13 +359,9 @@ def _differencing_order_budget(vals: np.ndarray, h: float, wanted: int) -> int:
 
 
 def _cosine_transform(grid: Grid, vals: np.ndarray, radii: np.ndarray, phase: float = 0.0) -> np.ndarray:
-    """Trapezoid sums of vals(t) cos(phase - r t) over the grid, in radius blocks."""
-    t, wv = grid.points, trapezoid_weights(grid) * vals
-    rows = max(1, _BLOCK // t.size)
-    out = np.empty(radii.size)
-    for i in range(0, radii.size, rows):
-        out[i : i + rows] = np.cos(phase - np.outer(radii[i : i + rows], t)) @ wv
-    return out
+    """Trapezoid sums of vals(t) cos(phase - r t) = Re(e^{i phase} e^{-i r t}) over the grid."""
+    ft = transform_values(SampledFunction(grid, vals, DecayClass.BOUNDED), radii)
+    return math.cos(phase) * ft.real - math.sin(phase) * ft.imag
 
 
 def _check_radii(radii) -> np.ndarray:
@@ -643,16 +639,15 @@ def radial_ft_oracle(p: RadialProfile, radii) -> np.ndarray:
     else:
         def bessel(x):
             return _integer_jv(n // 2 - 1, x)
-    s = p.f0.x
     w = trapezoid_weights(p.f0.grid) * p.f0.values
-    wf = w * s ** (n / 2.0)
-    # for n = 1 the kernel J_{-1/2}(s r) s^{1/2} reads inf * 0 at the s = 0
-    # node, so that node enters through its limit sqrt(2 / (pi r)) instead
-    lo = 1 if n == 1 else 0
-    rows = max(1, _SUB_BLOCK // s.size)
+    wf = w * p.f0.x ** (n / 2.0)
+    # zero weights add exactly 0: this drops s = 0 too, where for n = 1 the kernel
+    # J_{-1/2}(s r) s^{1/2} reads inf * 0, so that node enters through its limit
+    s, wf = p.f0.x[wf != 0.0], wf[wf != 0.0]
+    rows = max(1, _SUB_BLOCK // max(s.size, 1))
     out = np.empty(radii.size)
     for i in range(0, radii.size, rows):
-        out[i : i + rows] = bessel(np.outer(radii[i : i + rows], s[lo:])) @ wf[lo:]
+        out[i : i + rows] = bessel(np.outer(radii[i : i + rows], s)) @ wf
     if n == 1:
         out += w[0] * np.sqrt(2.0 / (math.pi * radii))
     return (2.0 * math.pi) ** (n / 2.0) * radii ** (1.0 - n / 2.0) * out

@@ -99,7 +99,7 @@ def test_real_input_gives_conjugate_symmetric_transform(family):
 @pytest.fixture
 def dft_paths(monkeypatch):
     """Record the fast paths transform_values takes: the fold L of each
-    (sub-)lattice DFT and the number of zoom-DFT chunks."""
+    (sub-)lattice DFT and the number of zoom-DFT calls, one per arithmetic run."""
     import bvfourier.fourier as fourier
 
     taken = {"folds": [], "zoom": 0}
@@ -123,7 +123,7 @@ def test_chirp_z_path_matches_direct_reference(dft_paths):
     f = line_function(Family.POISSON_KERNEL, n=2**12)
     t = np.linspace(-40.0, 40.0, 4097)  # uniform grid takes the czt path
     fast = transform_values(f, t)
-    assert dft_paths == {"folds": [], "zoom": 2}
+    assert dft_paths == {"folds": [], "zoom": 1}  # one run, one call
     w = np.full(f.n, f.h)
     w[0] = w[-1] = f.h / 2
     direct = np.empty(t.size, dtype=complex)
@@ -189,6 +189,72 @@ def test_nine_fold_grid_falls_back_to_zoom(dft_paths):
     got = transform_values(f, t)
     assert dft_paths == {"folds": [], "zoom": 1}
     assert np.max(np.abs(got - direct_transform(f, t))) <= 1e-10
+
+
+def test_long_zoom_run_does_not_drift_from_its_nodes(dft_paths):
+    # 40,001 nodes on [-1000, 1000]: a step taken as t[1] - t[0] carries
+    # ~eps * 1000 of rounding, which stepping over thousands of nodes
+    # accumulates; f-hat is steepest near |t| ~ 1, where that shows most
+    f = line_function(Family.GAUSSIAN, n=2**14 + 1)
+    res = fourier_transform(f, cutoff=1000.0, m=40001)
+    assert dft_paths == {"folds": [], "zoom": 1}
+    near_one = np.flatnonzero((np.abs(res.freqs) > 0.5) & (np.abs(res.freqs) < 1.5))
+    idx = np.union1d(np.arange(1, res.freqs.size, 97), near_one)
+    idx = idx[res.freqs[idx] != 0.0]
+    assert np.max(np.abs(res.values[idx] - direct_transform(f, res.freqs[idx]))) <= 1e-12
+
+
+def reference_l1_norm_ft(f, cutoffs, dt):
+    """Transform mass segment by segment on the same nodes, by the direct sum."""
+    edges = np.concatenate(([0.0], cutoffs))
+    t, mag = [0.0], [abs(direct_transform(f, [0.0])[0])]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        seg = np.linspace(lo, hi, int(math.ceil((hi - lo) / dt)) + 1)[1:]
+        t.extend(seg)
+        mag.extend(np.abs(direct_transform(f, seg)))
+    t, mag = np.array(t), np.array(mag)
+    cums = np.concatenate(([0.0], np.cumsum(0.5 * (mag[1:] + mag[:-1]) * np.diff(t))))
+    return cums[np.searchsorted(t, cutoffs)]
+
+
+@pytest.mark.parametrize("name", ["fast", "default", "strict"])
+def test_l1_norm_ft_suite_cutoffs_take_one_zoom_call(name, dft_paths):
+    from bvfourier.suites import PROFILES
+
+    p = PROFILES[name]
+    f = line_function(Family.TRIANGLE, lo=p.line_a, hi=p.line_b, n=2**11 + 1)
+    got = l1_norm_ft(f, p.cutoffs, dt=p.l1_dt)
+    assert dft_paths == {"folds": [], "zoom": 1}
+    want = reference_l1_norm_ft(f, np.asarray(p.cutoffs), p.l1_dt)
+    assert np.max(np.abs(got - want) / want) <= 1e-12
+
+
+def test_unequal_segment_steps_take_one_zoom_call_each(dft_paths):
+    # segment steps 1/4, 2/7 and 3/10
+    f = line_function(Family.TRIANGLE, n=2**11 + 1)
+    cutoffs = np.array([1.0, 3.0, 7.5])
+    got = l1_norm_ft(f, cutoffs, dt=0.3)
+    assert dft_paths == {"folds": [], "zoom": 3}
+    want = reference_l1_norm_ft(f, cutoffs, 0.3)
+    assert np.max(np.abs(got - want) / want) <= 1e-12
+
+
+def test_scattered_nodes_take_no_zoom_call(dft_paths):
+    f = line_function(Family.POISSON_KERNEL, n=2**10 + 1)
+    t = np.sort(np.random.default_rng(5).uniform(-10.0, 10.0, 60))
+    got = transform_values(f, t)
+    assert dft_paths == {"folds": [], "zoom": 0}
+    assert np.max(np.abs(got - direct_transform(f, t))) <= 1e-12
+
+
+def test_moved_node_is_evaluated_where_it_is(dft_paths):
+    # the moved node breaks the run in two and takes the direct sum itself
+    f = line_function(Family.POISSON_KERNEL, n=2**10 + 1)
+    t = np.linspace(-5.0, 5.0, 201)
+    t[77] += 1e-9
+    got = transform_values(f, t)
+    assert dft_paths == {"folds": [], "zoom": 2}
+    assert np.max(np.abs(got - direct_transform(f, t))) <= 1e-12
 
 
 def test_hardy_suite_runs_six_multipliers_and_no_zoom(monkeypatch, dft_paths):

@@ -411,6 +411,16 @@ def test_oracle_zero_profile():
     assert np.max(np.abs(radial_ft_oracle(profile(np.zeros_like, 2), [1.0]))) == 0.0
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_oracle_ignores_zero_padding(dim):
+    # the bump ends in zeros on [0, 2]: padding it with zeros to [0, 4]
+    # adds only zero-weight nodes, so the oracle sum is unchanged
+    radii = [0.3, 1.0, 4.7, 12.0]
+    short = radial_ft_oracle(bump(dim, n=2049), radii)
+    padded = radial_ft_oracle(profile(bump_values, dim, r_end=4.0, n=4097), radii)
+    assert np.max(np.abs(padded - short)) <= 1e-14 * np.max(np.abs(short))
+
+
 def test_volume_consistency_across_dimensions():
     # r -> 0 reduces to the n-volume integral sigma_{n-1} int f0 s^{n-1} ds
     for dim in (2, 3):
