@@ -4,7 +4,8 @@ Every padded FFT in the package takes its length from :func:`fast_len`,
 the smallest 5-smooth integer 2^a 3^b 5^c at or above the requested
 size; pocketfft runs such lengths at full radix speed, whereas a large
 prime factor (65537, say) sets the cost of the whole transform (Frigo &
-Johnson, Proc. IEEE 93 (2005) 216).
+Johnson, Proc. IEEE 93 (2005) 216); a DFT of any other length runs as a
+chirp-z convolution, and data-independent kernel spectra are cached.
 """
 
 from __future__ import annotations
@@ -32,22 +33,16 @@ def fast_len(n: int) -> int:
 
 
 def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution, out[i] = sum_j a[j] b[i - j], length len(a) + len(b) - 1.
-
-    Real inputs take the rfft route; complex inputs the full FFT.
-    """
+    """Full complex linear convolution, out[i] = sum_j a[j] b[i - j], length len(a) + len(b) - 1."""
     size = a.size + b.size - 1
     L = fast_len(size)
-    if np.iscomplexobj(a) or np.iscomplexobj(b):
-        return np.fft.ifft(np.fft.fft(a, L) * np.fft.fft(b, L))[:size]
-    return np.fft.irfft(np.fft.rfft(a, L) * np.fft.rfft(b, L), L)[:size]
+    return np.fft.ifft(np.fft.fft(a, L) * np.fft.fft(b, L))[:size]
 
 
-def convolve_and_correlate(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def convolve_and_correlate(fa: np.ndarray, b: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
     """Real (sum_j a[j] b[i - j], sum_j a[j] b[i + j]) for i = 0..len(b) - 1, b zero padded.
 
-    The two share one pair of spectra: two rffts and two irffts in all.
+    ``fa`` = rfft(a, L), L >= len(a) + len(b) - 1: one rfft and two irffts per call.
     """
-    L = fast_len(a.size + b.size - 1)
-    fa, fb = np.fft.rfft(a, L), np.fft.rfft(b, L)
+    fb = np.fft.rfft(b, L)
     return np.fft.irfft(fa * fb, L)[: b.size], np.fft.irfft(np.conj(fa) * fb, L)[: b.size]

@@ -6,19 +6,20 @@ frequency node.  Two exact FFT paths replace the direct sum: nodes on
 an L-fold sub-lattice k pi/(L (b - a)) with L <= 8 are bins of one
 zero-padded DFT of length 2 L (n - 1) (L = 1 holds the default Nyquist
 grid, L = 4 the Hardy probe's grid); else each arithmetic run of nodes
-takes one chirp-z (zoom DFT) call, padded to a fast 5-smooth length.
+takes one chirp-z (zoom DFT) call.  Every padded FFT has a 5-smooth length.
 Both match the direct sum to better than 1e-10 on the test corpus
 (asserted in the test suite).  Periodic coefficients are one FFT.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._fft import convolve
+from ._fft import convolve, fast_len
 from .grids import DecayClass, Grid, SampledFunction, derivative, integrate, trapezoid_weights
 from .hilbert import hilbert_multiplier
 from .reports import VerificationReport
@@ -68,6 +69,13 @@ class H1Report:
     cancellation_residual: float
 
 
+def _expi(theta: np.ndarray) -> np.ndarray:
+    """e^{-i theta} from real cos and sin, which numpy evaluates faster than complex exp."""
+    out = np.cos(theta) + 0j
+    np.sin(-theta, out=out.imag)
+    return out
+
+
 def _zoom_dft(coeffs: np.ndarray, x0: float, h: float, t0: float, dt: float, m: int) -> np.ndarray:
     """F_k = sum_j coeffs_j e^{-i t_k x_j} on arithmetic grids via Bluestein.
 
@@ -83,12 +91,26 @@ def _zoom_dft(coeffs: np.ndarray, x0: float, h: float, t0: float, dt: float, m: 
     theta = dt * h
     jj = np.arange(n) - jc
     kk = np.arange(m) - kc
-    a = coeffs * np.exp(-1j * tc * xj) * np.exp(-0.5j * theta * jj * jj)
+    a = coeffs * _expi(tc * xj) * _expi(0.5 * theta * jj * jj)
     # -j'k' = ((j'-k')^2 - j'^2 - k'^2)/2 and j'-k' = (j-k) + (kc-jc)
     p = np.arange(-(m - 1), n)
-    w = np.exp(0.5j * theta * (p + (kc - jc)) ** 2)
+    w = _expi(-0.5 * theta * (p + (kc - jc)) ** 2)
     core = convolve(a, w[::-1])[n - 1 : n - 1 + m]
-    return np.exp(-1j * kk * dt * xc) * np.exp(-0.5j * theta * kk * kk) * core
+    return _expi(kk * dt * xc) * _expi(0.5 * theta * kk * kk) * core
+
+
+def _chirp(m: np.ndarray, N: int) -> np.ndarray:
+    """e^{-i pi m^2 / N} from the exact residue m^2 mod 2N, so no phase rounds at large m."""
+    return _expi((np.pi / N) * ((m * m) % (2 * N)))
+
+
+@functools.lru_cache(maxsize=4)
+def _chirp_plan(n: int, N: int, lo: int, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only input chirp and kernel spectrum for the length-N DFT bins lo .. lo + span - 1 of n points."""
+    pre = _chirp(np.arange(n), N)
+    kernel = np.fft.fft(np.conj(_chirp(np.arange(lo + 1 - n, lo + span), N)), fast_len(n + span - 1))
+    pre.flags.writeable = kernel.flags.writeable = False
+    return pre, kernel
 
 
 def _lattice_dft(coeffs: np.ndarray, x0: float, t: np.ndarray, k: np.ndarray, fold: int) -> np.ndarray:
@@ -98,16 +120,27 @@ def _lattice_dft(coeffs: np.ndarray, x0: float, t: np.ndarray, k: np.ndarray, fo
     e^{-i t x0} times e^{-2 pi i k j / N}, N = 2 L (n - 1): bin k mod N
     of a single length-N DFT of the zero-padded coefficients.  Real input
     reads the negative bins as conjugates, so mirrored nodes come out
-    exactly conjugate.
+    exactly conjugate.  A 5-smooth N takes one fft (rfft for real input),
+    any other N one chirp-z convolution at a 5-smooth length (Bluestein,
+    IEEE Trans. Audio Electroacoust. 18 (1970) 451), its chirps cached.
     """
-    N = 2 * fold * (coeffs.size - 1)
-    k = k % N
-    if np.iscomplexobj(coeffs):
-        bins = np.fft.fft(coeffs, N)[k]
+    n, N = coeffs.size, 2 * fold * (coeffs.size - 1)
+    k, real = k % N, not np.iscomplexobj(coeffs)
+    if real:
+        k, mirrored = np.minimum(k, N - k), k > N // 2
+    if fast_len(N) == N:
+        bins = (np.fft.rfft(coeffs, N) if real else np.fft.fft(coeffs, N))[k]
     else:
-        bins = np.fft.rfft(coeffs, N)[np.minimum(k, N - k)]
-        bins = np.where(k > N // 2, np.conj(bins), bins)
-    return np.exp(-1j * t * x0) * bins
+        lo, span = int(k.min()), int(np.ptp(k)) + 1
+        pre, kernel = _chirp_plan(n, N, lo, span)
+        core = np.fft.ifft(np.fft.fft(coeffs * pre, kernel.size) * kernel)[n - 1 : n - 1 + span]
+        bins = _chirp(np.arange(lo, lo + span), N) * core
+        if real:  # bins 0 and N/2 are their own mirrors, hence real
+            bins.imag[[b - lo for b in (0, N // 2) if lo <= b < lo + span]] = 0.0
+        bins = bins[k - lo]
+    if real:
+        np.conjugate(bins, out=bins, where=mirrored)
+    return _expi(t * x0) * bins
 
 
 # finest sub-lattice pi/(L (b - a)) served by one DFT; its length 2 L (n - 1)
@@ -142,12 +175,12 @@ def transform_values(f: SampledFunction, t: np.ndarray) -> np.ndarray:
     """Trapezoid quadrature of int f(x) e^{-i t x} dx at the given frequencies.
 
     Nodes on an L-fold sub-lattice k pi/(L (b - a)), L = 1..8, are bins
-    of one zero-padded DFT of length 2 L (n - 1); the smallest such L is
-    taken, so the default Nyquist grid is L = 1 and the Hardy probe's
-    grid L = 4.  Otherwise each maximal arithmetic run of three or more
-    nodes takes one chirp-z (zoom DFT) call with its own end-to-end step,
-    matching the direct sum at its given nodes to a few ulps; nodes in no
-    run take the direct sum.
+    of one zero-padded DFT of length 2 L (n - 1) at a 5-smooth FFT length
+    (:func:`_lattice_dft`); the smallest such L is taken, so the default
+    Nyquist grid is L = 1 and the Hardy probe's grid L = 4.  Otherwise
+    each maximal arithmetic run of three or more nodes takes one chirp-z
+    (zoom DFT) call with its own end-to-end step, matching the direct sum
+    at its given nodes to a few ulps; nodes in no run take the direct sum.
     """
     t = np.asarray(t, dtype=float)
     wf = trapezoid_weights(f.grid) * f.values

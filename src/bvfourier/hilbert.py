@@ -21,12 +21,13 @@ cross-checked against each other in the verification suites.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
 import numpy as np
 
-from ._fft import convolve, convolve_and_correlate, fast_len
+from ._fft import convolve_and_correlate, fast_len
 from .grids import DecayClass, SampledFunction, trapezoid_weights
 
 __all__ = [
@@ -67,17 +68,19 @@ def _require_line_input(f: SampledFunction, op: str, allow_bounded: bool = False
         raise ValueError(f"{op} rejects bounded non-vanishing input; use modified_hilbert")
 
 
-def _pair_sums(gbar: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A_i = sum_j w_j gbar[i-1-j], B_i = sum_j w_j gbar[i+j], zero padded."""
-    conv, corr = convolve_and_correlate(weights, gbar)
-    return np.concatenate(([0.0], conv)), np.concatenate((corr, [0.0]))
+@functools.lru_cache(maxsize=4)
+def _pv_weight_spectrum(n: int) -> np.ndarray:
+    """Read-only rfft, at length fast_len(2n - 3), of the weights 1/(j + 1/2), j < n - 1."""
+    spec = np.fft.rfft(1.0 / (np.arange(n - 1) + 0.5), fast_len(2 * n - 3))
+    spec.flags.writeable = False
+    return spec
 
 
 def _pv_values(f: SampledFunction) -> np.ndarray:
+    """(A - B)/pi with A_i = sum_j w_j gbar[i-1-j], B_i = sum_j w_j gbar[i+j], zero padded."""
     gbar = 0.5 * (f.values[1:] + f.values[:-1])  # midpoint samples
-    weights = 1.0 / (np.arange(f.n - 1) + 0.5)
-    A, B = _pair_sums(gbar, weights)
-    return (A - B) / np.pi
+    conv, corr = convolve_and_correlate(_pv_weight_spectrum(f.n), gbar, fast_len(2 * f.n - 3))
+    return (np.concatenate(([0.0], conv)) - np.concatenate((corr, [0.0]))) / np.pi
 
 
 def hilbert_pv(f: SampledFunction) -> SampledFunction:
@@ -87,7 +90,8 @@ def hilbert_pv(f: SampledFunction) -> SampledFunction:
     keeps the integrand bounded near u = 0; integrals over the real line
     are truncated at the grid boundary (zero extension for the declared
     decaying classes).  Output decay is vanishing_at_infinity: the
-    transform of an integrable function decays like 1/x.
+    transform of an integrable function decays like 1/x.  The weights'
+    spectrum depends on n only and is cached per n.
     """
     _require_line_input(f, "hilbert_pv")
     return f.with_values(_pv_values(f), DecayClass.VANISHING_AT_INFINITY)
@@ -204,6 +208,17 @@ def _circular_kernel(n: int, N: int) -> np.ndarray:
     return K
 
 
+@functools.lru_cache(maxsize=4)
+def _multiplier_spectrum(n: int) -> np.ndarray:
+    """Read-only rfft, at length fast_len(3n - 2), of the kernel for n samples padded to fast_len(16 n)."""
+    K = _circular_kernel(n, fast_len(_PAD_FACTOR * n))
+    if not np.array_equal(K[::-1], -K):
+        raise ValueError("multiplier kernel is not odd, so the transform would have an imaginary residue")
+    spec = np.fft.rfft(K, fast_len(3 * n - 2))
+    spec.flags.writeable = False
+    return spec
+
+
 def hilbert_multiplier(f: SampledFunction) -> SampledFunction:
     """Hilbert transform through the exact kernel of the sign multiplier.
 
@@ -212,23 +227,20 @@ def hilbert_multiplier(f: SampledFunction) -> SampledFunction:
     16-fold, under the multiplier MULTIPLIER_SIGN * i * sign(freq).  Only
     n outputs of n nonzero samples are needed, so it is evaluated exactly
     as one real linear convolution with the multiplier's closed-form
-    kernel (:func:`_circular_kernel`) on offsets |m| < n, one rfft of
-    length fast_len(3n - 2).  Two exact corrections restore line
-    semantics from the circular transform: (i) the periodization kernel
-    difference (pi/P) cot(pi u / P) - 1/u, P = N h, is removed through
-    its cubic moment expansion, and (ii) for vanishing_at_infinity input
-    the tails outside the window are extended by a fitted inverse-power
-    model (skipped for compactly supported or non-algebraic data).  The
-    kernel is checked to be exactly odd, so the multiplier is purely
-    imaginary and the transform of real input is real.
+    kernel (:func:`_circular_kernel`) on offsets |m| < n, its spectrum at
+    rfft length fast_len(3n - 2) cached per n.  Two exact corrections
+    restore line semantics from the circular transform: (i) the
+    periodization kernel difference (pi/P) cot(pi u / P) - 1/u, P = N h,
+    is removed through its cubic moment expansion, and (ii) for
+    vanishing_at_infinity input the tails outside the window are extended
+    by a fitted inverse-power model (skipped for compactly supported or
+    non-algebraic data).  Each kernel is checked to be exactly odd when
+    built, so the multiplier is purely imaginary and real input stays real.
     """
     _require_line_input(f, "hilbert_multiplier")
     n, h, x = f.n, f.h, f.x
-    N = fast_len(_PAD_FACTOR * n)
-    K = _circular_kernel(n, N)
-    if not np.array_equal(K[::-1], -K):
-        raise ValueError("multiplier kernel is not odd, so the transform would have an imaginary residue")
-    out = convolve(f.values, K)[n - 1 : 2 * n - 1]
+    N, L = fast_len(_PAD_FACTOR * n), fast_len(3 * n - 2)
+    out = np.fft.irfft(np.fft.rfft(f.values, L) * _multiplier_spectrum(n), L)[n - 1 : 2 * n - 1]
 
     # periodization debias: the circular transform realizes the
     # cotangent kernel with period P = N h; its difference from the

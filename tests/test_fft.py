@@ -3,9 +3,12 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import bvfourier
+from bvfourier import fourier, hilbert
 from bvfourier._fft import convolve, convolve_and_correlate, fast_len
+from bvfourier.suites import run_suite
 
 
 def five_smooth(k):
@@ -29,7 +32,8 @@ def test_convolve_and_correlate_match_numpy():
     assert np.max(np.abs(convolve(a, b) - np.convolve(a, b))) <= 1e-12
     za = a + 1j * rng.standard_normal(37)
     assert np.max(np.abs(convolve(za, b) - np.convolve(za, b))) <= 1e-12
-    conv, corr = convolve_and_correlate(a, b)
+    L = fast_len(a.size + b.size - 1)
+    conv, corr = convolve_and_correlate(np.fft.rfft(a, L), b, L)
     assert np.max(np.abs(conv - np.convolve(a, b)[: b.size])) <= 1e-12
     want = np.array([np.dot(a[: b.size - i], b[i : i + a.size]) for i in range(b.size)])
     assert np.max(np.abs(corr - want)) <= 1e-12
@@ -67,3 +71,36 @@ def test_radial_commands_run_with_scipy_blocked(tmp_path):
         [sys.executable, "-c", code], env={"PYTHONPATH": src}, capture_output=True, text=True, check=True
     )
     assert out.stdout.split("\n")[:-1] == ["0"] * 6 + ["[]"]
+
+
+def clear_spectrum_caches():
+    for cached in (fourier._chirp_plan, hilbert._pv_weight_spectrum, hilbert._multiplier_spectrum):
+        cached.cache_clear()
+
+
+def test_every_padded_fft_of_the_suites_has_a_smooth_length(padded_fft_lengths):
+    # the fast profile's hardy grids give N = 8 (n - 1) = 8 * 2047 = 8 * 23 * 89,
+    # so the lattice DFT takes its chirp-z route; cold caches so every kernel
+    # spectrum is built, and checked, here
+    clear_spectrum_caches()
+    run_suite("all", "fast")
+    assert padded_fft_lengths and [n for n in padded_fft_lengths if fast_len(n) != n] == []
+    assert fourier._chirp_plan.cache_info().misses >= 2
+
+
+def test_suites_report_the_same_with_cold_and_warm_caches():
+    clear_spectrum_caches()
+    cold = [repr(r) for r in run_suite("all", "fast")]
+    assert fourier._chirp_plan.cache_info().currsize > 0
+    assert [repr(r) for r in run_suite("all", "fast")] == cold
+
+
+def test_cached_spectra_are_read_only():
+    # N = 2 * 7 * 100 is not 5-smooth
+    for spectrum in (
+        hilbert._pv_weight_spectrum(101),
+        hilbert._multiplier_spectrum(101),
+        *fourier._chirp_plan(101, 1400, 0, 701),
+    ):
+        with pytest.raises(ValueError, match="read-only"):
+            spectrum[0] = 0.0

@@ -22,6 +22,8 @@ from bvfourier import (
     sample,
     transform_values,
 )
+from bvfourier._fft import fast_len
+from bvfourier.grids import trapezoid_weights
 
 
 def line_function(family, lo=-50.0, hi=50.0, n=2**13, **params):
@@ -170,6 +172,46 @@ def test_sub_lattice_path_matches_direct_sum(fold, complex_values, dft_paths):
     want = direct_transform(f, t)
     assert np.max(np.abs(got - want)) <= 1e-10
     assert abs(got[0] - want[0]) <= 1e-10 and abs(got[-1] - want[-1]) <= 1e-10
+    if not complex_values:
+        assert np.array_equal(got[::-1], np.conj(got))
+
+
+def lattice_dft_reference(f, t, fold):
+    """The length-N DFT bins of the lattice path, from numpy's FFT at length N itself."""
+    N = 2 * fold * (f.n - 1)
+    wf = trapezoid_weights(f.grid) * f.values
+    k = np.rint(t / (math.pi / (fold * f.grid.width))).astype(np.int64) % N
+    if f.is_real():
+        bins = np.fft.rfft(wf, N)[np.minimum(k, N - k)]
+        bins = np.where(k > N // 2, np.conj(bins), bins)
+    else:
+        bins = np.fft.fft(wf, N)[k]
+    return np.exp(-1j * t * f.grid.a) * bins, float(np.sum(np.abs(wf)))
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+@pytest.mark.parametrize("fold", [1, 4])
+def test_non_smooth_lattice_takes_a_smooth_chirp_z(fold, complex_values, dft_paths, padded_fft_lengths):
+    # n = 2^13: N = 2L (n - 1) = 2L * 8191, and 8191 is prime
+    f = line_function(Family.POISSON_KERNEL, n=2**13)
+    if complex_values:
+        f = f.with_values(f.values * np.exp(0.3j * f.x) + 0.1j * f.values**2)
+    N = 2 * fold * (f.n - 1)
+    assert fast_len(N) != N
+    half = np.arange(fold * (f.n - 1) + 1) * (math.pi / (fold * f.grid.width))
+    t = np.concatenate((-half[:0:-1], half))
+    want, scale = lattice_dft_reference(f, t, fold)
+    padded_fft_lengths.clear()
+    got = transform_values(f, t)
+    assert dft_paths == {"folds": [fold], "zoom": 0}
+    assert padded_fft_lengths and all(fast_len(L) == L for L in padded_fft_lengths)
+    idx = np.union1d(np.arange(0, t.size, 331), [t.size // 2, t.size - 1])  # both Nyquist ends and 0
+    assert np.max(np.abs(got[idx] - direct_transform(f, t[idx]))) <= 1e-10
+    # Each route runs about log2(length) radix passes, each rounding partial
+    # sums bounded by sum |w f|, the largest any bin can be: the chirp-z route
+    # at its padded length P, forward and inverse, the reference at N
+    P = max(padded_fft_lengths)
+    assert np.max(np.abs(got - want)) <= np.finfo(float).eps * (2.0 * math.log2(P) + math.log2(N)) * scale
     if not complex_values:
         assert np.array_equal(got[::-1], np.conj(got))
 

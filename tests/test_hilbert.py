@@ -202,6 +202,8 @@ def test_multiplier_rejects_a_kernel_that_is_not_odd(tmp_path, capsys, monkeypat
         K[n] += 1e-3  # an even part: the multiplier would gain a real part
         return K
 
+    # a kernel is checked when it is built: drop the spectra built so far
+    hilbert._multiplier_spectrum.cache_clear()
     monkeypatch.setattr(hilbert, "_circular_kernel", skewed)
     with pytest.raises(ValueError, match="not odd"):
         hilbert_multiplier(line_function(Family.GAUSSIAN, n=257))

@@ -4,16 +4,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bvfourier import (
     DecayClass,
     SampledFunction,
+    hilbert_multiplier,
+    hilbert_pv,
     kernel_difference,
     lebesgue_point_defect,
     make_uniform_grid,
     total_variation,
+    transform_values,
 )
+from bvfourier import hilbert
+from bvfourier._fft import fast_len
+from bvfourier.grids import trapezoid_weights
 
 finite_values = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False),
@@ -39,6 +45,7 @@ def test_total_variation_is_shift_invariant(values):
 
 
 @given(finite_values, finite_values)
+@example([0.0, 0.99999], [125186.0, 131072.0])
 @settings(max_examples=300, deadline=None)
 def test_total_variation_is_subadditive(u, v):
     n = min(len(u), len(v))
@@ -46,7 +53,14 @@ def test_total_variation_is_subadditive(u, v):
     g = as_function(v[:n])
     s = f.with_values(f.values + g.values)
     tv_f, tv_g = total_variation(f), total_variation(g)
-    slack = 4.0 * n * np.finfo(float).eps * (1.0 + tv_f + tv_g)
+    eps = np.finfo(float).eps
+    # TV(u + v) <= TV(u) + TV(v) holds exactly; the three float sums of
+    # |differences| round by at most 4 n eps (1 + TV(u) + TV(v)).  The
+    # samples s_i = fl(u_i + v_i) themselves err by at most (eps/2)|u_i + v_i|,
+    # and each of the n - 1 differences of s takes two such errors, so
+    # TV(fl(u + v)) exceeds TV(u + v) by at most n eps max|u + v|.
+    sums = n * eps * (float(np.max(np.abs(f.values))) + float(np.max(np.abs(g.values))))
+    slack = 4.0 * n * eps * (1.0 + tv_f + tv_g) + sums
     assert total_variation(s) <= tv_f + tv_g + slack
 
 
@@ -95,3 +109,92 @@ def test_grid_spacing_consistency(a, width, n):
     assert g.h > 0.0
     assert g.h * (g.n - 1) == pytest.approx(width, rel=1e-12)
     assert g.points[0] == a and g.points[-1] == a + width
+
+
+# Linearity T(a f + b g) = a T(f) + b T(g) of the transform routes.  Every
+# example runs on the same grid, so after the first one the kernel spectra
+# and chirps come from the caches.  Data: seeded normal samples with zero
+# ends (compact support, so hilbert_multiplier fits no tail) at scales
+# 10^-6 .. 10^6.  Each slack follows one model: an FFT route of length L
+# runs about log2(L) radix passes, each rounding partial sums bounded by
+# the data's scale S (sum |w_j v_j| for a transform, sum_j |K_j| max|v|
+# for a convolution with kernel K).  T(a f + b g) and a T(f) + b T(g) each
+# carry log2(L) eps S with S at most |a| S(f) + |b| S(g); forming a f + b g
+# and a T(f) + b T(g) rounds at most 2 eps of the same S each.  Hence
+# (2 log2(L) + 4) eps (|a| S(f) + |b| S(g)).  The model holds above the
+# underflow threshold, where rounding is relative: coefficients are 0 or of
+# magnitude 1e-3 .. 100, so no product or partial sum becomes subnormal.
+
+coefficient = st.just(0.0) | st.floats(min_value=1e-3, max_value=100.0) | st.floats(min_value=-100.0, max_value=-1e-3)
+linear_mix = dict(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    a=coefficient,
+    b=coefficient,
+    exponents=st.tuples(st.integers(min_value=-6, max_value=6), st.integers(min_value=-6, max_value=6)),
+)
+
+
+def random_pair(seed, grid, exponents, complex_values=False):
+    rng = np.random.default_rng(seed)
+    pair = []
+    for e in exponents:
+        v = rng.standard_normal(grid.n) + (1j * rng.standard_normal(grid.n) if complex_values else 0.0)
+        v[0] = v[-1] = 0.0
+        pair.append(SampledFunction(grid, 10.0**e * v, DecayClass.COMPACT_SUPPORT))
+    return pair
+
+
+def linearity_defect(op, f, g, a, b):
+    return float(np.max(np.abs(op(f.with_values(a * f.values + b * g.values)) - (a * op(f) + b * op(g)))))
+
+
+LINE_GRID = make_uniform_grid(-10.0, 10.0, 1001)
+
+
+@given(**linear_mix)
+@settings(max_examples=30, deadline=None)
+def test_hilbert_pv_is_linear(seed, a, b, exponents):
+    f, g = random_pair(seed, LINE_GRID, exponents)
+    n = LINE_GRID.n
+    # (A - B)/pi: two sums against the weights 1/(j + 1/2), j < n - 1, at length fast_len(2n - 3)
+    w1 = float(np.sum(1.0 / (np.arange(n - 1) + 0.5)))
+    scale = abs(a) * float(np.max(np.abs(f.values))) + abs(b) * float(np.max(np.abs(g.values)))
+    slack = (2.0 * math.log2(fast_len(2 * n - 3)) + 4.0) * np.finfo(float).eps * 2.0 * w1 * scale / math.pi
+    assert linearity_defect(lambda v: hilbert_pv(v).values, f, g, a, b) <= slack
+
+
+@given(**linear_mix)
+@settings(max_examples=30, deadline=None)
+def test_hilbert_multiplier_is_linear(seed, a, b, exponents):
+    f, g = random_pair(seed, LINE_GRID, exponents)
+    n, x, eps = LINE_GRID.n, LINE_GRID.points, np.finfo(float).eps
+    N = fast_len(hilbert._PAD_FACTOR * n)
+    k1 = float(np.sum(np.abs(hilbert._circular_kernel(n, N))))
+    scale = abs(a) * float(np.max(np.abs(f.values))) + abs(b) * float(np.max(np.abs(g.values)))
+    slack = (2.0 * math.log2(fast_len(3 * n - 2)) + 4.0) * eps * k1 * scale
+    # the periodization debias is linear in the moments sum w v x^k, k <= 3;
+    # with |x| <= X its size is at most D = (pi/(3 P^2)) 2 X S + (pi^3/(45 P^4)) 8 X^3 S,
+    # S = sum |w v|, and its n-term sums round by at most n eps D per side
+    P, X, w = N * LINE_GRID.h, float(np.max(np.abs(x))), trapezoid_weights(LINE_GRID)
+    S = abs(a) * float(np.sum(w * np.abs(f.values))) + abs(b) * float(np.sum(w * np.abs(g.values)))
+    D = (math.pi / (3.0 * P * P)) * 2.0 * X * S + (math.pi**3 / (45.0 * P**4)) * 8.0 * X**3 * S
+    slack += 2.0 * (n + 4.0) * eps * D
+    assert linearity_defect(lambda v: hilbert_multiplier(v).values, f, g, a, b) <= slack
+
+
+# n = 2^11 on the 4-fold lattice: N = 8 (n - 1) = 8 * 23 * 89, the chirp-z route
+LATTICE_GRID = make_uniform_grid(-50.0, 50.0, 2**11)
+LATTICE_NODES = np.arange(-4 * 2047, 4 * 2047 + 1) * (math.pi / (4 * LATTICE_GRID.width))
+
+
+@given(**linear_mix, complex_values=st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_transform_values_is_linear_on_a_non_smooth_lattice(seed, a, b, exponents, complex_values):
+    f, g = random_pair(seed, LATTICE_GRID, exponents, complex_values)
+    n, w = LATTICE_GRID.n, trapezoid_weights(LATTICE_GRID)
+    # real data needs the bins 0 .. N/2 only, complex data all N bins
+    span = 4 * (n - 1) + 1 if not complex_values else 8 * (n - 1)
+    S = abs(a) * float(np.sum(w * np.abs(f.values))) + abs(b) * float(np.sum(w * np.abs(g.values)))
+    # the chirp-z convolution runs forward and inverse at its padded length
+    slack = (4.0 * math.log2(fast_len(n + span - 1)) + 4.0) * np.finfo(float).eps * S
+    assert linearity_defect(lambda v: transform_values(v, LATTICE_NODES), f, g, a, b) <= slack
