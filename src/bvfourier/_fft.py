@@ -43,6 +43,8 @@ def convolve_and_correlate(fa: np.ndarray, b: np.ndarray, L: int) -> tuple[np.nd
     """Real (sum_j a[j] b[i - j], sum_j a[j] b[i + j]) for i = 0..len(b) - 1, b zero padded.
 
     ``fa`` = rfft(a, L), L >= len(a) + len(b) - 1: one rfft and two irffts per call.
+    With L = len(a) = len(b) the same call gives the circular (period L)
+    convolution and correlation instead.
     """
     fb = np.fft.rfft(b, L)
     return np.fft.irfft(fa * fb, L)[: b.size], np.fft.irfft(np.conj(fa) * fb, L)[: b.size]

@@ -248,9 +248,11 @@ def hilbert_multiplier(f: SampledFunction) -> SampledFunction:
     # Delta(u) = -pi^2 u / (3 P^2) - pi^4 u^3 / (45 P^4) + O(P^-6).
     P = N * h
     w = trapezoid_weights(f.grid)
-    mom = [float(np.sum(w * f.values * x**k)) for k in range(4)]
+    wf, x2 = w * f.values, x * x
+    x3 = x2 * x
+    mom = [float(np.sum(wf * xk)) for xk in (1.0, x, x2, x3)]
     delta = -(np.pi / (3.0 * P * P)) * (x * mom[0] - mom[1]) - (np.pi**3 / (45.0 * P**4)) * (
-        x**3 * mom[0] - 3.0 * x**2 * mom[1] + 3.0 * x * mom[2] - mom[3]
+        x3 * mom[0] - 3.0 * x2 * mom[1] + 3.0 * x * mom[2] - mom[3]
     )
     out -= delta
 
@@ -285,10 +287,7 @@ def periodic_conjugate(f: SampledFunction) -> SampledFunction:
     gbar = np.fft.irfft(spec * shift, N)  # trig interpolant at half offsets
     u = (np.arange(N) + 0.5) * h
     weights = 1.0 / np.tan(0.5 * u)
-    FG = np.fft.fft(gbar)
-    FW = np.fft.fft(weights)
-    conv = np.fft.ifft(FG * FW).real
-    corr = np.fft.ifft(FG * np.conj(FW)).real
+    conv, corr = convolve_and_correlate(np.fft.rfft(weights), gbar, N)  # circular: L = N
     A = conv[(np.arange(N) - 1) % N]
     vals = (h / (4.0 * np.pi)) * (A - corr)
     return f.with_values(np.concatenate((vals, [vals[0]])), DecayClass.PERIODIC)

@@ -14,7 +14,6 @@ import numpy as np
 from .fourier import l1_norm_ft
 from .grids import SampledFunction, derivative, total_variation
 from .hilbert import hilbert_pv, modified_hilbert
-from .reports import VerificationReport
 
 __all__ = [
     "GrowthFit",
@@ -88,13 +87,13 @@ def _jump_exclusion_mask(fprime: SampledFunction) -> np.ndarray:
     return mask
 
 
-def conjugate_derivative_defect(f: SampledFunction, bound: float = 1e-2) -> VerificationReport:
+def conjugate_derivative_defect(f: SampledFunction) -> float:
     """Commutation defect sup |d/dx(modified Hilbert f) - H(f')|.
 
     The supremum runs over the middle 80% of the grid, excluding points
     within 5h of detected jumps of f' (the identity holds at Lebesgue
     points of f', so jump-adjacent nodes are excluded rather than
-    special-cased).
+    special-cased; :func:`_jump_exclusion_mask` picks them).
     """
     lhs = derivative(modified_hilbert(f))
     fp = derivative(f)
@@ -102,14 +101,7 @@ def conjugate_derivative_defect(f: SampledFunction, bound: float = 1e-2) -> Veri
     mask = _jump_exclusion_mask(fp)
     if not np.any(mask):
         raise ValueError("every interior point is jump-adjacent; f' has no smooth region")
-    measured = float(np.max(np.abs(lhs.values - rhs.values)[mask]))
-    return VerificationReport(
-        name="conjugate-derivative-commutation",
-        measured=measured,
-        bound=bound,
-        grid_n=f.n,
-        notes=f"excluded={int(np.sum(~mask))} of {f.n} points",
-    )
+    return float(np.max(np.abs(lhs.values - rhs.values)[mask]))
 
 
 def ibp_consistency(f: SampledFunction, x: float, deltas: list[float]) -> np.ndarray:
@@ -162,31 +154,19 @@ def ibp_consistency(f: SampledFunction, x: float, deltas: list[float]) -> np.nda
 
 def hardy_littlewood_verdict(
     f: SampledFunction, cutoffs: list[float] | np.ndarray, dt: float | None = None
-) -> VerificationReport:
+) -> tuple[GrowthFit, float, float]:
     """Full pipeline for the bounded-variation integrability theorem.
 
     Measures the variation of f and of its (modified) conjugate, runs
     the transform-mass diagnostic over the cutoffs and classifies the
-    growth.  The theorem predicts a plateau whenever both variations
-    stay bounded, so the report's measured/bound pair is the final
-    relative growth against the plateau tolerance; the classification,
-    slope and variations ride along in the notes.
+    growth.  Returns (fit, tv_f, tv_conjugate).  The theorem predicts a
+    plateau, |fit.final_growth| <= PLATEAU_GROWTH_TOL, whenever both
+    variations stay bounded.
     """
     cutoffs = np.asarray(cutoffs, dtype=float)
     if cutoffs.size < 4:
         raise ValueError("need at least four cutoffs for the slope fit")
     tv_f = total_variation(f)
     tv_conj = total_variation(modified_hilbert(f))
-    values = l1_norm_ft(f, cutoffs, dt=dt)
-    fit = classify_l1_growth(cutoffs, values)
-    seq = ",".join(f"{v:.9g}" for v in values)
-    return VerificationReport(
-        name="hardy-littlewood-verdict",
-        measured=abs(fit.final_growth),
-        bound=PLATEAU_GROWTH_TOL,
-        grid_n=f.n,
-        notes=(
-            f"classification={fit.label} slope={fit.slope:.9g} r2={fit.r_squared:.9g} "
-            f"tv_f={tv_f:.9g} tv_conjugate={tv_conj:.9g} l1_seq={seq}"
-        ),
-    )
+    fit = classify_l1_growth(cutoffs, l1_norm_ft(f, cutoffs, dt=dt))
+    return fit, tv_f, tv_conj

@@ -154,6 +154,19 @@ def test_thread_cap_preserves_report_order(tmp_path, monkeypatch):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_every_profile_field_varies_across_profiles():
+    # a field with one value in every profile is a constant, and belongs
+    # at its one check
+    from dataclasses import fields
+
+    from bvfourier.suites import PROFILES, Profile
+
+    for field in fields(Profile):
+        if field.name != "name":
+            values = {getattr(p, field.name) for p in PROFILES.values()}
+            assert len(values) >= 2, field.name
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nonsense"])

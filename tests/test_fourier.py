@@ -264,7 +264,7 @@ def test_l1_norm_ft_suite_cutoffs_take_one_zoom_call(name, dft_paths):
     from bvfourier.suites import PROFILES
 
     p = PROFILES[name]
-    f = line_function(Family.TRIANGLE, lo=p.line_a, hi=p.line_b, n=2**11 + 1)
+    f = line_function(Family.TRIANGLE, n=2**11 + 1)  # the suites' window [-50, 50]
     got = l1_norm_ft(f, p.cutoffs, dt=p.l1_dt)
     assert dft_paths == {"folds": [], "zoom": 1}
     want = reference_l1_norm_ft(f, np.asarray(p.cutoffs), p.l1_dt)
@@ -402,26 +402,46 @@ def test_h1_report_poisson_flags_nonmember():
 def test_hardy_check_zero_function_passes_trivially():
     grid = make_uniform_grid(-5, 5, 257)
     z = SampledFunction(grid, np.zeros(257), DecayClass.COMPACT_SUPPORT)
-    assert hardy_check(z).passed
+    lhs, h1 = hardy_check(z)
+    assert lhs == 0.0
+    assert lhs <= h1.h1_norm
 
 
 def test_hardy_check_records_the_empirical_constant():
     # with the unnormalized e^{-itx} convention the unit-constant bound is
-    # violated by a bounded factor; the check must record it, not hide it
+    # violated by a bounded factor; the check must report it, not hide it
     g = derivative(line_function(Family.TRIANGLE, n=2**13))
-    rep = hardy_check(g)
-    constant = float(rep.notes.split("empirical_constant=")[1])
-    assert not rep.passed
+    lhs, h1 = hardy_check(g)
+    constant = lhs / h1.h1_norm
+    assert lhs > h1.h1_norm * (1.0 + 1e-2)
     assert 1.3 <= constant <= 1.6
-    assert rep.measured == pytest.approx(constant * rep.bound / 1.01, rel=1e-7)
+    assert h1 == h1_report(g)
 
 
 def test_hardy_check_constant_is_grid_stable():
     consts = []
     for n in (2**12, 2**13):
-        g = derivative(line_function(Family.RAISED_COSINE, n=n))
-        consts.append(float(hardy_check(g).notes.split("empirical_constant=")[1]))
+        lhs, h1 = hardy_check(derivative(line_function(Family.RAISED_COSINE, n=n)))
+        consts.append(lhs / h1.h1_norm)
     assert abs(consts[0] / consts[1] - 1.0) <= 0.02
+
+
+def test_hardy_grid_stability_line_is_the_full_precision_constant_ratio():
+    # the ratio minus 1 is about 5e-3, so constants rounded to 9 digits
+    # would move its 6th printed digit
+    from bvfourier.suites import PROFILES, _checks_hardy
+
+    p = PROFILES["fast"]
+    want = 0.0
+    for fam in (Family.TRIANGLE, Family.RAISED_COSINE, Family.SMOOTHED_BOX):
+        c = []
+        for n in (p.line_n // 2, p.line_n):
+            lhs, h1 = hardy_check(derivative(line_function(fam, n=n)))
+            c.append(lhs / h1.h1_norm)
+        want = max(want, abs(c[0] / c[1] - 1.0))
+    (line,) = [r for r in _checks_hardy(p) if r.name == "hardy-constant-grid-stability"]
+    assert line.measured == want
+    assert f"{line.measured:.6g}" == "0.00532882"
 
 
 def test_hardy_check_requires_cancellation():

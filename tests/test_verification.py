@@ -19,6 +19,7 @@ from bvfourier import (
     sample,
     total_variation,
 )
+from bvfourier.verification import PLATEAU_GROWTH_TOL, _jump_exclusion_mask
 
 
 def line_function(family, n=2**13, **params):
@@ -62,28 +63,30 @@ def test_classifier_needs_four_points():
 def test_commutation_defect_zero_function():
     grid = make_uniform_grid(-5, 5, 1025)
     z = SampledFunction(grid, np.zeros(1025), DecayClass.COMPACT_SUPPORT)
-    assert conjugate_derivative_defect(z).measured == 0.0
+    assert conjugate_derivative_defect(z) == 0.0
 
 
 @pytest.mark.parametrize("family", [Family.RAISED_COSINE, Family.GAUSSIAN])
 def test_commutation_defect_small_on_smooth_families(family):
-    rep = conjugate_derivative_defect(line_function(family))
-    assert rep.passed
-    assert rep.measured <= 1e-2
+    assert conjugate_derivative_defect(line_function(family)) <= 1e-2
 
 
 def test_commutation_is_exact_for_this_discretization():
     # d/dx and the convolution-form transforms are jointly translation
     # invariant, so the two routes agree to roundoff on decaying input;
     # the identity holds discretely, not just in the h -> 0 limit
-    rep = conjugate_derivative_defect(line_function(Family.RAISED_COSINE))
-    assert rep.measured <= 1e-10
+    assert conjugate_derivative_defect(line_function(Family.RAISED_COSINE)) <= 1e-10
 
 
 def test_commutation_defect_excludes_jump_zones():
-    rep = conjugate_derivative_defect(line_function(Family.BOX))
-    assert "excluded" in rep.notes
-    assert int(rep.notes.split("excluded=")[1].split(" ")[0]) > 0
+    fp = derivative(line_function(Family.BOX))
+    mask = _jump_exclusion_mask(fp)
+    lo, hi = fp.n // 10, (9 * fp.n) // 10
+    excluded = lo + np.flatnonzero(~mask[lo:hi])
+    assert excluded.size > 0
+    # the mask drops steps j-5..j+6 around a flagged step j, and the flagged
+    # steps straddle the box's jumps at x = +-1, so nothing else is dropped
+    assert np.all(np.abs(np.abs(fp.x[excluded]) - 1.0) <= 7.0 * fp.h)
 
 
 def test_ibp_zero_function():
@@ -131,25 +134,25 @@ def test_ibp_argument_validation():
 
 
 def test_verdict_triangle_is_plateau():
-    rep = hardy_littlewood_verdict(line_function(Family.TRIANGLE), [25.0, 50.0, 100.0, 200.0])
-    assert rep.passed
-    assert "classification=integrable-plateau" in rep.notes
+    fit, tv_f, tv_conj = hardy_littlewood_verdict(line_function(Family.TRIANGLE), [25.0, 50.0, 100.0, 200.0])
+    assert abs(fit.final_growth) <= PLATEAU_GROWTH_TOL
+    assert fit.label == "integrable-plateau"
+    assert 0.0 < tv_f < math.inf and 0.0 < tv_conj < math.inf
 
 
 def test_verdict_box_is_log_divergent_with_known_slope():
-    rep = hardy_littlewood_verdict(line_function(Family.BOX, n=2**14), [25.0, 50.0, 100.0, 200.0])
-    assert not rep.passed  # growth exceeds the plateau tolerance, as predicted
-    assert "classification=log-divergent" in rep.notes
-    slope = float(rep.notes.split("slope=")[1].split(" ")[0])
-    assert slope == pytest.approx(4.0 / math.pi, rel=0.05)
+    fit, _, _ = hardy_littlewood_verdict(line_function(Family.BOX, n=2**14), [25.0, 50.0, 100.0, 200.0])
+    assert abs(fit.final_growth) > PLATEAU_GROWTH_TOL  # growth exceeds the plateau tolerance, as predicted
+    assert fit.label == "log-divergent"
+    assert fit.slope == pytest.approx(4.0 / math.pi, rel=0.05)
 
 
 def test_verdict_zero_function():
     grid = make_uniform_grid(-5, 5, 257)
     z = SampledFunction(grid, np.zeros(257), DecayClass.COMPACT_SUPPORT)
-    rep = hardy_littlewood_verdict(z, [1.0, 2.0, 4.0, 8.0])
-    assert rep.passed
-    assert rep.measured == 0.0
+    fit, tv_f, tv_conj = hardy_littlewood_verdict(z, [1.0, 2.0, 4.0, 8.0])
+    assert fit.final_growth == 0.0
+    assert tv_f == tv_conj == 0.0
 
 
 def test_verdict_needs_four_cutoffs():
