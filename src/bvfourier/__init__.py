@@ -26,7 +26,6 @@ from .grids import (
     family_derivative,
     family_value,
     integrate,
-    lebesgue_point_defect,
     make_uniform_grid,
     read_samples_csv,
     sample,

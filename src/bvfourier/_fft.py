@@ -4,15 +4,17 @@ Every padded FFT in the package takes its length from :func:`fast_len`,
 the smallest 5-smooth integer 2^a 3^b 5^c at or above the requested
 size; pocketfft runs such lengths at full radix speed, whereas a large
 prime factor (65537, say) sets the cost of the whole transform (Frigo &
-Johnson, Proc. IEEE 93 (2005) 216); a DFT of any other length runs as a
-chirp-z convolution, and data-independent kernel spectra are cached.
+Johnson, Proc. IEEE 93 (2005) 216).  A DFT of any other length runs as
+a chirp-z convolution, and the zoom DFT as one :func:`convolve`.  Each
+conjugation operator is one real circular convolution at a length where
+no kept output wraps.  Data-independent kernel spectra are cached.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["fast_len", "convolve", "convolve_and_correlate"]
+__all__ = ["fast_len", "convolve"]
 
 
 def fast_len(n: int) -> int:
@@ -37,14 +39,3 @@ def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     size = a.size + b.size - 1
     L = fast_len(size)
     return np.fft.ifft(np.fft.fft(a, L) * np.fft.fft(b, L))[:size]
-
-
-def convolve_and_correlate(fa: np.ndarray, b: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Real (sum_j a[j] b[i - j], sum_j a[j] b[i + j]) for i = 0..len(b) - 1, b zero padded.
-
-    ``fa`` = rfft(a, L), L >= len(a) + len(b) - 1: one rfft and two irffts per call.
-    With L = len(a) = len(b) the same call gives the circular (period L)
-    convolution and correlation instead.
-    """
-    fb = np.fft.rfft(b, L)
-    return np.fft.irfft(fa * fb, L)[: b.size], np.fft.irfft(np.conj(fa) * fb, L)[: b.size]

@@ -53,10 +53,6 @@ class TransformResult:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("transform values must be finite")
 
-    def conjugate_symmetry_defect(self) -> float:
-        """max |F(-t) - conj(F(t))| over mirrored nodes (real sources)."""
-        return float(np.max(np.abs(self.values[::-1] - np.conj(self.values))))
-
 
 @dataclass(frozen=True)
 class H1Report:

@@ -35,7 +35,6 @@ __all__ = [
     "trapezoid_weights",
     "total_variation",
     "derivative",
-    "lebesgue_point_defect",
     "read_samples_csv",
 ]
 
@@ -347,31 +346,6 @@ def derivative(f: SampledFunction) -> SampledFunction:
     d[0] = (v[1] - v[0]) / h
     d[-1] = (v[-1] - v[-2]) / h
     return f.with_values(d)
-
-
-def lebesgue_point_defect(f: SampledFunction, x: float, t: float) -> float:
-    """Local mean deviation (1/t) * int_x^{x+t} |f(u) - f(x)| du.
-
-    Quadrature is trapezoid on the piecewise-linear interpolant of the
-    samples.  Negative ``t`` integrates over ``(x+t, x)``.  The defect is
-    nonnegative, vanishes when f is constant on the window, and tends to
-    zero as t -> 0 at every continuity point.
-    """
-    if t == 0.0:
-        raise ValueError("window length t must be nonzero")
-    lo, hi = (x + t, x) if t < 0 else (x, x + t)
-    grid = f.grid
-    if lo < grid.a - 1e-12 or hi > grid.b + 1e-12:
-        raise ValueError(f"window [{lo}, {hi}] exceeds the grid domain [{grid.a}, {grid.b}]")
-    if np.iscomplexobj(f.values):
-        raise ValueError("lebesgue_point_defect expects real samples")
-    xs = grid.points
-    i0 = int(np.searchsorted(xs, lo, side="right"))
-    i1 = int(np.searchsorted(xs, hi, side="left"))
-    pts = np.concatenate(([lo], xs[i0:i1], [hi]))
-    fx = float(np.interp(x, xs, f.values))
-    dev = np.abs(np.interp(pts, xs, f.values) - fx)
-    return float(np.trapezoid(dev, pts) / abs(t))
 
 
 def _read_uniform_csv(path: str | Path, header: tuple[str, str], min_rows: int) -> tuple[Grid, np.ndarray]:

@@ -4,19 +4,22 @@ Four routes are provided:
 
 * :func:`hilbert_pv` -- principal-value quadrature of the symmetric
   difference form (1/pi) int_0^inf {f(x-u) - f(x+u)} du/u, with u-nodes
-  at half-spacing offsets so the singularity is never sampled, evaluated
-  as one rfft convolution and one correlation from shared spectra,
-* :func:`hilbert_multiplier` -- the sign multiplier of a 16-fold
-  zero-padded circular transform, applied exactly as a real convolution
-  with its closed-form odd cotangent kernel, with periodization debias
-  and a guarded algebraic tail extension for slowly decaying inputs,
+  at half-spacing offsets so the singularity is never sampled,
+* :func:`hilbert_multiplier` -- the sign multiplier on the lattice's
+  discrete-time Fourier transform, whose kernel is -MULTIPLIER_SIGN
+  2/(pi m) at odd offsets m, with a guarded algebraic tail extension for
+  slowly decaying inputs,
 * :func:`modified_hilbert` -- the augmented kernel 1/(x-t) + t/(1+t^2),
   well defined for bounded inputs,
 * :func:`periodic_conjugate` -- the cotangent-kernel conjugate function
   on a one-period grid.
 
-The two line routes are deliberately independent discretizations and are
-cross-checked against each other in the verification suites.
+Each is one real FFT convolution of the samples with its closed-form
+kernel: on the line at a circular length where none of the n kept
+outputs wraps, with the kernel's spectrum cached per sample count, and
+on the circle at the period itself.  The two line routes are
+deliberately independent discretizations and are cross-checked against
+each other in the verification suites.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ import warnings
 
 import numpy as np
 
-from ._fft import convolve_and_correlate, fast_len
-from .grids import DecayClass, SampledFunction, trapezoid_weights
+from ._fft import fast_len
+from .grids import DecayClass, SampledFunction
 
 __all__ = [
     "MULTIPLIER_SIGN",
@@ -45,9 +48,6 @@ __all__ = [
 # Poisson / conjugate-Poisson pair (see tests); flipping it maps the
 # Poisson kernel to minus its conjugate.
 MULTIPLIER_SIGN = -1.0
-
-# hilbert_multiplier zero pads to at least this many times the sample count
-_PAD_FACTOR = 16
 
 # _inverse_power_transforms sums its power series sum_m r^m / (k + m),
 # r = x/R, where |r| < _SERIES_RHO.  Every partial sum exceeds (1 - rho)/k
@@ -68,19 +68,27 @@ def _require_line_input(f: SampledFunction, op: str, allow_bounded: bool = False
         raise ValueError(f"{op} rejects bounded non-vanishing input; use modified_hilbert")
 
 
+def _circular(K: np.ndarray, lo: int, L: int) -> np.ndarray:
+    """K[j] placed at index (lo + j) mod L of a zero array of length L >= K.size."""
+    out = np.zeros(L)
+    out[np.arange(lo, lo + K.size) % L] = K
+    return out
+
+
 @functools.lru_cache(maxsize=4)
 def _pv_weight_spectrum(n: int) -> np.ndarray:
-    """Read-only rfft, at length fast_len(2n - 3), of the weights 1/(j + 1/2), j < n - 1."""
-    spec = np.fft.rfft(1.0 / (np.arange(n - 1) + 0.5), fast_len(2 * n - 3))
+    """Read-only rfft, at length fast_len(2n - 2), of 1/(pi (d - 1/2)), d = 2 - n .. n - 1, circularly."""
+    L = fast_len(2 * n - 2)
+    spec = np.fft.rfft(_circular(1.0 / (np.pi * (np.arange(2 - n, n) - 0.5)), 2 - n, L))
     spec.flags.writeable = False
     return spec
 
 
 def _pv_values(f: SampledFunction) -> np.ndarray:
-    """(A - B)/pi with A_i = sum_j w_j gbar[i-1-j], B_i = sum_j w_j gbar[i+j], zero padded."""
-    gbar = 0.5 * (f.values[1:] + f.values[:-1])  # midpoint samples
-    conv, corr = convolve_and_correlate(_pv_weight_spectrum(f.n), gbar, fast_len(2 * f.n - 3))
-    return (np.concatenate(([0.0], conv)) - np.concatenate((corr, [0.0]))) / np.pi
+    """sum_k gbar_k / (pi (i - k - 1/2)) over the n - 1 midpoint samples gbar, for i < n."""
+    gbar = 0.5 * (f.values[1:] + f.values[:-1])
+    L = fast_len(2 * f.n - 2)
+    return np.fft.irfft(np.fft.rfft(gbar, L) * _pv_weight_spectrum(f.n), L)[: f.n]
 
 
 def hilbert_pv(f: SampledFunction) -> SampledFunction:
@@ -90,8 +98,11 @@ def hilbert_pv(f: SampledFunction) -> SampledFunction:
     keeps the integrand bounded near u = 0; integrals over the real line
     are truncated at the grid boundary (zero extension for the declared
     decaying classes).  Output decay is vanishing_at_infinity: the
-    transform of an integrable function decays like 1/x.  The weights'
-    spectrum depends on n only and is cached per n.
+    transform of an integrable function decays like 1/x.  Node u_j pairs
+    the midpoint samples gbar at offsets d = j + 1 and -j from x, so the
+    quadrature is one real convolution of gbar with 1/(pi (d - 1/2)),
+    d = 2 - n .. n - 1, at circular length fast_len(2n - 2); the
+    kernel's spectrum depends on n only and is cached per n.
     """
     _require_line_input(f, "hilbert_pv")
     return f.with_values(_pv_values(f), DecayClass.VANISHING_AT_INFINITY)
@@ -182,39 +193,28 @@ def _tail_correction(f: SampledFunction) -> np.ndarray:
     return corr
 
 
-def _circular_kernel(n: int, N: int) -> np.ndarray:
-    """Inverse DFT of length N of the sign multiplier, at offsets m = -(n-1)..n-1.
+def _multiplier_kernel(n: int) -> np.ndarray:
+    """Inverse DTFT of the sign multiplier at offsets m = -(n-1)..n-1.
 
-    The multiplier MULTIPLIER_SIGN * i * sign(k), zero at bin 0 and at the
-    Nyquist bin of even N, has the real odd inverse DFT (the discrete
-    Hilbert kernel; Kak, Proc. IEEE 58 (1970) 585)
-
-        even N:  -MULTIPLIER_SIGN (2/N) cot(pi m / N) at odd m, 0 at even m,
-        odd N:   -MULTIPLIER_SIGN (cos(pi m / N) - cos(pi m)) / (N sin(pi m / N)),
-
-    and 0 at m = 0.  It is N-periodic, so for N >= 2n the circular
-    convolution of n samples with it is the linear one on |m| < n.
+    The multiplier MULTIPLIER_SIGN * i * sign(w) on (-pi, pi) has the
+    real odd inverse DTFT -MULTIPLIER_SIGN 2/(pi m) at odd m, 0 at even m
+    and at m = 0: the N -> oo limit of the discrete Hilbert kernel
+    (2/N) cot(pi m / N) of a length-N DFT (Kak, Proc. IEEE 58 (1970) 585).
     """
     m = np.arange(1 - n, n)
-    phi = (np.pi / N) * m
     K = np.zeros(m.size)
-    if N % 2 == 0:
-        odd = (m & 1) == 1
-        K[odd] = (-2.0 * MULTIPLIER_SIGN / N) / np.tan(phi[odd])
-    else:
-        nz = m != 0
-        alt = np.where(m[nz] & 1, -1.0, 1.0)  # cos(pi m)
-        K[nz] = -MULTIPLIER_SIGN * (np.cos(phi[nz]) - alt) / (N * np.sin(phi[nz]))
+    odd = (m & 1) == 1
+    K[odd] = (-2.0 * MULTIPLIER_SIGN / np.pi) / m[odd]
     return K
 
 
 @functools.lru_cache(maxsize=4)
 def _multiplier_spectrum(n: int) -> np.ndarray:
-    """Read-only rfft, at length fast_len(3n - 2), of the kernel for n samples padded to fast_len(16 n)."""
-    K = _circular_kernel(n, fast_len(_PAD_FACTOR * n))
+    """Read-only rfft, at length fast_len(2n - 1), of the kernel for n samples, circularly."""
+    K = _multiplier_kernel(n)
     if not np.array_equal(K[::-1], -K):
         raise ValueError("multiplier kernel is not odd, so the transform would have an imaginary residue")
-    spec = np.fft.rfft(K, fast_len(3 * n - 2))
+    spec = np.fft.rfft(_circular(K, 1 - n, fast_len(2 * n - 1)))
     spec.flags.writeable = False
     return spec
 
@@ -222,40 +222,21 @@ def _multiplier_spectrum(n: int) -> np.ndarray:
 def hilbert_multiplier(f: SampledFunction) -> SampledFunction:
     """Hilbert transform through the exact kernel of the sign multiplier.
 
-    The route is the circular transform of the samples zero padded to
-    N = fast_len(_PAD_FACTOR n), the smallest 5-smooth length at least
-    16-fold, under the multiplier MULTIPLIER_SIGN * i * sign(freq).  Only
-    n outputs of n nonzero samples are needed, so it is evaluated exactly
-    as one real linear convolution with the multiplier's closed-form
-    kernel (:func:`_circular_kernel`) on offsets |m| < n, its spectrum at
-    rfft length fast_len(3n - 2) cached per n.  Two exact corrections
-    restore line semantics from the circular transform: (i) the
-    periodization kernel difference (pi/P) cot(pi u / P) - 1/u, P = N h,
-    is removed through its cubic moment expansion, and (ii) for
+    The route applies the multiplier MULTIPLIER_SIGN * i * sign(w) to the
+    discrete-time Fourier transform of the samples, zero extended along
+    the whole lattice.  Only n outputs of n nonzero samples are needed,
+    so it is evaluated exactly as one real convolution with the
+    multiplier's closed-form kernel (:func:`_multiplier_kernel`) on
+    offsets |m| < n, at circular length fast_len(2n - 1), where no kept
+    output wraps; the kernel's spectrum is cached per n.  For
     vanishing_at_infinity input the tails outside the window are extended
     by a fitted inverse-power model (skipped for compactly supported or
     non-algebraic data).  Each kernel is checked to be exactly odd when
     built, so the multiplier is purely imaginary and real input stays real.
     """
     _require_line_input(f, "hilbert_multiplier")
-    n, h, x = f.n, f.h, f.x
-    N, L = fast_len(_PAD_FACTOR * n), fast_len(3 * n - 2)
-    out = np.fft.irfft(np.fft.rfft(f.values, L) * _multiplier_spectrum(n), L)[n - 1 : 2 * n - 1]
-
-    # periodization debias: the circular transform realizes the
-    # cotangent kernel with period P = N h; its difference from the
-    # Cauchy kernel is smooth and is removed via the moment expansion
-    # Delta(u) = -pi^2 u / (3 P^2) - pi^4 u^3 / (45 P^4) + O(P^-6).
-    P = N * h
-    w = trapezoid_weights(f.grid)
-    wf, x2 = w * f.values, x * x
-    x3 = x2 * x
-    mom = [float(np.sum(wf * xk)) for xk in (1.0, x, x2, x3)]
-    delta = -(np.pi / (3.0 * P * P)) * (x * mom[0] - mom[1]) - (np.pi**3 / (45.0 * P**4)) * (
-        x3 * mom[0] - 3.0 * x2 * mom[1] + 3.0 * x * mom[2] - mom[3]
-    )
-    out -= delta
-
+    n, L = f.n, fast_len(2 * f.n - 1)
+    out = np.fft.irfft(np.fft.rfft(f.values, L) * _multiplier_spectrum(n), L)[:n]
     if f.decay_class is DecayClass.VANISHING_AT_INFINITY:
         out += _tail_correction(f)
     return f.with_values(out, DecayClass.VANISHING_AT_INFINITY)
@@ -265,10 +246,15 @@ def periodic_conjugate(f: SampledFunction) -> SampledFunction:
     """Conjugate function (1/2pi) PV int f(t) cot((x-t)/2) dt on (-pi, pi].
 
     The period is folded so the quadrature runs over u in (0, 2pi) with
-    half-offset midpoint nodes; on a full period the midpoint rule is
-    spectrally accurate, and on band-limited input the scheme reproduces
-    the -i sign(k) coefficient multiplier to machine precision (the two
-    routes are compared in fourier diagnostics).
+    half-offset midpoint nodes.  The trigonometric interpolant at the
+    half offsets and the cotangent weights w_j = cot((j + 1/2) h / 2)
+    combine into one circular convolution of the samples with
+    c[d] = w[(d - 1) mod N] - w[(-d) mod N], evaluated as one spectral
+    product.  The factor comes from the cot weights, not from
+    -i sign(k): on a full period the midpoint rule is spectrally
+    accurate, and on band-limited input the scheme reproduces the
+    coefficient multiplier to machine precision (the two routes are
+    compared in fourier diagnostics).
     """
     if f.decay_class is not DecayClass.PERIODIC:
         raise ValueError("periodic_conjugate expects periodic input")
@@ -277,19 +263,15 @@ def periodic_conjugate(f: SampledFunction) -> SampledFunction:
     if abs(f.grid.width - 2.0 * math.pi) > 1e-9:
         raise ValueError("periodic grid must span exactly (-pi, pi]")
     N = f.n - 1  # duplicated closure sample dropped
-    v = f.values[:N]
     h = f.grid.width / N
-    spec = np.fft.rfft(v)
-    k = np.arange(spec.size)
-    shift = np.exp(1j * np.pi * k / N)
+    spec = np.fft.rfft(f.values[:N])
+    shift = np.exp(1j * np.pi * np.arange(spec.size) / N)  # to the half offsets
     if N % 2 == 0:
         shift[-1] = math.cos(np.pi * (N // 2) / N)
-    gbar = np.fft.irfft(spec * shift, N)  # trig interpolant at half offsets
-    u = (np.arange(N) + 0.5) * h
-    weights = 1.0 / np.tan(0.5 * u)
-    conv, corr = convolve_and_correlate(np.fft.rfft(weights), gbar, N)  # circular: L = N
-    A = conv[(np.arange(N) - 1) % N]
-    vals = (h / (4.0 * np.pi)) * (A - corr)
+    w = 1.0 / np.tan(0.5 * (np.arange(N) + 0.5) * h)
+    d = np.arange(N)
+    c = w[(d - 1) % N] - w[(-d) % N]
+    vals = (h / (4.0 * np.pi)) * np.fft.irfft(spec * shift * np.fft.rfft(c), N)
     return f.with_values(np.concatenate((vals, [vals[0]])), DecayClass.PERIODIC)
 
 

@@ -22,6 +22,7 @@ upper limits truncate there.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -321,19 +322,25 @@ def fractional_integral(p: RadialProfile) -> FractionalIntegral:
     )
 
 
-def _iterated_even_gradients(vals: np.ndarray, h: float, order: int) -> np.ndarray:
-    """k-fold central differences of I using its even symmetry at t = 0.
+def _iterated_even_gradients(vals: np.ndarray, h: float, order: int) -> Iterator[np.ndarray]:
+    """I, I', ..., I^{(order)} in turn, by iterated central differences of I.
 
-    I extends evenly across the origin, so mirroring a few samples gives
-    the t = 0 neighbourhood genuine central stencils; the outer edge
-    differentiates the identical zeros past the support.  This keeps
-    iterated differencing free of one-sided edge artifacts.
+    I extends evenly across the origin, so mirroring order + 2 samples
+    gives the t = 0 neighbourhood genuine central stencils for every
+    level (a grid shorter than that mirrors the zeros of I past its
+    end); the outer edge differentiates the identical zeros past the
+    support.  This keeps iterated differencing free of one-sided edge
+    artifacts, and each level is what a mirror of its own order + 2
+    samples would give, bit for bit: a stencil reaches one sample per pass.
+    The levels come lazily, so a caller can stop before roundoff overflows.
     """
     pad = order + 2
-    cur = np.concatenate((vals[pad:0:-1], vals))
+    mirror = vals[pad:0:-1]
+    cur = np.concatenate((np.zeros(pad - mirror.size), mirror, vals))
+    yield vals
     for _ in range(order):
         cur = np.gradient(cur, h, edge_order=2)
-    return cur[pad:]
+        yield cur[pad:]
 
 
 def _differencing_order_budget(vals: np.ndarray, h: float, wanted: int) -> int:
@@ -348,8 +355,9 @@ def _differencing_order_budget(vals: np.ndarray, h: float, wanted: int) -> int:
     """
     noise = 128.0 * np.finfo(float).eps * float(np.max(np.abs(vals))) if vals.size else 0.0
     order = 0
-    for k in range(1, wanted + 1):
-        cur = _iterated_even_gradients(vals, h, k)
+    levels = _iterated_even_gradients(vals, h, wanted)
+    next(levels)
+    for k, cur in enumerate(levels, start=1):
         noise /= h
         scale = float(np.max(np.abs(cur)))
         if scale == 0.0 or noise > 0.01 * scale:
@@ -390,20 +398,6 @@ def radial_ft_leray(
     return pref * _cosine_transform(p.f0.grid, frac.samples.values, radii)
 
 
-def _ibp_integrand(p: RadialProfile, frac: FractionalIntegral) -> np.ndarray:
-    """I^{(n-1)} on the profile grid, by the least noisy route per dimension."""
-    s = p.f0.x
-    if p.dim == 2:
-        slope = frac.slope if frac.slope is not None else fractional_integral(p).slope
-        return _with_jump_end(p, slope)
-    if p.dim == 3:
-        # I(t) = 2 int_t^R s f0 ds gives I'' = -2 f0 - 2 t f0' exactly
-        return -2.0 * p.f0.values - 2.0 * s * derivative(p.f0).values
-    # generic fallback (budget checked by radial_ft_ibp): iterated central
-    # differences of the I samples
-    return _iterated_even_gradients(frac.samples.values, p.f0.h, p.dim - 1)
-
-
 def _with_jump_end(p: RadialProfile, slope: np.ndarray) -> np.ndarray:
     """Dim-2 I' with its jump end integrated over the last cell.
 
@@ -432,31 +426,35 @@ def _with_jump_end(p: RadialProfile, slope: np.ndarray) -> np.ndarray:
 
 
 def _derivative_levels(p: RadialProfile, frac: FractionalIntegral) -> list[np.ndarray]:
-    """[I, I', ..., I^{(n-2)}] by the same construction the ibp route uses.
+    """[I, I', ..., I^{(n-1)}] by the least noisy route per dimension.
 
-    For dim 3 the first derivative is the exact identity I' = -2 t f0,
-    which keeps structurally-zero boundary values exactly zero; higher
-    dimensions use symmetry-aware iterated differencing.
+    Dim 2 takes I' from the closed form, its jump end integrated over
+    the last cell; dim 3 the exact identities I' = -2 t f0 (which keeps
+    structurally-zero boundary values exactly zero) and, from
+    I(t) = 2 int_t^R s f0 ds, I'' = -2 f0 - 2 t f0'.  Higher dimensions
+    use symmetry-aware iterated differencing, within the budget that
+    radial_ft_ibp checks first.
     """
-    levels = [frac.samples.values]
+    vals = frac.samples.values
+    if p.dim == 2:
+        slope = frac.slope if frac.slope is not None else fractional_integral(p).slope
+        return [vals, _with_jump_end(p, slope)]
     if p.dim == 3:
-        levels.append(-2.0 * p.f0.x * p.f0.values)
-    for k in range(len(levels), p.dim - 1):
-        levels.append(_iterated_even_gradients(frac.samples.values, p.f0.h, k))
-    return levels
+        s, f0 = p.f0.x, p.f0.values
+        return [vals, -2.0 * s * f0, -2.0 * f0 - 2.0 * s * derivative(p.f0).values]
+    return list(_iterated_even_gradients(vals, p.f0.h, p.dim - 1))
 
 
-def _check_boundary_terms(p: RadialProfile, frac: FractionalIntegral) -> None:
+def _check_boundary_terms(levels: list[np.ndarray]) -> None:
     """Reject profiles whose integrated terms would not vanish.
 
-    Each of the n-1 integrations by parts drops a boundary term.  At the
-    outer radius every I^{(k)}, k <= n-2, must vanish; at t = 0 the trig
-    factor kills the even-k terms automatically and only odd k <= n-2
-    need |I^{(k)}(0)| ~ 0.  The offending derivative order is reported.
+    ``levels`` is [I, ..., I^{(n-1)}].  Each of the n-1 integrations by
+    parts drops a boundary term.  At the outer radius every I^{(k)},
+    k <= n-2, must vanish; at t = 0 the trig factor kills the even-k
+    terms automatically and only odd k <= n-2 need |I^{(k)}(0)| ~ 0.
+    The offending derivative order is reported.
     """
-    levels = _derivative_levels(p, frac)
-    for k in range(p.dim - 1):
-        vals = levels[k]
+    for k, vals in enumerate(levels[:-1]):
         scale = max(float(np.max(np.abs(vals))), 1e-300)
         if abs(vals[-1]) > _BOUNDARY_TOL * scale:
             raise ValueError(
@@ -495,8 +493,9 @@ def radial_ft_ibp(
             f"I^{order} is not numerically trustworthy "
             f"(budget {frac.derivative_order_available}); refine the profile"
         )
-    _check_boundary_terms(p, frac)
-    integrand = _ibp_integrand(p, frac)
+    levels = _derivative_levels(p, frac)
+    _check_boundary_terms(levels)
+    integrand = levels[-1]
     out = np.empty(radii.size)
     small = radii < 0.1
     if np.any(small):

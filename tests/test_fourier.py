@@ -95,7 +95,7 @@ def test_transform_linearity():
 def test_real_input_gives_conjugate_symmetric_transform(family):
     f = line_function(family, n=2049)
     res = fourier_transform(f, cutoff=15.0, m=257)
-    assert res.conjugate_symmetry_defect() <= 1e-10
+    assert np.max(np.abs(res.values[::-1] - np.conj(res.values))) <= 1e-10
 
 
 @pytest.fixture
@@ -154,7 +154,7 @@ def test_default_grid_takes_the_lattice_dft_and_matches_direct_sum():
     want[i0] = integrate(f)
     assert np.max(np.abs(res.values - want)) <= 1e-12
     assert abs(res.values[0] - want[0]) <= 1e-12 and abs(res.values[-1] - want[-1]) <= 1e-12
-    assert res.conjugate_symmetry_defect() == 0.0
+    assert np.max(np.abs(res.values[::-1] - np.conj(res.values))) == 0.0
 
 
 @pytest.mark.parametrize("complex_values", [False, True])

@@ -15,7 +15,6 @@ from bvfourier import (
     SampledFunction,
     derivative,
     family_value,
-    lebesgue_point_defect,
     make_uniform_grid,
     read_samples_csv,
     sample,
@@ -166,41 +165,6 @@ def test_derivative_needs_three_points():
     f = SampledFunction(grid, np.zeros(2), DecayClass.BOUNDED)
     with pytest.raises(ValueError):
         derivative(f)
-
-
-def test_lebesgue_defect_constant_function():
-    grid = make_uniform_grid(-1, 1, 101)
-    f = SampledFunction(grid, np.ones(101), DecayClass.BOUNDED)
-    assert lebesgue_point_defect(f, 0.0, 0.3) == 0.0
-    assert lebesgue_point_defect(f, 0.0, -0.3) == 0.0
-
-
-def test_lebesgue_defect_box_edge():
-    # window (1, 1+t) sees |0 - 1| except the first interpolation cell,
-    # so the defect is exactly 1 - h/(2t) on an aligned grid
-    grid = make_uniform_grid(-2, 2, 4001)
-    f = sample(FamilySpec(Family.BOX), grid)
-    t = 0.1
-    expected = 1.0 - grid.h / (2.0 * t)
-    assert lebesgue_point_defect(f, 1.0, t) == pytest.approx(expected, abs=1e-12)
-
-
-def test_lebesgue_defect_gaussian_linear_decay():
-    grid = make_uniform_grid(-8, 8, 2**12 + 1)
-    f = sample(FamilySpec(Family.GAUSSIAN), grid)
-    d1 = lebesgue_point_defect(f, 0.0, 0.1)
-    d2 = lebesgue_point_defect(f, 0.0, 0.05)
-    assert d1 <= 0.1 / 2.0
-    assert d2 <= 0.6 * d1  # linear shrink with the window
-
-
-def test_lebesgue_defect_domain_errors():
-    grid = make_uniform_grid(-1, 1, 101)
-    f = SampledFunction(grid, np.ones(101), DecayClass.BOUNDED)
-    with pytest.raises(ValueError):
-        lebesgue_point_defect(f, 0.9, 0.5)
-    with pytest.raises(ValueError):
-        lebesgue_point_defect(f, 0.0, 0.0)
 
 
 def test_sampled_function_validation():

@@ -24,8 +24,7 @@ from bvfourier import (
 from bvfourier import hilbert
 from bvfourier._fft import fast_len
 from bvfourier.cli import EXIT_DATA, main
-from bvfourier.grids import trapezoid_weights
-from bvfourier.hilbert import _circular_kernel, _inverse_power_transforms
+from bvfourier.hilbert import _inverse_power_transforms, _multiplier_kernel
 
 RIG = dict(a=-50.0, b=50.0)
 
@@ -138,52 +137,131 @@ def sign_multiplier(N):
     return spec
 
 
-def reference_multiplier_circular(f):
-    """hilbert_multiplier by the complex route: the sign multiplier applied
-    between two complex FFTs of length N, with the imaginary-residue check
-    at 1e-8, then the same two corrections."""
-    n, h, x = f.n, f.h, f.x
-    N = fast_len(hilbert._PAD_FACTOR * n)
-    out_c = np.fft.ifft(np.fft.fft(f.values, N) * sign_multiplier(N))
-    real_scale = float(np.max(np.abs(out_c.real)))
-    assert float(np.max(np.abs(out_c.imag))) <= 1e-8 * real_scale
-    out = out_c.real[:n]
-    P = N * h
-    w = trapezoid_weights(f.grid)
-    mom = [float(np.sum(w * f.values * x**k)) for k in range(4)]
-    out -= -(np.pi / (3.0 * P * P)) * (x * mom[0] - mom[1]) - (np.pi**3 / (45.0 * P**4)) * (
-        x**3 * mom[0] - 3.0 * x**2 * mom[1] + 3.0 * x * mom[2] - mom[3]
-    )
-    if f.decay_class is DecayClass.VANISHING_AT_INFINITY:
-        out += hilbert._tail_correction(f)
+# Reference sums run in extended precision, in row blocks of at most this many entries
+BLOCK = 2**20
+EPS, EPS_LD = np.finfo(float).eps, np.finfo(np.longdouble).eps
+PI_LD = 4 * np.arctan(np.longdouble(1))
+
+
+def direct_sum(kernel, v, n_out):
+    """out_i = sum_k kernel(i - k) v_k for i < n_out, summed directly in long double."""
+    table = kernel(np.arange(1 - v.size, n_out))  # kernel(d) at index d + v.size - 1
+    v = v.astype(np.longdouble)
+    rows = max(1, BLOCK // v.size)
+    out = np.empty(n_out, dtype=np.longdouble)
+    for i0 in range(0, n_out, rows):
+        i = np.arange(i0, min(i0 + rows, n_out))
+        out[i] = table[i[:, None] - np.arange(v.size) + (v.size - 1)] @ v
     return out
 
 
-@pytest.mark.parametrize("N", [1620, 1215, 1125])
-def test_circular_kernel_is_the_inverse_dft_of_the_sign_multiplier(N):
-    # even N = 1620 and odd N = 1215, 1125 (5-smooth, as fast_len gives them)
-    n = 101
+def fft_slack(L, k1, scale):
+    """Rounding allowance of one real FFT convolution at length L: kernel l1 norm k1, data bound scale."""
+    return (2.0 * math.log2(L) + 4.0) * EPS * k1 * scale
+
+
+@pytest.mark.parametrize("N", [1620, 1215, 1125, 2**16])
+def test_multiplier_kernel_is_the_large_n_limit_of_the_inverse_dft_of_the_sign_multiplier(N):
+    # The length-N sign multiplier's inverse DFT (Kak 1970) at odd m is (2/(pi m)) psi cot psi,
+    # psi = pi m / N for even N and pi m / (2N) for odd N, and at even m it is 0 for even N
+    # and -MULTIPLIER_SIGN (-tan(pi m / (2N)) / N) for odd N.  With
+    # psi cot psi = 1 - psi^2/3 - sum_{k>=2} 2 zeta(2k) (psi/pi)^{2k}, whose tail is below
+    # psi^4/40 for |psi| <= 1, it falls short of the line kernel 2/(pi m) by a relative
+    # psi^2/3 to psi^2/3 + psi^4/40 at odd m, and stays within tan(x) <= x + x^3 (x <= 1)
+    # of 0 at even m.  The ifft of unit-modulus bins rounds by about log2(N) eps.
+    n = 257
     ref = np.fft.ifft(sign_multiplier(N))[np.arange(1 - n, n) % N]
-    scale = float(np.max(np.abs(ref.real)))
-    # the residue check the complex route ran on every call: a real odd
-    # kernel is what makes the transform of real input real
-    assert float(np.max(np.abs(ref.imag))) <= 1e-8 * scale
-    K = _circular_kernel(n, N)
+    slack = 4.0 * math.log2(N) * EPS
+    # a real odd kernel is what makes the transform of real input real
+    assert float(np.max(np.abs(ref.imag))) <= slack
+    K = _multiplier_kernel(n)
     assert np.array_equal(K[::-1], -K)
-    assert float(np.max(np.abs(K - ref.real))) <= 1e-15 * scale
+    m = np.arange(1 - n, n)
+    odd = K != 0.0
+    assert np.array_equal(odd, m % 2 == 1)
+    psi2 = (np.pi * m[odd] / (N if N % 2 == 0 else 2 * N)) ** 2
+    gap = np.abs(K[odd]) - np.sign(K[odd]) * ref.real[odd]  # the cotangent kernel is the smaller one
+    assert np.all(gap >= np.abs(K[odd]) * psi2 / 3.0 - slack)
+    assert np.all(gap <= np.abs(K[odd]) * (psi2 / 3.0 + psi2 * psi2 / 40.0) + slack)
+    x = np.pi * np.abs(m[~odd]) / (2 * N) * (N % 2)
+    assert np.all(np.abs(ref.real[~odd]) <= (x + x**3) / N + slack)
 
 
 @pytest.mark.parametrize("family", [Family.GAUSSIAN, Family.POISSON_KERNEL, Family.BOX])
-@pytest.mark.parametrize("n", [257, 4096, 2**14 + 1, 2**16 + 1])
-def test_multiplier_matches_the_complex_fft_route(family, n):
+@pytest.mark.parametrize("n", [257, 4096])
+def test_multiplier_matches_its_direct_sum(family, n):
+    # sum_j K(i - j) f_j with K(m) = -MULTIPLIER_SIGN 2/(pi m) at odd m, plus the same tail model
     f = line_function(family, n=n)
     got = hilbert_multiplier(f).values
-    want = reference_multiplier_circular(f)
-    assert np.max(np.abs(got - want)) <= 4e-15 * np.max(np.abs(want))
+
+    def kernel(m):
+        return np.where(m % 2 == 1, -MULTIPLIER_SIGN * 2.0 / (PI_LD * np.where(m == 0, 1, m)), 0.0)
+
+    want = direct_sum(kernel, f.values, n)
+    if f.decay_class is DecayClass.VANISHING_AT_INFINITY:
+        want += hilbert._tail_correction(f)
+    k1, scale = float(np.sum(np.abs(_multiplier_kernel(n)))), float(np.max(np.abs(f.values)))
+    slack = fft_slack(fast_len(2 * n - 1), k1, scale) + n * EPS_LD * k1 * scale
+    assert float(np.max(np.abs(got - want))) <= slack
+
+
+@pytest.mark.parametrize("family", [Family.GAUSSIAN, Family.POISSON_KERNEL, Family.BOX])
+@pytest.mark.parametrize("n", [257, 4096])
+def test_pv_matches_its_direct_sum(family, n):
+    # the symmetric-difference quadrature (1/pi) sum_j (gbar[i-1-j] - gbar[i+j]) / (j + 1/2)
+    # over the midpoint samples gbar: midpoint k enters row i with weight 1/(pi (i - k - 1/2))
+    f = line_function(family, n=n)
+    gbar = 0.5 * (f.values[1:] + f.values[:-1])
+    want = direct_sum(lambda d: 1.0 / (PI_LD * (d - 0.5)), gbar, n)
+    k1 = 2.0 * float(np.sum(1.0 / (np.arange(n - 1) + 0.5))) / math.pi
+    scale = float(np.max(np.abs(gbar)))
+    slack = fft_slack(fast_len(2 * n - 2), k1, scale) + n * EPS_LD * k1 * scale
+    assert float(np.max(np.abs(hilbert_pv(f).values - want))) <= slack
+
+
+@pytest.mark.parametrize("wave", ["triangle", "noise"])
+@pytest.mark.parametrize("n", [257, 4096])
+def test_periodic_conjugate_matches_its_direct_sum(wave, n):
+    # (h / 4 pi) sum_j w_j (gbar[i-1-j] - gbar[i+j]), w_j = cot(u_j / 2), u_j = (j + 1/2) h, the
+    # folded midpoint rule of (1/2pi) int_0^2pi f(x - u) cot(u/2) du, indices mod N, with gbar
+    # the trigonometric interpolant at the half offsets: the Dirichlet sum
+    # (1/N) sum_l v_l sin((M + 1/2) t) / sin(t/2), t = 2 pi (k - l + 1/2) / N, M = ceil(N/2) - 1
+    # (an even N's Nyquist mode vanishes there).  The sum takes the route's own float nodes
+    # u_j: near u = 2 pi, cot(u/2) moves by about 4 pi eps / h of itself when u moves by one
+    # rounding, and the two folds would then differ by 1e-13 on unit noise at N = 4095
+    grid = make_uniform_grid(-math.pi, math.pi, n)
+    if wave == "triangle":
+        f = sample(FamilySpec(Family.TRIANGLE_WAVE_PERIODIC), grid)
+    else:
+        v = np.random.default_rng(n).standard_normal(n)
+        v[-1] = v[0]
+        f = SampledFunction(grid, v, DecayClass.PERIODIC)
+    N = n - 1
+    M, h = -(-N // 2) - 1, grid.width / N
+    half_u = 0.5 * np.longdouble(1) * ((np.arange(N) + 0.5) * h)
+    w = np.cos(half_u) / np.sin(half_u)
+
+    def dirichlet(d):
+        t = (d + 0.5) * (2 * PI_LD / N)
+        return np.sin((M + 0.5) * t) / (N * np.sin(0.5 * t))
+
+    def folded_weights(d):
+        return (h / (4 * PI_LD)) * (w[(d - 1) % N] - w[(-d) % N])
+
+    gbar = direct_sum(dirichlet, f.values[:N], N)
+    want = direct_sum(folded_weights, gbar, N)
+    got = periodic_conjugate(f).values
+    assert got[-1] == got[0]
+    k1 = float(np.sum(np.abs(folded_weights(np.arange(N)))))
+    scale = max(float(np.max(np.abs(f.values))), float(np.max(np.abs(gbar))))
+    slack = fft_slack(N, k1, scale) + 2 * N * EPS_LD * k1 * scale
+    assert float(np.max(np.abs(got[:N] - want))) <= slack
 
 
 def test_multiplier_peak_memory_stays_below_one_padded_complex_array():
-    # one complex array of the padded length N takes 16 N bytes
+    # one complex array of the 16-fold padded length fast_len(16 n) would take 16 fast_len(16 n)
+    # bytes; the route holds half-spectra of the circular length L = fast_len(2n - 1), and two
+    # complex arrays of length L (32 L bytes) are a quarter of that
     n = 2**16 + 1
     f = line_function(Family.GAUSSIAN, n=n)
     hilbert_multiplier(f)
@@ -193,18 +271,18 @@ def test_multiplier_peak_memory_stays_below_one_padded_complex_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * fast_len(hilbert._PAD_FACTOR * n)
+    assert peak < 32 * fast_len(2 * n - 1) < 16 * fast_len(16 * n)
 
 
 def test_multiplier_rejects_a_kernel_that_is_not_odd(tmp_path, capsys, monkeypatch):
-    def skewed(n, N):
-        K = _circular_kernel(n, N)
+    def skewed(n):
+        K = _multiplier_kernel(n)
         K[n] += 1e-3  # an even part: the multiplier would gain a real part
         return K
 
     # a kernel is checked when it is built: drop the spectra built so far
     hilbert._multiplier_spectrum.cache_clear()
-    monkeypatch.setattr(hilbert, "_circular_kernel", skewed)
+    monkeypatch.setattr(hilbert, "_multiplier_kernel", skewed)
     with pytest.raises(ValueError, match="not odd"):
         hilbert_multiplier(line_function(Family.GAUSSIAN, n=257))
     args = ["hilbert", "--family", "gaussian", "--n", "257", "--method", "multiplier"]

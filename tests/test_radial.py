@@ -20,7 +20,8 @@ from bvfourier import (
     radial_ft_oracle,
     read_radial_csv,
 )
-from bvfourier.radial import _MAX_DIM, _half_integer_jv, _integer_jv, _kink_sum_even
+from bvfourier import radial
+from bvfourier.radial import _LEAF, _MAX_DIM, _cheb_points, _half_integer_jv, _integer_jv, _kink_sum_even
 
 
 def profile(values_fn, dim, r_end=2.0, n=2049):
@@ -394,6 +395,43 @@ def test_hierarchical_kink_sum_scales_as_n_log_n():
     cost = best_of_3(_kink_sum_even, *large, 2)
     assert cost <= 2.5**2 * best_of_3(_kink_sum_even, *small, 2)
     assert best_of_3(reference_kink_sum_even, *large, 2) >= 4.0 * cost
+
+
+def test_hierarchical_kink_sum_evaluates_o_n_log_n_kernel_entries(monkeypatch):
+    # every kernel entry the sum evaluates passes through _even_kernel; count them.
+    # Rows are the N = last samples before the last kink.  The near field gives each
+    # row the 2 _LEAF kinks of its own and the next leaf box; each far-field level gives
+    # it at most 2 P Chebyshev nodes, over log2(boxes) - 1 levels of the dyadic tree.
+    count = []
+
+    def spy(x, y, u, theta, n):
+        count.append(np.broadcast(x, y, u, theta).size)
+        return kernel(x, y, u, theta, n)
+
+    kernel = radial._even_kernel
+    monkeypatch.setattr(radial, "_even_kernel", spy)
+    P = _cheb_points(2)
+    for n in (8193, 32769):
+        a, h = slope_changes(bump(2, n))
+        count.clear()
+        _kink_sum_even(a, h, 2)
+        cols = np.flatnonzero(a)
+        rows, kinks = int(cols[-1]), cols.size
+        boxes = 1 << math.ceil(math.log2((rows + 1) / _LEAF))
+        near = -(-rows // _LEAF) * _LEAF * 2 * _LEAF
+        far = rows * 2 * P * (int(math.log2(boxes)) - 1)
+        assert sum(count) <= near + far
+        if n == 32769:
+            assert sum(count) <= 0.05 * rows * kinks  # the direct sum evaluates N K entries
+
+
+def test_ibp_on_a_grid_shorter_than_its_mirror_refuses_with_a_reason():
+    # dim 10 differences I nine times across a mirror of 11 samples at t = 0; a 6-sample
+    # grid mirrors I's zeros past its end instead of reducing an empty array
+    p = profile(bump_values, 10, n=6)
+    assert fractional_integral(p).samples.n == 6
+    with pytest.raises(ValueError, match="integrated terms would not vanish"):
+        radial_ft_ibp(p, [1.0])
 
 
 def test_dimension_limit_is_where_a_prefactor_overflows():
