@@ -137,6 +137,38 @@ def sign_multiplier(N):
     return spec
 
 
+def circular_kernel(n, N):
+    """Kak's closed form (Proc. IEEE 58 (1970) 585) of the length-N discrete Hilbert kernel at m = -(n-1)..n-1.
+
+    even N:  -MULTIPLIER_SIGN (2/N) cot(pi m / N) at odd m, 0 at even m;
+    odd N:   -MULTIPLIER_SIGN (cos(pi m / N) - cos(pi m)) / (N sin(pi m / N)); 0 at m = 0.
+    """
+    m = np.arange(1 - n, n)
+    phi = (np.pi / N) * m
+    K = np.zeros(m.size)
+    if N % 2 == 0:
+        odd = (m & 1) == 1
+        K[odd] = (-2.0 * MULTIPLIER_SIGN / N) / np.tan(phi[odd])
+    else:
+        nz = m != 0
+        alt = np.where(m[nz] & 1, -1.0, 1.0)  # cos(pi m)
+        K[nz] = -MULTIPLIER_SIGN * (np.cos(phi[nz]) - alt) / (N * np.sin(phi[nz]))
+    return K
+
+
+@pytest.mark.parametrize("N", [1620, 1215, 1125])
+def test_circular_kernel_is_the_inverse_dft_of_the_sign_multiplier(N):
+    # even N = 1620 and odd N = 1215, 1125 (5-smooth, as fast_len gives them):
+    # the closed form that the large-N limit below starts from
+    n = 101
+    ref = np.fft.ifft(sign_multiplier(N))[np.arange(1 - n, n) % N]
+    scale = float(np.max(np.abs(ref.real)))
+    assert float(np.max(np.abs(ref.imag))) <= 1e-8 * scale
+    K = circular_kernel(n, N)
+    assert np.array_equal(K[::-1], -K)
+    assert float(np.max(np.abs(K - ref.real))) <= 1e-15 * scale
+
+
 # Reference sums run in extended precision, in row blocks of at most this many entries
 BLOCK = 2**20
 EPS, EPS_LD = np.finfo(float).eps, np.finfo(np.longdouble).eps
