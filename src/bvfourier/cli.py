@@ -32,7 +32,6 @@ from .grids import (
 from .hilbert import hilbert_multiplier, hilbert_pv, modified_hilbert, periodic_conjugate
 from .radial import (
     RadialProfile,
-    fractional_integral,
     radial_ft_ibp,
     radial_ft_leray,
     radial_ft_oracle,
@@ -142,9 +141,8 @@ def _cmd_radial(args: argparse.Namespace) -> int:
     else:
         grid = make_uniform_grid(0.0, args.b, args.n)
         profile = RadialProfile.from_samples(grid, family_value(spec, grid.points), args.dim)
-    frac = fractional_integral(profile) if profile.dim >= 2 else None
-    leray = radial_ft_leray(profile, radii, frac=frac)
-    ibp = radial_ft_ibp(profile, radii, frac=frac)
+    leray = radial_ft_leray(profile, radii)
+    ibp = radial_ft_ibp(profile, radii)
     oracle = radial_ft_oracle(profile, radii)
     _write_table(args.out, "r,leray,ibp,oracle", radii, leray, ibp, oracle)
     return EXIT_OK

@@ -5,8 +5,7 @@ radial pipeline) consumes the two carriers defined here: :class:`Grid`,
 a closed uniform partition of ``[a, b]``, and :class:`SampledFunction`,
 grid values plus a caller-declared decay annotation.  The module also
 provides the elementary estimators used by the verification suites:
-discrete total variation, finite-difference derivatives and the local
-mean-deviation (Lebesgue point) functional.
+discrete total variation and finite-difference derivatives.
 """
 
 from __future__ import annotations

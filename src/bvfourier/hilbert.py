@@ -268,7 +268,12 @@ def periodic_conjugate(f: SampledFunction) -> SampledFunction:
     shift = np.exp(1j * np.pi * np.arange(spec.size) / N)  # to the half offsets
     if N % 2 == 0:
         shift[-1] = math.cos(np.pi * (N // 2) / N)
-    w = 1.0 / np.tan(0.5 * (np.arange(N) + 0.5) * h)
+    # cot(u/2) is odd about u = pi: the upper half is the lower one negated, exactly,
+    # since a rounding of u near 2 pi would move cot(u/2) by about 4 pi eps / h of itself
+    half = N // 2
+    w = np.zeros(N)  # an odd N's middle node is u = pi, where cot(u/2) = 0
+    w[:half] = 1.0 / np.tan(0.5 * (np.arange(half) + 0.5) * h)
+    w[N - half :] = -w[half - 1 :: -1]
     d = np.arange(N)
     c = w[(d - 1) % N] - w[(-d) % N]
     vals = (h / (4.0 * np.pi)) * np.fft.irfft(spec * shift * np.fft.rfft(c), N)

@@ -22,7 +22,6 @@ upper limits truncate there.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -96,22 +95,22 @@ class RadialProfile:
         nz = np.flatnonzero(self.f0.values)
         return int(nz[-1]) if nz.size else 0
 
+    @cached_property
+    def frac_integral(self) -> FractionalIntegral:
+        """The Leray fractional integral I of :func:`fractional_integral`, computed once (dim >= 2)."""
+        return fractional_integral(self)
+
 
 @dataclass(frozen=True)
 class FractionalIntegral:
     """I(t) sampled on the profile grid.
 
-    ``derivative_order_available`` counts how many derivatives of I are
-    numerically trustworthy with the construction used; the
-    integrated-by-parts route refuses to run past it.  ``slope`` holds
-    I' from the same closed form for dim 2 (None otherwise).  Where f0
-    jumps to zero at its cut-off Rs, I' has an integrable
-    (Rs - t)^{-1/2} end; its sample at Rs is left at 0.
+    ``slope`` holds I' from the same closed form for dim 2 (None
+    otherwise).  Where f0 jumps to zero at its cut-off Rs, I' has an
+    integrable (Rs - t)^{-1/2} end; its sample at Rs is left at 0.
     """
 
     samples: SampledFunction
-    dim: int
-    derivative_order_available: int
     slope: np.ndarray | None = None
 
 
@@ -310,60 +309,7 @@ def fractional_integral(p: RadialProfile) -> FractionalIntegral:
     # I(0) is the full tail integral, generally nonzero, so the samples
     # carry the vanishing tag (identically zero past the support radius)
     samples = SampledFunction(p.f0.grid, vals, DecayClass.VANISHING_AT_INFINITY)
-    if n <= 3:
-        order = n - 1  # first derivatives come out semi-analytically
-    else:
-        order = _differencing_order_budget(vals, p.f0.h, n - 1)
-    return FractionalIntegral(
-        samples=samples,
-        dim=n,
-        derivative_order_available=order,
-        slope=pref * slope if n == 2 else None,
-    )
-
-
-def _iterated_even_gradients(vals: np.ndarray, h: float, order: int) -> Iterator[np.ndarray]:
-    """I, I', ..., I^{(order)} in turn, by iterated central differences of I.
-
-    I extends evenly across the origin, so mirroring order + 2 samples
-    gives the t = 0 neighbourhood genuine central stencils for every
-    level (a grid shorter than that mirrors the zeros of I past its
-    end); the outer edge differentiates the identical zeros past the
-    support.  This keeps iterated differencing free of one-sided edge
-    artifacts, and each level is what a mirror of its own order + 2
-    samples would give, bit for bit: a stencil reaches one sample per pass.
-    The levels come lazily, so a caller can stop before roundoff overflows.
-    """
-    pad = order + 2
-    mirror = vals[pad:0:-1]
-    cur = np.concatenate((np.zeros(pad - mirror.size), mirror, vals))
-    yield vals
-    for _ in range(order):
-        cur = np.gradient(cur, h, edge_order=2)
-        yield cur[pad:]
-
-
-def _differencing_order_budget(vals: np.ndarray, h: float, wanted: int) -> int:
-    """How many iterated central differences stay above the noise floor.
-
-    The exact construction leaves only roundoff on I: at most 73 eps
-    max|I| against an 80-bit evaluation of the same formulas (bumps and
-    Gaussian-type profiles, dims 2-7, n = 4097 and 8193), bounded here
-    by 128 eps max|I|.  k central differencings amplify it by at most
-    (1/h)^k, and the estimate is cut once that exceeds 1% of the
-    derivative's own scale.
-    """
-    noise = 128.0 * np.finfo(float).eps * float(np.max(np.abs(vals))) if vals.size else 0.0
-    order = 0
-    levels = _iterated_even_gradients(vals, h, wanted)
-    next(levels)
-    for k, cur in enumerate(levels, start=1):
-        noise /= h
-        scale = float(np.max(np.abs(cur)))
-        if scale == 0.0 or noise > 0.01 * scale:
-            break
-        order = k
-    return order
+    return FractionalIntegral(samples, pref * slope if n == 2 else None)
 
 
 def _cosine_transform(grid: Grid, vals: np.ndarray, radii: np.ndarray, phase: float = 0.0) -> np.ndarray:
@@ -381,9 +327,7 @@ def _check_radii(radii) -> np.ndarray:
     return radii
 
 
-def radial_ft_leray(
-    p: RadialProfile, radii, frac: FractionalIntegral | None = None
-) -> np.ndarray:
+def radial_ft_leray(p: RadialProfile, radii) -> np.ndarray:
     """Radial transform by the reduction formula 2 pi^{(n-1)/2} int I cos(rt) dt.
 
     For dim = 1 the reduction degenerates: I is read as f0 itself and the
@@ -392,10 +336,8 @@ def radial_ft_leray(
     radii = _check_radii(radii)
     if p.dim == 1:
         return 2.0 * _cosine_transform(p.f0.grid, p.f0.values, radii)
-    if frac is None:
-        frac = fractional_integral(p)
     pref = 2.0 * math.pi ** ((p.dim - 1) / 2.0)
-    return pref * _cosine_transform(p.f0.grid, frac.samples.values, radii)
+    return pref * _cosine_transform(p.f0.grid, p.frac_integral.samples.values, radii)
 
 
 def _with_jump_end(p: RadialProfile, slope: np.ndarray) -> np.ndarray:
@@ -425,24 +367,53 @@ def _with_jump_end(p: RadialProfile, slope: np.ndarray) -> np.ndarray:
     return out
 
 
-def _derivative_levels(p: RadialProfile, frac: FractionalIntegral) -> list[np.ndarray]:
+def _derivative_levels(p: RadialProfile) -> list[np.ndarray]:
     """[I, I', ..., I^{(n-1)}] by the least noisy route per dimension.
 
     Dim 2 takes I' from the closed form, its jump end integrated over
     the last cell; dim 3 the exact identities I' = -2 t f0 (which keeps
     structurally-zero boundary values exactly zero) and, from
-    I(t) = 2 int_t^R s f0 ds, I'' = -2 f0 - 2 t f0'.  Higher dimensions
-    use symmetry-aware iterated differencing, within the budget that
-    radial_ft_ibp checks first.
+    I(t) = 2 int_t^R s f0 ds, I'' = -2 f0 - 2 t f0'.
+
+    Higher dimensions difference I n - 1 times.  I extends evenly across
+    the origin, so mirroring n + 1 samples gives the t = 0 neighbourhood
+    genuine central stencils for every level (a grid shorter than that
+    mirrors the zeros of I past its end); the outer edge differentiates
+    the identical zeros past the support.  This keeps iterated
+    differencing free of one-sided edge artifacts: a stencil reaches one
+    sample per pass.  The exact construction leaves only roundoff on I:
+    at most 73 eps max|I| against an 80-bit evaluation of the same
+    formulas (bumps and Gaussian-type profiles, dims 2-7, n = 4097 and
+    8193), bounded here by 128 eps max|I|.  Each pass amplifies it by at
+    most 1/h, and the profile is refused once that exceeds 1% of a
+    level's own scale, or before a pass could overflow: a pass forms
+    terms of at most max(2, 4/h) times its input, kept below the float
+    range with a factor 2 to spare.
     """
+    frac = p.frac_integral
     vals = frac.samples.values
     if p.dim == 2:
-        slope = frac.slope if frac.slope is not None else fractional_integral(p).slope
-        return [vals, _with_jump_end(p, slope)]
+        return [vals, _with_jump_end(p, frac.slope)]
     if p.dim == 3:
         s, f0 = p.f0.x, p.f0.values
         return [vals, -2.0 * s * f0, -2.0 * f0 - 2.0 * s * derivative(p.f0).values]
-    return list(_iterated_even_gradients(vals, p.f0.h, p.dim - 1))
+    h, order = p.f0.h, p.dim - 1
+    noise = 128.0 * np.finfo(float).eps * float(np.max(np.abs(vals)))
+    limit = np.finfo(float).max / max(4.0, 8.0 / h)
+    pad = order + 2
+    mirror = vals[pad:0:-1]
+    cur = np.concatenate((np.zeros(pad - mirror.size), mirror, vals))
+    levels = [vals]
+    for k in range(order):
+        scale = 0.0  # stays 0 for a pass that could overflow
+        if float(np.max(np.abs(cur))) <= limit:
+            cur = np.gradient(cur, h, edge_order=2)
+            noise /= h
+            scale = float(np.max(np.abs(cur[pad:])))
+        if scale == 0.0 or noise > 0.01 * scale:
+            raise ValueError(f"I^{order} is not numerically trustworthy (budget {k}); refine the profile")
+        levels.append(cur[pad:])
+    return levels
 
 
 def _check_boundary_terms(levels: list[np.ndarray]) -> None:
@@ -468,9 +439,7 @@ def _check_boundary_terms(levels: list[np.ndarray]) -> None:
             )
 
 
-def radial_ft_ibp(
-    p: RadialProfile, radii, frac: FractionalIntegral | None = None
-) -> np.ndarray:
+def radial_ft_ibp(p: RadialProfile, radii) -> np.ndarray:
     """Radial transform after n-1 integrations by parts of the reduction:
 
     fhat(x) = 2 pi^{(n-1)/2} (-1)^{n-1} |x|^{1-n}
@@ -478,28 +447,20 @@ def radial_ft_ibp(
 
     The |x|^{1-n} prefactor is singular at the origin, so radii below
     0.1 are delegated to the direct reduction; dim = 1 degenerates to it
-    exactly (a zero-fold integration by parts).
+    exactly (a zero-fold integration by parts).  For dim >= 4 the
+    derivatives of I come from differencing, which is refused past its
+    noise budget.
     """
     radii = _check_radii(radii)
     if p.dim == 1:
         return radial_ft_leray(p, radii)
-    if frac is None:
-        frac = fractional_integral(p)
-    # the generic route differences I to order n - 1, and the boundary
-    # check to n - 2: refuse past the budget before differencing at all
-    order = p.dim - 1
-    if p.dim > 3 and frac.derivative_order_available < order:
-        raise ValueError(
-            f"I^{order} is not numerically trustworthy "
-            f"(budget {frac.derivative_order_available}); refine the profile"
-        )
-    levels = _derivative_levels(p, frac)
+    levels = _derivative_levels(p)
     _check_boundary_terms(levels)
     integrand = levels[-1]
     out = np.empty(radii.size)
     small = radii < 0.1
     if np.any(small):
-        out[small] = radial_ft_leray(p, radii[small], frac=frac)
+        out[small] = radial_ft_leray(p, radii[small])
     big = ~small
     if np.any(big):
         n = p.dim

@@ -340,14 +340,13 @@ def _radial_profile(p: Profile, values_fn, dim: int, r_end: float = 2.0) -> Radi
 def _checks_radial(p: Profile) -> list[VerificationReport]:
     out = []
     ball3 = _radial_profile(p, lambda s: (s <= 1.0).astype(float), 3)
-    frac3 = fractional_integral(ball3)
     radii = np.round(np.arange(0.1, 10.0 + 1e-9, 0.1), 10)
     exact = 4.0 * math.pi * (np.sin(radii) - radii * np.cos(radii)) / radii**3
     mask = np.abs(exact) >= 1e-3 * float(np.max(np.abs(exact)))
-    vals = radial_ft_leray(ball3, radii, frac=frac3)
+    vals = radial_ft_leray(ball3, radii)
     rel = float(np.max(np.abs(vals - exact)[mask] / np.abs(exact)[mask]))
     out.append(VerificationReport("radial-ball-closed-form", rel, p.ball_rel_bound, p.radial_n))
-    v0 = radial_ft_leray(ball3, [1e-6], frac=frac3)[0]
+    v0 = radial_ft_leray(ball3, [1e-6])[0]
     out.append(
         VerificationReport(
             "radial-ball-volume-limit",
@@ -379,11 +378,10 @@ def _checks_radial(p: Profile) -> list[VerificationReport]:
     radii = np.linspace(0.5, 10.0, 39)
     for dim in (2, 3):
         prof = _radial_profile(p, bump, dim)
-        frac = fractional_integral(prof)
         oracle = radial_ft_oracle(prof, radii)
         scale = float(np.max(np.abs(oracle)))
-        d_leray = float(np.max(np.abs(radial_ft_leray(prof, radii, frac=frac) - oracle))) / scale
-        d_ibp = float(np.max(np.abs(radial_ft_ibp(prof, radii, frac=frac) - oracle))) / scale
+        d_leray = float(np.max(np.abs(radial_ft_leray(prof, radii) - oracle))) / scale
+        d_ibp = float(np.max(np.abs(radial_ft_ibp(prof, radii) - oracle))) / scale
         out.append(
             VerificationReport(
                 f"radial-threeway-dim{dim}",

@@ -215,14 +215,13 @@ def ball_profile():
 
 
 def test_criterion_08_unit_ball_constants(ball_profile):
-    frac = fractional_integral(ball_profile)
     radii = np.round(np.arange(0.1, 10.0 + 1e-9, 0.1), 10)
     exact = 4.0 * math.pi * (np.sin(radii) - radii * np.cos(radii)) / radii**3
     mask = np.abs(exact) >= 1e-3 * float(np.max(np.abs(exact)))
-    got = radial_ft_leray(ball_profile, radii, frac=frac)
+    got = radial_ft_leray(ball_profile, radii)
     rel = float(np.max(np.abs(got - exact)[mask] / np.abs(exact)[mask]))
     ok = report("08a ball-transform-relative-error", rel, 1e-4)
-    v0 = radial_ft_leray(ball_profile, [1e-6], frac=frac)[0]
+    v0 = radial_ft_leray(ball_profile, [1e-6])[0]
     ok &= report("08b small-radius-vs-ball-volume", abs(v0 - 4 * math.pi / 3) / (4 * math.pi / 3), 1e-4)
     assert ok
 
@@ -235,11 +234,10 @@ def test_criterion_09_three_way_agreement():
         s = grid.points
         vals = np.where(np.abs(s - 1.0) <= 0.5, 0.5 * (1.0 + np.cos(np.pi * (s - 1.0) / 0.5)), 0.0)
         p = RadialProfile(SampledFunction(grid, vals, DecayClass.COMPACT_SUPPORT), dim)
-        frac = fractional_integral(p)
         oracle = radial_ft_oracle(p, radii)
         scale = float(np.max(np.abs(oracle)))
-        d1 = float(np.max(np.abs(radial_ft_leray(p, radii, frac=frac) - oracle))) / scale
-        d2 = float(np.max(np.abs(radial_ft_ibp(p, radii, frac=frac) - oracle))) / scale
+        d1 = float(np.max(np.abs(radial_ft_leray(p, radii) - oracle))) / scale
+        d2 = float(np.max(np.abs(radial_ft_ibp(p, radii) - oracle))) / scale
         ok &= report(f"09a leray-vs-oracle-dim{dim}", d1, 1e-3)
         ok &= report(f"09b ibp-vs-oracle-dim{dim}", d2, 1e-3)
     grid = make_uniform_grid(0.0, 2.0, 8193)

@@ -246,14 +246,30 @@ def test_radial_rejects_dimensions_past_the_float_range(tmp_path, capsys, args):
 
 
 def test_radial_refuses_past_the_differencing_budget_before_differencing(tmp_path, capsys):
-    # the refusal comes before any differencing, whose overflow warnings
-    # would otherwise precede the one error line
+    # the refusal comes before differencing past the budget, whose overflow
+    # warnings would otherwise precede the one error line
     args = ["radial", "--family", "box", "--dim", "343", "--radii", "1", "--out", str(tmp_path / "r.csv")]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(args) == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("error: I^342 is not numerically trustworthy") and err.count("\n") == 1
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_radial_refuses_before_a_differencing_pass_could_overflow(tmp_path, capsys):
+    # on this coarse bump the noise budget never trips: each pass scales the levels by
+    # about 1/h = 64 at a steady noise ratio, so they would overflow near pass 292 of 342
+    s = np.linspace(0.0, 2.0, 129)
+    f0 = np.where(np.abs(s - 1.0) <= 0.5, 0.5 * (1.0 + np.cos(np.pi * (s - 1.0) / 0.5)), 0.0)
+    src = tmp_path / "bump.csv"
+    src.write_text("s,f0\n" + "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(s, f0)))
+    args = ["radial", "--csv", str(src), "--dim", "343", "--radii", "1", "--out", str(tmp_path / "r.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: I^342 is not numerically trustworthy (budget ") and err.count("\n") == 1
     assert not (tmp_path / "r.csv").exists()
 
 

@@ -258,9 +258,11 @@ def test_periodic_conjugate_matches_its_direct_sum(wave, n):
     # folded midpoint rule of (1/2pi) int_0^2pi f(x - u) cot(u/2) du, indices mod N, with gbar
     # the trigonometric interpolant at the half offsets: the Dirichlet sum
     # (1/N) sum_l v_l sin((M + 1/2) t) / sin(t/2), t = 2 pi (k - l + 1/2) / N, M = ceil(N/2) - 1
-    # (an even N's Nyquist mode vanishes there).  The sum takes the route's own float nodes
-    # u_j: near u = 2 pi, cot(u/2) moves by about 4 pi eps / h of itself when u moves by one
-    # rounding, and the two folds would then differ by 1e-13 on unit noise at N = 4095
+    # (an even N's Nyquist mode vanishes there).  The sum takes the exact nodes h = 2 pi / N.
+    # The route's weights on u < pi are cot of float nodes x_j = u_j / 2, off by at most
+    # 3 eps x_j (h, the product and the rounded pi); with |cot'| = 1/sin^2 and x / sin x <= pi/2
+    # there, plus 2 eps |cot x| <= 2 eps / x from tan and the division, |dw_j| <= 10 eps / x_j.
+    # Each such weight enters c twice, and negated as the weight at u = 2 pi - u_j twice more
     grid = make_uniform_grid(-math.pi, math.pi, n)
     if wave == "triangle":
         f = sample(FamilySpec(Family.TRIANGLE_WAVE_PERIODIC), grid)
@@ -269,12 +271,12 @@ def test_periodic_conjugate_matches_its_direct_sum(wave, n):
         v[-1] = v[0]
         f = SampledFunction(grid, v, DecayClass.PERIODIC)
     N = n - 1
-    M, h = -(-N // 2) - 1, grid.width / N
-    half_u = 0.5 * np.longdouble(1) * ((np.arange(N) + 0.5) * h)
+    M, h = -(-N // 2) - 1, 2 * PI_LD / N
+    half_u = (np.arange(N) + 0.5) * (PI_LD / N)
     w = np.cos(half_u) / np.sin(half_u)
 
     def dirichlet(d):
-        t = (d + 0.5) * (2 * PI_LD / N)
+        t = (d + 0.5) * h
         return np.sin((M + 0.5) * t) / (N * np.sin(0.5 * t))
 
     def folded_weights(d):
@@ -286,7 +288,8 @@ def test_periodic_conjugate_matches_its_direct_sum(wave, n):
     assert got[-1] == got[0]
     k1 = float(np.sum(np.abs(folded_weights(np.arange(N)))))
     scale = max(float(np.max(np.abs(f.values))), float(np.max(np.abs(gbar))))
-    slack = fft_slack(N, k1, scale) + 2 * N * EPS_LD * k1 * scale
+    weights = float(h / (4 * PI_LD)) * 4 * float(np.sum(10 * EPS / half_u[: N // 2])) * scale
+    slack = fft_slack(N, k1, scale) + weights + 2 * N * EPS_LD * k1 * scale
     assert float(np.max(np.abs(got[:N] - want))) <= slack
 
 

@@ -9,7 +9,6 @@ from scipy.special import j1, jv
 
 from bvfourier import (
     DecayClass,
-    FractionalIntegral,
     RadialProfile,
     SampledFunction,
     fractional_integral,
@@ -21,7 +20,16 @@ from bvfourier import (
     read_radial_csv,
 )
 from bvfourier import radial
-from bvfourier.radial import _LEAF, _MAX_DIM, _cheb_points, _half_integer_jv, _integer_jv, _kink_sum_even
+from bvfourier.radial import (
+    _LEAF,
+    _MAX_DIM,
+    _check_boundary_terms,
+    _cheb_points,
+    _derivative_levels,
+    _half_integer_jv,
+    _integer_jv,
+    _kink_sum_even,
+)
 
 
 def profile(values_fn, dim, r_end=2.0, n=2049):
@@ -266,15 +274,10 @@ def test_ibp_small_radii_delegate_to_the_direct_route():
 
 
 def test_ibp_rejects_nonvanishing_boundary_terms():
-    p = bump(3)
-    frac = fractional_integral(p)
-    shifted = FractionalIntegral(
-        samples=frac.samples.with_values(frac.samples.values + 0.5),
-        dim=3,
-        derivative_order_available=frac.derivative_order_available,
-    )
+    levels = _derivative_levels(bump(3))
+    levels[0] = levels[0] + 0.5  # I no longer vanishes at R; its derivatives are unchanged
     with pytest.raises(ValueError, match="offending k=0"):
-        radial_ft_ibp(p, [1.0], frac=shifted)
+        _check_boundary_terms(levels)
 
 
 def test_oracle_gaussian_dim3_closed_form():
@@ -497,10 +500,31 @@ def test_radial_csv_errors(tmp_path):
         read_radial_csv(path, 2)
 
 
-def test_derivative_budget_reported():
-    frac = fractional_integral(bump(5, n=4097))
-    assert frac.dim == 5
-    assert 0 <= frac.derivative_order_available <= 4
+def test_ibp_refuses_past_the_differencing_budget():
+    # on this grid the 128 eps max|I| noise, amplified by 1/h per pass, stays below 1% of
+    # each of I' to I^(4) in dim 5, but not in dim 6, whose fifth pass is refused
+    radii = [1.0, 2.0]
+    assert np.all(np.isfinite(radial_ft_ibp(bump(5, n=4097), radii)))
+    with pytest.raises(ValueError, match=r"^I\^5 is not numerically trustworthy \(budget 4\); refine the profile$"):
+        radial_ft_ibp(bump(6, n=4097), radii)
+
+
+def test_only_the_ibp_route_differences_and_only_once(monkeypatch):
+    calls = []
+    gradient = np.gradient
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return gradient(*args, **kwargs)
+
+    monkeypatch.setattr(np, "gradient", spy)
+    radial_ft_leray(bump(6, n=4097), [1.0])
+    assert len(calls) == 0
+    p = bump(5, n=4097)
+    radial_ft_ibp(p, [0.05, 1.0])  # the small radius reads I through the direct route
+    assert len(calls) == 4
+    radial_ft_leray(p, [1.0])
+    assert len(calls) == 4
 
 
 def test_ibp_zero_profile():
@@ -537,7 +561,7 @@ def test_dilation_scales_every_route(dim, lam):
     # value (cos, or x^{1-n/2} J_{n/2-1}(x)); the two sides differ by the
     # sums' rounding (N eps), the kernel argument's (2 eps r R), and for
     # leray and ibp the roundoff of the I samples, at most 128 eps max|I|
-    # (see _differencing_order_budget), summed over [0, R].  Below, the
+    # (see _derivative_levels), summed over [0, R].  Below, the
     # absolute terms of the oracle sum at most to max|F| and those of the
     # leray sum to 2 pi^{(n-1)/2} R max|I| >= max|F|.  The ibp route takes
     # n - 1 derivatives, each at most dividing the roundoff by h, and
