@@ -1,20 +1,20 @@
-"""FFT sizing and linear convolution shared by the transform routes.
+"""FFT sizing shared by the transform routes.
 
 Every padded FFT in the package takes its length from :func:`fast_len`,
 the smallest 5-smooth integer 2^a 3^b 5^c at or above the requested
 size; pocketfft runs such lengths at full radix speed, whereas a large
 prime factor (65537, say) sets the cost of the whole transform (Frigo &
 Johnson, Proc. IEEE 93 (2005) 216).  A DFT of any other length runs as
-a chirp-z convolution, and the zoom DFT as one :func:`convolve`.  Each
-conjugation operator is one real circular convolution at a length where
-no kept output wraps.  Data-independent kernel spectra are cached.
+a chirp-z convolution.  The zoom DFT and each conjugation operator are
+one circular convolution at a length where no kept output wraps.
+Data-independent kernel spectra are cached.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["fast_len", "convolve"]
+__all__ = ["fast_len"]
 
 
 def fast_len(n: int) -> int:
@@ -33,9 +33,3 @@ def fast_len(n: int) -> int:
         p5 *= 5
     return best
 
-
-def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full complex linear convolution, out[i] = sum_j a[j] b[i - j], length len(a) + len(b) - 1."""
-    size = a.size + b.size - 1
-    L = fast_len(size)
-    return np.fft.ifft(np.fft.fft(a, L) * np.fft.fft(b, L))[:size]

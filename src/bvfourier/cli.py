@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .fourier import fourier_transform
 from .grids import (
     DecayClass,
     Family,
@@ -30,15 +29,11 @@ from .grids import (
     sample,
 )
 from .hilbert import hilbert_multiplier, hilbert_pv, modified_hilbert, periodic_conjugate
-from .radial import (
-    RadialProfile,
-    radial_ft_ibp,
-    radial_ft_leray,
-    radial_ft_oracle,
-    read_radial_csv,
-)
-from .reports import format_report_line
-from .suites import PROFILES, SUITE_NAMES, run_suite
+from .reports import PROFILES, SUITE_NAMES, format_report_line
+
+# Every command loads grids and hilbert (fourier imports hilbert); fourier,
+# radial and suites are imported inside the one command that runs them,
+# so a process loads only what its command needs.
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -112,6 +107,8 @@ def _load_input(args: argparse.Namespace) -> SampledFunction:
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
+    from .fourier import fourier_transform
+
     f = _load_input(args)
     result = fourier_transform(f, cutoff=args.cutoff, m=args.m)
     _write_table(args.out, "t,re,im", result.freqs, result.values.real, result.values.imag)
@@ -134,6 +131,8 @@ def _cmd_hilbert(args: argparse.Namespace) -> int:
 
 
 def _cmd_radial(args: argparse.Namespace) -> int:
+    from .radial import RadialProfile, radial_ft_ibp, radial_ft_leray, radial_ft_oracle, read_radial_csv
+
     radii = np.array([float(tok) for tok in args.radii.split(",") if tok.strip()])
     spec = _family_spec(args)
     if spec is None:
@@ -149,6 +148,8 @@ def _cmd_radial(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .suites import run_suite
+
     reports = run_suite(args.suite, args.profile)
     text = "".join(format_report_line(r) + "\n" for r in reports)
     out_path = Path(args.out)

@@ -5,10 +5,12 @@ The reference quadrature is the composite trapezoid evaluated at each
 frequency node.  Two exact FFT paths replace the direct sum: nodes on
 an L-fold sub-lattice k pi/(L (b - a)) with L <= 8 are bins of one
 zero-padded DFT of length 2 L (n - 1) (L = 1 holds the default Nyquist
-grid, L = 4 the Hardy probe's grid); else each arithmetic run of nodes
-takes one chirp-z (zoom DFT) call.  Every padded FFT has a 5-smooth length.
-Both match the direct sum to better than 1e-10 on the test corpus
-(asserted in the test suite).  Periodic coefficients are one FFT.
+grid, L = 4 the Hardy probe's grid); else each arithmetic run of m nodes
+takes one chirp-z (zoom DFT) call, a circular convolution at the length
+n + m - 1 where none of its m outputs wraps.  Every padded FFT has a
+5-smooth length.  Both match the direct sum to better than 1e-10 on the
+test corpus (asserted in the test suite).  Periodic coefficients are
+one FFT.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fft import convolve, fast_len
+from ._fft import fast_len
 from .grids import DecayClass, Grid, SampledFunction, derivative, integrate, trapezoid_weights
 from .hilbert import hilbert_multiplier, periodic_conjugate
 
@@ -90,7 +92,10 @@ def _zoom_dft(coeffs: np.ndarray, x0: float, h: float, t0: float, dt: float, m: 
     # -j'k' = ((j'-k')^2 - j'^2 - k'^2)/2 and j'-k' = (j-k) + (kc-jc)
     p = np.arange(-(m - 1), n)
     w = _expi(-0.5 * theta * (p + (kc - jc)) ** 2)
-    core = convolve(a, w[::-1])[n - 1 : n - 1 + m]
+    # outputs n - 1 .. n + m - 2 of the linear convolution of a with w
+    # reversed; at the circular length n + m - 1 none of them wraps
+    L = fast_len(n + m - 1)
+    core = np.fft.ifft(np.fft.fft(a, L) * np.fft.fft(w[::-1], L))[n - 1 : n - 1 + m]
     return _expi(kk * dt * xc) * _expi(0.5 * theta * kk * kk) * core
 
 
@@ -100,12 +105,14 @@ def _chirp(m: np.ndarray, N: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
-def _chirp_plan(n: int, N: int, lo: int, span: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only input chirp and kernel spectrum for the length-N DFT bins lo .. lo + span - 1 of n points."""
+def _chirp_plan(n: int, N: int, lo: int, span: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only input chirp, kernel spectrum and output chirp of the length-N DFT
+    bins lo .. lo + span - 1 of n points."""
     pre = _chirp(np.arange(n), N)
     kernel = np.fft.fft(np.conj(_chirp(np.arange(lo + 1 - n, lo + span), N)), fast_len(n + span - 1))
-    pre.flags.writeable = kernel.flags.writeable = False
-    return pre, kernel
+    post = _chirp(np.arange(lo, lo + span), N)
+    pre.flags.writeable = kernel.flags.writeable = post.flags.writeable = False
+    return pre, kernel, post
 
 
 def _lattice_dft(coeffs: np.ndarray, x0: float, t: np.ndarray, k: np.ndarray, fold: int) -> np.ndarray:
@@ -127,9 +134,9 @@ def _lattice_dft(coeffs: np.ndarray, x0: float, t: np.ndarray, k: np.ndarray, fo
         bins = (np.fft.rfft(coeffs, N) if real else np.fft.fft(coeffs, N))[k]
     else:
         lo, span = int(k.min()), int(np.ptp(k)) + 1
-        pre, kernel = _chirp_plan(n, N, lo, span)
+        pre, kernel, post = _chirp_plan(n, N, lo, span)
         core = np.fft.ifft(np.fft.fft(coeffs * pre, kernel.size) * kernel)[n - 1 : n - 1 + span]
-        bins = _chirp(np.arange(lo, lo + span), N) * core
+        bins = post * core
         if real:  # bins 0 and N/2 are their own mirrors, hence real
             bins.imag[[b - lo for b in (0, N // 2) if lo <= b < lo + span]] = 0.0
         bins = bins[k - lo]
@@ -184,11 +191,12 @@ def transform_values(f: SampledFunction, t: np.ndarray) -> np.ndarray:
         # linspace spacing jitters by ~eps * max|t|; nodes that close to an
         # exact arithmetic progression or lattice are indistinguishable here
         jitter = 64.0 * np.finfo(float).eps * max(abs(float(t[0])), abs(float(t[-1])), 1.0)
+        # a fold must hold at every node, so four probe nodes rule most folds out cheaply
+        probe = t[[0, 1, t.size // 2, -1]]
         for fold in range(1, _MAX_FOLD + 1):
             lattice = math.pi / (fold * f.grid.width)
-            k = np.rint(t / lattice)
-            if np.all(np.abs(t - k * lattice) <= jitter):
-                return _lattice_dft(wf, f.grid.a, t, k.astype(np.int64), fold)
+            if all(np.all(np.abs(nodes - np.rint(nodes / lattice) * lattice) <= jitter) for nodes in (probe, t)):
+                return _lattice_dft(wf, f.grid.a, t, np.rint(t / lattice).astype(np.int64), fold)
         for i, j in _arithmetic_runs(t, jitter):
             out[i : j + 1] = _zoom_dft(wf, f.grid.a, f.h, float(t[i]), float(t[j] - t[i]) / (j - i), j - i + 1)
             direct[i : j + 1] = False

@@ -2,18 +2,17 @@
 
 The library checks return numbers; only this module names report lines
 and holds their bounds, each written at its one check.  A profile
-bundles the grid sizes and the few bounds that depend on them, so a
-full campaign is a single invocation.  Suites may be dispatched in
-parallel (the ``BVF_THREADS`` environment variable caps the worker
-count) but the report order is fixed regardless of execution order.
+(:class:`~bvfourier.reports.Profile`, re-exported here) bundles the
+grid sizes and the few bounds that depend on them, so a full campaign
+is a single invocation.  Suites may be dispatched in parallel (the
+``BVF_THREADS`` environment variable caps the worker count) but the
+report order is fixed regardless of execution order.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +47,7 @@ from .radial import (
     radial_ft_leray,
     radial_ft_oracle,
 )
-from .reports import VerificationReport
+from .reports import PROFILES, SUITE_NAMES, Profile, VerificationReport
 from .verification import (
     PLATEAU_GROWTH_TOL,
     conjugate_derivative_defect,
@@ -57,52 +56,6 @@ from .verification import (
 )
 
 __all__ = ["Profile", "PROFILES", "SUITE_NAMES", "run_suite"]
-
-
-@dataclass(frozen=True)
-class Profile:
-    """Grid sizes, and the bounds that follow the grid, for one verification campaign."""
-
-    name: str
-    line_n: int = 2**14
-    periodic_n: int = 2**12
-    kmax_pair: tuple[int, int] = (256, 512)
-    radial_n: int = 8193
-    l1_dt: float = 0.02
-    cutoffs: tuple[float, ...] = (25.0, 50.0, 100.0, 200.0)
-    # bounds
-    pv_pair_bound: float = 1e-3
-    cross_bound: float = 1e-3
-    slope_bound: float = 0.05
-    ball_rel_bound: float = 1e-4
-    leray_condition_bound: float = 2e-4
-
-
-PROFILES: dict[str, Profile] = {
-    "default": Profile(name="default"),
-    "fast": Profile(
-        name="fast",
-        line_n=2**12,
-        periodic_n=2**10,
-        kmax_pair=(128, 256),
-        radial_n=1025,
-        l1_dt=0.05,
-        # the coarse grid's Nyquist is ~129, so the transform-mass cutoffs
-        # stay below it; coarse-h quadrature bias loosens two radial bounds
-        cutoffs=(12.5, 25.0, 50.0, 100.0),
-        slope_bound=0.1,
-        ball_rel_bound=1e-3,
-        leray_condition_bound=2e-3,
-    ),
-    "strict": Profile(
-        name="strict",
-        line_n=2**15,
-        pv_pair_bound=5e-4,
-        cross_bound=2.5e-4,
-    ),
-}
-
-SUITE_NAMES = ("hilbert", "lemma-dc", "hardy", "hardy-littlewood", "periodic", "radial")
 
 
 def _line_function(p: Profile, family: Family, n: int | None = None, **params) -> SampledFunction:
@@ -441,6 +394,8 @@ def run_suite(suite: str, profile: Profile | str = "default") -> list[Verificati
         raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITE_NAMES}")
     workers = int(os.environ.get("BVF_THREADS", "1") or "1")
     if workers > 1 and len(names) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # loaded only for a pool
+
         with ThreadPoolExecutor(max_workers=min(workers, len(names))) as pool:
             grouped = list(pool.map(lambda s: _SUITE_FUNCS[s](profile), names))
     else:

@@ -67,6 +67,16 @@ def classify_l1_growth(cutoffs: np.ndarray, values: np.ndarray) -> GrowthFit:
     return GrowthFit(label, float(slope), float(intercept), r2, float(final_growth))
 
 
+def _median(values: np.ndarray) -> float:
+    """np.median of finite values, from np.partition of the middle element(s).
+
+    The same float, without np.median's NaN check, which imports numpy.ma.
+    """
+    lo, hi = (values.size - 1) // 2, values.size // 2
+    mid = np.partition(values, (lo, hi))
+    return float(mid[hi] if lo == hi else (mid[lo] + mid[hi]) / 2)
+
+
 def _jump_exclusion_mask(fprime: SampledFunction) -> np.ndarray:
     """Interior points farther than 5h from any detected jump of f'.
 
@@ -80,7 +90,7 @@ def _jump_exclusion_mask(fprime: SampledFunction) -> np.ndarray:
     mask[lo:hi] = True  # middle 80%
     steps = np.abs(np.diff(fprime.values))
     scale = float(np.max(np.abs(fprime.values))) if n else 0.0
-    threshold = 10.0 * float(np.median(steps)) + 1e-12 * scale
+    threshold = 10.0 * _median(steps) + 1e-12 * scale
     jumps = np.flatnonzero(steps > threshold)
     for j in jumps:
         mask[max(0, j - 5) : min(n, j + 7)] = False

@@ -29,3 +29,25 @@ def test_benchmark_tracer_names_still_resolve(monkeypatch):
     assert set(methods.values()) <= traced
     registry = importlib.import_module("bvfourier.suites")._SUITE_FUNCS
     assert set(tracer.SUITES) <= set(registry)
+
+
+def test_traced_transform_records_the_lazily_imported_command(monkeypatch, tmp_path):
+    # run.py --trace 1 installs the tracer before cli.main runs; the transform
+    # command imports fourier_transform only then, and must get the wrapped one
+    tracer = load_tracer(monkeypatch)
+    modules = [importlib.import_module(f"bvfourier.{name}") for name in (*tracer.LAYERS, "suites")]
+    # every binding install() rewrites is restored when the test ends
+    for module in [sys.modules["bvfourier"], *modules]:
+        for attr, value in list(vars(module).items()):
+            monkeypatch.setattr(module, attr, value)
+    for registry in (sys.modules["bvfourier.cli"]._HILBERT_METHODS, sys.modules["bvfourier.suites"]._SUITE_FUNCS):
+        for key, value in list(registry.items()):
+            monkeypatch.setitem(registry, key, value)
+    recorder = tracer.Tracer()
+    tracer.install(recorder)
+    cli = sys.modules["bvfourier.cli"]
+    out = tmp_path / "t.csv"
+    assert cli.main(["transform", "--family", "gaussian", "--n", "1025", "--out", str(out)]) == 0
+    assert out.is_file()
+    names = {span["name"] for span in recorder.spans}
+    assert {"cli.main", "fourier.fourier_transform"} <= names

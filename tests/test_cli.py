@@ -191,12 +191,13 @@ def test_transform_csv_row_with_extra_field_exits_data(tmp_path, capsys):
 
 
 def test_memory_error_maps_to_data_exit_code(tmp_path, monkeypatch, capsys):
-    import bvfourier.cli as cli
+    import bvfourier.fourier as fourier
 
     def out_of_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 2.37 GiB for an array with shape (318309887,)")
 
-    monkeypatch.setattr(cli, "fourier_transform", out_of_memory)
+    # the transform command imports fourier_transform when it runs
+    monkeypatch.setattr(fourier, "fourier_transform", out_of_memory)
     rc = main(["transform", "--family", "box", "--width", "2", "--n", "65", "--out", str(tmp_path / "t.csv")])
     assert rc == EXIT_DATA
     err = capsys.readouterr().err

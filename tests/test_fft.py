@@ -7,7 +7,7 @@ import pytest
 
 import bvfourier
 from bvfourier import fourier, hilbert
-from bvfourier._fft import convolve, fast_len
+from bvfourier._fft import fast_len
 from bvfourier.suites import run_suite
 
 
@@ -24,14 +24,6 @@ def test_fast_len_is_the_next_five_smooth_length():
         got = fast_len(n)
         assert five_smooth(got) and got >= n
         assert got == next(k for k in smooth if k >= n)
-
-
-def test_convolve_matches_numpy():
-    rng = np.random.default_rng(7)
-    a, b = rng.standard_normal(37), rng.standard_normal(101)
-    assert np.max(np.abs(convolve(a, b) - np.convolve(a, b))) <= 1e-12
-    za = a + 1j * rng.standard_normal(37)
-    assert np.max(np.abs(convolve(za, b) - np.convolve(za, b))) <= 1e-12
 
 
 def test_cli_import_leaves_scipy_unloaded():

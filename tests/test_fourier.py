@@ -216,6 +216,27 @@ def test_non_smooth_lattice_takes_a_smooth_chirp_z(fold, complex_values, dft_pat
         assert np.array_equal(got[::-1], np.conj(got))
 
 
+def test_repeated_chirp_z_geometry_builds_no_chirp(monkeypatch):
+    # n = 2^10 on the Hardy probe's 4-fold lattice: N = 8 * 1023 = 8 * 3 * 11 * 31
+    import bvfourier.fourier as fourier
+
+    g = derivative(line_function(Family.TRIANGLE, n=2**10))
+    t = np.linspace(math.pi / g.grid.width, math.pi / g.h, 4 * (g.n - 2) + 1)
+    fourier._chirp_plan.cache_clear()
+    calls, chirp = [], fourier._chirp
+
+    def chirp_spy(m, N):
+        calls.append(m.size)
+        return chirp(m, N)
+
+    monkeypatch.setattr(fourier, "_chirp", chirp_spy)
+    first = transform_values(g, t)
+    assert len(calls) == 3  # the cold plan: input, kernel and output chirps
+    calls.clear()
+    assert np.array_equal(transform_values(g, t), first)
+    assert calls == []
+
+
 def test_hardy_nodes_take_the_four_fold_sub_lattice(dft_paths):
     g = derivative(line_function(Family.TRIANGLE, n=2**8))
     hardy_check(g)
@@ -231,6 +252,18 @@ def test_nine_fold_grid_falls_back_to_zoom(dft_paths):
     got = transform_values(f, t)
     assert dft_paths == {"folds": [], "zoom": 1}
     assert np.max(np.abs(got - direct_transform(f, t))) <= 1e-10
+
+
+def test_zoom_dft_pads_only_to_its_circular_length(dft_paths, padded_fft_lengths):
+    # the m kept outputs of an n-point zoom DFT need a circular length of
+    # n + m - 1, not the full linear convolution's 2n + m - 2
+    f = line_function(Family.POISSON_KERNEL, n=2**12)
+    t = np.linspace(-40.0, 40.0, 4097)
+    got = transform_values(f, t)
+    assert dft_paths == {"folds": [], "zoom": 1}
+    assert padded_fft_lengths and max(padded_fft_lengths) == fast_len(f.n + t.size - 1)
+    idx = np.arange(0, t.size, 64)
+    assert np.max(np.abs(got[idx] - direct_transform(f, t[idx]))) <= 1e-10
 
 
 def test_long_zoom_run_does_not_drift_from_its_nodes(dft_paths):

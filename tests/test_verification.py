@@ -19,7 +19,7 @@ from bvfourier import (
     sample,
     total_variation,
 )
-from bvfourier.verification import PLATEAU_GROWTH_TOL, _jump_exclusion_mask
+from bvfourier.verification import PLATEAU_GROWTH_TOL, _jump_exclusion_mask, _median
 
 
 def line_function(family, n=2**13, **params):
@@ -87,6 +87,16 @@ def test_commutation_defect_excludes_jump_zones():
     # the mask drops steps j-5..j+6 around a flagged step j, and the flagged
     # steps straddle the box's jumps at x = +-1, so nothing else is dropped
     assert np.all(np.abs(np.abs(fp.x[excluded]) - 1.0) <= 7.0 * fp.h)
+
+
+def test_partition_median_is_numpy_median_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for size in range(1, 64):
+        values = np.abs(rng.standard_normal(size)) * 10.0 ** rng.integers(-12, 12, size)
+        for data in (values, np.round(values, 1)):  # distinct values, then ties
+            assert _median(data) == np.median(data)
+    big = np.array([1.0, np.finfo(float).max, np.finfo(float).max])  # an odd count takes no sum
+    assert _median(big) == np.median(big)
 
 
 def test_ibp_zero_function():
