@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import os
 import sys
@@ -202,6 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # in a bvf process what is alive here (numpy's and the package's modules)
+    # lives until exit, so the collector need not traverse it again, above all
+    # at shutdown
+    gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -327,6 +327,14 @@ def _check_radii(radii) -> np.ndarray:
     return radii
 
 
+def _require_finite(route: str, radii: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """values, or a ValueError naming the route and the first radius whose value is not finite."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise ValueError(f"{route}: the value at r = {radii[bad][0]:g} is not finite in float64")
+    return values
+
+
 def radial_ft_leray(p: RadialProfile, radii) -> np.ndarray:
     """Radial transform by the reduction formula 2 pi^{(n-1)/2} int I cos(rt) dt.
 
@@ -411,7 +419,10 @@ def _derivative_levels(p: RadialProfile) -> list[np.ndarray]:
             noise /= h
             scale = float(np.max(np.abs(cur[pad:])))
         if scale == 0.0 or noise > 0.01 * scale:
-            raise ValueError(f"I^{order} is not numerically trustworthy (budget {k}); refine the profile")
+            raise ValueError(
+                f"I^{order} is not numerically trustworthy (budget {k}); each differencing pass "
+                "amplifies rounding by 1/h, so a finer grid lowers the budget"
+            )
         levels.append(cur[pad:])
     return levels
 
@@ -449,7 +460,8 @@ def radial_ft_ibp(p: RadialProfile, radii) -> np.ndarray:
     0.1 are delegated to the direct reduction; dim = 1 degenerates to it
     exactly (a zero-fold integration by parts).  For dim >= 4 the
     derivatives of I come from differencing, which is refused past its
-    noise budget.
+    noise budget; a value that would not be finite in float64 is
+    refused too.
     """
     radii = _check_radii(radii)
     if p.dim == 1:
@@ -467,7 +479,9 @@ def radial_ft_ibp(p: RadialProfile, radii) -> np.ndarray:
         pref = 2.0 * math.pi ** ((n - 1) / 2.0) * (-1.0) ** (n - 1)
         phase = math.pi * (n - 1) / 2.0
         cos_part = _cosine_transform(p.f0.grid, integrand, radii[big], phase=phase)
-        out[big] = pref * radii[big] ** (1 - n) * cos_part
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = pref * radii[big] ** (1 - n) * cos_part
+        out[big] = _require_finite("radial_ft_ibp", radii[big], vals)
     return out
 
 
@@ -589,7 +603,8 @@ def radial_ft_oracle(p: RadialProfile, radii) -> np.ndarray:
     quadratured directly on the profile grid, in radius blocks.  Odd
     dimensions have half-integer orders and elementary Bessel functions,
     even ones integer orders (:func:`_integer_jv`).  Shares nothing with
-    the reduction routes beyond the profile samples.
+    the reduction routes beyond the profile samples.  A value that would
+    not be finite in float64 is refused.
     """
     radii = _check_radii(radii)
     n = p.dim
@@ -610,7 +625,9 @@ def radial_ft_oracle(p: RadialProfile, radii) -> np.ndarray:
         out[i : i + rows] = bessel(np.outer(radii[i : i + rows], s)) @ wf
     if n == 1:
         out += w[0] * np.sqrt(2.0 / (math.pi * radii))
-    return (2.0 * math.pi) ** (n / 2.0) * radii ** (1.0 - n / 2.0) * out
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (2.0 * math.pi) ** (n / 2.0) * radii ** (1.0 - n / 2.0) * out
+    return _require_finite("radial_ft_oracle", radii, out)
 
 
 def read_radial_csv(path: str | Path, dim: int) -> RadialProfile:

@@ -14,7 +14,7 @@ __all__ = ["Profile", "PROFILES", "SUITE_NAMES", "VerificationReport", "format_r
 
 @dataclass(frozen=True)
 class Profile:
-    """Grid sizes, and the bounds that follow the grid, for one verification campaign."""
+    """Grid sizes for one verification campaign; every bound follows from them."""
 
     name: str
     line_n: int = 2**14
@@ -23,12 +23,6 @@ class Profile:
     radial_n: int = 8193
     l1_dt: float = 0.02
     cutoffs: tuple[float, ...] = (25.0, 50.0, 100.0, 200.0)
-    # bounds
-    pv_pair_bound: float = 1e-3
-    cross_bound: float = 1e-3
-    slope_bound: float = 0.05
-    ball_rel_bound: float = 1e-4
-    leray_condition_bound: float = 2e-4
 
 
 PROFILES: dict[str, Profile] = {
@@ -40,19 +34,10 @@ PROFILES: dict[str, Profile] = {
         kmax_pair=(128, 256),
         radial_n=1025,
         l1_dt=0.05,
-        # the coarse grid's Nyquist is ~129, so the transform-mass cutoffs
-        # stay below it; coarse-h quadrature bias loosens two radial bounds
+        # the coarse grid's Nyquist is ~129, so the transform-mass cutoffs stay below it
         cutoffs=(12.5, 25.0, 50.0, 100.0),
-        slope_bound=0.1,
-        ball_rel_bound=1e-3,
-        leray_condition_bound=2e-3,
     ),
-    "strict": Profile(
-        name="strict",
-        line_n=2**15,
-        pv_pair_bound=5e-4,
-        cross_bound=2.5e-4,
-    ),
+    "strict": Profile(name="strict", line_n=2**15),
 }
 
 SUITE_NAMES = ("hilbert", "lemma-dc", "hardy", "hardy-littlewood", "periodic", "radial")

@@ -2,9 +2,10 @@
 
 The library checks return numbers; only this module names report lines
 and holds their bounds, each written at its one check.  A profile
-(:class:`~bvfourier.reports.Profile`, re-exported here) bundles the
-grid sizes and the few bounds that depend on them, so a full campaign
-is a single invocation.  Suites may be dispatched in parallel (the
+(:class:`~bvfourier.reports.Profile`, re-exported here) holds grid sizes
+only: a bound that depends on the grid is the check's leading error
+term in the step h, derived next to it, so a full campaign is a single
+invocation.  Suites may be dispatched in parallel (the
 ``BVF_THREADS`` environment variable caps the worker count) but the
 report order is fixed regardless of execution order.
 """
@@ -68,19 +69,37 @@ def _interior(values: np.ndarray) -> np.ndarray:
     return values[n // 10 : (9 * n) // 10]
 
 
+# A bound derived from the grid is its check's leading error term times this
+# margin: on every profile's grid the next order stays below half that term.
+_LEAD_MARGIN = 1.5
+
+
 def _checks_hilbert(p: Profile) -> list[VerificationReport]:
     out = []
     poisson = _line_function(p, Family.POISSON_KERNEL, a=1.0)
     conj = _line_function(p, Family.CONJUGATE_POISSON, a=1.0)
     err_pv = float(np.max(np.abs(_interior(hilbert_pv(poisson).values - conj.values))))
-    out.append(VerificationReport("hilbert-pv-poisson-pair", err_pv, p.pv_pair_bound, p.line_n))
+    # The window drops P = 1/(pi (1 + t^2)) beyond |t| = R, which moves HP at x by
+    # (1/pi) int_{|t|>R} P(t)/(x - t) dt, the tail below by partial fractions.
+    # The midpoint rule adds (h^2/8) (HP)'' (the cross-gaussian line reads that
+    # term alone), and |(HP)''| = |2x(x^2 - 3)| / (pi (1 + x^2)^3) peaks at sqrt 2 - 1.
+    x, R, h = _interior(poisson.x), poisson.x[-1], poisson.h
+    tail = np.abs(np.log((R - x) / (R + x)) + 2.0 * x * math.atan(1.0 / R)) / (math.pi**2 * (1.0 + x * x))
+    x0 = math.sqrt(2.0) - 1.0
+    sup_q2 = 2.0 * x0 * (3.0 - x0 * x0) / (math.pi * (1.0 + x0 * x0) ** 3)
+    bound = float(np.max(tail)) + _LEAD_MARGIN * h * h / 8.0 * sup_q2
+    out.append(VerificationReport("hilbert-pv-poisson-pair", err_pv, bound, p.line_n))
     err_mult = float(np.max(np.abs(_interior(hilbert_multiplier(poisson).values - conj.values))))
     out.append(VerificationReport("hilbert-multiplier-poisson-pair", err_mult, 1e-6, p.line_n))
+    # the multiplier is exact to roundoff on the Gaussian and the midpoint pv rule
+    # errs by (h^2/8) (Hg)'', where Hg = (2/sqrt pi) D(x/sqrt 2), D Dawson's
+    # function, and sup |(Hg)''| = 0.8270734 (at |x| = 0.8424)
     cross = []
     for n in (p.line_n, 2 * p.line_n):
         g = _line_function(p, Family.GAUSSIAN, n=n)
         cross.append(float(np.max(np.abs(hilbert_pv(g).values - hilbert_multiplier(g).values))))
-    out.append(VerificationReport("hilbert-cross-gaussian", cross[0], p.cross_bound, p.line_n))
+    bound = _LEAD_MARGIN * h * h / 8.0 * 0.8270734
+    out.append(VerificationReport("hilbert-cross-gaussian", cross[0], bound, p.line_n))
     out.append(
         VerificationReport(
             "hilbert-cross-refinement",
@@ -199,6 +218,12 @@ def _checks_hardy_littlewood(p: Profile) -> list[VerificationReport]:
         fit[fam], _, tv_n[fam] = hardy_littlewood_verdict(_line_function(p, fam), p.cutoffs, dt=p.l1_dt)
         tv_2n[fam] = total_variation(modified_hilbert(_line_function(p, fam, n=2 * p.line_n)))
     box, tri = Family.BOX, Family.TRIANGLE
+    # The sampled box's transform is 2 sin(t)/t times (th/2)/sin(th/2) ~ 1 + (th)^2/24,
+    # so its mass up to T exceeds (4/pi) ln T by (4/pi)(Th)^2/48, and the fitted
+    # slope exceeds 4/pi by the fit of that excess against ln T.
+    h = 100.0 / (p.line_n - 1)  # the step of the [-50, 50] window
+    cutoffs = np.asarray(p.cutoffs)
+    slope_bound = _LEAD_MARGIN * float(np.polyfit(np.log(cutoffs), (cutoffs * h) ** 2 / 48.0, 1)[0])
     return [
         VerificationReport(
             "hardy-littlewood-triangle-plateau",
@@ -210,7 +235,7 @@ def _checks_hardy_littlewood(p: Profile) -> list[VerificationReport]:
         VerificationReport(
             "hardy-littlewood-box-log-slope",
             abs(fit[box].slope * math.pi / 4.0 - 1.0),
-            p.slope_bound,
+            slope_bound,
             p.line_n,
             notes=f"classification={fit[box].label} slope={fit[box].slope:.6g}",
         ),
@@ -298,7 +323,13 @@ def _checks_radial(p: Profile) -> list[VerificationReport]:
     mask = np.abs(exact) >= 1e-3 * float(np.max(np.abs(exact)))
     vals = radial_ft_leray(ball3, radii)
     rel = float(np.max(np.abs(vals - exact)[mask] / np.abs(exact)[mask]))
-    out.append(VerificationReport("radial-ball-closed-form", rel, p.ball_rel_bound, p.radial_n))
+    # Leray's I is the ball's exact closed form, so the route is the trapezoid on
+    # fhat(r) = 2 pi int_0^1 (1 - t^2) cos(rt) dt; it misses the kink at the node
+    # t = 1 (radial_n is odd) by (h^2/12) g'(1-) = -(h^2/6) cos r, times 2 pi.
+    h = ball3.f0.h
+    lead = math.pi * h * h / 3.0 * np.abs(np.cos(radii)) / np.abs(exact)
+    bound = _LEAD_MARGIN * float(np.max(lead[mask]))
+    out.append(VerificationReport("radial-ball-closed-form", rel, bound, p.radial_n))
     v0 = radial_ft_leray(ball3, [1e-6])[0]
     out.append(
         VerificationReport(
@@ -329,6 +360,24 @@ def _checks_radial(p: Profile) -> list[VerificationReport]:
         return vals
 
     radii = np.linspace(0.5, 10.0, 39)
+    # The oracle's own error is far below h^2 on the bump, and leray's (f0 read as
+    # linear) below half of ibp's, whose leading term sets each bound below.
+    # ibp's f0' is off by the sawtooth f0''(s) (h/2 - u), u the offset in a cell.
+    # Dim 2: I' = (2/sqrt pi) t int_t f0'(s) (s^2 - t^2)^(-1/2) ds meets the
+    # sawtooth at its singular end and is off by (2/sqrt pi) sqrt(t/2) f0''(t) C h^1.5,
+    # C = int_0^inf (1/2 - {u}) u^(-1/2) du = -2 zeta(-1/2) = 0.4157725; then
+    # fhat = -(2 sqrt pi / r) int I' sin(rt) dt.  Dim 3: I'' = -2 f0 - 2t f0' with
+    # central differences, whose O(h) steps at the bump's ends cancel the
+    # trapezoid's kink terms, leaving (h^2/3) int f0'' d(s cos rs)/ds ds times 2 pi / r^2.
+    grid = make_uniform_grid(0.0, 2.0, p.radial_n)
+    h, s = grid.h, grid.points[np.abs(grid.points - 1.0) <= 0.5]
+    w = -2.0 * math.pi**2 * np.cos(2.0 * math.pi * (s - 1.0)) * h  # f0'' ds on the support
+    rs = np.outer(radii, s)
+    sin_rs = np.sin(rs)
+    lead = {
+        2: 2.0 * math.sqrt(2.0) * 0.4157725 * h**1.5 * np.abs(sin_rs @ (np.sqrt(s) * w)) / radii,
+        3: 2.0 * math.pi * h * h / 3.0 * np.abs((np.cos(rs) - rs * sin_rs) @ w) / radii**2,
+    }
     for dim in (2, 3):
         prof = _radial_profile(p, bump, dim)
         oracle = radial_ft_oracle(prof, radii)
@@ -339,7 +388,7 @@ def _checks_radial(p: Profile) -> list[VerificationReport]:
             VerificationReport(
                 f"radial-threeway-dim{dim}",
                 max(d_leray, d_ibp),
-                1e-3,
+                _LEAD_MARGIN * float(np.max(lead[dim])) / scale,
                 p.radial_n,
                 notes=f"leray={d_leray:.6g} ibp={d_ibp:.6g}",
             )
@@ -357,7 +406,10 @@ def _checks_radial(p: Profile) -> list[VerificationReport]:
         VerificationReport(
             "radial-leray-condition-ball",
             abs(leray_condition(ball3) - (math.log(2.0) - 0.5)),
-            p.leray_condition_bound,
+            # the trapezoid on g(s) = s^2/(1 + s) gives the jump node s = 1 full
+            # weight h, an exact excess (h/2) g(1) = h/4, and Euler-Maclaurin adds
+            # (h^2/12) (g'(1) - g'(0)) = h^2/16
+            ball3.f0.h / 4.0 + _LEAD_MARGIN * ball3.f0.h**2 / 16.0,
             p.radial_n,
         )
     )

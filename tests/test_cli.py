@@ -274,6 +274,19 @@ def test_radial_refuses_before_a_differencing_pass_could_overflow(tmp_path, caps
     assert not (tmp_path / "r.csv").exists()
 
 
+def test_radial_refuses_a_value_past_the_float_range(tmp_path, capsys):
+    # the grid-aligned unit ball at dim 343: leray gives 1.12e-225, but ibp's
+    # pi^((n-1)/2) r^(1-n) prefactor overflows at r = 0.5 and 1, and the oracle's
+    # r^(1-n/2) at r = 0.05; RuntimeWarnings are errors under the test settings
+    s = np.linspace(0.0, 2.0, 129)
+    src = tmp_path / "ball.csv"
+    src.write_text("s,f0\n" + "".join(f"{float(a)!r},{float(a <= 1.0)!r}\n" for a in s))
+    out = tmp_path / "r.csv"
+    assert main(["radial", "--csv", str(src), "--dim", "343", "--radii", "0.05,0.5,1", "--out", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err == "error: radial_ft_ibp: the value at r = 0.5 is not finite in float64\n"
+    assert not out.exists()
+
+
 def test_hilbert_from_csv_round_trip(tmp_path):
     src = tmp_path / "g.csv"
     x = np.linspace(-20.0, 20.0, 2049)

@@ -505,8 +505,19 @@ def test_ibp_refuses_past_the_differencing_budget():
     # each of I' to I^(4) in dim 5, but not in dim 6, whose fifth pass is refused
     radii = [1.0, 2.0]
     assert np.all(np.isfinite(radial_ft_ibp(bump(5, n=4097), radii)))
-    with pytest.raises(ValueError, match=r"^I\^5 is not numerically trustworthy \(budget 4\); refine the profile$"):
+    with pytest.raises(
+        ValueError,
+        match=r"^I\^5 is not numerically trustworthy \(budget 4\); each differencing pass "
+        r"amplifies rounding by 1/h, so a finer grid lowers the budget$",
+    ):
         radial_ft_ibp(bump(6, n=4097), radii)
+
+
+def test_oracle_refuses_a_value_past_the_float_range():
+    # at dim 343 the r^(1 - n/2) prefactor overflows at r = 0.05 while the Bessel sum
+    # underflows to 0; their product would be nan
+    with pytest.raises(ValueError, match=r"^radial_ft_oracle: the value at r = 0\.05 is not finite in float64$"):
+        radial_ft_oracle(ball(343, n=129), [0.5, 0.05, 1.0])
 
 
 def test_only_the_ibp_route_differences_and_only_once(monkeypatch):
