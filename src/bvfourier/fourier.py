@@ -5,12 +5,12 @@ The reference quadrature is the composite trapezoid evaluated at each
 frequency node.  Two exact FFT paths replace the direct sum: nodes on
 an L-fold sub-lattice k pi/(L (b - a)) with L <= 8 are bins of one
 zero-padded DFT of length 2 L (n - 1) (L = 1 holds the default Nyquist
-grid, L = 4 the Hardy probe's grid); else each arithmetic run of m nodes
-takes one chirp-z (zoom DFT) call, a circular convolution at the length
-n + m - 1 where none of its m outputs wraps.  Every padded FFT has a
-5-smooth length.  Both match the direct sum to better than 1e-10 on the
-test corpus (asserted in the test suite).  Periodic coefficients are
-one FFT.
+grid, L = 4 the Hardy probe's grid); else m >= 3 nodes in one arithmetic
+progression take one chirp-z (zoom DFT) call, a circular convolution at
+the length n + m - 1 where none of its m outputs wraps; any other nodes
+take the direct sum.  Every padded FFT has a 5-smooth length.  Both
+match the direct sum to better than 1e-10 on the test corpus (asserted
+in the test suite).  Periodic coefficients are one FFT.
 """
 
 from __future__ import annotations
@@ -150,29 +150,6 @@ def _lattice_dft(coeffs: np.ndarray, x0: float, t: np.ndarray, k: np.ndarray, fo
 _MAX_FOLD = 8
 
 
-def _arithmetic_runs(t: np.ndarray, jitter: float) -> list[tuple[int, int]]:
-    """Maximal index ranges [i, j], j - i >= 2, of nodes within jitter of t_i + k (t_j - t_i)/(j - i).
-
-    Second differences above 4 jitter cut the candidates, a candidate that
-    strays from its chord splits after its worst node, a shared node goes left.
-    """
-    edges = np.diff(np.concatenate(([0], np.abs(np.diff(t, 2)) <= 4.0 * jitter, [0])))
-    # a stretch of good triples [a, b) covers the nodes a .. b + 1
-    pending = [(int(a), int(b) + 1) for a, b in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1))][::-1]
-    runs = [(-1, -1)]
-    while pending:
-        i, j = pending.pop()
-        i = max(i, runs[-1][1] + 1)
-        if j - i >= 2:
-            dev = np.abs(t[i : j + 1] - (t[i] + np.arange(j - i + 1) * ((t[j] - t[i]) / (j - i))))
-            worst = int(np.argmax(dev))
-            if dev[worst] <= jitter:
-                runs.append((i, j))
-            else:
-                pending += [(i + worst + 1, j), (i, i + worst)]
-    return runs[1:]
-
-
 def transform_values(f: SampledFunction, t: np.ndarray) -> np.ndarray:
     """Trapezoid quadrature of int f(x) e^{-i t x} dx at the given frequencies.
 
@@ -180,13 +157,12 @@ def transform_values(f: SampledFunction, t: np.ndarray) -> np.ndarray:
     of one zero-padded DFT of length 2 L (n - 1) at a 5-smooth FFT length
     (:func:`_lattice_dft`); the smallest such L is taken, so the default
     Nyquist grid is L = 1 and the Hardy probe's grid L = 4.  Otherwise
-    each maximal arithmetic run of three or more nodes takes one chirp-z
-    (zoom DFT) call with its own end-to-end step, matching the direct sum
-    at its given nodes to a few ulps; nodes in no run take the direct sum.
+    three or more nodes in one arithmetic progression take one chirp-z
+    (zoom DFT) call with its end-to-end step, matching the direct sum at
+    its given nodes to a few ulps.  Any other node set takes the direct sum.
     """
     t = np.asarray(t, dtype=float)
     wf = trapezoid_weights(f.grid) * f.values
-    out, direct = np.empty(t.size, dtype=complex), np.ones(t.size, dtype=bool)
     if t.size >= 2:
         # linspace spacing jitters by ~eps * max|t|; nodes that close to an
         # exact arithmetic progression or lattice are indistinguishable here
@@ -197,14 +173,14 @@ def transform_values(f: SampledFunction, t: np.ndarray) -> np.ndarray:
             lattice = math.pi / (fold * f.grid.width)
             if all(np.all(np.abs(nodes - np.rint(nodes / lattice) * lattice) <= jitter) for nodes in (probe, t)):
                 return _lattice_dft(wf, f.grid.a, t, np.rint(t / lattice).astype(np.int64), fold)
-        for i, j in _arithmetic_runs(t, jitter):
-            out[i : j + 1] = _zoom_dft(wf, f.grid.a, f.h, float(t[i]), float(t[j] - t[i]) / (j - i), j - i + 1)
-            direct[i : j + 1] = False
-    rest = np.flatnonzero(direct)
+        step = float(t[-1] - t[0]) / (t.size - 1)
+        if t.size >= 3 and np.all(np.abs(t - (t[0] + np.arange(t.size) * step)) <= jitter):
+            return _zoom_dft(wf, f.grid.a, f.h, float(t[0]), step, t.size)
+    out = np.empty(t.size, dtype=complex)
     rows = max(1, 2**16 // f.n)  # temporaries of at most 2^16 elements
-    for block in np.split(rest, range(rows, rest.size, rows)):
-        tx = np.outer(t[block], f.x)  # real cos and sin run far faster than complex exp
-        out[block] = np.cos(tx) @ wf - 1j * (np.sin(tx) @ wf)
+    for lo in range(0, t.size, rows):
+        tx = np.outer(t[lo : lo + rows], f.x)  # real cos and sin run far faster than complex exp
+        out[lo : lo + rows] = np.cos(tx) @ wf - 1j * (np.sin(tx) @ wf)
     return out
 
 
@@ -257,9 +233,9 @@ def l1_norm_ft(
     classification rule lives in the verification module).  For real f
     the full-line value is exactly twice the half-line value reported
     here, which keeps the documented logarithmic slope of the box
-    counterexample at 4/pi.  Each segment between cutoffs is cut into
-    steps of at most dt, and all nodes go through one transform_values
-    call, so equal steps make one zoom DFT for the whole curve.
+    counterexample at 4/pi.  The curve is one progression of steps of at
+    most dt from 0 to the last cutoff, so one zoom DFT evaluates it; each
+    cutoff reads the running trapezoid, linearly between nodes if off them.
     """
     cutoffs = np.asarray(cutoffs, dtype=float)
     if cutoffs.size == 0:
@@ -268,12 +244,10 @@ def l1_norm_ft(
         raise ValueError("cutoffs must be positive and strictly ascending")
     if dt is None:
         dt = min(0.02, math.pi / (4.0 * f.grid.width))
-    edges = np.concatenate(([0.0], cutoffs))
-    segs = [np.linspace(lo, hi, int(math.ceil((hi - lo) / dt)) + 1)[1:] for lo, hi in zip(edges[:-1], edges[1:])]
-    t = np.concatenate([[0.0], *segs])
+    t = np.linspace(0.0, cutoffs[-1], math.ceil(cutoffs[-1] / dt) + 1)
     mag = np.abs(transform_values(f, t))
     cums = np.concatenate(([0.0], np.cumsum(0.5 * (mag[1:] + mag[:-1]) * np.diff(t))))
-    return cums[np.searchsorted(t, cutoffs)]
+    return np.interp(cutoffs, t, cums)
 
 
 def h1_report(g: SampledFunction) -> H1Report:

@@ -97,7 +97,7 @@ class RadialProfile:
 
     @cached_property
     def frac_integral(self) -> FractionalIntegral:
-        """The Leray fractional integral I of :func:`fractional_integral`, computed once (dim >= 2)."""
+        """The Leray fractional integral I of :func:`fractional_integral`, computed once."""
         return fractional_integral(self)
 
 
@@ -132,22 +132,29 @@ def _rsum(x: np.ndarray) -> np.ndarray:
     return np.cumsum(x[::-1])[::-1][1:]
 
 
-def _kink_sum_odd(t: np.ndarray, sk: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:
-    """sum_{j > i} a_j int_{t_i}^{s_j} (s_j - s) s (s^2 - t_i^2)^m ds, m = (n-3)/2.
+def _kink_sum_odd(t: np.ndarray, sk: np.ndarray, a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """sum_{j > i} a_j int_{t_i}^{s_j} (s_j - s) s (s^2 - t_i^2)^m ds, m = (n-3)/2,
+    and S, the same expansion summed over the magnitudes of its terms.
 
     The weight is a polynomial, so binomial expansion splits every term
     into powers of t times reverse cumulative sums over the kinks.  The
     expansion's terms reach (s^2 + t^2)^m where the sum is (s^2 - t^2)^m,
-    so rounding grows like 2^m eps max|I| with the dimension.
+    so rounding grows like 2^m eps max|I| with the dimension; S bounds
+    it (see :func:`fractional_integral`).
     """
     m = (n - 3) // 2
-    B, C = _rsum(a * sk), _rsum(a)
-    out = np.zeros(t.size)
+    aa, t2 = np.abs(a), t * t
+    B, C, Ba, Ca = _rsum(a * sk), _rsum(a), _rsum(aa * sk), _rsum(aa)
+    out, mags = np.zeros(t.size), np.zeros(t.size)
     for k in range(m + 1):
         e = 2 * k + 2  # int_t^R (R - s) s^(e-1) ds = R^(e+1)/(e(e+1)) - R t^e/e + t^(e+1)/(e+1)
-        inner = _rsum(a * sk ** (e + 1)) / (e * (e + 1)) - t**e * B / e + t ** (e + 1) * C / (e + 1)
-        out += math.comb(m, k) * (-t * t) ** (m - k) * inner
-    return out
+        se, te, te1 = sk ** (e + 1), t**e, t ** (e + 1)
+        inner = _rsum(a * se) / (e * (e + 1)) - te * B / e + te1 * C / (e + 1)
+        # (-t^2)^(m-k) from t^2, whose power takes numpy's fast path for a positive base
+        coef = math.comb(m, k) * t2 ** (m - k)
+        out += (-coef if (m - k) % 2 else coef) * inner
+        mags += coef * (_rsum(aa * se) / (e * (e + 1)) + te * Ba / e + te1 * Ca / (e + 1))
+    return out, mags
 
 
 def _even_kernel(x, y, u, theta, n: int):
@@ -271,10 +278,12 @@ def _kink_sum_even(a: np.ndarray, h: float, n: int) -> tuple[np.ndarray, np.ndar
 
 
 def fractional_integral(p: RadialProfile) -> FractionalIntegral:
-    """Leray fractional integral I on the profile grid (dim >= 2).
+    """Leray fractional integral I on the profile grid.
 
-    f0 is read as linear between samples and cut off at its last nonzero
-    sample Rs, and I is integrated exactly on that profile.  On [0, Rs]
+    Dimension 1 is the base case of the recurrence I_n' = -2 t I_{n-2}:
+    I_1 is f0 itself.  Above it, f0 is read as linear between samples and
+    cut off at its last nonzero sample Rs, and I is integrated exactly on
+    that profile.  On [0, Rs]
 
         f0(s) = f0(Rs) + sum_j a_j (s_j - s)_+,
 
@@ -283,12 +292,11 @@ def fractional_integral(p: RadialProfile) -> FractionalIntegral:
     plus one closed-form term per kink: polynomial moments for odd n,
     sqrt and log terms for even n.  A grid-aligned ball has no kinks and
     evaluates to its closed form.  I vanishes identically from Rs on.
+    An odd dimension whose kink sum would lose more than 1e-3 max|I| to
+    rounding is refused.
     """
-    if p.dim < 2:
-        raise ValueError(
-            "fractional_integral requires dim >= 2; dim = 1 reads I as f0 itself "
-            "(handled by radial_ft_leray)"
-        )
+    if p.dim == 1:
+        return FractionalIntegral(p.f0)
     n, s, f = p.dim, p.f0.x, p.f0.values
     vals, slope = np.zeros(s.size), np.zeros(s.size)
     J = p.support_index
@@ -299,7 +307,29 @@ def fractional_integral(p: RadialProfile) -> FractionalIntegral:
         d = (s[J] - t) * (s[J] + t)
         vals[:J] = f[J] * d ** ((n - 1) / 2.0) / (n - 1)
         if n % 2:
-            vals[:J] += _kink_sum_odd(t, sk, a, n)
+            kinks, mags = _kink_sum_odd(t, sk, a, n)
+            # Loss bound.  Rounding model fl(x op y) = (x op y)(1 + d), |d| <= u = eps/2,
+            # numpy's pow within 1 ulp (2u; measured at most 0.66 ulp for exponents
+            # up to 344), math.gamma(m + 1) within 3 ulps of m! (checked for every
+            # m <= 170).  A kink term meets: a power s^(e+1) or
+            # t^e 2, times a_j 1, times B or C 1, a division 1, the reverse
+            # cumulative sum J - 1, forming inner 2, the power of t^2 m + 2 (t*t's
+            # rounding raised to m - k, then pow), comb(m, k) as a float 1, two
+            # products 2, the m additions over k, the addition to the ball term 1
+            # and the prefactor 8: J + n + 17.  The ball term meets 3 roundings in
+            # d raised to (n - 1)/2, pow 2, a product and a division 2 and the last
+            # 9: 3 (n - 1)/2 + 13.  Both are below J + 2n + 16, so I errs by at most
+            # (J + 2n + 16) u (S + |ball term|) times the prefactor.  The rounded
+            # a_j only perturb the profile: the expansion is exact on them, so that
+            # part enters I without the binomial growth.
+            loss = (J + 2 * n + 16) * 0.5 * np.finfo(float).eps * float(np.max(mags + np.abs(vals[:J])))
+            vals[:J] += kinks
+            scale = float(np.max(np.abs(vals)))
+            if loss > 1e-3 * scale:
+                raise ValueError(
+                    f"fractional_integral: at dim {n} the odd-dimension kink sum may lose "
+                    f"{loss / scale:.1e} of max|I| to rounding (limit 1e-3)"
+                )
         else:
             kinks, dkinks = _kink_sum_even(a, p.f0.h, n)
             vals[:J] += kinks
@@ -338,12 +368,10 @@ def _require_finite(route: str, radii: np.ndarray, values: np.ndarray) -> np.nda
 def radial_ft_leray(p: RadialProfile, radii) -> np.ndarray:
     """Radial transform by the reduction formula 2 pi^{(n-1)/2} int I cos(rt) dt.
 
-    For dim = 1 the reduction degenerates: I is read as f0 itself and the
-    value is the transform of the even extension, 2 int_0^R f0 cos(rt) dt.
+    At dim = 1, I is f0 itself and the value is the transform of the even
+    extension, 2 int_0^R f0 cos(rt) dt.
     """
     radii = _check_radii(radii)
-    if p.dim == 1:
-        return 2.0 * _cosine_transform(p.f0.grid, p.f0.values, radii)
     pref = 2.0 * math.pi ** ((p.dim - 1) / 2.0)
     return pref * _cosine_transform(p.f0.grid, p.frac_integral.samples.values, radii)
 
@@ -457,15 +485,13 @@ def radial_ft_ibp(p: RadialProfile, radii) -> np.ndarray:
               int_0^inf I^{(n-1)}(t) cos(pi (n-1)/2 - |x| t) dt.
 
     The |x|^{1-n} prefactor is singular at the origin, so radii below
-    0.1 are delegated to the direct reduction; dim = 1 degenerates to it
-    exactly (a zero-fold integration by parts).  For dim >= 4 the
+    0.1 are delegated to the direct reduction, which at dim = 1 is the
+    formula itself (no integration by parts is left).  For dim >= 4 the
     derivatives of I come from differencing, which is refused past its
     noise budget; a value that would not be finite in float64 is
     refused too.
     """
     radii = _check_radii(radii)
-    if p.dim == 1:
-        return radial_ft_leray(p, radii)
     levels = _derivative_levels(p)
     _check_boundary_terms(levels)
     integrand = levels[-1]

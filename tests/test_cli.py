@@ -259,18 +259,32 @@ def test_radial_refuses_past_the_differencing_budget_before_differencing(tmp_pat
 
 
 def test_radial_refuses_before_a_differencing_pass_could_overflow(tmp_path, capsys):
-    # on this coarse bump the noise budget never trips: each pass scales the levels by
-    # about 1/h = 64 at a steady noise ratio, so they would overflow near pass 292 of 342
+    # on this coarse Gaussian the noise budget never trips: each pass scales the levels by
+    # about 1/h = 64 at a steady noise ratio, so they would overflow near pass 268 of 341.
+    # An even dimension: at odd dimensions this high I itself is refused (see below)
     s = np.linspace(0.0, 2.0, 129)
-    f0 = np.where(np.abs(s - 1.0) <= 0.5, 0.5 * (1.0 + np.cos(np.pi * (s - 1.0) / 0.5)), 0.0)
-    src = tmp_path / "bump.csv"
-    src.write_text("s,f0\n" + "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(s, f0)))
-    args = ["radial", "--csv", str(src), "--dim", "343", "--radii", "1", "--out", str(tmp_path / "r.csv")]
+    src = tmp_path / "gauss.csv"
+    src.write_text("s,f0\n" + "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(s, np.exp(-8.0 * s * s))))
+    args = ["radial", "--csv", str(src), "--dim", "342", "--radii", "1", "--out", str(tmp_path / "r.csv")]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(args) == EXIT_DATA
     err = capsys.readouterr().err
-    assert err.startswith("error: I^342 is not numerically trustworthy (budget ") and err.count("\n") == 1
+    assert err.startswith("error: I^341 is not numerically trustworthy (budget ") and err.count("\n") == 1
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("dim", [81, 343])
+def test_radial_refuses_an_odd_dimension_whose_kink_sum_lost_its_digits(tmp_path, capsys, dim):
+    # the bump's binomial kink sum loses about 2^((n-3)/2) eps: at dim 81 about 2.6e-3 of
+    # max|I| on this grid, which leray returned with exit 0
+    args = ["radial", "--family", "raised_cosine", "--width", "1", "--n", "4097", "--dim", str(dim)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*args, "--radii", "0.5,1,3", "--out", str(tmp_path / "r.csv")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: fractional_integral: at dim {dim} the odd-dimension kink sum may lose ")
+    assert err.count("\n") == 1
     assert not (tmp_path / "r.csv").exists()
 
 

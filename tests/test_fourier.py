@@ -101,7 +101,7 @@ def test_real_input_gives_conjugate_symmetric_transform(family):
 @pytest.fixture
 def dft_paths(monkeypatch):
     """Record the fast paths transform_values takes: the fold L of each
-    (sub-)lattice DFT and the number of zoom-DFT calls, one per arithmetic run."""
+    (sub-)lattice DFT and the number of zoom-DFT calls."""
     import bvfourier.fourier as fourier
 
     taken = {"folds": [], "zoom": 0}
@@ -280,16 +280,12 @@ def test_long_zoom_run_does_not_drift_from_its_nodes(dft_paths):
 
 
 def reference_l1_norm_ft(f, cutoffs, dt):
-    """Transform mass segment by segment on the same nodes, by the direct sum."""
-    edges = np.concatenate(([0.0], cutoffs))
-    t, mag = [0.0], [abs(direct_transform(f, [0.0])[0])]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        seg = np.linspace(lo, hi, int(math.ceil((hi - lo) / dt)) + 1)[1:]
-        t.extend(seg)
-        mag.extend(np.abs(direct_transform(f, seg)))
-    t, mag = np.array(t), np.array(mag)
+    """Transform mass on the same progression 0 .. max cutoff, by the direct sum,
+    read at each cutoff from the running trapezoid."""
+    t = np.linspace(0.0, cutoffs[-1], math.ceil(cutoffs[-1] / dt) + 1)
+    mag = np.abs(direct_transform(f, t))
     cums = np.concatenate(([0.0], np.cumsum(0.5 * (mag[1:] + mag[:-1]) * np.diff(t))))
-    return cums[np.searchsorted(t, cutoffs)]
+    return np.interp(cutoffs, t, cums)
 
 
 @pytest.mark.parametrize("name", ["fast", "default", "strict"])
@@ -304,12 +300,12 @@ def test_l1_norm_ft_suite_cutoffs_take_one_zoom_call(name, dft_paths):
     assert np.max(np.abs(got - want) / want) <= 1e-12
 
 
-def test_unequal_segment_steps_take_one_zoom_call_each(dft_paths):
-    # segment steps 1/4, 2/7 and 3/10
+def test_cutoffs_off_the_step_take_one_zoom_call(dft_paths):
+    # 1 and 7.5 fall off the 0.3 steps, 3 on one: one progression, read between nodes
     f = line_function(Family.TRIANGLE, n=2**11 + 1)
     cutoffs = np.array([1.0, 3.0, 7.5])
     got = l1_norm_ft(f, cutoffs, dt=0.3)
-    assert dft_paths == {"folds": [], "zoom": 3}
+    assert dft_paths == {"folds": [], "zoom": 1}
     want = reference_l1_norm_ft(f, cutoffs, 0.3)
     assert np.max(np.abs(got - want) / want) <= 1e-12
 
@@ -323,12 +319,12 @@ def test_scattered_nodes_take_no_zoom_call(dft_paths):
 
 
 def test_moved_node_is_evaluated_where_it_is(dft_paths):
-    # the moved node breaks the run in two and takes the direct sum itself
+    # the moved node breaks the progression, so every node takes the direct sum
     f = line_function(Family.POISSON_KERNEL, n=2**10 + 1)
     t = np.linspace(-5.0, 5.0, 201)
     t[77] += 1e-9
     got = transform_values(f, t)
-    assert dft_paths == {"folds": [], "zoom": 2}
+    assert dft_paths == {"folds": [], "zoom": 0}
     assert np.max(np.abs(got - direct_transform(f, t))) <= 1e-12
 
 
@@ -350,6 +346,38 @@ def test_hardy_suite_runs_six_multipliers_and_no_zoom(monkeypatch, dft_paths):
     suites._checks_hardy(suites.PROFILES["fast"])
     assert len(calls) == 6
     assert dft_paths == {"folds": [4] * 6, "zoom": 0}
+
+
+@pytest.mark.parametrize("name", ["fast", "default", "strict"])
+def test_every_suite_transform_takes_one_fast_path_over_all_its_nodes(name, monkeypatch, dft_paths):
+    # transform_values takes one path per call: a lattice DFT, one zoom DFT over
+    # one arithmetic progression, or else the direct sum.  A suite that passed a
+    # piecewise node set would silently take the direct sum, so every suite call
+    # of three or more nodes must end in exactly one fast-path call over all of them
+    import bvfourier.fourier as fourier
+    import bvfourier.radial as radial
+    import bvfourier.suites as suites
+
+    calls, zooms = [], []
+    transform, zoom = fourier.transform_values, fourier._zoom_dft
+
+    def zoom_spy(*args):
+        zooms.append(args[5])  # m, the number of nodes it evaluates
+        return zoom(*args)
+
+    def transform_spy(f, t):
+        lattice, zoomed = len(dft_paths["folds"]), len(zooms)
+        out = transform(f, t)
+        calls.append((np.size(t), len(dft_paths["folds"]) - lattice, zooms[zoomed:]))
+        return out
+
+    monkeypatch.setattr(fourier, "_zoom_dft", zoom_spy)
+    for module in (fourier, radial, suites):
+        monkeypatch.setattr(module, "transform_values", transform_spy)
+    monkeypatch.setenv("BVF_THREADS", "1")
+    suites.run_suite("all", name)
+    big = [(size, lattice, zooms) for size, lattice, zooms in calls if size >= 3]
+    assert big and all((lattice, zooms) in ((1, []), (0, [size])) for size, lattice, zooms in big)
 
 
 @pytest.mark.parametrize("m", [2, 5, 63])

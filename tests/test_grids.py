@@ -160,6 +160,36 @@ def test_derivative_second_order_on_smooth_families(family):
     assert errs[0] / errs[1] >= 3.5
 
 
+# where each family at its default parameters, or its first or second derivative, jumps
+_BREAKS = {
+    Family.BOX: (-1.0, 1.0),
+    Family.TRIANGLE: (-1.0, 0.0, 1.0),
+    Family.RAISED_COSINE: (-1.0, 1.0),
+    Family.SMOOTHED_BOX: (-1.0, -0.5, 0.5, 1.0),
+    Family.TRIANGLE_WAVE_PERIODIC: tuple(k * math.pi for k in range(-2, 3)),
+}
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_family_derivative_matches_a_centred_difference(family):
+    # (f(x + d) - f(x - d)) / 2d errs from f'(x) by d^2/6 max|f'''| on a smooth
+    # stretch.  At the default parameters max|f'''| is 4 pi^3, on the smoothed
+    # box's flanks ((pi/r)^3/2, r = 1/2); it is pi^3/2 for the raised cosine,
+    # 1.39 for the Gaussian, below 2 for both Poisson kernels and 0 for the
+    # piecewise-linear families.  Each value is within 4 ulps of max|f| <= 1,
+    # which the quotient scales by 1/2d.  x +- d are exact: d and the points are
+    # dyadic.  Points within 2d of a break are left out
+    from bvfourier import family_derivative
+
+    d = 2.0**-17
+    spec = FamilySpec(family)
+    x = np.arange(-4096, 4097) / 512.0
+    x = x[np.all(np.abs(x[:, None] - np.array(_BREAKS.get(family, ()))) > 2.0 * d, axis=1)]
+    centred = (family_value(spec, x + d) - family_value(spec, x - d)) / (2.0 * d)
+    bound = d * d * 4.0 * math.pi**3 / 6.0 + 4.0 * np.finfo(float).eps / d
+    assert np.max(np.abs(centred - family_derivative(spec, x))) <= bound
+
+
 def test_derivative_needs_three_points():
     grid = make_uniform_grid(0, 1, 2)
     f = SampledFunction(grid, np.zeros(2), DecayClass.BOUNDED)

@@ -177,3 +177,51 @@ def test_transform_values_is_linear_on_a_non_smooth_lattice(seed, a, b, exponent
     # the chirp-z convolution runs forward and inverse at its padded length
     slack = (4.0 * math.log2(fast_len(n + span - 1)) + 4.0) * np.finfo(float).eps * S
     assert linearity_defect(lambda v: transform_values(v, LATTICE_NODES), f, g, a, b) <= slack
+
+
+# Translation by whole grid steps: on samples supported inside the window both
+# line operators are convolutions with a fixed kernel (pv through the midpoints,
+# which shift with the samples), so moving the samples by k steps moves the
+# output by k wherever both outputs are on the grid.  The two FFT evaluations
+# round differently, each by at most log2(L) eps S in the model above, with S
+# the kernel's l1 norm times max|v|: the slack is 2 log2(L) eps S.
+translation = dict(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    exponent=st.integers(min_value=-6, max_value=6),
+    k=st.integers(min_value=-(LINE_GRID.n // 2), max_value=LINE_GRID.n // 2),
+)
+
+
+def shifted_pair(seed, exponent, k):
+    """Samples supported on nodes 1 + max(0, -k) .. n - 2 - max(0, k), and the same moved by k."""
+    n = LINE_GRID.n
+    v = 10.0**exponent * np.random.default_rng(seed).standard_normal(n)
+    v[: 1 + max(0, -k)] = 0.0
+    v[n - 1 - max(0, k) :] = 0.0
+    return [SampledFunction(LINE_GRID, w, DecayClass.COMPACT_SUPPORT) for w in (v, np.roll(v, k))]
+
+
+def translation_defect(op, f, g, k):
+    n = LINE_GRID.n
+    return float(np.max(np.abs(op(g)[max(0, k) : n + min(0, k)] - op(f)[max(0, -k) : n - max(0, k)])))
+
+
+@given(**translation)
+@settings(max_examples=30, deadline=None)
+def test_hilbert_pv_commutes_with_whole_step_shifts(seed, exponent, k):
+    f, g = shifted_pair(seed, exponent, k)
+    n = LINE_GRID.n
+    w1 = float(np.sum(1.0 / (np.arange(n - 1) + 0.5)))
+    S = 2.0 * w1 / math.pi * float(np.max(np.abs(f.values)))
+    slack = 2.0 * math.log2(fast_len(2 * n - 2)) * np.finfo(float).eps * S
+    assert translation_defect(lambda v: hilbert_pv(v).values, f, g, k) <= slack
+
+
+@given(**translation)
+@settings(max_examples=30, deadline=None)
+def test_hilbert_multiplier_commutes_with_whole_step_shifts(seed, exponent, k):
+    f, g = shifted_pair(seed, exponent, k)
+    n = LINE_GRID.n
+    S = float(np.sum(np.abs(hilbert._multiplier_kernel(n)))) * float(np.max(np.abs(f.values)))
+    slack = 2.0 * math.log2(fast_len(2 * n - 1)) * np.finfo(float).eps * S
+    assert translation_defect(lambda v: hilbert_multiplier(v).values, f, g, k) <= slack

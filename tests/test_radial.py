@@ -1,5 +1,6 @@
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,9 +35,7 @@ from bvfourier.radial import (
 
 def profile(values_fn, dim, r_end=2.0, n=2049):
     grid = make_uniform_grid(0.0, r_end, n)
-    vals = values_fn(grid.points)
-    decay = DecayClass.COMPACT_SUPPORT if vals[0] == 0.0 and vals[-1] == 0.0 else DecayClass.VANISHING_AT_INFINITY
-    return RadialProfile(SampledFunction(grid, vals, decay), dim)
+    return RadialProfile.from_samples(grid, values_fn(grid.points), dim)
 
 
 def ball(dim, n=2049):
@@ -182,9 +181,10 @@ def test_fractional_integral_vanishes_past_the_support():
     assert np.max(np.abs(frac.samples.values[s >= 1.5])) == 0.0
 
 
-def test_fractional_integral_rejects_dim_one():
-    with pytest.raises(ValueError, match="dim >= 2"):
-        fractional_integral(bump(1))
+def test_fractional_integral_at_dim_one_is_f0():
+    # I_1 := f0, the base case of the recurrence I_n' = -2 t I_{n-2}
+    p = bump(1)
+    assert np.array_equal(fractional_integral(p).samples.values, p.f0.values)
     with pytest.raises(ValueError):
         RadialProfile(bump(2).f0, 0)
 
@@ -426,6 +426,71 @@ def test_hierarchical_kink_sum_evaluates_o_n_log_n_kernel_entries(monkeypatch):
         assert sum(count) <= near + far
         if n == 32769:
             assert sum(count) <= 0.05 * rows * kinks  # the direct sum evaluates N K entries
+
+
+def longdouble_odd_I(p, dims):
+    """{n: I_n samples} for the odd n in dims, by fractional_integral's ball term and
+    binomial kink expansion in long double, from the same float samples."""
+    LD = np.longdouble
+    s, f, J = p.f0.x.astype(LD), p.f0.values.astype(LD), p.support_index
+    t, sk = s[:J], s[: J + 1]
+    a = np.zeros(J + 1, dtype=LD)
+    a[1:] = np.diff(np.diff(f[: J + 1]) / LD(p.f0.h), append=LD(0))
+    B, C = radial._rsum(a * sk), radial._rsum(a)
+    # inner[k] and (-t^2)^k serve every dimension: only their binomial mix depends on n
+    inner, power, se, te = [], [np.ones(J, dtype=LD)], sk**3, t * t
+    for k in range((max(dims) - 1) // 2):
+        e = 2 * k + 2
+        inner.append(radial._rsum(a * se) / (e * (e + 1)) - te * B / e + te * t * C / (e + 1))
+        se, te = se * sk * sk, te * t * t
+        power.append(power[-1] * (-t * t))
+    d = (s[J] - t) * (s[J] + t)
+    out = {}
+    for n in dims:
+        m = (n - 3) // 2
+        vals = np.zeros(s.size, dtype=LD)
+        kinks = sum(math.comb(m, k) * power[m - k] * inner[k] for k in range(m + 1))
+        vals[:J] = f[J] * d ** (m + 1) / (n - 1) + kinks
+        out[n] = vals * (LD(2) / LD(math.factorial(m)))
+    return out
+
+
+ODD_KINDS = {
+    "ball": lambda s: (s <= 1.0).astype(float),
+    "bump": bump_values,
+    "triangle": lambda s: np.maximum(0.0, 1.0 - s / 1.5),
+    "gaussian": lambda s: np.exp(-8.0 * s * s),
+    "smoothed_box": lambda s: np.where(s <= 0.6, 1.0, 0.5 * (1.0 + np.cos(np.pi * np.minimum(s - 0.6, 0.6) / 0.6))),
+}
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended-precision long double")
+@pytest.mark.parametrize("n", [1025, 4097])
+@pytest.mark.parametrize("kind", sorted(ODD_KINDS))
+def test_odd_dimension_I_refuses_where_its_kink_sum_loses_digits(kind, n):
+    # the binomial kink sum loses about 2^((n-3)/2) eps: unchecked, on the n = 4097
+    # bump its error reached 2.6e-3 of max|I| at dim 81 and 4.3 at dim 101.  Every
+    # value returned must be within 1e-3 max|I| of the same formula in long double,
+    # whose own loss is eps_ld/eps ~ 5e-4 times smaller.  Balls have no kinks
+    dims = range(3, 102, 2)
+    answered = {}
+    for dim in dims:
+        try:
+            answered[dim] = fractional_integral(profile(ODD_KINDS[kind], dim, n=n)).samples.values
+        except ValueError as exc:
+            assert f"at dim {dim} the odd-dimension kink sum may lose" in str(exc)
+    assert all(dim in answered for dim in dims if dim <= 41)
+    assert kind == "ball" or not any(dim in answered for dim in dims if dim >= 81)
+    want = longdouble_odd_I(profile(ODD_KINDS[kind], 3, n=n), list(answered))
+    for dim, got in answered.items():
+        assert np.max(np.abs(got - want[dim])) <= 1e-3 * np.max(np.abs(want[dim]))
+
+
+def test_gamma_at_odd_dimensions_is_within_3_ulps_of_the_factorial():
+    # the loss bound in fractional_integral counts 2/Gamma((n-1)/2) = 2/m! at odd n this way
+    for m in range(_MAX_DIM // 2):
+        g = math.gamma(m + 1)
+        assert abs(Fraction(g) - math.factorial(m)) <= 3 * Fraction(math.ulp(g))
 
 
 def test_ibp_on_a_grid_shorter_than_its_mirror_refuses_with_a_reason():
