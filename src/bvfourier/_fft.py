@@ -1,20 +1,23 @@
 """FFT sizing shared by the transform routes.
 
-Every padded FFT in the package takes its length from :func:`fast_len`,
-the smallest 5-smooth integer 2^a 3^b 5^c at or above the requested
-size; pocketfft runs such lengths at full radix speed, whereas a large
-prime factor (65537, say) sets the cost of the whole transform (Frigo &
-Johnson, Proc. IEEE 93 (2005) 216).  A DFT of any other length runs as
-a chirp-z convolution.  The zoom DFT and each conjugation operator are
-one circular convolution at a length where no kept output wraps.
-Data-independent kernel spectra are cached.
+A padded FFT whose length is free takes it from :func:`fast_len`, the
+smallest 5-smooth integer 2^a 3^b 5^c at or above the requested size;
+pocketfft runs such lengths at full radix speed, whereas a large prime
+factor (65537, say) sets the cost of the whole transform (Frigo &
+Johnson, Proc. IEEE 93 (2005) 216).  The zoom DFT and each conjugation
+operator are one circular convolution at such a length, where no kept
+output wraps.  A DFT whose length N the grid fixes runs at N itself
+unless :func:`needs_bluestein` holds, pocketfft's own test for falling
+back to its (uncached) Bluestein algorithm; only then does it run as a
+chirp-z convolution at a 5-smooth length.  Data-independent kernel
+spectra are cached.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["fast_len"]
+__all__ = ["fast_len", "needs_bluestein"]
 
 
 def fast_len(n: int) -> int:
@@ -33,3 +36,15 @@ def fast_len(n: int) -> int:
         p5 *= 5
     return best
 
+
+def needs_bluestein(n: int) -> bool:
+    """True when n >= 1 has a prime factor p with p^2 > n."""
+    m, d = int(n), 2
+    if m < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    while d * d <= m:  # divide out every prime up to the root of what is left
+        while m % d == 0:
+            m //= d
+        d += 1
+    # what is left is 1 or the largest prime factor, which a prime p with p^2 > n never divides out
+    return m * m > n

@@ -4,13 +4,18 @@ The transform convention throughout is ghat(t) = int g(x) e^{-i t x} dx.
 The reference quadrature is the composite trapezoid evaluated at each
 frequency node.  Two exact FFT paths replace the direct sum: nodes on
 an L-fold sub-lattice k pi/(L (b - a)) with L <= 8 are bins of one
-zero-padded DFT of length 2 L (n - 1) (L = 1 holds the default Nyquist
-grid, L = 4 the Hardy probe's grid); else m >= 3 nodes in one arithmetic
-progression take one chirp-z (zoom DFT) call, a circular convolution at
-the length n + m - 1 where none of its m outputs wraps; any other nodes
-take the direct sum.  Every padded FFT has a 5-smooth length.  Both
-match the direct sum to better than 1e-10 on the test corpus (asserted
-in the test suite).  Periodic coefficients are one FFT.
+zero-padded DFT of length N = 2 L (n - 1) times the phase e^{-i t a}
+(L = 1 holds the default Nyquist grid, L = 4 the Hardy probe's grid);
+else m >= 3 nodes in one arithmetic progression take one chirp-z (zoom
+DFT) call, a circular convolution at the length n + m - 1 where none of
+its m outputs wraps; any other nodes take the direct sum.  The grid
+fixes N, and the DFT runs at N itself unless N has a prime factor p
+with p^2 > N (pocketfft's test for its Bluestein fallback), in which
+case it runs as a cached chirp-z convolution; every other padded FFT
+has a 5-smooth length.  The Hardy probe reads |ghat| as the modulus of
+the bins, without the phase.  Both paths match the direct sum to better
+than 1e-10 on the test corpus (asserted in the test suite).  Periodic
+coefficients are one FFT.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fft import fast_len
+from ._fft import fast_len, needs_bluestein
 from .grids import DecayClass, Grid, SampledFunction, derivative, integrate, trapezoid_weights
 from .hilbert import hilbert_multiplier, periodic_conjugate
 
@@ -115,22 +120,25 @@ def _chirp_plan(n: int, N: int, lo: int, span: int) -> tuple[np.ndarray, np.ndar
     return pre, kernel, post
 
 
-def _lattice_dft(coeffs: np.ndarray, x0: float, t: np.ndarray, k: np.ndarray, fold: int) -> np.ndarray:
-    """F(t) = sum_j coeffs_j e^{-i t x_j} at t = k pi/(L (b - a)), from one DFT.
+def _lattice_dft(coeffs: np.ndarray, k: np.ndarray, fold: int) -> np.ndarray:
+    """Bins k mod N of the length-N DFT of the zero-padded coeffs, N = 2 L (n - 1), L = ``fold``.
 
-    With x_j = x0 + j (b - a)/(n - 1) and L = ``fold`` the kernel is
-    e^{-i t x0} times e^{-2 pi i k j / N}, N = 2 L (n - 1): bin k mod N
-    of a single length-N DFT of the zero-padded coefficients.  Real input
-    reads the negative bins as conjugates, so mirrored nodes come out
-    exactly conjugate.  A 5-smooth N takes one fft (rfft for real input),
-    any other N one chirp-z convolution at a 5-smooth length (Bluestein,
-    IEEE Trans. Audio Electroacoust. 18 (1970) 451), its chirps cached.
+    With x_j = x0 + j (b - a)/(n - 1) these are the unphased transform
+    sums: F(t) = e^{-i t x0} times bin k at t = k pi/(L (b - a)).  The
+    unit-modulus phase is left to the callers that read values, so
+    |F(t)| is the bins' modulus.  Real input reads the negative bins as
+    conjugates, so mirrored nodes come out exactly conjugate.  N itself
+    takes one fft (rfft for real input) unless it has a prime factor p
+    with p^2 > N, pocketfft's test for its uncached Bluestein fallback;
+    only then do the bins lo .. lo + span - 1 run as one chirp-z
+    convolution at a 5-smooth length (Bluestein, IEEE Trans. Audio
+    Electroacoust. 18 (1970) 451), its chirps and kernel spectrum cached.
     """
     n, N = coeffs.size, 2 * fold * (coeffs.size - 1)
     k, real = k % N, not np.iscomplexobj(coeffs)
     if real:
         k, mirrored = np.minimum(k, N - k), k > N // 2
-    if fast_len(N) == N:
+    if not needs_bluestein(N):
         bins = (np.fft.rfft(coeffs, N) if real else np.fft.fft(coeffs, N))[k]
     else:
         lo, span = int(k.min()), int(np.ptp(k)) + 1
@@ -142,7 +150,7 @@ def _lattice_dft(coeffs: np.ndarray, x0: float, t: np.ndarray, k: np.ndarray, fo
         bins = bins[k - lo]
     if real:
         np.conjugate(bins, out=bins, where=mirrored)
-    return _expi(t * x0) * bins
+    return bins
 
 
 # finest sub-lattice pi/(L (b - a)) served by one DFT; its length 2 L (n - 1)
@@ -153,13 +161,15 @@ _MAX_FOLD = 8
 def transform_values(f: SampledFunction, t: np.ndarray) -> np.ndarray:
     """Trapezoid quadrature of int f(x) e^{-i t x} dx at the given frequencies.
 
-    Nodes on an L-fold sub-lattice k pi/(L (b - a)), L = 1..8, are bins
-    of one zero-padded DFT of length 2 L (n - 1) at a 5-smooth FFT length
-    (:func:`_lattice_dft`); the smallest such L is taken, so the default
-    Nyquist grid is L = 1 and the Hardy probe's grid L = 4.  Otherwise
-    three or more nodes in one arithmetic progression take one chirp-z
-    (zoom DFT) call with its end-to-end step, matching the direct sum at
-    its given nodes to a few ulps.  Any other node set takes the direct sum.
+    Nodes on an L-fold sub-lattice k pi/(L (b - a)), L = 1..8, are e^{-i t a}
+    times bins of one zero-padded DFT of length N = 2 L (n - 1)
+    (:func:`_lattice_dft`: one FFT at N unless a prime p of N has
+    p^2 > N, then a cached chirp-z); the smallest such L is taken, so the
+    default Nyquist grid is L = 1 and the Hardy probe's grid L = 4.
+    Otherwise three or more nodes in one arithmetic progression take one
+    chirp-z (zoom DFT) call with its end-to-end step, matching the direct
+    sum at its given nodes to a few ulps.  Any other node set takes the
+    direct sum.
     """
     t = np.asarray(t, dtype=float)
     wf = trapezoid_weights(f.grid) * f.values
@@ -172,7 +182,7 @@ def transform_values(f: SampledFunction, t: np.ndarray) -> np.ndarray:
         for fold in range(1, _MAX_FOLD + 1):
             lattice = math.pi / (fold * f.grid.width)
             if all(np.all(np.abs(nodes - np.rint(nodes / lattice) * lattice) <= jitter) for nodes in (probe, t)):
-                return _lattice_dft(wf, f.grid.a, t, np.rint(t / lattice).astype(np.int64), fold)
+                return _expi(t * f.grid.a) * _lattice_dft(wf, np.rint(t / lattice).astype(np.int64), fold)
         step = float(t[-1] - t[0]) / (t.size - 1)
         if t.size >= 3 and np.all(np.abs(t - (t[0] + np.arange(t.size) * step)) <= jitter):
             return _zoom_dft(wf, f.grid.a, f.h, float(t[0]), step, t.size)
@@ -276,7 +286,12 @@ def hardy_check(g: SampledFunction) -> tuple[float, H1Report]:
     The integral runs up to the Nyquist cutoff pi/h.  The integrand is
     only integrable because ghat(0) = 0 for Hardy-space members, so a
     symmetric window of one frequency spacing pi/(b - a) around zero is
-    excised and the cancellation residual is a hard precondition.
+    excised and the cancellation residual is a hard precondition.  The
+    nodes are the 4-fold lattice k pi/(4 (b - a)), k = 4 .. 4 (n - 1),
+    counted from the sample count, and |ghat| is the modulus of their
+    bins in one DFT of length N = 8 (n - 1) (:func:`_lattice_dft`: one
+    rfft at N unless a prime p of N has p^2 > N, then a cached chirp-z);
+    the unit-modulus phase e^{-i t a} is never formed.
     Returns (lhs, h1_report(g)); lhs / h1_norm is the empirical
     convention constant, which the unit-constant inequality would put
     at or below 1.
@@ -289,11 +304,11 @@ def hardy_check(g: SampledFunction) -> tuple[float, H1Report]:
             f"cancellation residual {report.cancellation_residual:.3e} exceeds "
             f"1e-6 * ||g||_L1; the |ghat(t)|/|t| integrand would be singular at 0"
         )
-    cutoff = nyquist_cutoff(g.grid)
-    freq_spacing = math.pi / g.grid.width
-    k = int(math.ceil((cutoff - freq_spacing) / freq_spacing)) * 4 + 1
-    t = np.linspace(freq_spacing, cutoff, k)
-    mag = np.abs(transform_values(g, t))
+    # k = 4 .. 4 (n - 1): from one frequency spacing pi/(b - a) to pi/h
+    fold = 4
+    k = np.arange(fold, fold * (g.n - 1) + 1)
+    t = k * (math.pi / (fold * g.grid.width))
+    mag = np.abs(_lattice_dft(trapezoid_weights(g.grid) * g.values, k, fold))
     # real input: |ghat(-t)| = |ghat(t)|, so both half lines carry the same mass
     return 2.0 * float(np.trapezoid(mag / t, t)), report
 

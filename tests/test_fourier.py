@@ -22,7 +22,7 @@ from bvfourier import (
     sample,
     transform_values,
 )
-from bvfourier._fft import fast_len
+from bvfourier._fft import fast_len, needs_bluestein
 from bvfourier.grids import trapezoid_weights
 
 
@@ -100,16 +100,16 @@ def test_real_input_gives_conjugate_symmetric_transform(family):
 
 @pytest.fixture
 def dft_paths(monkeypatch):
-    """Record the fast paths transform_values takes: the fold L of each
-    (sub-)lattice DFT and the number of zoom-DFT calls."""
+    """Record the fast paths transform_values and hardy_check take: the fold L
+    of each (sub-)lattice DFT and the number of zoom-DFT calls."""
     import bvfourier.fourier as fourier
 
     taken = {"folds": [], "zoom": 0}
     lattice_dft, zoom_dft = fourier._lattice_dft, fourier._zoom_dft
 
-    def lattice_spy(coeffs, x0, t, k, fold):
+    def lattice_spy(coeffs, k, fold):
         taken["folds"].append(fold)
-        return lattice_dft(coeffs, x0, t, k, fold)
+        return lattice_dft(coeffs, k, fold)
 
     def zoom_spy(*args):
         taken["zoom"] += 1
@@ -216,11 +216,48 @@ def test_non_smooth_lattice_takes_a_smooth_chirp_z(fold, complex_values, dft_pat
         assert np.array_equal(got[::-1], np.conj(got))
 
 
+@pytest.mark.parametrize("complex_values", [False, True])
+@pytest.mark.parametrize(
+    "n, chirped",
+    [(2**12 + 1, False), (2**14, False), (2**13, True)],
+    ids=["N=2^15", "N=8*3*43*127", "N=8*8191"],
+)
+def test_lattice_dft_runs_at_its_length_unless_a_prime_squared_exceeds_it(
+    n, chirped, complex_values, dft_paths, padded_fft_lengths
+):
+    # the Hardy probe's 4-fold lattice, N = 8 (n - 1): one fft at N itself
+    # unless a prime p of N has p^2 > N, pocketfft's own Bluestein test
+    f = line_function(Family.POISSON_KERNEL, n=n)
+    if complex_values:
+        f = f.with_values(f.values * np.exp(0.3j * f.x) + 0.1j * f.values**2)
+    N = 8 * (n - 1)
+    assert needs_bluestein(N) == chirped
+    half = np.arange(4 * (n - 1) + 1) * (math.pi / (4 * f.grid.width))
+    t = np.concatenate((-half[:0:-1], half))
+    padded_fft_lengths.clear()
+    got = transform_values(f, t)
+    assert dft_paths == {"folds": [4], "zoom": 0}
+    if chirped:
+        # every padded length is 5-smooth, and N is not
+        assert padded_fft_lengths and all(fast_len(L) == L != N for L in padded_fft_lengths)
+    else:
+        assert padded_fft_lengths == [N]
+    P = max(padded_fft_lengths)
+    passes = 2.0 * math.log2(P) if chirped else math.log2(N)  # chirp-z: forward and inverse
+    want, scale = lattice_dft_reference(f, t, 4)
+    assert np.max(np.abs(got - want)) <= np.finfo(float).eps * (passes + math.log2(N)) * scale
+    idx = np.union1d(np.arange(0, t.size, 997), [0, t.size // 2, t.size - 1])  # both Nyquist ends and 0
+    assert np.max(np.abs(got[idx] - direct_transform(f, t[idx]))) <= 1e-10
+    if not complex_values:
+        assert np.array_equal(got[::-1], np.conj(got))
+
+
 def test_repeated_chirp_z_geometry_builds_no_chirp(monkeypatch):
-    # n = 2^10 on the Hardy probe's 4-fold lattice: N = 8 * 1023 = 8 * 3 * 11 * 31
+    # n = 2^7 on the Hardy probe's 4-fold lattice: N = 8 * 127, and 127^2 > N
     import bvfourier.fourier as fourier
 
-    g = derivative(line_function(Family.TRIANGLE, n=2**10))
+    g = derivative(line_function(Family.TRIANGLE, n=2**7))
+    assert needs_bluestein(8 * (g.n - 1))
     t = np.linspace(math.pi / g.grid.width, math.pi / g.h, 4 * (g.n - 2) + 1)
     fourier._chirp_plan.cache_clear()
     calls, chirp = [], fourier._chirp
@@ -241,9 +278,57 @@ def test_hardy_nodes_take_the_four_fold_sub_lattice(dft_paths):
     g = derivative(line_function(Family.TRIANGLE, n=2**8))
     hardy_check(g)
     assert dft_paths == {"folds": [4], "zoom": 0}
-    # the probe's nodes linspace(pi/W, pi/h, 4(n - 2) + 1) are k pi/(4W), k = 4..4(n - 1)
+    # the probe's nodes k pi/(4W), k = 4..4(n - 1), are linspace(pi/W, pi/h, 4(n - 2) + 1)
     t = np.linspace(math.pi / g.grid.width, math.pi / g.h, 4 * (g.n - 2) + 1)
     assert np.max(np.abs(transform_values(g, t) - direct_transform(g, t))) <= 1e-10
+
+
+def hardy_lhs_bound(t, lhs, bin_error=0.0):
+    """How far two evaluations of 2 int |ghat(t)|/t dt on the same nodes may differ.
+
+    Each node's modulus may differ by a relative 4 eps: the phase e^{-itx0} that
+    transform_values multiplies in has modulus within eps of 1 (cos and sin each
+    within an ulp), the complex product rounds by at most sqrt(5) eps/2, and each
+    side's abs rounds by eps/2.  The division by t and np.trapezoid's sum, pair
+    sum, step product and halving round each side by (3 + log2 m) eps/2 of a sum
+    of positive terms.  A bin that is off by at most ``bin_error`` moves the
+    lhs by at most 2 bin_error int 1/t dt.
+    """
+    eps = np.finfo(float).eps
+    return (4.0 + 3.0 + math.log2(t.size)) * eps * lhs + 2.0 * bin_error * float(np.trapezoid(1.0 / t, t))
+
+
+@pytest.mark.parametrize("n", [2**8, 2**10, 2**13])
+def test_hardy_check_reads_the_modulus_of_the_transform(n, dft_paths):
+    # hardy_check reads |ghat| as the modulus of the lattice bins and skips the
+    # unit-modulus phase; the lhs is the transform's own, up to that phase's rounding
+    g = derivative(line_function(Family.RAISED_COSINE, n=n))
+    lhs, _ = hardy_check(g)
+    t = np.arange(4, 4 * (n - 1) + 1) * (math.pi / (4 * g.grid.width))
+    want = 2.0 * float(np.trapezoid(np.abs(transform_values(g, t)) / t, t))
+    assert dft_paths == {"folds": [4, 4], "zoom": 0}
+    assert lhs > 1.0 and abs(lhs - want) <= hardy_lhs_bound(t, want)
+
+
+@pytest.mark.parametrize("n", [4077, 4081])
+def test_hardy_grid_count_follows_the_sample_count(n, dft_paths, padded_fft_lengths):
+    # on [-50, 50] the float ceil of (pi/h - pi/W)/(pi/W) is n - 1, not n - 2,
+    # at these n: a count taken from it laid 4 extra nodes off the lattice and
+    # sent the probe to the zoom DFT.  N = 8 * 4 * 1019 (1019^2 > N) takes the
+    # chirp-z route, N = 8 * 16 * 3 * 5 * 17 one rfft at N.
+    g = derivative(line_function(Family.TRIANGLE, n=n))
+    N = 8 * (n - 1)
+    lhs, _ = hardy_check(g)
+    assert dft_paths == {"folds": [4], "zoom": 0}
+    assert (N in padded_fft_lengths) != needs_bluestein(N)
+    P = max(padded_fft_lengths)
+    # the lattice reference: the same bins from numpy's FFT at N itself
+    t = np.arange(4, 4 * (n - 1) + 1) * (math.pi / (4 * g.grid.width))
+    ref, scale = lattice_dft_reference(g, t, 4)
+    want = 2.0 * float(np.trapezoid(np.abs(ref) / t, t))
+    passes = 2.0 * math.log2(P) if needs_bluestein(N) else math.log2(N)  # as in the route test above
+    bin_error = np.finfo(float).eps * (passes + math.log2(N)) * scale
+    assert abs(lhs - want) <= hardy_lhs_bound(t, want, bin_error)
 
 
 def test_nine_fold_grid_falls_back_to_zoom(dft_paths):

@@ -9,15 +9,17 @@ from hypothesis import example, given, settings, strategies as st
 from bvfourier import (
     DecayClass,
     SampledFunction,
+    fourier_transform,
     hilbert_multiplier,
     hilbert_pv,
+    integrate,
     kernel_difference,
     make_uniform_grid,
     total_variation,
     transform_values,
 )
 from bvfourier import hilbert
-from bvfourier._fft import fast_len
+from bvfourier._fft import fast_len, needs_bluestein
 from bvfourier.grids import trapezoid_weights
 
 finite_values = st.lists(
@@ -161,7 +163,8 @@ def test_hilbert_multiplier_is_linear(seed, a, b, exponents):
     assert linearity_defect(lambda v: hilbert_multiplier(v).values, f, g, a, b) <= slack
 
 
-# n = 2^11 on the 4-fold lattice: N = 8 (n - 1) = 8 * 23 * 89, the chirp-z route
+# n = 2^11 on the 4-fold lattice: N = 8 (n - 1) = 8 * 23 * 89 is not 5-smooth,
+# but 89^2 < N, so one rfft (fft for complex data) runs at N itself
 LATTICE_GRID = make_uniform_grid(-50.0, 50.0, 2**11)
 LATTICE_NODES = np.arange(-4 * 2047, 4 * 2047 + 1) * (math.pi / (4 * LATTICE_GRID.width))
 
@@ -174,7 +177,9 @@ def test_transform_values_is_linear_on_a_non_smooth_lattice(seed, a, b, exponent
     # real data needs the bins 0 .. N/2 only, complex data all N bins
     span = 4 * (n - 1) + 1 if not complex_values else 8 * (n - 1)
     S = abs(a) * float(np.sum(w * np.abs(f.values))) + abs(b) * float(np.sum(w * np.abs(g.values)))
-    # the chirp-z convolution runs forward and inverse at its padded length
+    # written for a chirp-z convolution, forward and inverse at its padded
+    # length P = fast_len(n + span - 1); the one FFT at N runs log2(N) passes,
+    # and 2 log2(N) + 4 <= 4 log2(P) + 4, so the same slack covers it
     slack = (4.0 * math.log2(fast_len(n + span - 1)) + 4.0) * np.finfo(float).eps * S
     assert linearity_defect(lambda v: transform_values(v, LATTICE_NODES), f, g, a, b) <= slack
 
@@ -225,3 +230,35 @@ def test_hilbert_multiplier_commutes_with_whole_step_shifts(seed, exponent, k):
     S = float(np.sum(np.abs(hilbert._multiplier_kernel(n)))) * float(np.max(np.abs(f.values)))
     slack = 2.0 * math.log2(fast_len(2 * n - 1)) * np.finfo(float).eps * S
     assert translation_defect(lambda v: hilbert_multiplier(v).values, f, g, k) <= slack
+
+
+# fourier_transform's default grid is the lattice k pi/(b - a), |k| <= n - 1,
+# whose bins come from one DFT of length N = 2 (n - 1).  Three route classes:
+# a 5-smooth N, an N that is not 5-smooth but has no prime p with p^2 > N
+# (both one rfft at N), and an N with such a prime (the chirp-z route).
+DEFAULT_GRID_N = {
+    "smooth": [n for n in range(3, 4098) if fast_len(2 * (n - 1)) == 2 * (n - 1)],
+    "rough": [n for n in range(3, 4098) if fast_len(2 * (n - 1)) != 2 * (n - 1) and not needs_bluestein(2 * (n - 1))],
+    "bluestein": [n for n in range(3, 4098) if needs_bluestein(2 * (n - 1))],
+}
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.one_of(*(st.sampled_from(ns) for ns in DEFAULT_GRID_N.values())),
+    a=st.floats(min_value=-100.0, max_value=100.0),
+    width=st.floats(min_value=0.1, max_value=200.0),
+    exponent=st.integers(min_value=-6, max_value=6),
+)
+@example(seed=1, n=2**10 + 1, a=-50.0, width=100.0, exponent=0)  # N = 2^11
+@example(seed=2, n=2**10, a=-50.0, width=100.0, exponent=0)  # N = 2 * 3 * 11 * 31
+@example(seed=3, n=2**7, a=-50.0, width=100.0, exponent=0)  # N = 2 * 127
+@settings(max_examples=40, deadline=None)
+def test_default_transform_grid_is_exactly_conjugate_with_the_plain_integral_at_zero(seed, n, a, width, exponent):
+    grid = make_uniform_grid(a, a + width, n)
+    f = SampledFunction(grid, 10.0**exponent * np.random.default_rng(seed).standard_normal(n), DecayClass.BOUNDED)
+    res = fourier_transform(f)
+    t, F = res.freqs, res.values
+    assert t.size == 2 * n - 1 and np.array_equal(t[::-1], -t)
+    assert np.array_equal(F[::-1], np.conj(F))
+    assert t[n - 1] == 0.0 and F[n - 1] == complex(integrate(f))
