@@ -44,9 +44,12 @@ __all__ = [
 
 # Sign of the frequency multiplier: transform of the conjugate equals
 # MULTIPLIER_SIGN * 1j * sign(freq) * transform of the input, under the
-# e^{-i t x} transform convention.  Pinned empirically by the
-# Poisson / conjugate-Poisson pair (see tests); flipping it maps the
-# Poisson kernel to minus its conjugate.
+# transform ghat(t) = int g(x) e^{-i t x} dx.  The conjugate convolves with
+# the kernel p.v. 1/(pi x) (hilbert_pv's symmetric difference form), whose
+# transform is (1/pi) p.v. int e^{-i t x} dx / x = -(i/pi) int sin(t x) dx / x
+# = -i sign(t).  The Poisson pair agrees: P = a / (pi (x^2 + a^2)) has
+# Phat = e^{-a|t|}, and its conjugate Q = x / (pi (x^2 + a^2)) has
+# Qhat = -i sign(t) e^{-a|t|} (see tests).
 MULTIPLIER_SIGN = -1.0
 
 # _inverse_power_transforms sums its power series sum_m r^m / (k + m),

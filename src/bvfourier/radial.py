@@ -11,7 +11,9 @@ of the fractional integral
 
 The profile f0 is read as linear between its samples and cut off at
 its last nonzero sample Rs, and I is integrated exactly on that
-profile, cell by cell, in closed form: no quadrature parameter enters.
+profile in closed form: odd dimensions by the recurrence
+I_n(t) = 2 int_t^Rs tau I_{n-2}(tau) dtau from I_1 = f0, cell by cell,
+even ones by one term per slope change.  No quadrature parameter enters.
 Three evaluation routes are provided and cross-checked: the direct
 reduction above, its (n-1)-fold integrated-by-parts variant, and an
 independent Bessel-quadrature oracle.  Profiles must be compactly
@@ -127,34 +129,49 @@ def leray_condition(p: RadialProfile) -> float:
     return float(np.sum(trapezoid_weights(p.f0.grid) * integrand))
 
 
-def _rsum(x: np.ndarray) -> np.ndarray:
-    """Entry i is sum_{j > i} x_j (entry -1 is dropped: nothing lies past it)."""
-    return np.cumsum(x[::-1])[::-1][1:]
+def _tail_sums(w: np.ndarray) -> np.ndarray:
+    """Entry i is sum_{j >= i} w_j, the sum from the last entry down.
 
-
-def _kink_sum_odd(t: np.ndarray, sk: np.ndarray, a: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """sum_{j > i} a_j int_{t_i}^{s_j} (s_j - s) s (s^2 - t_i^2)^m ds, m = (n-3)/2,
-    and S, the same expansion summed over the magnitudes of its terms.
-
-    The weight is a polynomial, so binomial expansion splits every term
-    into powers of t times reverse cumulative sums over the kinks.  The
-    expansion's terms reach (s^2 + t^2)^m where the sum is (s^2 - t^2)^m,
-    so rounding grows like 2^m eps max|I| with the dimension; S bounds
-    it (see :func:`fractional_integral`).
+    Each rounding error of the sequential sum is recovered exactly by
+    TwoSum and their own sum added back, which makes the result about as
+    accurate as a sum in twice the working precision (Ogita, Rump & Oishi,
+    Accurate sum and dot product, SIAM J. Sci. Comput. 26, 2005).
     """
-    m = (n - 3) // 2
-    aa, t2 = np.abs(a), t * t
-    B, C, Ba, Ca = _rsum(a * sk), _rsum(a), _rsum(aa * sk), _rsum(aa)
-    out, mags = np.zeros(t.size), np.zeros(t.size)
-    for k in range(m + 1):
-        e = 2 * k + 2  # int_t^R (R - s) s^(e-1) ds = R^(e+1)/(e(e+1)) - R t^e/e + t^(e+1)/(e+1)
-        se, te, te1 = sk ** (e + 1), t**e, t ** (e + 1)
-        inner = _rsum(a * se) / (e * (e + 1)) - te * B / e + te1 * C / (e + 1)
-        # (-t^2)^(m-k) from t^2, whose power takes numpy's fast path for a positive base
-        coef = math.comb(m, k) * t2 ** (m - k)
-        out += (-coef if (m - k) % 2 else coef) * inner
-        mags += coef * (_rsum(aa * se) / (e * (e + 1)) + te * Ba / e + te1 * Ca / (e + 1))
-    return out, mags
+    w = w[::-1]
+    acc = np.cumsum(w)
+    prev, late = acc[:-1], acc[1:] - acc[:-1]
+    err = (prev - (acc[1:] - late)) + (w[1:] - late)  # acc[1:] + err = prev + w[1:] exactly
+    acc[1:] += np.cumsum(err)
+    return acc[::-1]
+
+
+def _odd_recurrence(s: np.ndarray, f: np.ndarray, h: float, n: int) -> np.ndarray:
+    """I_n at s_0, ..., s_{J-1} for odd n >= 3, from f0's samples f_0, ..., f_J.
+
+    I_n(t) = 2 int_t^{Rs} tau I_{n-2}(tau) dtau from I_1 = f0, the
+    semigroup property of Riemann-Liouville integrals in t^2 (Samko,
+    Kilbas & Marichev, Fractional Integrals and Derivatives, 1993).  On
+    each cell [s_i, s_{i+1}], I_{n-2} is a polynomial c in
+    w = (s_{i+1} - tau)/h, starting from the linear f0.  A step multiplies
+    it by tau = s_{i+1} - h w, integrates it from the cell's right end,
+    h int_0^w, sums the whole cells from Rs down, and sets I_n to twice the
+    tail past the cell plus that partial integral.  Anchored at the right
+    end, every cell integrates in the tail's own direction.  A step costs
+    O(J n) for J cells, so the whole pass O(J n^2).
+    """
+    c, x = np.stack((f[1:], -np.diff(f))), s[1:]  # row k holds the w^k coefficients
+    for _ in range((n - 1) // 2):
+        d = c.shape[0]
+        part = np.empty((d + 2, x.size))
+        np.multiply(c, x, out=part[1 : d + 1])
+        c *= h
+        part[2 : d + 1] -= c[:-1]
+        np.negative(c[-1], out=part[d + 1])
+        part[1:] *= (2.0 * h / np.arange(1.0, d + 2.0))[:, None]
+        tail = _tail_sums(part[1:].sum(axis=0))  # I_n(s_i) = 2 int_{s_i}^{Rs} tau I_{n-2}
+        part[0, :-1], part[0, -1] = tail[1:], 0.0
+        c = part
+    return tail
 
 
 def _even_kernel(x, y, u, theta, n: int):
@@ -194,7 +211,7 @@ def _cheb_basis(t: np.ndarray, P: int) -> np.ndarray:
 
 
 def _kink_sum_even(a: np.ndarray, h: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The kink sum of :func:`_kink_sum_odd` for even n, and its t-derivative.
+    """sum_{j > i} a_j int_{t_i}^{s_j} (s_j - s) s (s^2 - t_i^2)^{(n-3)/2} ds for even n, and its t-derivative.
 
     Lengths are in units of L, the last kink's radius: t = x L, R = y L,
     u = sqrt(y^2 - x^2).  Then G_q = int_x^y (s^2 - x^2)^q ds obeys
@@ -283,63 +300,36 @@ def fractional_integral(p: RadialProfile) -> FractionalIntegral:
     Dimension 1 is the base case of the recurrence I_n' = -2 t I_{n-2}:
     I_1 is f0 itself.  Above it, f0 is read as linear between samples and
     cut off at its last nonzero sample Rs, and I is integrated exactly on
-    that profile.  On [0, Rs]
+    that profile.  Odd n runs the recurrence up from I_1, cell by cell in
+    closed form (:func:`_odd_recurrence`).  Even n writes, on [0, Rs],
 
         f0(s) = f0(Rs) + sum_j a_j (s_j - s)_+,
 
     with a_j the slope change at node s_j, so I is f0(Rs) times the
     ball's closed form 2 (Rs^2 - t^2)^{(n-1)/2} / ((n-1) Gamma((n-1)/2))
-    plus one closed-form term per kink: polynomial moments for odd n,
-    sqrt and log terms for even n.  A grid-aligned ball has no kinks and
-    evaluates to its closed form.  I vanishes identically from Rs on.
-    An odd dimension whose kink sum would lose more than 1e-3 max|I| to
-    rounding is refused.
+    plus one sqrt-and-log term per kink (:func:`_kink_sum_even`).  I
+    vanishes identically from Rs on.
     """
     if p.dim == 1:
         return FractionalIntegral(p.f0)
     n, s, f = p.dim, p.f0.x, p.f0.values
     vals, slope = np.zeros(s.size), np.zeros(s.size)
     J = p.support_index
-    if J > 0:
-        t, sk = s[:J], s[: J + 1]
+    if J > 0 and n % 2:
+        vals[:J] = _odd_recurrence(s[: J + 1], f[: J + 1], p.f0.h, n)
+    elif J > 0:
+        t = s[:J]
         a = np.zeros(J + 1)
         a[1:] = np.diff(np.diff(f[: J + 1]) / p.f0.h, append=0.0)
         d = (s[J] - t) * (s[J] + t)
-        vals[:J] = f[J] * d ** ((n - 1) / 2.0) / (n - 1)
-        if n % 2:
-            kinks, mags = _kink_sum_odd(t, sk, a, n)
-            # Loss bound.  Rounding model fl(x op y) = (x op y)(1 + d), |d| <= u = eps/2,
-            # numpy's pow within 1 ulp (2u; measured at most 0.66 ulp for exponents
-            # up to 344), math.gamma(m + 1) within 3 ulps of m! (checked for every
-            # m <= 170).  A kink term meets: a power s^(e+1) or
-            # t^e 2, times a_j 1, times B or C 1, a division 1, the reverse
-            # cumulative sum J - 1, forming inner 2, the power of t^2 m + 2 (t*t's
-            # rounding raised to m - k, then pow), comb(m, k) as a float 1, two
-            # products 2, the m additions over k, the addition to the ball term 1
-            # and the prefactor 8: J + n + 17.  The ball term meets 3 roundings in
-            # d raised to (n - 1)/2, pow 2, a product and a division 2 and the last
-            # 9: 3 (n - 1)/2 + 13.  Both are below J + 2n + 16, so I errs by at most
-            # (J + 2n + 16) u (S + |ball term|) times the prefactor.  The rounded
-            # a_j only perturb the profile: the expansion is exact on them, so that
-            # part enters I without the binomial growth.
-            loss = (J + 2 * n + 16) * 0.5 * np.finfo(float).eps * float(np.max(mags + np.abs(vals[:J])))
-            vals[:J] += kinks
-            scale = float(np.max(np.abs(vals)))
-            if loss > 1e-3 * scale:
-                raise ValueError(
-                    f"fractional_integral: at dim {n} the odd-dimension kink sum may lose "
-                    f"{loss / scale:.1e} of max|I| to rounding (limit 1e-3)"
-                )
-        else:
-            kinks, dkinks = _kink_sum_even(a, p.f0.h, n)
-            vals[:J] += kinks
-            slope[:J] = -f[J] * t / np.sqrt(d) + dkinks
-    pref = 2.0 / math.gamma((n - 1) / 2.0)
-    vals *= pref
+        kinks, dkinks = _kink_sum_even(a, p.f0.h, n)
+        pref = 2.0 / math.gamma((n - 1) / 2.0)
+        vals[:J] = pref * (f[J] * d ** ((n - 1) / 2.0) / (n - 1) + kinks)
+        slope[:J] = pref * (-f[J] * t / np.sqrt(d) + dkinks)
     # I(0) is the full tail integral, generally nonzero, so the samples
     # carry the vanishing tag (identically zero past the support radius)
     samples = SampledFunction(p.f0.grid, vals, DecayClass.VANISHING_AT_INFINITY)
-    return FractionalIntegral(samples, pref * slope if n == 2 else None)
+    return FractionalIntegral(samples, slope if n == 2 else None)
 
 
 def _cosine_transform(grid: Grid, vals: np.ndarray, radii: np.ndarray, phase: float = 0.0) -> np.ndarray:
@@ -417,10 +407,13 @@ def _derivative_levels(p: RadialProfile) -> list[np.ndarray]:
     mirrors the zeros of I past its end); the outer edge differentiates
     the identical zeros past the support.  This keeps iterated
     differencing free of one-sided edge artifacts: a stencil reaches one
-    sample per pass.  The exact construction leaves only roundoff on I:
-    at most 73 eps max|I| against an 80-bit evaluation of the same
-    formulas (bumps and Gaussian-type profiles, dims 2-7, n = 4097 and
-    8193), bounded here by 128 eps max|I|.  Each pass amplifies it by at
+    sample per pass.  The exact construction leaves only roundoff on I,
+    bounded here by 128 eps max|I|.  Measured at n = 4097 and 8193: at
+    even dims 2-6 at most 73 eps max|I| on bumps and Gaussian-type
+    profiles, against an 80-bit evaluation of the same formulas; at odd
+    dims 3-7 at most 1 eps on bumps, triangles and Gaussian-type profiles,
+    against the binomial kink formula with 60 guard digits (and at most
+    2 eps at n = 1025 up to dim 101).  Each pass amplifies it by at
     most 1/h, and the profile is refused once that exceeds 1% of a
     level's own scale, or before a pass could overflow: a pass forms
     terms of at most max(2, 4/h) times its input, kept below the float

@@ -261,7 +261,7 @@ def test_radial_refuses_past_the_differencing_budget_before_differencing(tmp_pat
 def test_radial_refuses_before_a_differencing_pass_could_overflow(tmp_path, capsys):
     # on this coarse Gaussian the noise budget never trips: each pass scales the levels by
     # about 1/h = 64 at a steady noise ratio, so they would overflow near pass 268 of 341.
-    # An even dimension: at odd dimensions this high I itself is refused (see below)
+    # An even dimension: at dim 343 the noise budget trips first, at pass 33
     s = np.linspace(0.0, 2.0, 129)
     src = tmp_path / "gauss.csv"
     src.write_text("s,f0\n" + "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(s, np.exp(-8.0 * s * s))))
@@ -274,18 +274,34 @@ def test_radial_refuses_before_a_differencing_pass_could_overflow(tmp_path, caps
     assert not (tmp_path / "r.csv").exists()
 
 
-@pytest.mark.parametrize("dim", [81, 343])
-def test_radial_refuses_an_odd_dimension_whose_kink_sum_lost_its_digits(tmp_path, capsys, dim):
-    # the bump's binomial kink sum loses about 2^((n-3)/2) eps: at dim 81 about 2.6e-3 of
-    # max|I| on this grid, which leray returned with exit 0
+@pytest.mark.parametrize("dim, budget", [(81, 6), (343, 0)])
+def test_radial_answers_leray_at_a_high_odd_dimension_and_ibp_refuses_on_its_budget(tmp_path, capsys, dim, budget):
+    # leray's I is exact to rounding at every odd dimension; ibp's n - 1 differencing
+    # passes outgrow their noise budget on this grid
     args = ["radial", "--family", "raised_cosine", "--width", "1", "--n", "4097", "--dim", str(dim)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main([*args, "--radii", "0.5,1,3", "--out", str(tmp_path / "r.csv")]) == EXIT_DATA
     err = capsys.readouterr().err
-    assert err.startswith(f"error: fractional_integral: at dim {dim} the odd-dimension kink sum may lose ")
+    assert err.startswith(f"error: I^{dim - 1} is not numerically trustworthy (budget {budget}); ")
     assert err.count("\n") == 1
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_radial_refuses_ibp_on_the_bump_at_dim_27(tmp_path, capsys):
+    # ibp once wrote 5.10e63 at r = 0.5 here (leray 0.626234, oracle 0.626230) with exit 0:
+    # the rounding noise of a binomial kink sum for I had fooled its differencing budget
+    s = np.linspace(0.0, 2.0, 4097)
+    bump = np.where(np.abs(s - 1.0) <= 0.5, 0.5 * (1.0 + np.cos(np.pi * (s - 1.0) / 0.5)), 0.0)
+    src = tmp_path / "bump.csv"
+    src.write_text("s,f0\n" + "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(s, bump)))
+    out = tmp_path / "r.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["radial", "--csv", str(src), "--dim", "27", "--radii", "0.5,1,3", "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: I^26 is not numerically trustworthy (budget ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_radial_refuses_a_value_past_the_float_range(tmp_path, capsys):

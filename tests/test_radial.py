@@ -32,6 +32,8 @@ from bvfourier.radial import (
     _kink_sum_even,
 )
 
+import reference
+
 
 def profile(values_fn, dim, r_end=2.0, n=2049):
     grid = make_uniform_grid(0.0, r_end, n)
@@ -428,33 +430,6 @@ def test_hierarchical_kink_sum_evaluates_o_n_log_n_kernel_entries(monkeypatch):
             assert sum(count) <= 0.05 * rows * kinks  # the direct sum evaluates N K entries
 
 
-def longdouble_odd_I(p, dims):
-    """{n: I_n samples} for the odd n in dims, by fractional_integral's ball term and
-    binomial kink expansion in long double, from the same float samples."""
-    LD = np.longdouble
-    s, f, J = p.f0.x.astype(LD), p.f0.values.astype(LD), p.support_index
-    t, sk = s[:J], s[: J + 1]
-    a = np.zeros(J + 1, dtype=LD)
-    a[1:] = np.diff(np.diff(f[: J + 1]) / LD(p.f0.h), append=LD(0))
-    B, C = radial._rsum(a * sk), radial._rsum(a)
-    # inner[k] and (-t^2)^k serve every dimension: only their binomial mix depends on n
-    inner, power, se, te = [], [np.ones(J, dtype=LD)], sk**3, t * t
-    for k in range((max(dims) - 1) // 2):
-        e = 2 * k + 2
-        inner.append(radial._rsum(a * se) / (e * (e + 1)) - te * B / e + te * t * C / (e + 1))
-        se, te = se * sk * sk, te * t * t
-        power.append(power[-1] * (-t * t))
-    d = (s[J] - t) * (s[J] + t)
-    out = {}
-    for n in dims:
-        m = (n - 3) // 2
-        vals = np.zeros(s.size, dtype=LD)
-        kinks = sum(math.comb(m, k) * power[m - k] * inner[k] for k in range(m + 1))
-        vals[:J] = f[J] * d ** (m + 1) / (n - 1) + kinks
-        out[n] = vals * (LD(2) / LD(math.factorial(m)))
-    return out
-
-
 ODD_KINDS = {
     "ball": lambda s: (s <= 1.0).astype(float),
     "bump": bump_values,
@@ -464,33 +439,51 @@ ODD_KINDS = {
 }
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended-precision long double")
-@pytest.mark.parametrize("n", [1025, 4097])
-@pytest.mark.parametrize("kind", sorted(ODD_KINDS))
-def test_odd_dimension_I_refuses_where_its_kink_sum_loses_digits(kind, n):
-    # the binomial kink sum loses about 2^((n-3)/2) eps: unchecked, on the n = 4097
-    # bump its error reached 2.6e-3 of max|I| at dim 81 and 4.3 at dim 101.  Every
-    # value returned must be within 1e-3 max|I| of the same formula in long double,
-    # whose own loss is eps_ld/eps ~ 5e-4 times smaller.  Balls have no kinks
-    dims = range(3, 102, 2)
-    answered = {}
+def test_tail_sums_round_as_if_in_twice_the_precision():
+    # Ogita, Rump & Oishi (2005), Prop. 4.5: the error is at most u |S| + gamma_{m-1}^2 sum |w|,
+    # u = eps/2, gamma_k = k u / (1 - k u).  For m = 4096 positive terms the second part is
+    # below 1e-24 |S|, so every entry is within eps |S| of its exact sum S
+    rng = np.random.default_rng(7)
+    w = rng.random(4096) * np.exp(rng.normal(0.0, 5.0, 4096))
+    got, exact = radial._tail_sums(w), Fraction(0)
+    for i in range(w.size - 1, -1, -1):
+        exact += Fraction(w[i])
+        assert abs(Fraction(got[i]) - exact) <= Fraction(np.finfo(float).eps) * exact, i
+
+
+@pytest.mark.parametrize(
+    "kind, n, dims",
+    [(kind, 129, (3, 5, 21, 51, 101, 171, 343)) for kind in sorted(ODD_KINDS)] + [("bump", 1025, (3, 21, 41, 101))],
+)
+def test_odd_dimension_I_is_exact_to_rounding(kind, n, dims):
+    # the cell recurrence against the binomial kink formula in mpmath (tests/reference.py),
+    # within the 128 eps max|I| that _derivative_levels assumes of I.  Measured: at most
+    # 12 eps max|I| at n = 129 and 0.81 eps at n = 1025, so the bound holds an 11x margin.
+    # The ball's max|I| at dim 343, 8.1e-310, is subnormal: there the error is 5 units of
+    # the least subnormal, against the 100 allowed
+    want = reference.odd_fractional_integral(profile(ODD_KINDS[kind], 3, n=n), dims)
     for dim in dims:
+        got = fractional_integral(profile(ODD_KINDS[kind], dim, n=n)).samples.values
+        tol = 128.0 * np.finfo(float).eps * np.max(np.abs(want[dim])) + 100.0 * np.finfo(float).smallest_subnormal
+        assert np.max(np.abs(got - want[dim])) <= tol, dim
+
+
+@pytest.mark.parametrize("n", [1025, 4097])
+@pytest.mark.parametrize("kind", ["bump", "gaussian", "smoothed_box", "triangle"])
+def test_ibp_refuses_or_agrees_with_leray_at_high_odd_dimensions(kind, n):
+    # ibp once returned values off by 1e47 to 1e161 of max|F| at odd dims 25-55 here, where
+    # the binomial kink sum's rounding noise in I fooled its differencing budget
+    radii = [0.5, 1.0, 3.0]
+    for dim in (21, 27, 41, 53):
+        p = profile(ODD_KINDS[kind], dim, n=n)
+        leray = radial_ft_leray(p, radii)
+        top = abs(radial_ft_leray(p, [1e-9])[0])  # max|F| = F(0): f0 >= 0
         try:
-            answered[dim] = fractional_integral(profile(ODD_KINDS[kind], dim, n=n)).samples.values
+            ibp = radial_ft_ibp(p, radii)
         except ValueError as exc:
-            assert f"at dim {dim} the odd-dimension kink sum may lose" in str(exc)
-    assert all(dim in answered for dim in dims if dim <= 41)
-    assert kind == "ball" or not any(dim in answered for dim in dims if dim >= 81)
-    want = longdouble_odd_I(profile(ODD_KINDS[kind], 3, n=n), list(answered))
-    for dim, got in answered.items():
-        assert np.max(np.abs(got - want[dim])) <= 1e-3 * np.max(np.abs(want[dim]))
-
-
-def test_gamma_at_odd_dimensions_is_within_3_ulps_of_the_factorial():
-    # the loss bound in fractional_integral counts 2/Gamma((n-1)/2) = 2/m! at odd n this way
-    for m in range(_MAX_DIM // 2):
-        g = math.gamma(m + 1)
-        assert abs(Fraction(g) - math.factorial(m)) <= 3 * Fraction(math.ulp(g))
+            assert "is not numerically trustworthy" in str(exc)
+            continue
+        assert np.max(np.abs(ibp - leray)) <= 1e-3 * top, dim
 
 
 def test_ibp_on_a_grid_shorter_than_its_mirror_refuses_with_a_reason():
