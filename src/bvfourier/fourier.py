@@ -127,7 +127,8 @@ def _lattice_dft(coeffs: np.ndarray, k: np.ndarray, fold: int) -> np.ndarray:
     sums: F(t) = e^{-i t x0} times bin k at t = k pi/(L (b - a)).  The
     unit-modulus phase is left to the callers that read values, so
     |F(t)| is the bins' modulus.  Real input reads the negative bins as
-    conjugates, so mirrored nodes come out exactly conjugate.  N itself
+    conjugates, so mirrored nodes come out exactly conjugate; one run of
+    bins inside 0 .. N/2 is a slice of the rfft.  N itself
     takes one fft (rfft for real input) unless it has a prime factor p
     with p^2 > N, pocketfft's test for its uncached Bluestein fallback;
     only then do the bins lo .. lo + span - 1 run as one chirp-z
@@ -135,7 +136,11 @@ def _lattice_dft(coeffs: np.ndarray, k: np.ndarray, fold: int) -> np.ndarray:
     Electroacoust. 18 (1970) 451), its chirps and kernel spectrum cached.
     """
     n, N = coeffs.size, 2 * fold * (coeffs.size - 1)
-    k, real = k % N, not np.iscomplexobj(coeffs)
+    real, lo = not np.iscomplexobj(coeffs), int(k[0])
+    if real and not needs_bluestein(N) and 0 <= lo and int(k[-1]) <= N // 2:
+        if np.array_equal(k, np.arange(lo, lo + k.size)):  # one run inside 0 .. N/2: no bin is mirrored
+            return np.fft.rfft(coeffs, N)[lo : lo + k.size]
+    k = k % N
     if real:
         k, mirrored = np.minimum(k, N - k), k > N // 2
     if not needs_bluestein(N):

@@ -53,13 +53,15 @@ __all__ = [
 MULTIPLIER_SIGN = -1.0
 
 # _inverse_power_transforms sums its power series sum_m r^m / (k + m),
-# r = x/R, where |r| < _SERIES_RHO.  Every partial sum exceeds (1 - rho)/k
-# (the terms shrink, and alternate when r < 0), and an addend below s eps/4
-# leaves a float s unchanged.  Term m is below rho^m / k, so the terms from
-# _SERIES_TERMS on change no bit of the sum once
-# rho^_SERIES_TERMS < (1 - rho) eps / 4, which gives 32 terms.
+# r = x/R, where |r| < _SERIES_RHO, as its even part sum_j r^{2j} / (k + 2j)
+# and odd part r sum_j r^{2j} / (k + 2j + 1).  The terms of both sums are
+# positive, so their partial sums are at least their first terms 1/k and
+# 1/(k + 1), which bound term j by rho^{2j} times the partial sum; an addend
+# below s eps/4 leaves a float s unchanged.  So the terms from m = 2j =
+# _SERIES_TERMS on change no bit of either sum once rho^_SERIES_TERMS < eps/4,
+# which gives 32 terms.
 _SERIES_RHO = 0.3
-_SERIES_TERMS = math.ceil(math.log((1.0 - _SERIES_RHO) * np.finfo(float).eps / 4.0) / math.log(_SERIES_RHO))
+_SERIES_TERMS = 2 * math.ceil(math.log(np.finfo(float).eps / 4.0) / (2.0 * math.log(_SERIES_RHO)))
 
 
 def _require_line_input(f: SampledFunction, op: str, allow_bounded: bool = False) -> None:
@@ -131,26 +133,32 @@ def modified_hilbert(f: SampledFunction) -> SampledFunction:
 
 
 def _inverse_power_transforms(x: np.ndarray, R: float, kmax: int) -> np.ndarray:
-    """J_k(x) = int_R^inf dt / (t^k (x - t)) for k = 1..kmax, |x| < R.
+    """J_k(sx) = int_R^inf dt / (t^k (sx - t)) for k = 1..kmax, |x| < R, at both signs s.
 
-    Stable two-regime evaluation: a power series in x/R near the
-    origin, the log/recursion closed form elsewhere.
+    Row [0, k] holds J_k(x), row [1, k] holds J_k(-x).  A power series in
+    x/R near the origin, summed as its even part E and odd part O, gives
+    both signs from one set of powers, J_k(+-x) = -(E +- O)/R^k; elsewhere
+    the log/recursion closed form, per sign.
     """
     x = np.asarray(x, dtype=float)
-    J = np.zeros((kmax + 1, x.size))
+    J = np.zeros((2, kmax + 1, x.size))
     small = np.abs(x) < _SERIES_RHO * R
     r = x[small] / R
-    for k in range(1, kmax + 1):
-        s = np.zeros_like(r)
-        term = np.ones_like(r)
-        for m in range(_SERIES_TERMS):
-            s += term / (k + m)
-            term *= r
-        J[k, small] = -s / R**k
-    xl = x[~small]
-    J[1, ~small] = (1.0 / xl) * np.log(np.abs(R - xl) / R)
-    for k in range(2, kmax + 1):
-        J[k, ~small] = (1.0 / xl) * (R ** (1 - k) / (k - 1) + J[k - 1, ~small])
+    k = np.arange(1.0, kmax + 1.0)[:, None]
+    even, odd = np.zeros((kmax, r.size)), np.zeros((kmax, r.size))
+    term, r2 = np.ones_like(r), r * r
+    for m in range(0, _SERIES_TERMS, 2):
+        even += term / (k + m)
+        odd += term / (k + m + 1)
+        term *= r2
+    odd *= r
+    scale = R**k
+    J[0, 1:, small] = (-(even + odd) / scale).T
+    J[1, 1:, small] = (-(even - odd) / scale).T
+    for sign, xl in enumerate((x[~small], -x[~small])):
+        J[sign, 1, ~small] = (1.0 / xl) * np.log(np.abs(R - xl) / R)
+        for kk in range(2, kmax + 1):
+            J[sign, kk, ~small] = (1.0 / xl) * (R ** (1 - kk) / (kk - 1) + J[sign, kk - 1, ~small])
     return J
 
 
@@ -170,7 +178,7 @@ def _tail_correction(f: SampledFunction) -> np.ndarray:
     m = max(32, n // 20)
     kmax = 5
     scale = float(np.max(np.abs(f.values)))
-    corr = np.zeros(n)
+    corr, transforms = np.zeros(n), {}
     if scale == 0.0 or 2 * m > n:
         return corr
     for side in (1, -1):
@@ -187,7 +195,9 @@ def _tail_correction(f: SampledFunction) -> np.ndarray:
         resid = float(np.sqrt(np.mean((basis @ coef - fs) ** 2)))
         if resid > 1e-3 * float(np.sqrt(np.mean(fs**2))):
             continue
-        J = _inverse_power_transforms(side * x, Rm, kmax)
+        if Rm not in transforms:  # a symmetric window's two sides share one pass
+            transforms[Rm] = _inverse_power_transforms(x, Rm, kmax)
+        J = transforms[Rm][0 if side > 0 else 1]
         contrib = np.zeros(n)
         for k in range(1, kmax + 1):
             contrib += coef[k - 1] * Rm**k * J[k]

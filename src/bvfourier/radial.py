@@ -48,6 +48,7 @@ _TAIL_TOL = 1e-10
 _BOUNDARY_TOL = 1e-6
 _SUB_BLOCK = 2**14  # float64 elements per temporary array; blocked passes keep up to eight live
 _LEAF = 32  # finest index box width of the even-dimension kink sum
+_MILLER_TOL = 1e-16  # relative error of Miller's recurrence, about J at its start order
 # largest dimension whose prefactors Gamma((n-1)/2), pi^{(n-1)/2}, (2 pi)^{n/2}
 # and the oracle series' Gamma(nu + 1) = Gamma(n/2) are all finite in float64:
 # Gamma(n/2) overflows first, at n = 344 (Gamma(172) > 1.8e308)
@@ -184,30 +185,51 @@ def _even_kernel(x, y, u, theta, n: int):
 
 
 def _cheb_points(n: int) -> int:
-    """Chebyshev points P of the far-field interpolant in dimension n.
+    """Chebyshev points P per box of the two-sided far-field interpolant in dimension n.
 
-    A row lies more than one box width left of every column box it
-    takes in far field, so the kernel's branch point y = t lies outside
-    the box's Bernstein ellipse E_rho, rho = 3 + 2 sqrt 2.  On E_rho,
-    |y - t| and |y + t| exceed their values at the box's far end by at
-    most 3/2, which bounds the kernel there by M = n 1.5^n times its
-    largest value on the box (and theta by less).  Interpolation of
-    degree P - 1 errs by at most 4 M rho^{1-P} / (rho - 1) (Trefethen,
-    Approximation Theory and Approximation Practice, Thm 8.2); P is the
-    least with that at most eps: 23 for n = 2, 25 for n = 8.
+    A row box takes a column box in far field only if at least one box
+    width separates them.  The far field replaces the kernel f(x, y) by
+    its tensor interpolant I_x I_y f on the two boxes' Chebyshev nodes,
+    and f - I_x I_y f = (f - I_x f) + I_x (f - I_y f).  Each term
+    interpolates in one variable with the other held at a real point of
+    its box, so only that one variable leaves the real axis: the branch
+    points y = +-x then lie at least one box width beyond the box, outside
+    its Bernstein ellipse E_rho, rho = 3 + 2 sqrt 2 (on the row side once
+    -ln x, the kernel's only other singularity, is split off; see
+    _kink_sum_even).  On E_rho, |y - x| and |y + x| exceed their values at
+    the box's far end by at most 3/2, which bounds the kernel there by
+    M = n 1.5^n times its largest value on the box (measured on both
+    sides: at most 3.6 at n = 2 and 13 at n = 8).  Interpolation of degree
+    P - 1 errs by at most E = 4 M rho^{1-P} / (rho - 1) (Trefethen,
+    Approximation Theory and Approximation Practice, Thm 8.2), and I_x
+    amplifies by at most the Lebesgue constant 1 + (2/pi) ln P of P
+    first-kind Chebyshev nodes (Rivlin, An Introduction to the
+    Approximation of Functions, 1969).  P is the least with
+    (2 + (2/pi) ln P) E at most eps: 23 for n = 2, 26 for n = 8.
     """
-    rho, m = 3.0 + 2.0 * math.sqrt(2.0), n * 1.5**n
-    return 1 + math.ceil(math.log(4.0 * m / ((rho - 1.0) * np.finfo(float).eps)) / math.log(rho))
+    rho, m, eps = 3.0 + 2.0 * math.sqrt(2.0), n * 1.5**n, np.finfo(float).eps
+    P = 2
+    while (2.0 + 2.0 / math.pi * math.log(P)) * 4.0 * m * rho ** (1 - P) / (rho - 1.0) > eps:
+        P += 1
+    return P
 
 
 def _cheb_basis(t: np.ndarray, P: int) -> np.ndarray:
     """Lagrange basis of the P first-kind Chebyshev nodes at t in [-1, 1], one row per t.
 
-    By discrete orthogonality l_m(t) = (2/P) (sum_{k<P} T_k(nu_m) T_k(t) - 1/2).
+    Barycentric form l_m(t) = (w_m / (t - nu_m)) / sum_k w_k / (t - nu_k)
+    with w_k = (-1)^k sin((2k + 1) pi / (2P)) (Berrut & Trefethen,
+    Barycentric Lagrange interpolation, SIAM Rev. 46, 2004), forward
+    stable on these nodes (Higham, IMA J. Numer. Anal. 24, 2004); a t on
+    a node takes that node's unit row.
     """
-    k = np.arange(P)
-    at_nodes = np.cos(np.outer(k, (2 * k + 1) * math.pi / (2 * P)))
-    return (np.cos(np.outer(np.arccos(t), k)) @ at_nodes - 0.5) * (2.0 / P)
+    angle = (2 * np.arange(P) + 1) * math.pi / (2 * P)
+    d = np.asarray(t, dtype=float)[:, None] - np.cos(angle)
+    hit = d == 0.0
+    q = np.where(hit, 1.0, (-1.0) ** np.arange(P) * np.sin(angle) / np.where(hit, 1.0, d))
+    on_node = hit.any(axis=1)
+    q[on_node] = hit[on_node]
+    return q / q.sum(axis=1, keepdims=True)
 
 
 def _kink_sum_even(a: np.ndarray, h: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -225,12 +247,22 @@ def _kink_sum_even(a: np.ndarray, h: float, n: int) -> tuple[np.ndarray, np.ndar
     Rows and kinks share dyadic index boxes, _LEAF nodes wide at the
     finest level.  A row takes the kinks of its own leaf box and the
     next one directly, with u from exact integer node indices.  At each
-    level it takes the kinks of the column boxes p + 2 and, for even p,
-    p + 3 (its parent's neighbours not yet taken) through their moments
-    against a Chebyshev interpolant in y (:func:`_cheb_points`).  The
-    moments of a box come from its children's by exact re-interpolation,
-    so the whole sum costs O(N log N) for N rows.  Besides O(N) index
-    and moment arrays, no temporary array exceeds _SUB_BLOCK elements.
+    level a row box p takes the column boxes p + 2 and, for even p, p + 3
+    (its parent's neighbours not yet taken) in far field, through one
+    P x P kernel matrix between the two boxes' Chebyshev nodes
+    (:func:`_cheb_points`): the column side through the kinks' moments
+    against the box's Lagrange basis, the row side through that basis at
+    the rows.  The kernel is linear in theta = ln(y + u) - ln x, and the
+    -ln x part multiplies a polynomial in x^2 alone.  So the far field
+    interpolates the kernel with ln(y + u) for theta, analytic in x on the
+    row box's ellipse (box 0's t = 0 row included), and each row adds the
+    -ln x part once, times the sum of its far kinks.  Each level's moments
+    are taken straight from the kinks, not re-interpolated from the level
+    below, so no rounding accumulates across levels.  Column boxes without
+    kinks, and near-field blocks without any, are skipped.  The whole sum
+    costs O(N log N) for N rows, O(N) kernel entries per level.  Besides
+    O(N) index and moment arrays, no temporary array exceeds _SUB_BLOCK
+    elements.
     """
     rows_total = a.size - 1
     out, slope = np.zeros(rows_total), np.zeros(rows_total)
@@ -243,13 +275,14 @@ def _kink_sum_even(a: np.ndarray, h: float, n: int) -> tuple[np.ndarray, np.ndar
     ap = np.zeros((boxes + 1) * w)
     ap[: last + 1] = a[: last + 1]
     row_boxes = -(-last // w)
-    near, dnear = np.zeros(row_boxes * w), np.zeros(row_boxes * w)
+    near, dnear = np.zeros((row_boxes, w)), np.zeros((row_boxes, w))
     # near field: leaf box b's rows against the 2w kinks of boxes b and b + 1
     span = np.arange(2 * w)
     windows = np.lib.stride_tricks.sliding_window_view(ap, 2 * w)[::w]
+    live = np.flatnonzero(windows[:row_boxes].any(axis=1))
     per = max(1, _SUB_BLOCK // (2 * w * w))
-    for b0 in range(0, row_boxes, per):
-        b = np.arange(b0, min(b0 + per, row_boxes))
+    for i0 in range(0, live.size, per):
+        b = live[i0 : i0 + per]
         ri = (b[:, None] * w + np.arange(w)).astype(float)[:, :, None]
         cj = (b[:, None] * w + span).astype(float)[:, None, :]
         u = cj * cj - ri * ri  # j^2 - i^2, exact in floating point
@@ -259,39 +292,85 @@ def _kink_sum_even(a: np.ndarray, h: float, n: int) -> tuple[np.ndarray, np.ndar
         u *= inv
         kern = _even_kernel(ri * inv, cj * inv, u, theta, n)
         aw = windows[b]
-        near[b0 * w : (b0 + b.size) * w] = np.einsum("bij,bj->bi", kern, aw).ravel()
+        near[b] = np.einsum("bij,bj->bi", kern, aw)
         if n == 2:
-            dnear[b0 * w : (b0 + b.size) * w] = (-ri[:, :, 0] * inv * np.einsum("bij,bj->bi", theta, aw)).ravel()
-    out[:last] = near[:last]
-    slope[:last] = dnear[:last]
-    # far field, level by level: moments of the kinks against the Lagrange basis
+            dnear[b] = -ri[:, :, 0] * inv * np.einsum("bij,bj->bi", theta, aw)
+    # far field, level by level: kernel matrices between the Chebyshev nodes of a
+    # row box and a column box, theta replaced by ln(y + u) = theta + ln x
     nodes = np.cos((2 * np.arange(P) + 1) * math.pi / (2 * P))
-    mom = ap[: boxes * w].reshape(boxes, w) @ _cheb_basis((2 * np.arange(w) + 1 - w) / w, P)
-    to_parent = (_cheb_basis((nodes - 1.0) / 2.0, P), _cheb_basis((nodes + 1.0) / 2.0, P))
+    far, dfar = np.zeros(boxes * w), np.zeros(boxes * w)
     width, count = w, boxes
+    step = max(1, _SUB_BLOCK // (P * P))
     while count > 2:
-        node_pos = width / 2.0 - 0.5 + width / 2.0 * nodes  # nodes within a box, in index units
-        pairs = np.hstack((mom[:-1], mom[1:]))
-        for parity, targets, off in ((0, pairs, np.concatenate((node_pos, node_pos + width))), (1, mom, node_pos)):
-            p = np.arange(parity, count - 2, 2)
-            rows = (p[:, None] * width + np.arange(width)).ravel()
-            rows = rows[(rows < last) & ((rows // width + 2) * width <= last)]  # box p + 2 holds kinks
-            step = max(1, _SUB_BLOCK // off.size)
-            for r0 in range(0, rows.size, step):
-                r = rows[r0 : r0 + step]
-                q = r // width + 2
-                x = (r * inv)[:, None]
-                y = (q * width)[:, None] * inv + off * inv
+        pos = width / 2.0 - 0.5 + width / 2.0 * nodes  # nodes within a box, in index units
+        # the Lagrange basis at the rows' and kinks' offsets in a box, in slices of at
+        # most _SUB_BLOCK entries: moments straight from the kinks, values at the rows
+        spots = [slice(j, j + _SUB_BLOCK // P) for j in range(0, width, _SUB_BLOCK // P)]
+        offsets = (2 * np.arange(width) + 1 - width) / width
+        cells = ap[: boxes * w].reshape(count, width)
+        mom, kinked = sum(cells[:, j] @ _cheb_basis(offsets[j], P) for j in spots), cells.any(axis=1)
+        local, dlocal = np.zeros((count, P)), np.zeros((count, P))
+        for d in (2, 3):
+            p = np.arange(0, count - d, d - 1)  # p + 3 is taken by even p only
+            p = p[kinked[p + d] & (p * width < last)]
+            for i0 in range(0, p.size, step):
+                pb = p[i0 : i0 + step]
+                x = ((pb * width)[:, None, None] + pos[:, None]) * inv
+                y = (((pb + d) * width)[:, None, None] + pos) * inv
                 u = np.sqrt((y - x) * (y + x))
-                theta = np.arcsinh(u / np.where(x > 0.0, x, np.inf))
-                m = targets[q]
-                out[r] += np.einsum("ij,ij->i", _even_kernel(x, y, u, theta, n), m)
+                theta = np.log(y + u)
+                m = mom[pb + d]
+                local[pb] += np.einsum("bij,bj->bi", _even_kernel(x, y, u, theta, n), m)
                 if n == 2:
-                    slope[r] -= x[:, 0] * np.einsum("ij,ij->i", theta, m)
-        mom = mom[0::2] @ to_parent[0] + mom[1::2] @ to_parent[1]
+                    dlocal[pb] += np.einsum("bij,bj->bi", theta, m)
+        for j in spots:
+            basis = _cheb_basis(offsets[j], P).T
+            far.reshape(count, width)[:, j] += local @ basis
+            if n == 2:
+                dfar.reshape(count, width)[:, j] += dlocal @ basis
         width, count = 2 * width, count // 2
+    # the kernel is linear in theta: add the -ln x part, times the sum of the
+    # row's far kinks, those from its leaf box + 2 on
+    r = np.arange(last)
+    x = r * inv
+    beyond = _tail_sums(ap)[np.minimum((r // w + 2) * w, ap.size - 1)]  # ap ends in w zeros
+    neg_ln = -np.log(np.where(r > 0, x, 1.0)) * beyond  # x^n ln x -> 0 at the t = 0 row
+    out[:last] = near.ravel()[:last] + far[:last] + _even_kernel(x, 0.0, 0.0, neg_ln, n)
+    if n == 2:
+        slope[:last] = dnear.ravel()[:last] - x * (dfar[:last] + neg_ln)
     L = h * last
     return L**n * out, L * slope
+
+
+def _odd_log_bound(n: int, M: float, Rs: float, h: float) -> float:
+    """log of a bound on every entry :func:`_odd_recurrence` forms at odd n, for max|f0| = M.
+
+    On a cell [s_i, s_{i+1}], I_k (k = 2m + 1) is a polynomial; continue
+    it to the disc D of radius h about s_{i+1}, where |tau| <= rho = Rs + h.
+    It is I_k(s_{i+1}) plus (2/Gamma(m)) int_tau^{s_{i+1}} s P(s) (s^2 - tau^2)^{m-1} ds
+    over the cell's linear piece P (|P| <= 3M on D), and past the cell
+    |s^2 - tau^2| <= (s + h)^2 - s_{i+1}^2, so on D
+
+        |I_k| <= B_m = M rho^{2m} / m! (1 + 3m (2h / rho)^m).
+
+    By Cauchy's estimate the cell's coefficients in w = (s_{i+1} - tau)/h
+    are at most B_m too.  A step's products with tau and h and its factors
+    2h/k form no entry above 2 rho max(1, 2h) B_m from them, and its sum
+    over at most n + 1 coefficient rows no partial sum above n + 1 times
+    that.  The bound is the largest over the steps m <= (n-1)/2.
+    """
+    rho, m = Rs + h, np.arange(1.0, (n - 1) // 2 + 1.0)
+    log_b = 2.0 * m * math.log(rho) - np.cumsum(np.log(m)) + np.log1p(3.0 * m * (2.0 * h / rho) ** m)
+    return math.log(M) + float(np.max(log_b)) + math.log(2.0 * (n + 1) * rho * max(1.0, 2.0 * h))
+
+
+def _check_range(n: int, log_bound: float) -> None:
+    """Refuse, before any of it is formed, an I whose terms may pass the float64 range."""
+    if log_bound >= math.log(np.finfo(float).max):
+        raise ValueError(
+            f"dimension {n}: I may overflow float64 on this profile (a bound on its terms is "
+            f"1e{log_bound / math.log(10.0):.0f}); a lower dimension or a narrower support keeps it in range"
+        )
 
 
 def fractional_integral(p: RadialProfile) -> FractionalIntegral:
@@ -308,7 +387,9 @@ def fractional_integral(p: RadialProfile) -> FractionalIntegral:
     with a_j the slope change at node s_j, so I is f0(Rs) times the
     ball's closed form 2 (Rs^2 - t^2)^{(n-1)/2} / ((n-1) Gamma((n-1)/2))
     plus one sqrt-and-log term per kink (:func:`_kink_sum_even`).  I
-    vanishes identically from Rs on.
+    vanishes identically from Rs on.  A profile on which a bound on the
+    terms either branch forms passes the float64 range is refused before
+    any of them is formed.
     """
     if p.dim == 1:
         return FractionalIntegral(p.f0)
@@ -316,11 +397,17 @@ def fractional_integral(p: RadialProfile) -> FractionalIntegral:
     vals, slope = np.zeros(s.size), np.zeros(s.size)
     J = p.support_index
     if J > 0 and n % 2:
+        _check_range(n, _odd_log_bound(n, float(np.max(np.abs(f[: J + 1]))), float(s[J]), p.f0.h))
         vals[:J] = _odd_recurrence(s[: J + 1], f[: J + 1], p.f0.h, n)
     elif J > 0:
         t = s[:J]
         a = np.zeros(J + 1)
         a[1:] = np.diff(np.diff(f[: J + 1]) / p.f0.h, append=0.0)
+        # with R = max(1, Rs), the closed form forms L^n <= R^n and d^{(n-1)/2} <= R^{n-1}
+        # whatever the samples, and terms of at most 2.26 (R^{n-1} max|f0| + R^n sum|a_j|):
+        # 2/Gamma((n-1)/2) <= 2.26, and the kink sum's kernel is at most 1 in units of L <= Rs
+        spread = 1.0 + float(np.max(np.abs(f[: J + 1]))) + float(np.sum(np.abs(a)))
+        _check_range(n, math.log(2.26 * spread) + n * math.log(max(1.0, float(s[J]))))
         d = (s[J] - t) * (s[J] + t)
         kinks, dkinks = _kink_sum_even(a, p.f0.h, n)
         pref = 2.0 / math.gamma((n - 1) / 2.0)
@@ -534,18 +621,38 @@ def _half_integer_jv(k: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _miller_start(k: int, xmax: float) -> int:
+    """Even start order of :func:`_miller_jv` for J_k on arguments up to xmax.
+
+    The recurrence's relative error is about J_top(x), and
+    |J_m(x)| <= (x/2)^m / m! (DLMF 10.14.4), so the least even top >= k + 2
+    with (xmax/2)^top / top! <= _MILLER_TOL suffices.  Past the turning
+    point J_{x+d}(x) is about (2/x)^{1/3} Ai((2/x)^{1/3} d) (DLMF 10.19.8),
+    below _MILLER_TOL once d >= 12 x^{1/3}; that order, at least
+    xmax + k + 40, is taken where it is the smaller (from xmax about 32 at
+    k = 0, about 54 at k = 10).
+    """
+    airy = 2 * math.ceil((xmax + max(k + 40.0, 12.0 * xmax ** (1.0 / 3.0))) / 2.0)
+    top, log_tol = k + 2 + k % 2, math.log(_MILLER_TOL)
+    while top < airy and top * math.log(xmax / 2.0) - math.lgamma(top + 1.0) > log_tol:
+        top += 2
+    return min(top, airy)
+
+
 def _miller_jv(k: int, x: np.ndarray) -> np.ndarray:
     """J_k(x), x >= 1, by Miller's backward recurrence (DLMF 10.74(iv)).
 
-    J_{m-1} = (2m/x) J_m - J_{m+1} runs down from an even start order
-    top and is normalised by J_0 + 2 sum_m J_{2m} = 1, so the relative
-    error is about J_top(x).  Past the turning point J_{x+d}(x) is about
-    (2/x)^{1/3} Ai((2/x)^{1/3} d) (DLMF 10.19.8), below 1e-16 once
-    d >= 12 x^{1/3}; top is at least max x + k + 40 and that far out.
-    Entries past 1e200 are rescaled on the way down.
+    J_{m-1} = (2m/x) J_m - J_{m+1} runs down from the even start order
+    top of :func:`_miller_start` and is normalised by
+    J_0 + 2 sum_m J_{2m} = 1, so the relative error is about J_top(x).
+    Started from J_top = 1, J_{top+1} = 0, every entry is at most
+    prod_{m <= top} (1 + 2m / min x) (the running maximum grows by at
+    most that factor per step); only where that bound passes 1e200 are
+    entries past 1e200 rescaled on the way down.
     """
-    xmax = float(np.max(x))
-    top = 2 * math.ceil((xmax + max(k + 40.0, 12.0 * xmax ** (1.0 / 3.0))) / 2.0)
+    top = _miller_start(k, float(np.max(x)))
+    growth = float(np.sum(np.log1p(2.0 * np.arange(1, top + 1) / float(np.min(x)))))
+    rescale = growth > 200.0 * math.log(10.0)
     two_over_x = 2.0 / x
     j_next, j, tmp = np.zeros_like(x), np.ones_like(x), np.empty_like(x)
     norm, jk = 2.0 * j, np.zeros_like(x)
@@ -560,10 +667,11 @@ def _miller_jv(k: int, x: np.ndarray) -> np.ndarray:
             norm += j
             if m > 1:
                 norm += j
-        big = np.abs(j, out=tmp) > 1e200
-        if big.any():
-            for arr in (j, j_next, norm, jk):
-                arr[big] *= 1e-200
+        if rescale:
+            big = np.abs(j, out=tmp) > 1e200
+            if big.any():
+                for arr in (j, j_next, norm, jk):
+                    arr[big] *= 1e-200
     return jk / norm
 
 

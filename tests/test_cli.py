@@ -304,6 +304,28 @@ def test_radial_refuses_ibp_on_the_bump_at_dim_27(tmp_path, capsys):
     assert not out.exists()
 
 
+def raised_cosine_csv(path):
+    """A raised cosine centred at 50, half-width 20, on [0, 100] with 1025 samples."""
+    s = np.linspace(0.0, 100.0, 1025)
+    f = np.where(np.abs(s - 50.0) <= 20.0, 0.5 * (1.0 + np.cos(np.pi * (s - 50.0) / 20.0)), 0.0)
+    path.write_text("s,f0\n" + "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(s, f)))
+    return path
+
+
+@pytest.mark.parametrize("dim", [342, 343])
+def test_radial_refuses_an_I_past_the_float_range_before_forming_it(tmp_path, capsys, dim):
+    # I reaches about 1e318 at dim 343: the odd recurrence once overflowed into five
+    # RuntimeWarnings before its non-finite values were refused, and at dim 342 the
+    # even closed form's L^n raised an OverflowError traceback
+    src, out = raised_cosine_csv(tmp_path / "rc.csv"), tmp_path / "r.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["radial", "--csv", str(src), "--dim", str(dim), "--radii", "0.5,1", "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: dimension {dim}: I may overflow float64 on this profile") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_radial_refuses_a_value_past_the_float_range(tmp_path, capsys):
     # the grid-aligned unit ball at dim 343: leray gives 1.12e-225, but ibp's
     # pi^((n-1)/2) r^(1-n) prefactor overflows at r = 0.5 and 1, and the oracle's

@@ -327,7 +327,8 @@ def test_multiplier_rejects_a_kernel_that_is_not_odd(tmp_path, capsys, monkeypat
 
 
 def test_inverse_power_series_length_changes_no_bit():
-    # the derived term count against a 120-term loop, far past convergence
+    # the derived term count against a 120-term loop of the same even and odd
+    # sums, far past convergence; -x reads row 1 of x bit for bit
     rng = np.random.default_rng(11)
     for R in (1.0, 50.0 + 50.0 / 4096, 1e3):
         edge = 0.3 * R
@@ -337,18 +338,22 @@ def test_inverse_power_series_length_changes_no_bit():
                 rng.uniform(-edge, edge, 2000),
                 np.nextafter(np.array([edge, -edge]), 0.0),
                 [0.0, 1e-300, -1e-300],
+                np.linspace(-0.99 * R, 0.99 * R, 301),
             )
         )
         J = _inverse_power_transforms(x, R, 5)
+        assert np.array_equal(J[1], _inverse_power_transforms(-x, R, 5)[0])
         small = np.abs(x) < edge
         r = x[small] / R
         for k in range(1, 6):
-            s = np.zeros_like(r)
+            even, odd = np.zeros_like(r), np.zeros_like(r)
             term = np.ones_like(r)
-            for m in range(120):
-                s += term / (k + m)
-                term *= r
-            assert np.array_equal(J[k, small], -s / R**k)
+            for m in range(0, 120, 2):
+                even += term / (k + m)
+                odd += term / (k + m + 1)
+                term *= r * r
+            assert np.array_equal(J[0, k, small], -(even + r * odd) / R**k)
+            assert np.array_equal(J[1, k, small], -(even - r * odd) / R**k)
 
 
 def test_modified_zero_is_zero():

@@ -402,11 +402,35 @@ def test_hierarchical_kink_sum_scales_as_n_log_n():
     assert best_of_3(reference_kink_sum_even, *large, 2) >= 4.0 * cost
 
 
+PIECEWISE_LINEAR = {
+    # exact binary nodes and slopes on h = 2^-12, so every slope change is exact:
+    # the triangle has its one kink at Rs, the holed profile five kinks around a
+    # stretch of 2048 samples without any, so whole boxes of kinks are empty
+    "triangle": ([0.0, 1.0], [1.0, 0.0]),
+    "holed": ([0.0, 0.25, 0.5, 1.0, 1.25, 1.5], [1.0, 1.0, 0.0, 0.0, 0.5, 0.0]),
+}
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("kind", sorted(PIECEWISE_LINEAR))
+def test_hierarchical_kink_sum_matches_the_direct_sum_on_isolated_kinks(kind, dim):
+    nodes, values = PIECEWISE_LINEAR[kind]
+    a, h = slope_changes(profile(lambda s: np.interp(s, nodes, values), dim, n=8193))
+    assert np.count_nonzero(a) == len(nodes) - 1  # the inner nodes, and Rs = 1.5 - h or 1 - h
+    got, dgot = _kink_sum_even(a, h, dim)
+    want, dwant = reference_kink_sum_even(a, h, dim)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    if dim == 2:
+        assert np.max(np.abs(dgot - dwant)) <= 1e-14 * np.max(np.abs(dwant))
+
+
 def test_hierarchical_kink_sum_evaluates_o_n_log_n_kernel_entries(monkeypatch):
     # every kernel entry the sum evaluates passes through _even_kernel; count them.
     # Rows are the N = last samples before the last kink.  The near field gives each
-    # row the 2 _LEAF kinks of its own and the next leaf box; each far-field level gives
-    # it at most 2 P Chebyshev nodes, over log2(boxes) - 1 levels of the dyadic tree.
+    # row at most the 2 _LEAF kinks of its own and the next leaf box.  Each far-field
+    # level pairs a row box with at most 1.5 column boxes on average, one P x P matrix
+    # a pair, and all levels together hold fewer than 2 boxes boxes, boxes the leaf
+    # count; the -ln x part takes one entry per row.
     count = []
 
     def spy(x, y, u, theta, n):
@@ -424,10 +448,51 @@ def test_hierarchical_kink_sum_evaluates_o_n_log_n_kernel_entries(monkeypatch):
         rows, kinks = int(cols[-1]), cols.size
         boxes = 1 << math.ceil(math.log2((rows + 1) / _LEAF))
         near = -(-rows // _LEAF) * _LEAF * 2 * _LEAF
-        far = rows * 2 * P * (int(math.log2(boxes)) - 1)
-        assert sum(count) <= near + far
+        far = 3 * boxes * P * P
+        assert sum(count) <= near + far + rows
+        if n == 8193:
+            # the one-sided far field evaluated 1,620,128 entries here: each row
+            # against P nodes of every far column box, kinks or not
+            assert sum(count) <= 1_620_128 // 2
         if n == 32769:
             assert sum(count) <= 0.05 * rows * kinks  # the direct sum evaluates N K entries
+
+
+@pytest.mark.parametrize("dim", [3, 21, 101, 201, 301, 317])
+def test_odd_range_bound_holds_and_lets_a_finite_I_through(dim):
+    # a raised cosine centred at 50, half-width 20, on [0, 100]: its I grows to 4e299
+    # at dim 317 and passes 1e308 from dim 329 on.  The bound stays above max|I| and,
+    # up to dim 317, below the refusal (measured: 8.1e7 times max|I| at dim 317)
+    def raised_cosine(s):
+        return np.where(np.abs(s - 50.0) <= 20.0, 0.5 * (1.0 + np.cos(np.pi * (s - 50.0) / 20.0)), 0.0)
+
+    p = profile(raised_cosine, dim, r_end=100.0, n=1025)
+    vals = fractional_integral(p).samples.values
+    bound = radial._odd_log_bound(dim, 1.0, float(p.f0.x[p.support_index]), p.f0.h)
+    assert np.all(np.isfinite(vals)) and math.log(float(np.max(np.abs(vals)))) <= bound
+
+
+def airy_start(k, xmax):
+    """The start order of Miller's recurrence before the derived one, DLMF 10.19.8's turning-point rule."""
+    return 2 * math.ceil((xmax + max(k + 40.0, 12.0 * xmax ** (1.0 / 3.0))) / 2.0)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 10, 39])
+def test_miller_starts_no_later_than_the_turning_point_rule_and_within_its_tail_bound(k):
+    # the series bound |J_m(x)| <= (x/2)^m / m! holds at the start order, which is the
+    # least even order >= k + 2 with it, unless the turning-point order is smaller;
+    # either way scipy's J_top(xmax) is below the recurrence's tolerance
+    for xmax in np.linspace(1.0, 25.0 + k * k, 97):
+        top = radial._miller_start(k, float(xmax))
+        assert top % 2 == 0 and k + 2 <= top <= airy_start(k, xmax)
+
+        def log_tail(m):
+            return m * math.log(xmax / 2.0) - math.lgamma(m + 1.0)
+
+        if top < airy_start(k, xmax):
+            assert log_tail(top) <= math.log(radial._MILLER_TOL)
+            assert top - 2 < k + 2 or log_tail(top - 2) > math.log(radial._MILLER_TOL)
+        assert abs(jv(top, xmax)) <= radial._MILLER_TOL
 
 
 ODD_KINDS = {
