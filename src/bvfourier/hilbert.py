@@ -132,16 +132,16 @@ def modified_hilbert(f: SampledFunction) -> SampledFunction:
     return f.with_values(out, decay)
 
 
-def _inverse_power_transforms(x: np.ndarray, R: float, kmax: int) -> np.ndarray:
-    """J_k(sx) = int_R^inf dt / (t^k (sx - t)) for k = 1..kmax, |x| < R, at both signs s.
+def _inverse_power_transforms(x: np.ndarray, R: float, kmax: int, signs: tuple[int, ...]) -> np.ndarray:
+    """J_k(sx) = int_R^inf dt / (t^k (sx - t)) for k = 1..kmax, |x| < R, at each sign s of signs.
 
-    Row [0, k] holds J_k(x), row [1, k] holds J_k(-x).  A power series in
-    x/R near the origin, summed as its even part E and odd part O, gives
-    both signs from one set of powers, J_k(+-x) = -(E +- O)/R^k; elsewhere
-    the log/recursion closed form, per sign.
+    Row [i, k] holds J_k(signs[i] x).  A power series in x/R near the
+    origin, summed as its even part E and odd part O, gives both signs
+    from one set of powers, J_k(+-x) = -(E +- O)/R^k; elsewhere the
+    log/recursion closed form, for the signs asked for only.
     """
     x = np.asarray(x, dtype=float)
-    J = np.zeros((2, kmax + 1, x.size))
+    J = np.zeros((len(signs), kmax + 1, x.size))
     small = np.abs(x) < _SERIES_RHO * R
     r = x[small] / R
     k = np.arange(1.0, kmax + 1.0)[:, None]
@@ -153,12 +153,12 @@ def _inverse_power_transforms(x: np.ndarray, R: float, kmax: int) -> np.ndarray:
         term *= r2
     odd *= r
     scale = R**k
-    J[0, 1:, small] = (-(even + odd) / scale).T
-    J[1, 1:, small] = (-(even - odd) / scale).T
-    for sign, xl in enumerate((x[~small], -x[~small])):
-        J[sign, 1, ~small] = (1.0 / xl) * np.log(np.abs(R - xl) / R)
+    for i, sign in enumerate(signs):
+        J[i, 1:, small] = (-(even + odd if sign > 0 else even - odd) / scale).T
+        xl = sign * x[~small]
+        J[i, 1, ~small] = (1.0 / xl) * np.log(np.abs(R - xl) / R)
         for kk in range(2, kmax + 1):
-            J[sign, kk, ~small] = (1.0 / xl) * (R ** (1 - kk) / (kk - 1) + J[sign, kk - 1, ~small])
+            J[i, kk, ~small] = (1.0 / xl) * (R ** (1 - kk) / (kk - 1) + J[i, kk - 1, ~small])
     return J
 
 
@@ -178,7 +178,7 @@ def _tail_correction(f: SampledFunction) -> np.ndarray:
     m = max(32, n // 20)
     kmax = 5
     scale = float(np.max(np.abs(f.values)))
-    corr, transforms = np.zeros(n), {}
+    corr, fits = np.zeros(n), {}
     if scale == 0.0 or 2 * m > n:
         return corr
     for side in (1, -1):
@@ -195,14 +195,16 @@ def _tail_correction(f: SampledFunction) -> np.ndarray:
         resid = float(np.sqrt(np.mean((basis @ coef - fs) ** 2)))
         if resid > 1e-3 * float(np.sqrt(np.mean(fs**2))):
             continue
-        if Rm not in transforms:  # a symmetric window's two sides share one pass
-            transforms[Rm] = _inverse_power_transforms(x, Rm, kmax)
-        J = transforms[Rm][0 if side > 0 else 1]
-        contrib = np.zeros(n)
-        for k in range(1, kmax + 1):
-            contrib += coef[k - 1] * Rm**k * J[k]
-        # left tail: int_{-inf}^{-Rm} model/(x-t) dt = -sum c_k Rm^k J_k(-x)
-        corr += contrib / np.pi if side > 0 else -contrib / np.pi
+        fits.setdefault(Rm, []).append((side, coef))
+    # one pass per model radius: a symmetric window's two sides share its power series
+    for Rm, sides in fits.items():
+        J = _inverse_power_transforms(x, Rm, kmax, tuple(side for side, _ in sides))
+        for (side, coef), Js in zip(sides, J):
+            contrib = np.zeros(n)
+            for k in range(1, kmax + 1):
+                contrib += coef[k - 1] * Rm**k * Js[k]
+            # left tail: int_{-inf}^{-Rm} model/(x-t) dt = -sum c_k Rm^k J_k(-x)
+            corr += contrib / np.pi if side > 0 else -contrib / np.pi
     return corr
 
 

@@ -48,7 +48,7 @@ _TAIL_TOL = 1e-10
 _BOUNDARY_TOL = 1e-6
 _SUB_BLOCK = 2**14  # float64 elements per temporary array; blocked passes keep up to eight live
 _LEAF = 32  # finest index box width of the even-dimension kink sum
-_MILLER_TOL = 1e-16  # relative error of Miller's recurrence, about J at its start order
+_MILLER_TOL = 1e-16  # bound on the relative error of Miller's recurrence at its start order
 # largest dimension whose prefactors Gamma((n-1)/2), pi^{(n-1)/2}, (2 pi)^{n/2}
 # and the oracle series' Gamma(nu + 1) = Gamma(n/2) are all finite in float64:
 # Gamma(n/2) overflows first, at n = 344 (Gamma(172) > 1.8e308)
@@ -338,39 +338,8 @@ def _kink_sum_even(a: np.ndarray, h: float, n: int) -> tuple[np.ndarray, np.ndar
     out[:last] = near.ravel()[:last] + far[:last] + _even_kernel(x, 0.0, 0.0, neg_ln, n)
     if n == 2:
         slope[:last] = dnear.ravel()[:last] - x * (dfar[:last] + neg_ln)
-    L = h * last
+    L = np.float64(h * last)  # L^n reads inf, not an OverflowError, past the float64 range
     return L**n * out, L * slope
-
-
-def _odd_log_bound(n: int, M: float, Rs: float, h: float) -> float:
-    """log of a bound on every entry :func:`_odd_recurrence` forms at odd n, for max|f0| = M.
-
-    On a cell [s_i, s_{i+1}], I_k (k = 2m + 1) is a polynomial; continue
-    it to the disc D of radius h about s_{i+1}, where |tau| <= rho = Rs + h.
-    It is I_k(s_{i+1}) plus (2/Gamma(m)) int_tau^{s_{i+1}} s P(s) (s^2 - tau^2)^{m-1} ds
-    over the cell's linear piece P (|P| <= 3M on D), and past the cell
-    |s^2 - tau^2| <= (s + h)^2 - s_{i+1}^2, so on D
-
-        |I_k| <= B_m = M rho^{2m} / m! (1 + 3m (2h / rho)^m).
-
-    By Cauchy's estimate the cell's coefficients in w = (s_{i+1} - tau)/h
-    are at most B_m too.  A step's products with tau and h and its factors
-    2h/k form no entry above 2 rho max(1, 2h) B_m from them, and its sum
-    over at most n + 1 coefficient rows no partial sum above n + 1 times
-    that.  The bound is the largest over the steps m <= (n-1)/2.
-    """
-    rho, m = Rs + h, np.arange(1.0, (n - 1) // 2 + 1.0)
-    log_b = 2.0 * m * math.log(rho) - np.cumsum(np.log(m)) + np.log1p(3.0 * m * (2.0 * h / rho) ** m)
-    return math.log(M) + float(np.max(log_b)) + math.log(2.0 * (n + 1) * rho * max(1.0, 2.0 * h))
-
-
-def _check_range(n: int, log_bound: float) -> None:
-    """Refuse, before any of it is formed, an I whose terms may pass the float64 range."""
-    if log_bound >= math.log(np.finfo(float).max):
-        raise ValueError(
-            f"dimension {n}: I may overflow float64 on this profile (a bound on its terms is "
-            f"1e{log_bound / math.log(10.0):.0f}); a lower dimension or a narrower support keeps it in range"
-        )
 
 
 def fractional_integral(p: RadialProfile) -> FractionalIntegral:
@@ -387,32 +356,28 @@ def fractional_integral(p: RadialProfile) -> FractionalIntegral:
     with a_j the slope change at node s_j, so I is f0(Rs) times the
     ball's closed form 2 (Rs^2 - t^2)^{(n-1)/2} / ((n-1) Gamma((n-1)/2))
     plus one sqrt-and-log term per kink (:func:`_kink_sum_even`).  I
-    vanishes identically from Rs on.  A profile on which a bound on the
-    terms either branch forms passes the float64 range is refused before
-    any of them is formed.
+    vanishes identically from Rs on.  A profile on which either branch
+    passes the float64 range is refused.
     """
     if p.dim == 1:
         return FractionalIntegral(p.f0)
     n, s, f = p.dim, p.f0.x, p.f0.values
     vals, slope = np.zeros(s.size), np.zeros(s.size)
     J = p.support_index
-    if J > 0 and n % 2:
-        _check_range(n, _odd_log_bound(n, float(np.max(np.abs(f[: J + 1]))), float(s[J]), p.f0.h))
-        vals[:J] = _odd_recurrence(s[: J + 1], f[: J + 1], p.f0.h, n)
-    elif J > 0:
-        t = s[:J]
-        a = np.zeros(J + 1)
-        a[1:] = np.diff(np.diff(f[: J + 1]) / p.f0.h, append=0.0)
-        # with R = max(1, Rs), the closed form forms L^n <= R^n and d^{(n-1)/2} <= R^{n-1}
-        # whatever the samples, and terms of at most 2.26 (R^{n-1} max|f0| + R^n sum|a_j|):
-        # 2/Gamma((n-1)/2) <= 2.26, and the kink sum's kernel is at most 1 in units of L <= Rs
-        spread = 1.0 + float(np.max(np.abs(f[: J + 1]))) + float(np.sum(np.abs(a)))
-        _check_range(n, math.log(2.26 * spread) + n * math.log(max(1.0, float(s[J]))))
-        d = (s[J] - t) * (s[J] + t)
-        kinks, dkinks = _kink_sum_even(a, p.f0.h, n)
-        pref = 2.0 / math.gamma((n - 1) / 2.0)
-        vals[:J] = pref * (f[J] * d ** ((n - 1) / 2.0) / (n - 1) + kinks)
-        slope[:J] = pref * (-f[J] * t / np.sqrt(d) + dkinks)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if J > 0 and n % 2:
+            vals[:J] = _odd_recurrence(s[: J + 1], f[: J + 1], p.f0.h, n)
+        elif J > 0:
+            t = s[:J]
+            a = np.zeros(J + 1)
+            a[1:] = np.diff(np.diff(f[: J + 1]) / p.f0.h, append=0.0)
+            d = (s[J] - t) * (s[J] + t)
+            kinks, dkinks = _kink_sum_even(a, p.f0.h, n)
+            pref = 2.0 / math.gamma((n - 1) / 2.0)
+            vals[:J] = pref * (f[J] * d ** ((n - 1) / 2.0) / (n - 1) + kinks)
+            slope[:J] = pref * (-f[J] * t / np.sqrt(d) + dkinks)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"dimension {n}: I overflows float64 on this profile")
     # I(0) is the full tail integral, generally nonzero, so the samples
     # carry the vanishing tag (identically zero past the support radius)
     samples = SampledFunction(p.f0.grid, vals, DecayClass.VANISHING_AT_INFINITY)
@@ -622,33 +587,48 @@ def _half_integer_jv(k: int, x: np.ndarray) -> np.ndarray:
 
 
 def _miller_start(k: int, xmax: float) -> int:
-    """Even start order of :func:`_miller_jv` for J_k on arguments up to xmax.
+    """Even start order top of :func:`_miller_jv` for J_k on arguments up to xmax.
 
-    The recurrence's relative error is about J_top(x), and
-    |J_m(x)| <= (x/2)^m / m! (DLMF 10.14.4), so the least even top >= k + 2
-    with (xmax/2)^top / top! <= _MILLER_TOL suffices.  Past the turning
-    point J_{x+d}(x) is about (2/x)^{1/3} Ai((2/x)^{1/3} d) (DLMF 10.19.8),
-    below _MILLER_TOL once d >= 12 x^{1/3}; that order, at least
-    xmax + k + 40, is taken where it is the smaller (from xmax about 32 at
-    k = 0, about 54 at k = 10).
+    Started from J_top = 1, J_{top+1} = 0, the recurrence yields multiples
+    of J_m - e Y_m, e = J_N / Y_N with N = top + 1, so the normalised J_k
+    has relative error e Y_k / J_k - e S, S = Y_0 + 2 sum_m Y_{2m}.  Past
+    the turning point |Y_m| grows with m, so |e S| is about 2 |J_N| <=
+    2 |J_top|, and |J_m(x)| <= (x/2)^m / m! (DLMF 10.14.4).  The solution
+    p of the same recurrence run upward from p_k = 0, p_{k+1} = 1 is
+    p_m = (pi x / 2)(Y_k J_m - J_k Y_m) by the Casoratian
+    J_{m+1} Y_m - J_m Y_{m+1} = 2 / (pi x), which gives
+    e Y_k / J_k = (pi x / 2) J_k Y_k / (p_N p_{N+1}) to first order (Olver
+    & Sookne, Note on backward recurrence algorithms, Math. Comp. 26,
+    1972), with (pi x / 2) |J_k Y_k| below 1 + k (Debye's forms give about
+    x / (2 sqrt(k^2 - x^2)) below the turning point, k^{1/3} / 2 at it and
+    1/2 past it).  For N > x both terms grow with x, so they are taken at
+    xmax: top is the least even order >= k + 2 with (xmax/2)^top / top!
+    and (1 + k) / |p_{top+1} p_{top+2}| both at most _MILLER_TOL.  Past the
+    turning point J_{x+d}(x) is about (2/x)^{1/3} Ai((2/x)^{1/3} d) (DLMF
+    10.19.8), below _MILLER_TOL once d >= 12 x^{1/3}; that order, at least
+    xmax + k + 40, is taken where it is the smaller.
     """
     airy = 2 * math.ceil((xmax + max(k + 40.0, 12.0 * xmax ** (1.0 / 3.0))) / 2.0)
-    top, log_tol = k + 2 + k % 2, math.log(_MILLER_TOL)
-    while top < airy and top * math.log(xmax / 2.0) - math.lgamma(top + 1.0) > log_tol:
-        top += 2
-    return min(top, airy)
+    log_tol = math.log(_MILLER_TOL)
+    m, p, p_next = k + 1, 1.0, 2.0 * (k + 1) / xmax  # p_m and p_{m+1}
+    for top in range(k + 2 + k % 2, airy, 2):
+        while m <= top:
+            m, p, p_next = m + 1, p_next, 2.0 * (m + 1) / xmax * p_next - p
+        if top * math.log(xmax / 2.0) - math.lgamma(top + 1.0) <= log_tol and 1.0 + k <= _MILLER_TOL * abs(p * p_next):
+            return top
+    return airy
 
 
 def _miller_jv(k: int, x: np.ndarray) -> np.ndarray:
     """J_k(x), x >= 1, by Miller's backward recurrence (DLMF 10.74(iv)).
 
     J_{m-1} = (2m/x) J_m - J_{m+1} runs down from the even start order
-    top of :func:`_miller_start` and is normalised by
-    J_0 + 2 sum_m J_{2m} = 1, so the relative error is about J_top(x).
-    Started from J_top = 1, J_{top+1} = 0, every entry is at most
-    prod_{m <= top} (1 + 2m / min x) (the running maximum grows by at
-    most that factor per step); only where that bound passes 1e200 are
-    entries past 1e200 rescaled on the way down.
+    top of :func:`_miller_start`, which bounds its relative error, and is
+    normalised by J_0 + 2 sum_m J_{2m} = 1.  Started from J_top = 1,
+    J_{top+1} = 0, every entry is at most prod_{m <= top} (1 + 2m / min x)
+    (the running maximum grows by at most that factor per step); only
+    where that bound passes 1e200 are entries past 1e200 rescaled on the
+    way down.
     """
     top = _miller_start(k, float(np.max(x)))
     growth = float(np.sum(np.log1p(2.0 * np.arange(1, top + 1) / float(np.min(x)))))

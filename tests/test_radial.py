@@ -1,12 +1,13 @@
 import math
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import j1, jv
+from scipy.special import j1, jv, yv
 
 from bvfourier import (
     DecayClass,
@@ -458,18 +459,24 @@ def test_hierarchical_kink_sum_evaluates_o_n_log_n_kernel_entries(monkeypatch):
             assert sum(count) <= 0.05 * rows * kinks  # the direct sum evaluates N K entries
 
 
-@pytest.mark.parametrize("dim", [3, 21, 101, 201, 301, 317])
-def test_odd_range_bound_holds_and_lets_a_finite_I_through(dim):
-    # a raised cosine centred at 50, half-width 20, on [0, 100]: its I grows to 4e299
-    # at dim 317 and passes 1e308 from dim 329 on.  The bound stays above max|I| and,
-    # up to dim 317, below the refusal (measured: 8.1e7 times max|I| at dim 317)
-    def raised_cosine(s):
-        return np.where(np.abs(s - 50.0) <= 20.0, 0.5 * (1.0 + np.cos(np.pi * (s - 50.0) / 20.0)), 0.0)
+def raised_cosine(s):
+    """Centred at 50, half-width 20: on [0, 100] its I grows to 9e306 at dim 327."""
+    return np.where(np.abs(s - 50.0) <= 20.0, 0.5 * (1.0 + np.cos(np.pi * (s - 50.0) / 20.0)), 0.0)
 
+
+@pytest.mark.parametrize("dim, finite", [(166, True), (170, False), (317, True), (327, True), (329, False)])
+def test_fractional_integral_refuses_in_one_line_where_float64_overflows(dim, finite):
+    # I is answered up to the float64 range and refused past it, in one line and
+    # without a warning: the odd recurrence overflows from dim 329 on, the even
+    # closed form's L^n = 70^n from dim 168 on (where I itself is about 1e180)
     p = profile(raised_cosine, dim, r_end=100.0, n=1025)
-    vals = fractional_integral(p).samples.values
-    bound = radial._odd_log_bound(dim, 1.0, float(p.f0.x[p.support_index]), p.f0.h)
-    assert np.all(np.isfinite(vals)) and math.log(float(np.max(np.abs(vals)))) <= bound
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if finite:
+            assert np.all(np.isfinite(fractional_integral(p).samples.values))
+        else:
+            with pytest.raises(ValueError, match=f"^dimension {dim}: I overflows float64 on this profile$"):
+                fractional_integral(p)
 
 
 def airy_start(k, xmax):
@@ -477,22 +484,31 @@ def airy_start(k, xmax):
     return 2 * math.ceil((xmax + max(k + 40.0, 12.0 * xmax ** (1.0 / 3.0))) / 2.0)
 
 
-@pytest.mark.parametrize("k", [0, 1, 2, 5, 10, 39])
-def test_miller_starts_no_later_than_the_turning_point_rule_and_within_its_tail_bound(k):
-    # the series bound |J_m(x)| <= (x/2)^m / m! holds at the start order, which is the
-    # least even order >= k + 2 with it, unless the turning-point order is smaller;
-    # either way scipy's J_top(xmax) is below the recurrence's tolerance
-    for xmax in np.linspace(1.0, 25.0 + k * k, 97):
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 10, 20, 39, 170])
+def test_miller_starts_no_later_than_the_turning_point_rule_and_within_its_error_bound(k):
+    # below the turning-point order, the start order bounds both terms of the
+    # recurrence's relative error at xmax, from scipy: the normalisation's J_top and
+    # J_{top+1} Y_k / (Y_{top+1} J_k), the start's share in J_k
+    for xmax in np.geomspace(1.0, 25.0 + k * k, 97):
         top = radial._miller_start(k, float(xmax))
         assert top % 2 == 0 and k + 2 <= top <= airy_start(k, xmax)
+        jk, jn, yk, yn = jv(k, xmax), jv(top + 1, xmax), yv(k, xmax), yv(top + 1, xmax)
+        if top < airy_start(k, xmax) and abs(jk) > 1e-290 and np.isfinite(yn):
+            assert abs(jv(top, xmax)) <= radial._MILLER_TOL
+            assert abs(jn * yk / (yn * jk)) <= radial._MILLER_TOL
 
-        def log_tail(m):
-            return m * math.log(xmax / 2.0) - math.lgamma(m + 1.0)
 
-        if top < airy_start(k, xmax):
-            assert log_tail(top) <= math.log(radial._MILLER_TOL)
-            assert top - 2 < k + 2 or log_tail(top - 2) > math.log(radial._MILLER_TOL)
-        assert abs(jv(top, xmax)) <= radial._MILLER_TOL
+@pytest.mark.parametrize("k, xmax", [(20, 2.0), (20, 12.0), (39, 2.0), (39, 12.0), (170, 12.0)])
+def test_miller_is_relatively_accurate_at_orders_past_its_arguments(k, xmax):
+    # J_k(x) for k >> x is tiny, so an absolute error hides a start order that is
+    # too low: a start from J_top's series bound alone erred by 1e-8 relative at
+    # J_20(2) and 2e-7 at J_39(12).  J_170 underflows on [1, 2]
+    x = np.linspace(1.0, xmax, 401)
+    want = jv(k, x)
+    normal = np.abs(want) > 1e-290
+    assert normal.sum() > 100
+    got = radial._miller_jv(k, x)
+    assert np.max(np.abs(got - want)[normal] / np.abs(want[normal])) <= 10 * (k + 1) * np.finfo(float).eps
 
 
 ODD_KINDS = {
