@@ -17,6 +17,9 @@ import os
 import sys
 from pathlib import Path
 
+# BVF_THREADS sets the process's one pool, so OpenBLAS gets no threads of its own
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from .grids import (

@@ -146,12 +146,100 @@ def test_identical_config_gives_byte_identical_files(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_thread_cap_preserves_report_order(tmp_path, monkeypatch):
+@pytest.mark.parametrize("threads", [2, 3, 64])
+def test_thread_cap_preserves_report_order(tmp_path, monkeypatch, threads):
+    import threading
+
+    from bvfourier.suites import SUITE_NAMES
+
     out1, out2 = tmp_path / "serial.txt", tmp_path / "threaded.txt"
+    monkeypatch.setenv("BVF_THREADS", "1")
     main(["verify", "--suite", "all", "--profile", "fast", "--out", str(out1)])
-    monkeypatch.setenv("BVF_THREADS", "3")
+    started = []
+
+    class CountedThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", CountedThread)
+    monkeypatch.setenv("BVF_THREADS", str(threads))
     main(["verify", "--suite", "all", "--profile", "fast", "--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
+    assert out1.with_suffix(".csv").read_bytes() == out2.with_suffix(".csv").read_bytes()
+    # the caller runs suites too, and no thread waits without a suite to take
+    assert len(started) == min(threads, len(SUITE_NAMES)) - 1
+
+
+def test_longest_first_order_is_a_permutation_of_the_suites():
+    from bvfourier import suites
+
+    assert sorted(suites._LONGEST_FIRST) == sorted(suites.SUITE_NAMES)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_suite_error_does_not_depend_on_the_thread_count(tmp_path, monkeypatch, capsys, threads):
+    from bvfourier import suites
+
+    def broken(name):
+        def run(profile):
+            raise ValueError(f"{name} broke")
+
+        return run
+
+    for name in suites.SUITE_NAMES:
+        monkeypatch.setitem(suites._SUITE_FUNCS, name, lambda profile: [])
+    # lemma-dc comes before radial in the registry, radial before lemma-dc in
+    # the longest-first queue: the registry decides which error is reported
+    for name in ("lemma-dc", "radial"):
+        monkeypatch.setitem(suites._SUITE_FUNCS, name, broken(name))
+    monkeypatch.setenv("BVF_THREADS", threads)
+    rc = main(["verify", "--suite", "all", "--profile", "fast", "--out", str(tmp_path / "r.txt")])
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err == "error: lemma-dc broke\n"
+
+
+def test_more_threads_than_cores_run_each_suite_once(monkeypatch):
+    import threading
+
+    from bvfourier import suites
+
+    calls = []
+
+    def fake(name):
+        def run(profile):
+            calls.append(name)
+            return [name]
+
+        return run
+
+    for name in suites.SUITE_NAMES:
+        monkeypatch.setitem(suites._SUITE_FUNCS, name, fake(name))
+    monkeypatch.setenv("BVF_THREADS", "64")
+    runs = []
+
+    def stress():
+        for _ in range(200):
+            runs.append(suites.run_suite("all", "fast"))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=stress, daemon=True)
+        worker.start()
+        worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    assert runs == [list(suites.SUITE_NAMES)] * 200
+    assert sorted(calls) == sorted(suites.SUITE_NAMES * 200)
+
+
+def test_non_integer_thread_cap_names_the_variable(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("BVF_THREADS", "abc")
+    rc = main(["verify", "--suite", "lemma-dc", "--profile", "fast", "--out", str(tmp_path / "r.txt")])
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err == "error: BVF_THREADS must be an integer, got 'abc'\n"
 
 
 def test_every_profile_field_varies_across_profiles():

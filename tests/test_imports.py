@@ -13,7 +13,8 @@ from bvfourier import suites
 
 SRC = str(Path(bvfourier.__file__).resolve().parents[1])
 # modules a command would load for nothing: numpy.ma through np.median,
-# concurrent.futures (and logging) through an unused thread pool
+# concurrent.futures (and logging) through an executor, where the suites
+# need only threads
 UNNEEDED = ["numpy.ma", "concurrent.futures"]
 
 
@@ -66,6 +67,54 @@ def test_single_threaded_verify_loads_neither_numpy_ma_nor_a_thread_pool(tmp_pat
     )
     package, unneeded = loaded_after(code, {"BVF_THREADS": "1"})
     assert "bvfourier.verification" in package and unneeded == []
+
+
+def test_threaded_verify_loads_no_executor(tmp_path):
+    argv = ["verify", "--suite", "all", "--profile", "fast", "--out", str(tmp_path / "r.txt")]
+    code = (
+        "import contextlib, io\nfrom bvfourier.cli import main\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) in (0, 1)"
+    )
+    package, unneeded = loaded_after(code, {"BVF_THREADS": "2"})
+    assert "bvfourier.suites" in package and unneeded == []
+    assert (tmp_path / "r.csv").is_file()
+
+
+def openblas_after_cli_import(env):
+    """OPENBLAS_NUM_THREADS and the thread count once a fresh process has imported bvfourier.cli."""
+    code = (
+        "import json, os, bvfourier.cli\n"
+        "tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None\n"
+        "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), tasks]))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={"PYTHONPATH": SRC, **env}, capture_output=True, text=True, check=True
+    )
+    return json.loads(out.stdout)
+
+
+def test_cli_sets_openblas_to_one_thread_unless_the_caller_did():
+    assert openblas_after_cli_import({})[0] == "1"
+    assert openblas_after_cli_import({"OPENBLAS_NUM_THREADS": "2"})[0] == "2"
+
+
+def _numpy_blas_name():
+    import numpy as np
+
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        return ""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or "openblas" not in _numpy_blas_name(),
+    reason="counts threads in /proc/self/task of numpy's bundled OpenBLAS",
+)
+def test_cli_import_starts_no_blas_thread():
+    # OpenBLAS starts its workers when numpy loads it; the suites' threads
+    # are the process's one pool
+    assert openblas_after_cli_import({})[1] == 1
 
 
 def test_every_export_and_submodule_resolves_through_the_package():
