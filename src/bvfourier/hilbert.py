@@ -19,7 +19,9 @@ kernel: on the line at a circular length where none of the n kept
 outputs wraps, with the kernel's spectrum cached per sample count, and
 on the circle at the period itself.  The two line routes are
 deliberately independent discretizations and are cross-checked against
-each other in the verification suites.
+each other in the verification suites.  The three line routes run on the
+samples scaled by a power of two to a maximum in [1, 2), so a finite input
+near the float64 range gives a finite output or a one-line refusal.
 """
 
 from __future__ import annotations
@@ -27,11 +29,12 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+from collections.abc import Callable
 
 import numpy as np
 
 from ._fft import fast_len
-from .grids import DecayClass, SampledFunction
+from .grids import DecayClass, Grid, SampledFunction
 
 __all__ = [
     "MULTIPLIER_SIGN",
@@ -89,11 +92,29 @@ def _pv_weight_spectrum(n: int) -> np.ndarray:
     return spec
 
 
-def _pv_values(f: SampledFunction) -> np.ndarray:
+def _at_unit_scale(op: str, values: np.ndarray, route: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """The linear route at values, run on them scaled by a power of two to a maximum in [1, 2) and scaled back.
+
+    Sums and products commute with a power-of-two scale while every value
+    stays in the normal range, so the result has the bits of the unscaled
+    run (the factor is 1 when max|values| is in [1, 2) already), yet no
+    midpoint sum or FFT of a finite input near the float64 range overflows.
+    Where the result itself is past that range, op refuses.
+    """
+    e = int(np.frexp(np.max(np.abs(values)))[1])  # max|values| = m 2^e, 1/2 <= m < 1
+    with np.errstate(over="ignore"):
+        out = np.ldexp(route(np.ldexp(values, 1 - e)), e - 1)
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{op}: the result is not finite in float64")
+    return out
+
+
+def _pv_values(values: np.ndarray) -> np.ndarray:
     """sum_k gbar_k / (pi (i - k - 1/2)) over the n - 1 midpoint samples gbar, for i < n."""
-    gbar = 0.5 * (f.values[1:] + f.values[:-1])
-    L = fast_len(2 * f.n - 2)
-    return np.fft.irfft(np.fft.rfft(gbar, L) * _pv_weight_spectrum(f.n), L)[: f.n]
+    n = values.size
+    gbar = 0.5 * (values[1:] + values[:-1])
+    L = fast_len(2 * n - 2)
+    return np.fft.irfft(np.fft.rfft(gbar, L) * _pv_weight_spectrum(n), L)[:n]
 
 
 def hilbert_pv(f: SampledFunction) -> SampledFunction:
@@ -110,7 +131,7 @@ def hilbert_pv(f: SampledFunction) -> SampledFunction:
     kernel's spectrum depends on n only and is cached per n.
     """
     _require_line_input(f, "hilbert_pv")
-    return f.with_values(_pv_values(f), DecayClass.VANISHING_AT_INFINITY)
+    return f.with_values(_at_unit_scale("hilbert_pv", f.values, _pv_values), DecayClass.VANISHING_AT_INFINITY)
 
 
 def modified_hilbert(f: SampledFunction) -> SampledFunction:
@@ -125,9 +146,12 @@ def modified_hilbert(f: SampledFunction) -> SampledFunction:
     """
     _require_line_input(f, "modified_hilbert", allow_bounded=True)
     xm = 0.5 * (f.x[1:] + f.x[:-1])
-    gbar = 0.5 * (f.values[1:] + f.values[:-1])
-    offset = (f.h / np.pi) * float(np.sum(gbar * xm / (1.0 + xm * xm)))
-    out = _pv_values(f) + offset
+
+    def route(values):
+        gbar = 0.5 * (values[1:] + values[:-1])
+        return _pv_values(values) + (f.h / np.pi) * float(np.sum(gbar * xm / (1.0 + xm * xm)))
+
+    out = _at_unit_scale("modified_hilbert", f.values, route)
     decay = DecayClass.BOUNDED if f.decay_class is DecayClass.BOUNDED else DecayClass.VANISHING_AT_INFINITY
     return f.with_values(out, decay)
 
@@ -143,7 +167,8 @@ def _inverse_power_transforms(x: np.ndarray, R: float, kmax: int, signs: tuple[i
     x = np.asarray(x, dtype=float)
     J = np.zeros((len(signs), kmax + 1, x.size))
     small = np.abs(x) < _SERIES_RHO * R
-    r = x[small] / R
+    near, far = np.flatnonzero(small), np.flatnonzero(~small)
+    r = x[near] / R
     k = np.arange(1.0, kmax + 1.0)[:, None]
     even, odd = np.zeros((kmax, r.size)), np.zeros((kmax, r.size))
     term, r2 = np.ones_like(r), r * r
@@ -154,15 +179,18 @@ def _inverse_power_transforms(x: np.ndarray, R: float, kmax: int, signs: tuple[i
     odd *= r
     scale = R**k
     for i, sign in enumerate(signs):
-        J[i, 1:, small] = (-(even + odd if sign > 0 else even - odd) / scale).T
-        xl = sign * x[~small]
-        J[i, 1, ~small] = (1.0 / xl) * np.log(np.abs(R - xl) / R)
+        J[i, 1:, near] = (-(even + odd if sign > 0 else even - odd) / scale).T
+        xl = sign * x[far]
+        inv = 1.0 / xl
+        Jk = inv * np.log(np.abs(R - xl) / R)
+        J[i, 1, far] = Jk
         for kk in range(2, kmax + 1):
-            J[i, kk, ~small] = (1.0 / xl) * (R ** (1 - kk) / (kk - 1) + J[i, kk - 1, ~small])
+            Jk = inv * (R ** (1 - kk) / (kk - 1) + Jk)
+            J[i, kk, far] = Jk
     return J
 
 
-def _tail_correction(f: SampledFunction) -> np.ndarray:
+def _tail_correction(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Hilbert contribution of fitted inverse-power tails outside the window.
 
     Each side's outer 5% of samples (at least 32) is fitted with
@@ -174,18 +202,18 @@ def _tail_correction(f: SampledFunction) -> np.ndarray:
     residual above 1e-3) are skipped; the correction then degrades
     gracefully to plain truncation.
     """
-    n, h, x = f.n, f.h, f.x
+    n, h, x = grid.n, grid.h, grid.points
     m = max(32, n // 20)
     kmax = 5
-    scale = float(np.max(np.abs(f.values)))
+    scale = float(np.max(np.abs(values)))
     corr, fits = np.zeros(n), {}
     if scale == 0.0 or 2 * m > n:
         return corr
     for side in (1, -1):
         if side > 0:
-            xs, fs, boundary = x[-m:], f.values[-m:], f.grid.b
+            xs, fs, boundary = x[-m:], values[-m:], grid.b
         else:
-            xs, fs, boundary = -x[:m][::-1], f.values[:m][::-1], -f.grid.a
+            xs, fs, boundary = -x[:m][::-1], values[:m][::-1], -grid.a
         # xs[0] is the window's sample nearest the origin
         if xs[0] <= 0.0 or np.max(np.abs(fs)) < 1e-12 * scale:
             continue
@@ -251,10 +279,14 @@ def hilbert_multiplier(f: SampledFunction) -> SampledFunction:
     """
     _require_line_input(f, "hilbert_multiplier")
     n, L = f.n, fast_len(2 * f.n - 1)
-    out = np.fft.irfft(np.fft.rfft(f.values, L) * _multiplier_spectrum(n), L)[:n]
-    if f.decay_class is DecayClass.VANISHING_AT_INFINITY:
-        out += _tail_correction(f)
-    return f.with_values(out, DecayClass.VANISHING_AT_INFINITY)
+
+    def route(values):
+        out = np.fft.irfft(np.fft.rfft(values, L) * _multiplier_spectrum(n), L)[:n]
+        if f.decay_class is DecayClass.VANISHING_AT_INFINITY:
+            out += _tail_correction(f.grid, values)
+        return out
+
+    return f.with_values(_at_unit_scale("hilbert_multiplier", f.values, route), DecayClass.VANISHING_AT_INFINITY)
 
 
 def periodic_conjugate(f: SampledFunction) -> SampledFunction:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import bvfourier
+from bvfourier import cli
 from bvfourier.cli import EXIT_CHECK_FAILED, EXIT_DATA, EXIT_OK, _write_table, main
 from bvfourier.grids import make_uniform_grid, read_samples_csv
 
@@ -455,6 +457,108 @@ def test_write_table_value_columns_match_the_row_loop(tmp_path):
     for line, want in zip(lines[1:], ref[1:]):
         assert line.split(",")[1:] == want.split(",")[1:]
     assert np.array_equal([float(line.split(",")[0]) for line in lines[1:]], t)
+
+
+def _one_string_write_table(path, header, *columns):
+    # the writer that formatted the whole table as one string, kept as the reference
+    table = np.column_stack(columns)
+    row = "%r" + ",%.12g" * (table.shape[1] - 1) + "\n"
+    Path(path).write_text(header + "\n" + (row * table.shape[0]) % tuple(table.ravel().tolist()))
+
+
+def _hostile_columns(rows, count, seed):
+    """count columns of rows values: an increasing abscissa, then values mixed with -0.0, subnormals and +-1e308."""
+    rng = np.random.default_rng(seed)
+    special = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.5e-310, 1e308, -1e308, 1.0 / 3.0])
+    x = np.linspace(-1e3, 1e3 * rng.uniform(1.0, 2.0), rows)
+    values = []
+    for _ in range(count - 1):
+        v = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+        v[rng.integers(0, rows, max(1, rows // 8))] = rng.choice(special, max(1, rows // 8))
+        v[: min(rows, special.size)] = special[: min(rows, special.size)]
+        values.append(v)
+    return [x, *values]
+
+
+@pytest.mark.parametrize("rows", [1, 4095, 4096, 4097, 131073])
+@pytest.mark.parametrize("count", [2, 4])
+def test_write_table_bytes_match_the_one_string_writer(tmp_path, rows, count):
+    columns = _hostile_columns(rows, count, seed=rows + count)
+    header = ",".join("c%d" % i for i in range(count))
+    _write_table(str(tmp_path / "blocks.csv"), header, *columns)
+    _one_string_write_table(tmp_path / "whole.csv", header, *columns)
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+def test_write_table_failing_block_leaves_the_target_and_no_temp_file(tmp_path, monkeypatch):
+    out = tmp_path / "t.csv"
+    out.write_text("the earlier output\n")
+    calls = []
+
+    def third_block_fails(*args):
+        calls.append(args[-1])
+        if len(calls) == 3:
+            raise MemoryError("Unable to allocate the third block")
+        return format_rows(*args)
+
+    format_rows = cli._format_rows
+    monkeypatch.setattr(cli, "_format_rows", third_block_fails)
+    columns = _hostile_columns(3 * cli._ROWS + 1, 3, seed=3)
+    with pytest.raises(MemoryError):
+        _write_table(str(out), "t,re,im", *columns)
+    assert calls == [0, cli._ROWS, 2 * cli._ROWS]
+    assert out.read_text() == "the earlier output\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+
+def test_write_table_memory_does_not_grow_with_the_table(tmp_path):
+    # formatting the whole table as one string peaked at 25 MB here
+    columns = _hostile_columns(131073, 3, seed=5)
+    tracemalloc.start()
+    try:
+        _write_table(str(tmp_path / "t.csv"), "t,re,im", *columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def _gaussian_csv(path, scale):
+    x = np.linspace(-50.0, 50.0, 4097)
+    vals = np.exp(-x * x) * scale
+    path.write_text("x,value\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), vals.tolist())))
+    return read_samples_csv(path, "vanishing_at_infinity")
+
+
+@pytest.mark.parametrize("method", ["pv", "multiplier"])
+def test_hilbert_of_a_finite_input_near_the_float_range_is_finite(tmp_path, method):
+    from bvfourier.hilbert import hilbert_multiplier, hilbert_pv
+
+    huge = _gaussian_csv(tmp_path / "huge.csv", 1e308)
+    unit = _gaussian_csv(tmp_path / "unit.csv", 1.0)
+    out = tmp_path / "h.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["hilbert", "--csv", str(tmp_path / "huge.csv"), "--method", method, "--out", str(out)]) == EXIT_OK
+    _, data = read_csv(out)
+    assert data.shape == (4097, 2) and np.all(np.isfinite(data))
+    op = {"pv": hilbert_pv, "multiplier": hilbert_multiplier}[method]
+    got, want = op(huge).values, 1e308 * op(unit).values
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # the CSV holds the call's values to 12 significant digits
+    assert np.all(np.abs(data[:, 1] - got) <= 5e-12 * np.abs(got))
+
+
+def test_hilbert_refuses_a_result_past_the_float_range_in_one_line(tmp_path, capsys):
+    src = tmp_path / "c.csv"
+    x = np.linspace(-50.0, 50.0, 4097)
+    src.write_text("x,value\n" + "".join(f"{a!r},1.5e308\n" for a in x.tolist()))
+    out = tmp_path / "h.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["hilbert", "--csv", str(src), "--method", "pv", "--out", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err == "error: hilbert_pv: the result is not finite in float64\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("n", [16385, 65537])

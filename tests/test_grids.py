@@ -288,6 +288,10 @@ READER_CORPUS = {
     "quoted": 'x,value\n"0","1"\n"1",2\n2,"3"\n',
     "quoted header": '"x","value"\n0,1\n1,2\n',
     "crlf": "x,value\r\n0,1\r\n1,2\r\n",
+    "crlf with quoted header": '"x","value"\r\n0,1\r\n\r\n"1",2\r\n',
+    "cr line ends": "x,value\r0,1\r1,2\r",
+    "quoted header over two lines": '"x\n","value"\n0,1\n1,2\n',
+    "quoted header over two crlf lines": '"x\r\n","value"\r\n0,1\r\n1,2\r\n',
     "no final newline": "x,value\n0,1\n1,2",
     "blank lines": "x,value\n\n0,1\n\n\n1,2\n\n",
     "spaces around fields": " X , Value \n 0 , 1 \n1 ,2 \n",
@@ -323,6 +327,29 @@ def test_csv_reader_matches_row_loop_reference(tmp_path, name):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # e.g. loadtxt's "input contained no data"
         assert _read_outcome(_read_uniform_csv, p) == _read_outcome(_loop_read_csv, p)
+
+
+def test_csv_reader_hands_numpy_the_path(tmp_path, monkeypatch):
+    p = tmp_path / "f.csv"
+    p.write_text("x,value\n0,1\n1,2\n")
+    fed = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda source, **kw: fed.append(source) or loadtxt(source, **kw))
+    grid, vals = _read_uniform_csv(p, ("x", "value"), 2)
+    assert fed == [p] and grid.n == 2 and vals.tolist() == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+@pytest.mark.parametrize("name", ["plain", "quoted header over two lines", "three fields"])
+def test_csv_reader_reads_a_compressed_name_as_the_text_it_holds(tmp_path, suffix, name):
+    # numpy decompresses a path with one of these suffixes; the reader's grammar does not look at names
+    plain, named = tmp_path / "f.csv", tmp_path / ("f.csv" + suffix)
+    for p in (plain, named):
+        p.write_bytes(READER_CORPUS[name].encode())
+    want = _read_outcome(_read_uniform_csv, plain)
+    if want[0] == "error":
+        want = ("error", want[1].replace(str(plain), str(named)))
+    assert _read_outcome(_read_uniform_csv, named) == want
 
 
 def test_csv_reader_rejects_digit_group_underscores(tmp_path):

@@ -231,7 +231,7 @@ def test_multiplier_matches_its_direct_sum(family, n):
 
     want = direct_sum(kernel, f.values, n)
     if f.decay_class is DecayClass.VANISHING_AT_INFINITY:
-        want += hilbert._tail_correction(f)
+        want += hilbert._tail_correction(f.grid, f.values)
     k1, scale = float(np.sum(np.abs(_multiplier_kernel(n)))), float(np.max(np.abs(f.values)))
     slack = fft_slack(fast_len(2 * n - 1), k1, scale) + n * EPS_LD * k1 * scale
     assert float(np.max(np.abs(got - want))) <= slack
@@ -354,6 +354,35 @@ def test_inverse_power_series_length_changes_no_bit():
                 term *= r * r
             assert np.array_equal(J[0, k, small], -(even + r * odd) / R**k)
             assert np.array_equal(J[1, k, small], -(even - r * odd) / R**k)
+
+
+def _masked_inverse_power_transforms(x, R, kmax, signs):
+    # the version that indexed with a boolean mask at every order, kept as the reference
+    J = np.zeros((len(signs), kmax + 1, x.size))
+    small = np.abs(x) < hilbert._SERIES_RHO * R
+    r = x[small] / R
+    k = np.arange(1.0, kmax + 1.0)[:, None]
+    even, odd = np.zeros((kmax, r.size)), np.zeros((kmax, r.size))
+    term, r2 = np.ones_like(r), r * r
+    for m in range(0, hilbert._SERIES_TERMS, 2):
+        even += term / (k + m)
+        odd += term / (k + m + 1)
+        term *= r2
+    odd *= r
+    for i, sign in enumerate(signs):
+        J[i, 1:, small] = (-(even + odd if sign > 0 else even - odd) / R**k).T
+        xl = sign * x[~small]
+        J[i, 1, ~small] = (1.0 / xl) * np.log(np.abs(R - xl) / R)
+        for kk in range(2, kmax + 1):
+            J[i, kk, ~small] = (1.0 / xl) * (R ** (1 - kk) / (kk - 1) + J[i, kk - 1, ~small])
+    return J
+
+
+@pytest.mark.parametrize("signs", [(1, -1), (1,), (-1,)])
+def test_inverse_power_transforms_match_the_masked_reference(signs):
+    x = make_uniform_grid(-50.0, 50.0, 2**16 + 1).points
+    R = 50.0 + 0.5 * (100.0 / 2**16)
+    assert np.array_equal(_inverse_power_transforms(x, R, 5, signs), _masked_inverse_power_transforms(x, R, 5, signs))
 
 
 def test_modified_zero_is_zero():
