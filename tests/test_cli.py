@@ -539,7 +539,8 @@ def test_hilbert_of_a_finite_input_near_the_float_range_is_finite(tmp_path, meth
     out = tmp_path / "h.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["hilbert", "--csv", str(tmp_path / "huge.csv"), "--method", method, "--out", str(out)]) == EXIT_OK
+        rc = main(["hilbert", "--csv", str(tmp_path / "huge.csv"), "--method", method, "--out", str(out)])
+    assert rc == EXIT_OK
     _, data = read_csv(out)
     assert data.shape == (4097, 2) and np.all(np.isfinite(data))
     op = {"pv": hilbert_pv, "multiplier": hilbert_multiplier}[method]

@@ -132,7 +132,9 @@ def gc_after_cli_import(before):
         "import bvfourier.cli\n"
         "print(json.dumps([gc.isenabled(), sum(walked), gc.get_freeze_count() == frozen]))"
     )
-    out = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": SRC}, capture_output=True, text=True, check=True)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={"PYTHONPATH": SRC}, capture_output=True, text=True, check=True
+    )
     return json.loads(out.stdout)
 
 
