@@ -13,13 +13,12 @@ import gc
 
 # What these imports allocate lives until exit, yet with the collector on,
 # `import numpy` alone ran 27 gen-0 and 2 gen-1 collections, 2.1-2.6 ms in all
-# (counted with gc.callbacks on a 2-vCPU VM), and a plain pause only defers the
-# walk: the one gen-0 collection after it visited all 21,000 young objects at
-# the same cost.  So the collector is paused across the imports, and what they
-# made moves untraversed into the oldest generation (freeze, then unfreeze: it
-# is skipped when the caller has frozen objects, which unfreeze would thaw),
-# where main's gc.freeze() parks it for good.  The collector is then left as
-# the caller had it.
+# (counted with gc.callbacks on a 2-vCPU VM).  So the collector is paused across
+# the imports, and then left as the caller had it.  A pause alone only defers
+# the walk: the first gen-0 collection after it visits all 21,000 young objects
+# at the same cost.  Where this module is the program (python -m bvfourier.cli),
+# what the imports made is therefore frozen at once, as main() would freeze it
+# anyway; a module that imports this one keeps its objects in their generations.
 _collecting = gc.isenabled()
 gc.disable()
 try:
@@ -50,9 +49,8 @@ try:
     from .hilbert import hilbert_multiplier, hilbert_pv, modified_hilbert, periodic_conjugate
     from .reports import PROFILES, SUITE_NAMES, format_report_line
 finally:
-    if gc.get_freeze_count() == 0:
+    if __name__ == "__main__":
         gc.freeze()
-        gc.unfreeze()
     if _collecting:
         gc.enable()
 

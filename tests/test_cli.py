@@ -444,6 +444,24 @@ def test_hilbert_from_csv_round_trip(tmp_path):
     assert np.max(np.abs(data[:, 1] - expected)) <= 1e-4
 
 
+def test_hilbert_reads_its_csv_from_stdin(tmp_path):
+    # /dev/stdin cannot be reopened at the start: the whole input must come through one open
+    src = tmp_path / "g.csv"
+    x = np.linspace(-20.0, 20.0, 4097)
+    src.write_text("x,value\n" + "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(x, np.exp(-x * x))))
+    from_file = tmp_path / "file.csv"
+    assert main(["hilbert", "--csv", str(src), "--method", "pv", "--out", str(from_file)]) == EXIT_OK
+    from_pipe = tmp_path / "pipe.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(bvfourier.__file__).parents[1]))
+    args = ["hilbert", "--csv", "/dev/stdin", "--method", "pv", "--out", str(from_pipe)]
+    with src.open("rb") as fh:
+        proc = subprocess.Popen([sys.executable, "-m", "bvfourier.cli", *args], env=env, stdin=subprocess.PIPE,
+                                stderr=subprocess.PIPE)
+        _, err = proc.communicate(fh.read(), timeout=60)
+    assert proc.returncode == EXIT_OK and err == b""
+    assert from_pipe.read_bytes() == from_file.read_bytes()
+
+
 def test_write_table_value_columns_match_the_row_loop(tmp_path):
     special = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e16, 1e-5, 123456789012.5, -1.0 / 3.0]
     values = np.array([complex(a, b) for a in special for b in special] + [complex(-0.0, -0.0)])

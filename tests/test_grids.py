@@ -1,5 +1,8 @@
+import contextlib
 import csv
 import math
+import os
+import threading
 import warnings
 from pathlib import Path
 
@@ -21,6 +24,7 @@ from bvfourier import (
     total_variation,
 )
 from bvfourier.grids import _read_uniform_csv
+from bvfourier.radial import read_radial_csv
 
 
 def test_two_point_grid():
@@ -329,20 +333,11 @@ def test_csv_reader_matches_row_loop_reference(tmp_path, name):
         assert _read_outcome(_read_uniform_csv, p) == _read_outcome(_loop_read_csv, p)
 
 
-def test_csv_reader_hands_numpy_the_path(tmp_path, monkeypatch):
-    p = tmp_path / "f.csv"
-    p.write_text("x,value\n0,1\n1,2\n")
-    fed = []
-    loadtxt = np.loadtxt
-    monkeypatch.setattr(np, "loadtxt", lambda source, **kw: fed.append(source) or loadtxt(source, **kw))
-    grid, vals = _read_uniform_csv(p, ("x", "value"), 2)
-    assert fed == [p] and grid.n == 2 and vals.tolist() == [1.0, 2.0]
-
-
 @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
 @pytest.mark.parametrize("name", ["plain", "quoted header over two lines", "three fields"])
 def test_csv_reader_reads_a_compressed_name_as_the_text_it_holds(tmp_path, suffix, name):
-    # numpy decompresses a path with one of these suffixes; the reader's grammar does not look at names
+    # np.loadtxt given a path with one of these suffixes would decompress it; the reader's grammar
+    # does not look at names
     plain, named = tmp_path / "f.csv", tmp_path / ("f.csv" + suffix)
     for p in (plain, named):
         p.write_bytes(READER_CORPUS[name].encode())
@@ -350,6 +345,66 @@ def test_csv_reader_reads_a_compressed_name_as_the_text_it_holds(tmp_path, suffi
     if want[0] == "error":
         want = ("error", want[1].replace(str(plain), str(named)))
     assert _read_outcome(_read_uniform_csv, named) == want
+
+
+def _read_through_fifo(tmp_path, text, read):
+    """What read(path) returns or raises on a FIFO that a second thread fills with text.
+
+    A FIFO cannot be rewound.  A reader that opened it a second time, after
+    the writer had gone, would block; so after 30 s an empty writer ends it.
+    """
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    got = []
+
+    def feed():
+        with contextlib.suppress(BrokenPipeError), open(fifo, "wb") as fh:
+            fh.write(text.encode())
+
+    def consume():
+        try:
+            got.append(read(fifo))
+        except Exception as exc:
+            got.append(exc)
+
+    writer, reader = threading.Thread(target=feed, daemon=True), threading.Thread(target=consume, daemon=True)
+    writer.start()
+    reader.start()
+    reader.join(timeout=30)
+    if reader.is_alive():
+        os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join(timeout=30)
+    writer.join(timeout=30)
+    assert not reader.is_alive() and not writer.is_alive()
+    return got[0]
+
+
+def _gaussian_rows(header, rows, a=-6.0):
+    x = np.linspace(a, 6.0, rows)
+    return header + "".join(f"{float(a)!r},{float(b)!r}\r\n" for a, b in zip(x, np.exp(-x * x)))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+@pytest.mark.parametrize("rows", [2, 3, 2**14 + 1])
+def test_csv_reader_reads_a_pipe_whole(tmp_path, rows):
+    # 2^14 + 1 rows are far past the first read's buffer, which a second open of the path would lose
+    text = _gaussian_rows('"x","value"\r\n', rows)
+    p = tmp_path / "f.csv"
+    p.write_text(text, newline="")
+    want = _read_outcome(_read_uniform_csv, p)
+    assert want[0] == "ok" and want[1].n == rows
+    assert _read_through_fifo(tmp_path, text, lambda path: _read_outcome(_read_uniform_csv, path)) == want
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_radial_csv_reads_a_pipe_whole(tmp_path):
+    text = _gaussian_rows("s,f0\r\n", 2**14 + 1, a=0.0)
+    p = tmp_path / "f.csv"
+    p.write_text(text, newline="")
+    want = read_radial_csv(p, 3)
+    got = _read_through_fifo(tmp_path, text, lambda path: read_radial_csv(path, 3))
+    assert not isinstance(got, Exception), got
+    assert got.f0.grid == want.f0.grid and got.f0.values.tobytes() == want.f0.values.tobytes()
 
 
 def test_csv_reader_rejects_digit_group_underscores(tmp_path):
