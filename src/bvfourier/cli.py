@@ -28,7 +28,7 @@ try:
     import itertools
     import os
     import sys
-    from collections.abc import Iterable
+    from collections.abc import Callable, Iterable
     from pathlib import Path
 
     # BVF_THREADS sets the process's one pool, so OpenBLAS gets no threads of its own
@@ -90,30 +90,32 @@ def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
         raise
 
 
-# Rows formatted per write.  A block's Python floats, their tuple and its text
-# take under 1 MB, where formatting the whole table at once took 25 MB at
-# 2^17 + 1 rows.  Writing the 2^17 + 1 rows of a `transform` at n = 2^16 + 1
-# after the transform, medians of 9 fresh processes on a 2-vCPU VM: blocks of
-# 512 to 8192 rows 137-139 ms and 26-276 minor faults, 32,768 rows 143 ms,
-# one block of the whole table 152 ms, the whole table as one string 154 ms
-# and 12,098 faults.
-_ROWS = 4096
+# Rows formatted per write.  Writing the 2^17 + 1 rows of a `transform` at
+# n = 2^16 + 1 after the transform, medians of 9 fresh processes on a 2-vCPU
+# VM, with the tracemalloc peak of writing 2^17 + 1 rows of three columns
+# mixed with subnormals, signed zeros and +-1e308: blocks of 512 rows 79 ms
+# and 370 kB, 1024 rows 63 ms and 471 kB, 2048 rows 56 ms and 673 kB, 4096
+# rows 53 ms and 1.1 MB, 8192 rows 53 ms and 2.2 MB, one block of the whole
+# table 87 ms and 35 MB.  Formatting 4096 rows per block with Python's `%`
+# took 133 ms and 795 kB.
+_ROWS = 2048
 
 
-def _format_rows(row: str, columns: tuple[np.ndarray, ...], lo: int) -> str:
-    block = np.column_stack([c[lo : lo + _ROWS] for c in columns])
-    return (row * block.shape[0]) % tuple(block.ravel().tolist())
+def _format_rows(render: Callable[[list[np.ndarray]], str], columns: tuple[np.ndarray, ...], lo: int) -> str:
+    return render([c[lo : lo + _ROWS] for c in columns])
 
 
 def _write_table(path: str, header: str, *columns: np.ndarray) -> None:
     """Write real columns under a header line: the first (the abscissa) in shortest
     round-trip form, so it reads back bit for bit, the rest to 12 significant digits.
 
+    The text is Python's "%r" and "%.12g", rendered by :func:`bvfourier._text.csv_rows`.
     Rows are formatted and written _ROWS at a time, so memory does not grow with
     the output text; the bytes are those of formatting the whole table at once.
     """
-    row = "%r" + ",%.12g" * (len(columns) - 1) + "\n"
-    blocks = (_format_rows(row, columns, lo) for lo in range(0, len(columns[0]), _ROWS))
+    from ._text import csv_rows
+
+    blocks = (_format_rows(csv_rows, columns, lo) for lo in range(0, len(columns[0]), _ROWS))
     _atomic_write(Path(path), itertools.chain([header + "\n"], blocks))
 
 

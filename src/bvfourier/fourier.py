@@ -28,7 +28,7 @@ import numpy as np
 
 from ._fft import fast_len, needs_bluestein
 from .grids import DecayClass, Grid, SampledFunction, derivative, integrate, trapezoid_weights
-from .hilbert import hilbert_multiplier, periodic_conjugate
+from .hilbert import _at_unit_scale, hilbert_multiplier, periodic_conjugate
 
 __all__ = [
     "TransformResult",
@@ -174,29 +174,36 @@ def transform_values(f: SampledFunction, t: np.ndarray) -> np.ndarray:
     Otherwise three or more nodes in one arithmetic progression take one
     chirp-z (zoom DFT) call with its end-to-end step, matching the direct
     sum at its given nodes to a few ulps.  Any other node set takes the
-    direct sum.
+    direct sum.  Each path runs on the samples scaled by a power of two to
+    unit size (:func:`hilbert._at_unit_scale`), so a finite input near the
+    float64 range does not overflow inside the sum.
     """
     t = np.asarray(t, dtype=float)
-    wf = trapezoid_weights(f.grid) * f.values
-    if t.size >= 2:
-        # linspace spacing jitters by ~eps * max|t|; nodes that close to an
-        # exact arithmetic progression or lattice are indistinguishable here
-        jitter = 64.0 * np.finfo(float).eps * max(abs(float(t[0])), abs(float(t[-1])), 1.0)
-        # a fold must hold at every node, so four probe nodes rule most folds out cheaply
-        probe = t[[0, 1, t.size // 2, -1]]
-        for fold in range(1, _MAX_FOLD + 1):
-            lattice = math.pi / (fold * f.grid.width)
-            if all(np.all(np.abs(nodes - np.rint(nodes / lattice) * lattice) <= jitter) for nodes in (probe, t)):
-                return _expi(t * f.grid.a) * _lattice_dft(wf, np.rint(t / lattice).astype(np.int64), fold)
-        step = float(t[-1] - t[0]) / (t.size - 1)
-        if t.size >= 3 and np.all(np.abs(t - (t[0] + np.arange(t.size) * step)) <= jitter):
-            return _zoom_dft(wf, f.grid.a, f.h, float(t[0]), step, t.size)
-    out = np.empty(t.size, dtype=complex)
-    rows = max(1, 2**16 // f.n)  # temporaries of at most 2^16 elements
-    for lo in range(0, t.size, rows):
-        tx = np.outer(t[lo : lo + rows], f.x)  # real cos and sin run far faster than complex exp
-        out[lo : lo + rows] = np.cos(tx) @ wf - 1j * (np.sin(tx) @ wf)
-    return out
+    weights = trapezoid_weights(f.grid)
+
+    def route(values):
+        wf = weights * values
+        if t.size >= 2:
+            # linspace spacing jitters by ~eps * max|t|; nodes that close to an
+            # exact arithmetic progression or lattice are indistinguishable here
+            jitter = 64.0 * np.finfo(float).eps * max(abs(float(t[0])), abs(float(t[-1])), 1.0)
+            # a fold must hold at every node, so four probe nodes rule most folds out cheaply
+            probe = t[[0, 1, t.size // 2, -1]]
+            for fold in range(1, _MAX_FOLD + 1):
+                lattice = math.pi / (fold * f.grid.width)
+                if all(np.all(np.abs(nodes - np.rint(nodes / lattice) * lattice) <= jitter) for nodes in (probe, t)):
+                    return _expi(t * f.grid.a) * _lattice_dft(wf, np.rint(t / lattice).astype(np.int64), fold)
+            step = float(t[-1] - t[0]) / (t.size - 1)
+            if t.size >= 3 and np.all(np.abs(t - (t[0] + np.arange(t.size) * step)) <= jitter):
+                return _zoom_dft(wf, f.grid.a, f.h, float(t[0]), step, t.size)
+        out = np.empty(t.size, dtype=complex)
+        rows = max(1, 2**16 // f.n)  # temporaries of at most 2^16 elements
+        for lo in range(0, t.size, rows):
+            tx = np.outer(t[lo : lo + rows], f.x)  # real cos and sin run far faster than complex exp
+            out[lo : lo + rows] = np.cos(tx) @ wf - 1j * (np.sin(tx) @ wf)
+        return out
+
+    return _at_unit_scale("transform_values", f.values, route)
 
 
 def nyquist_cutoff(grid: Grid) -> float:

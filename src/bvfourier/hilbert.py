@@ -97,13 +97,19 @@ def _at_unit_scale(op: str, values: np.ndarray, route: Callable[[np.ndarray], np
 
     Sums and products commute with a power-of-two scale while every value
     stays in the normal range, so the result has the bits of the unscaled
-    run (the factor is 1 when max|values| is in [1, 2) already), yet no
-    midpoint sum or FFT of a finite input near the float64 range overflows.
+    run (when max|values| is in [1, 2) already, the route runs on values as
+    they are), yet no midpoint sum or FFT of a finite input near the float64
+    range overflows.  Complex values and results are scaled part by part.
     Where the result itself is past that range, op refuses.
     """
+
+    def times_two_to(power, a):
+        parts = np.ldexp(a.view(np.float64) if np.iscomplexobj(a) else a, power)
+        return parts.view(a.dtype)
+
     e = int(np.frexp(np.max(np.abs(values)))[1])  # max|values| = m 2^e, 1/2 <= m < 1
     with np.errstate(over="ignore"):
-        out = np.ldexp(route(np.ldexp(values, 1 - e)), e - 1)
+        out = route(values) if e == 1 else times_two_to(e - 1, route(times_two_to(1 - e, values)))
     if not np.all(np.isfinite(out)):
         raise ValueError(f"{op}: the result is not finite in float64")
     return out
@@ -311,8 +317,7 @@ def periodic_conjugate(f: SampledFunction) -> SampledFunction:
         raise ValueError("periodic grid must span exactly (-pi, pi]")
     N = f.n - 1  # duplicated closure sample dropped
     h = f.grid.width / N
-    spec = np.fft.rfft(f.values[:N])
-    shift = np.exp(1j * np.pi * np.arange(spec.size) / N)  # to the half offsets
+    shift = np.exp(1j * np.pi * np.arange(N // 2 + 1) / N)  # to the half offsets
     if N % 2 == 0:
         shift[-1] = math.cos(np.pi * (N // 2) / N)
     # cot(u/2) is odd about u = pi: the upper half is the lower one negated, exactly,
@@ -323,7 +328,12 @@ def periodic_conjugate(f: SampledFunction) -> SampledFunction:
     w[N - half :] = -w[half - 1 :: -1]
     d = np.arange(N)
     c = w[(d - 1) % N] - w[(-d) % N]
-    vals = (h / (4.0 * np.pi)) * np.fft.irfft(spec * shift * np.fft.rfft(c), N)
+    spec_c = np.fft.rfft(c)
+
+    def route(values):
+        return (h / (4.0 * np.pi)) * np.fft.irfft(np.fft.rfft(values[:N]) * shift * spec_c, N)
+
+    vals = _at_unit_scale("periodic_conjugate", f.values, route)
     return f.with_values(np.concatenate((vals, [vals[0]])), DecayClass.PERIODIC)
 
 

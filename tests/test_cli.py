@@ -508,6 +508,32 @@ def test_write_table_bytes_match_the_one_string_writer(tmp_path, rows, count):
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transform", "--family", "gaussian", "--n", "16385"],
+        ["hilbert", "--family", "gaussian", "--method", "multiplier"],
+        ["radial", "--family", "box", "--width", "2", "--dim", "3",
+         "--radii", "0.001,0.0137,0.25,0.5,1,1.7,3.14159,7.25,12.5,33.3,101.7,250"],
+    ],
+)
+def test_commands_write_the_bytes_of_the_one_string_writer(tmp_path, monkeypatch, argv):
+    # the command's own columns, among them the exactly mirrored Nyquist grid of `transform`
+    written = []
+
+    def both_writers(path, header, *columns):
+        written.append(path)
+        _one_string_write_table(tmp_path / "whole.csv", header, *columns)
+        write_table(path, header, *columns)
+
+    write_table = cli._write_table
+    monkeypatch.setattr(cli, "_write_table", both_writers)
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert written == [str(out)]
+    assert out.read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
 def test_write_table_failing_block_leaves_the_target_and_no_temp_file(tmp_path, monkeypatch):
     out = tmp_path / "t.csv"
     out.write_text("the earlier output\n")
@@ -578,6 +604,47 @@ def test_hilbert_refuses_a_result_past_the_float_range_in_one_line(tmp_path, cap
         assert main(["hilbert", "--csv", str(src), "--method", "pv", "--out", str(out)]) == EXIT_DATA
     assert capsys.readouterr().err == "error: hilbert_pv: the result is not finite in float64\n"
     assert not out.exists()
+
+
+def test_transform_of_a_finite_input_near_the_float_range_is_finite(tmp_path):
+    from bvfourier.fourier import fourier_transform
+
+    huge = _gaussian_csv(tmp_path / "huge.csv", 1e308)
+    unit = _gaussian_csv(tmp_path / "unit.csv", 1.0)
+    out = tmp_path / "t.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["transform", "--csv", str(tmp_path / "huge.csv"), "--out", str(out)]) == EXIT_OK
+    _, data = read_csv(out)
+    assert data.shape == (8193, 3) and np.all(np.isfinite(data))
+    got, want = fourier_transform(huge).values, 1e308 * fourier_transform(unit).values
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_transform_refuses_a_result_past_the_float_range_in_one_line(tmp_path, capsys):
+    _gaussian_csv(tmp_path / "huge.csv", 1.5e308)  # its integral, 2.7e308, is the transform at t = 0
+    out = tmp_path / "t.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["transform", "--csv", str(tmp_path / "huge.csv"), "--out", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err == "error: transform_values: the result is not finite in float64\n"
+    assert not out.exists()
+
+
+def test_periodic_conjugate_of_a_finite_input_near_the_float_range_is_finite(tmp_path):
+    from bvfourier.hilbert import periodic_conjugate
+
+    x = np.linspace(-math.pi, math.pi, 1025)
+    src = tmp_path / "c.csv"
+    src.write_text("x,value\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), (1e308 * np.cos(x)).tolist())))
+    out = tmp_path / "h.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["hilbert", "--csv", str(src), "--decay", "periodic", "--method", "periodic", "--out", str(out)])
+    assert rc == EXIT_OK
+    _, data = read_csv(out)
+    got = periodic_conjugate(read_samples_csv(src, "periodic")).values
+    assert np.all(np.isfinite(data)) and np.max(np.abs(got - 1e308 * np.sin(x))) <= 1e-12 * 1e308
 
 
 @pytest.mark.parametrize("n", [16385, 65537])

@@ -46,6 +46,8 @@ def test_cli_import_loads_only_what_every_command_needs():
         "bvfourier.reports",
     ]
     assert unneeded == []
+    # the CSV text kernel loads with the first table a command writes
+    assert "bvfourier._text" not in package
 
 
 def test_hilbert_command_loads_no_transform_radial_or_suite_module(tmp_path):
@@ -58,6 +60,20 @@ def test_hilbert_command_loads_no_transform_radial_or_suite_module(tmp_path):
     assert all((tmp_path / f"{method}.csv").is_file() for method in ("pv", "multiplier", "modified"))
 
 
+def test_table_commands_load_the_text_kernel_but_neither_fractions_nor_decimal(tmp_path):
+    runs = [
+        ["transform", "--family", "gaussian", "--n", "1025", "--out", str(tmp_path / "t.csv")],
+        ["hilbert", "--family", "gaussian", "--n", "1025", "--out", str(tmp_path / "h.csv")],
+        ["radial", "--family", "box", "--width", "2", "--dim", "3", "--radii", "0.5,1", "--out", str(tmp_path / "r.csv")],
+    ]
+    code = (
+        f"import sys\nfrom bvfourier.cli import main\nassert [main(a) for a in {runs!r}] == [0, 0, 0]\n"
+        "assert 'fractions' not in sys.modules and 'decimal' not in sys.modules"
+    )
+    package, unneeded = loaded_after(code)
+    assert "bvfourier._text" in package and unneeded == []
+
+
 def test_single_threaded_verify_loads_neither_numpy_ma_nor_a_thread_pool(tmp_path):
     argv = ["verify", "--suite", "lemma-dc", "--profile", "fast", "--out", str(tmp_path / "r.txt")]
     # exit 1: conjugate-derivative-refinement fails by analysis (ROADMAP item 4)
@@ -67,6 +83,7 @@ def test_single_threaded_verify_loads_neither_numpy_ma_nor_a_thread_pool(tmp_pat
     )
     package, unneeded = loaded_after(code, {"BVF_THREADS": "1"})
     assert "bvfourier.verification" in package and unneeded == []
+    assert "bvfourier._text" not in package
 
 
 def test_threaded_verify_loads_no_executor(tmp_path):
