@@ -1,257 +1,83 @@
 """CSV rows of float columns, rendered by numpy with the bytes of Python's ``%``.
 
-:func:`csv_rows` writes the first column as ``"%r"`` (the shortest digits that
-read back to the same double, nearest to it among those: David Gay's dtoa
-mode 0, which is CPython's ``repr``) and every other column as ``"%.12g"``.
-
-Each finite value x with 1e-280 <= |x| <= 1e280 is scaled to
-Y = |x| 10^(16 - k), k = floor(log10 |x|), so Y lies in [1e16, 1e17).  The
-product with 10^(16 - k), held as a double-double hi + lo built from Python
-ints, is exact up to about 5e-15 of a unit of Y: x hi is split exactly by
-Dekker's two-product (Veltkamp's split, no fused multiply-add needed) and
-x lo adds one rounding.  Y's integer part D (17 digits, int64) and fraction
-then decide both formats:
-
-* ``%.12g`` rounds D + fraction at 10^5;
-* ``%r`` takes the largest t for which a multiple of 10^t lies in the
-  rounding interval of x, [Y - ulp_below/2, Y + ulp_above/2] in the same
-  scale, and of the at most two such multiples the one nearest Y.
-
-Where a rounding tie or an interval boundary lies within _TOL of the
-computed Y (so half-to-even and the boundary rule never need deciding
-here), and where x is not finite or outside the range above, the value is
-formatted by Python's own ``%``, one element at a time.  Zeros are rendered
-here.  The text is assembled per value from a slot of its 17 digit
-characters (a 4-digit lookup table), its exponent's digits and a few
-constant bytes, by one gather through a layout row per (column kind, sign,
-exponent form, digit count); one pass then drops the NUL padding.
+:func:`csv_rows` writes the first column as ``"%r"`` and every other column
+as ``"%.12g"``, with the digits of :mod:`bvfourier._digits`.  Values those
+cannot decide (not finite, |x| outside 1e-280 .. 1e280, or too close to a
+rounding tie or interval boundary) are formatted by Python's own ``%``, one
+element at a time; zeros are rendered here.  Each value's text is gathered
+from a 32-byte slot of its digits, its exponent's digits and a few constant
+bytes, through a layout row per (notation, digit count); one pass then
+drops the NUL bytes.
 """
 
 from __future__ import annotations
 
-import functools
-import math
 from collections.abc import Sequence
 
 import numpy as np
 
-# |x| range of the fast path: x 10^(16 - k) and the splits of both factors stay finite and normal
-_LO, _HI = 1e-280, 1e280
-# the computed Y errs by at most about 5e-15 of its last digit
-_TOL = 2.0**-30
-_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's constant for float64
-_EXPONENT_BITS = np.uint64(0x7FF0000000000000)
-_POW10 = 10 ** np.arange(18, dtype=np.int64)
+from ._digits import decimal17, round12, shortest
 
-# rows hi, hi_h, hi_l, lo: 10^P = hi + lo, hi = hi_h + hi_l split, at P - _P_MIN for P = 16 - k; filled on first use
-_P_MIN, _P_MAX = 16 - 282, 16 + 282
-_POWERS = np.full((4, _P_MAX - _P_MIN + 1), np.nan)
-
-
-def _fill_powers(p_lo: int, p_hi: int) -> None:
-    """Fill the columns of _POWERS for 10^P, p_lo <= P <= p_hi, that are not filled yet."""
-    for p in (p_lo + np.flatnonzero(np.isnan(_POWERS[0, p_lo - _P_MIN : p_hi - _P_MIN + 1]))).tolist():
-        if p >= 0:
-            num, shift = 10**p, 0
-        else:
-            # 2^shift / 10^-p to 120 bits; the truncation is below 2^-119 of it
-            shift = (10**-p).bit_length() + 120
-            num = (1 << shift) // 10**-p
-        hi = float(num)  # int -> float rounds correctly
-        lo = float(num - int(hi))
-        hi, lo = math.ldexp(hi, -shift), math.ldexp(lo, -shift)
-        c = _SPLIT * hi
-        hi_h = c - (c - hi)
-        _POWERS[:, p - _P_MIN] = hi, hi_h, hi - hi_h, lo
-
-
-def _digits17(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """D = floor(x 10^(16 - k)) as int64 and the fraction left over, for x in the fast range."""
-    _fill_powers(16 - int(k.max()), 16 - int(k.min()))
-    at = 16 - _P_MIN - k
-    x_h = x * _SPLIT
-    x_l = x_h - x
-    x_h -= x_l
-    np.subtract(x, x_h, out=x_l)
-    p = np.take(_POWERS[0], at, mode="clip")
-    p *= x
-    # p + err = x hi exactly (Dekker's two-product), then err + x lo rounds once
-    err = np.take(_POWERS[1], at, mode="clip")
-    err *= x_h
-    err -= p
-    term = np.take(_POWERS[2], at, mode="clip")
-    x_h *= term
-    err += x_h
-    np.take(_POWERS[1], at, out=x_h, mode="clip")
-    x_h *= x_l
-    err += x_h
-    term *= x_l
-    err += term
-    np.take(_POWERS[3], at, out=term, mode="clip")
-    term *= x
-    err += term
-    whole = np.floor(err, out=term)
-    err -= whole
-    d = p.astype(np.int64)
-    d += whole.astype(np.int64)
-    return d, err
-
-
-def _decimal(v: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Fast-path mask, |v| (1 off the path), k = floor(log10 |v|), D and its fraction, per value."""
-    x = np.abs(v)
-    fast = x >= _LO
-    fast &= x <= _HI
-    np.copyto(x, 1.0, where=~fast)
-    k = np.log10(x)
-    np.floor(k, out=k)
-    k = k.astype(np.int64)
-    d, frac = _digits17(x, k)
-    # log10 may be a unit off next to a power of ten; then D has 16 or 18 digits
-    off = np.flatnonzero((d - _POW10[16]).view(np.uint64) >= np.uint64(9 * 10**16))
-    if off.size:
-        k[off] += np.where(d[off] < _POW10[16], -1, 1)
-        d[off], frac[off] = _digits17(x[off], k[off])
-    return fast, x, k, d, frac
-
-
-def _g12(d: np.ndarray, frac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """%.12g digits as a 17-digit integer (10^17 where they carry) and a mask of ties too close to call."""
-    q = d // 100000
-    rest = d - q * 100000 + frac
-    rest -= 50000.0
-    q += rest > 0.0
-    q *= 100000
-    return q, np.abs(rest) < _TOL
-
-
-def _shortest(x: np.ndarray, d: np.ndarray, frac: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """%r digits as a 17-digit integer (10^17 where they carry) and a mask of values too close to call."""
-    below_x = (x.view(np.uint64) & _EXPONENT_BITS).view(np.float64)  # the power of two at or below x
-    # half the gaps to x's neighbours, in units of D; the gap below a power of two
-    # is half as wide (between 1e-280 and 1e280 that never changes the digits)
-    up = below_x * np.take(_POWERS[0], 16 - _P_MIN - k, mode="clip")
-    up *= 2.0**-53
-    down = up * np.where(x == below_x, 0.5, 1.0)
-    low = frac - down
-    high = frac + up
-    unsure = np.abs(low - np.rint(low)) < _TOL
-    unsure |= np.abs(high - np.rint(high)) < _TOL
-    # the integers first .. last are the 17-digit decimals that read back as x;
-    # the interval is at least 1.1 wide, so first <= last
-    first = d + np.ceil(low).astype(np.int64)
-    last = d + np.floor(high).astype(np.int64)
-    # t = the most trailing zeros among first .. last
-    t = np.zeros(x.size, np.int64)
-    live = np.arange(x.size)
-    a, b = last, first - 1
-    for _ in range(16):
-        a, b = a // 10, b // 10
-        more = a > b
-        live, a, b = live[more], a[more], b[more]
-        if live.size == 0:
-            break
-        t[live] += 1
-    step = _POW10[t]
-    below = d // step * step
-    dist = d - below + frac  # from the multiple below Y; the one above is step - dist away
-    gap = step - dist
-    has_below = below >= first
-    has_above = below + step <= last
-    unsure |= has_below & has_above & (np.abs(gap - dist) < _TOL)
-    below += step * (has_above & ~(has_below & (dist <= gap)))
-    return below, unsure
-
-
-# A value's text is gathered from its slot of 8 words: 0-4 its 17 digits after
-# 3 zeros, 5 |exponent| as 4 digits, 6-7 the constant bytes below.  A value
-# formatted by Python holds its text and separator in bytes 0-24 instead,
-# NUL-padded.
+# A value's slot of 32 bytes: 0-2 NUL, 3-19 its 17 digits, 20-23 |exponent|
+# as 4 digits (byte 20 is always "0"), 24 "-" or NUL, 25-28 ".e+-", 29-30
+# ".0" for "%r" (NUL for "%.12g"), 31 the separator.  A value formatted by
+# Python holds its text in bytes 0-23 instead, NUL-padded.
 _SLOT, _WIDTH = 32, 25
-_CONSTANTS = b"-.e+0,\n\0"
-_MINUS, _DOT, _E, _PLUS, _ZERO, _COMMA, _NEWLINE, _NUL = range(24, 32)
+_ZERO, _SIGN, _DOT, _E, _PLUS, _POINT_ZERO, _SEPARATOR = 20, 24, 25, 26, 27, [29, 30], 31
+# the ASCII digits of 0 .. 9999, each in one word, and of 0 .. 9 after 3 NUL
 _QUAD = np.arange(10000, dtype=np.int16)
-# the ASCII digits of 0 .. 9999, each held in one word
-_WORDS = np.empty((10000, 4), np.uint8)
-for _j, _unit in enumerate((1000, 100, 10, 1)):
-    _WORDS[:, _j] = _QUAD // _unit % 10 + 48
+_WORDS = (_QUAD[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10 + 48).astype(np.uint8)
 _WORDS = _WORDS.view(np.uint32).ravel()
-# by digit word j: the place among the 17 of the word's last nonzero digit, 0
-# for 0000 (but 1 for a zero value's leading word)
-_LAST_DIGIT = 4 * np.arange(5, dtype=np.int8)[:, None] + 1 - sum((_QUAD % m == 0).astype(np.int8) for m in (10, 100, 1000))
-_LAST_DIGIT[:, 0] = 0
-_LAST_DIGIT[0, 0] = 1
-del _QUAD, _j, _unit
+_LEAD = np.frombuffer(b"".join(b"\0\0\0%d" % j for j in range(10)), np.uint32)
+# the trailing zeros of each word, 17 for 0000: digit word j's last nonzero digit is digit 4 j + 1 - that
+_TRAILING = sum((_QUAD % m == 0).astype(np.int8) for m in (10, 100, 1000))
+_TRAILING[0] = 17
+del _QUAD
 
-# Column kinds: 0 "%r," 1 "%.12g," 2 "%.12g\n" 3 "%r\n".  A layout code is
-# ((kind 2 + sign) 24 + form) 17 + digits - 1, where form 0-19 is fixed
-# notation at exponent form - 4 and 20-23 exponential (+2 for a negative
-# exponent, +1 for three exponent digits); code _VERBATIM + kind copies
-# Python's text.
-_FORMS = 24
-_VERBATIM = 4 * 2 * _FORMS * 17
-# form 17 by the column's style (%r, %.12g) and its exponent + 300
+
+def _layout(form: int, n: int) -> list[int]:
+    """Slot bytes, in output order, of n digits in fixed notation at exponent form - 4
+    (form < 20) or exponential (20 + 2 (exponent < 0) + (three exponent digits))."""
+    digits = list(range(3, 3 + n))
+    if form >= 20:
+        negative, three = divmod(form - 20, 2)
+        body = digits[:1] + ([_DOT] + digits[1:] if n > 1 else [])
+        body += [_E, _PLUS + negative] + [21, 22, 23][1 - three :]
+    elif form < 4:
+        body = [_ZERO, _DOT] + [_ZERO] * (3 - form) + digits
+    else:
+        e = form - 4
+        body = digits[: e + 1] + [_ZERO] * (e + 1 - n) + ([_DOT] + digits[e + 1 :] if n > e + 1 else _POINT_ZERO)
+    return [_SIGN, *body, _SEPARATOR]
+
+
+# by code (form 17 + n - 1; _VERBATIM copies Python's text): slot bytes in
+# output order, padded with byte 0 (a NUL).  Building them takes about 0.6 ms.
+_VERBATIM = 24 * 17
+_LAYOUTS = np.zeros((_VERBATIM + 1, _WIDTH), np.intp)
+_LAYOUTS[_VERBATIM] = [*range(24), _SEPARATOR]
+for _code in range(_VERBATIM):
+    _row = _layout(_code // 17, _code % 17 + 1)
+    _LAYOUTS[_code, : len(_row)] = _row
+del _code, _row
+# form 17 - 1 by the column's style (%r, %.12g) and its exponent + 300
 _EXP = np.arange(-300, 301)
 _FORM17 = np.concatenate(
-    [np.where((_EXP >= -4) & (_EXP < limit), _EXP + 4, 20 + 2 * (_EXP < 0) + (abs(_EXP) >= 100)) * 17 for limit in (16, 12)]
-)
+    [
+        np.where((_EXP >= -4) & (_EXP < top), _EXP + 4, 20 + 2 * (_EXP < 0) + (abs(_EXP) >= 100)) * 17 - 1
+        for top in (16, 12)
+    ]
+).astype(np.int16)
 del _EXP
-# by code: its slot byte offsets in output order, NUL-padded, and its text width (0: not built yet)
-_LAYOUTS = np.zeros((_VERBATIM + 4, _WIDTH), np.uint8)
-_TEXT_WIDTH = np.zeros(_VERBATIM + 4, np.int8)
-_RENDER = 512  # values per gather; its index takes at most 100 kB
-_BASE = (_SLOT * np.arange(_RENDER))[:, None]
+# values per gather, and their slots' offsets by text byte: 50 kB each
+_RENDER = 256
+_BASE = np.repeat(_SLOT * np.arange(_RENDER), _WIDTH).reshape(_RENDER, _WIDTH)
 
 
-def _layout(code: int) -> list[int]:
-    """Slot byte offsets, in output order, of a layout code's text."""
-    if code >= _VERBATIM:
-        return list(range(_WIDTH))
-    rest, n = divmod(code, 17)
-    rest, form = divmod(rest, _FORMS)
-    kind, sign = divmod(rest, 2)
-    n += 1
-    digits = [3 + j for j in range(n)]
-    row = [_MINUS] if sign else []
-    if form < 20:
-        e = form - 4
-        if e < 0:
-            row += [_ZERO, _DOT] + [_ZERO] * (-e - 1) + digits
-        else:
-            row += digits[: e + 1] + [_ZERO] * (e + 1 - n)
-            if n > e + 1:
-                row += [_DOT] + digits[e + 1 :]
-            elif kind in (0, 3):
-                row += [_DOT, _ZERO]
-    else:
-        negative, three = divmod(form - 20, 2)
-        row += digits[:1] + ([_DOT] + digits[1:] if n > 1 else [])
-        row += [_E, _MINUS if negative else _PLUS] + ([21, 22, 23] if three else [22, 23])
-    return row + [_COMMA if kind < 2 else _NEWLINE]
-
-
-def _put_word(slots: np.ndarray, n: np.ndarray, j: int, word: np.ndarray) -> None:
-    """Digit word j of each value into word j of its slot, and n up to the place of its last nonzero digit."""
-    np.take(_WORDS, word, out=slots[:, j], mode="clip")
-    np.maximum(n, np.take(_LAST_DIGIT[j], word, mode="clip"), out=n)
-
-
-@functools.lru_cache(maxsize=8)
-def _columns(ncols: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[str, ...]]:
-    """Per column of a table: offset of its exponents into _FORM17, its code offset, its verbatim code and format."""
-    kind = np.ones(ncols, np.intp)
-    kind[0], kind[-1] = 0, 2
-    if ncols == 1:
-        kind[0] = 3
-    shortest = (kind == 0) | (kind == 3)
-    formats = tuple(("%r" if r else "%.12g") + ("," if c < 2 else "\n") for r, c in zip(shortest, kind))
-    return np.where(shortest, 300, 901), kind * (2 * _FORMS * 17) - 1, _VERBATIM + kind, formats
-
-
-def _python_text(formats: list[str], values: np.ndarray) -> np.ndarray:
-    """Each value formatted by Python's % with its format, as a NUL-padded row of _WIDTH bytes."""
-    text = b"".join((f % value).encode().ljust(_WIDTH, b"\0") for f, value in zip(formats, values.tolist()))
-    return np.frombuffer(text, np.uint8).reshape(-1, _WIDTH)
+def _python_text(first: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each value formatted by Python as "%r" where first, else "%.12g", in a NUL-padded row of 24 bytes."""
+    text = (((b"%r" if r else b"%.12g") % v).ljust(24, b"\0") for r, v in zip(first.tolist(), values.tolist()))
+    return np.frombuffer(b"".join(text), np.uint8).reshape(-1, 24)
 
 
 def csv_rows(columns: Sequence[np.ndarray]) -> str:
@@ -259,73 +85,51 @@ def csv_rows(columns: Sequence[np.ndarray]) -> str:
     rows, ncols = len(columns[0]), len(columns)
     if rows == 0:
         return ""
-    exponent_offset, code_offset, verbatim, formats = _columns(ncols)
     flat = np.column_stack(columns).astype(float, copy=False).ravel()
-    size = flat.size
-    fast, x, k, d, frac = _decimal(flat)
-    digits, unsure = _g12(d, frac)
-    digits[::ncols], unsure[::ncols] = _shortest(x[::ncols], d[::ncols], frac[::ncols], k[::ncols])
-    # each array is dropped once used, so a block of 2048 rows peaks near 0.7 MB
-    del x, d, frac
+    fast, x, k, d, frac = decimal17(flat)
+    # arrays are dropped once used, so a block of 1536 rows peaks near 0.4 MB
+    first = shortest(x[::ncols], d[::ncols], frac[::ncols], k[::ncols])
+    del x
+    digits, unsure = round12(d, frac)
+    digits[::ncols], unsure[::ncols] = first
+    del d, frac, first
     zero = flat == 0.0
-    digits[np.flatnonzero(zero)] = 0
-    carried = np.flatnonzero(digits == _POW10[17])
-    digits[carried] = _POW10[16]
+    digits[zero] = 0
+    fallback = np.flatnonzero(~(fast | zero) | unsure)
+    carried = digits == 10**17
+    digits[carried] = 10**16
     k[carried] += 1
-    fast |= zero
-    np.logical_not(fast, out=fast)
-    fast |= unsure
-    fallback = np.flatnonzero(fast)
-    del fast, zero, unsure
+    del fast, zero, unsure, carried
 
-    # the slots, and the digit count from the digit words
-    slots = np.empty((size, _SLOT // 4), np.uint32)
-    n = np.zeros(size, np.int8)
-    high = digits // 10**8  # digits 1-9
-    digits -= high * 10**8  # digits 10-17
-    upper = digits // 10**4
-    digits -= upper * 10**4
-    _put_word(slots, n, 4, digits)
-    _put_word(slots, n, 3, upper)
-    np.floor_divide(high, 10**4, out=upper)  # digits 1-5
-    high -= upper * 10**4
-    _put_word(slots, n, 2, high)
-    np.floor_divide(upper, 10**4, out=high)
-    upper -= high * 10**4
-    _put_word(slots, n, 1, upper)
-    _put_word(slots, n, 0, high)
-    del high, upper, digits
-    np.take(_WORDS, np.abs(k), out=slots[:, 5], mode="clip")
-    slots.view(np.uint64)[:, 3] = np.frombuffer(_CONSTANTS, np.uint64)[0]
-
-    k.reshape(rows, ncols)[:] += exponent_offset
-    code = np.take(_FORM17, k, mode="clip")
-    del k
-    code += n
-    code += np.signbit(flat) * (_FORMS * 17)
-    code.reshape(rows, ncols)[:] += code_offset
+    # the slots, and the digit count n from the digit words, last word first
+    slots = np.empty((flat.size, _SLOT // 4), np.uint32)
+    n = np.ones(flat.size, np.int8)
+    for j in range(4, 0, -1):
+        rest = digits // 10**4
+        digits -= rest * 10**4
+        slots[:, j] = _WORDS[digits]
+        np.maximum(n, 4 * j + 1 - _TRAILING[digits], out=n)
+        digits = rest
+    slots[:, 0] = _LEAD[digits]
+    slots[:, 5] = _WORDS[np.abs(k)]
+    constants = (b"\0.e+-.0," + b"\0.e+-\0\0," * (ncols - 1))[:-1] + b"\n"
+    slots.view(np.uint64).reshape(rows, ncols, 4)[:, :, 3] = np.frombuffer(constants, np.uint64)
+    source = slots.view(np.uint8)
+    source[:, _SIGN] = np.signbit(flat) * np.uint8(ord("-"))
+    k.reshape(rows, ncols)[:] += np.where(np.arange(ncols), 901, 300)
+    code = _FORM17[k] + n
     if fallback.size:
-        column = fallback % ncols
-        code[fallback] = verbatim[column]
-        slots.view(np.uint8)[fallback, :_WIDTH] = _python_text([formats[c] for c in column.tolist()], flat[fallback])
-    del n, flat, fallback
-    widths = np.take(_TEXT_WIDTH, code, mode="clip")
-    if widths.min() == 0:
-        for c in set(code[widths == 0].tolist()):
-            layout = _layout(c)
-            _LAYOUTS[c, : len(layout)] = layout
-            _LAYOUTS[c, len(layout) :] = _NUL
-            _TEXT_WIDTH[c] = len(layout)
-        np.take(_TEXT_WIDTH, code, out=widths, mode="clip")
-    width = int(widths.max())
-    del widths
-    source = slots.view(np.uint8).ravel()
-    text = np.empty((size, width), np.uint8)
-    index = np.empty((_RENDER, width), np.intp)
-    for lo in range(0, size, _RENDER):
+        code[fallback] = _VERBATIM
+        source[fallback, :24] = _python_text(fallback % ncols == 0, flat[fallback])
+    del flat, k, n, digits, rest
+
+    text = np.empty((code.size, _WIDTH), np.uint8)
+    index = np.empty((_RENDER, _WIDTH), np.intp)
+    source = source.ravel()
+    for lo in range(0, code.size, _RENDER):
         chunk = code[lo : lo + _RENDER]
-        at = index[: chunk.size]
-        np.add(np.take(_LAYOUTS, chunk, axis=0)[:, :width], _BASE[: chunk.size], out=at)
+        at = np.take(_LAYOUTS, chunk, axis=0, out=index[: chunk.size], mode="clip")
+        at += _BASE[: chunk.size]
         np.take(source[_SLOT * lo :], at, out=text[lo : lo + chunk.size], mode="clip")
-    del source, slots, index, at, code
+    del slots, source, index, at, code
     return text.tobytes().translate(None, b"\0").decode("ascii")

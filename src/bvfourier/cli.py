@@ -28,7 +28,7 @@ try:
     import itertools
     import os
     import sys
-    from collections.abc import Callable, Iterable
+    from collections.abc import Iterable
     from pathlib import Path
 
     # BVF_THREADS sets the process's one pool, so OpenBLAS gets no threads of its own
@@ -93,16 +93,19 @@ def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
 # Rows formatted per write.  Writing the 2^17 + 1 rows of a `transform` at
 # n = 2^16 + 1 after the transform, medians of 9 fresh processes on a 2-vCPU
 # VM, with the tracemalloc peak of writing 2^17 + 1 rows of three columns
-# mixed with subnormals, signed zeros and +-1e308: blocks of 512 rows 79 ms
-# and 370 kB, 1024 rows 63 ms and 471 kB, 2048 rows 56 ms and 673 kB, 4096
-# rows 53 ms and 1.1 MB, 8192 rows 53 ms and 2.2 MB, one block of the whole
-# table 87 ms and 35 MB.  Formatting 4096 rows per block with Python's `%`
-# took 133 ms and 795 kB.
-_ROWS = 2048
+# mixed with subnormals, signed zeros and +-1e308: blocks of 512 rows 74 ms
+# and 166 kB, 1024 rows 61 ms and 269 kB, 1536 rows 57 ms and 394 kB, 2048
+# rows 55 ms and 518 kB, 4096 rows 53 ms and 1.0 MB, 8192 rows 51 ms and
+# 2.0 MB, one block of the whole table 72 ms and 32 MB.  Formatting 4096 rows
+# per block with Python's `%` took 133 ms and 795 kB.  The first table also
+# imports the kernel, whose compile and tables peak near 0.5 MB.
+_ROWS = 1536
 
 
-def _format_rows(render: Callable[[list[np.ndarray]], str], columns: tuple[np.ndarray, ...], lo: int) -> str:
-    return render([c[lo : lo + _ROWS] for c in columns])
+def _format_rows(columns: tuple[np.ndarray, ...], lo: int) -> str:
+    from ._text import csv_rows
+
+    return csv_rows([c[lo : lo + _ROWS] for c in columns])
 
 
 def _write_table(path: str, header: str, *columns: np.ndarray) -> None:
@@ -113,9 +116,7 @@ def _write_table(path: str, header: str, *columns: np.ndarray) -> None:
     Rows are formatted and written _ROWS at a time, so memory does not grow with
     the output text; the bytes are those of formatting the whole table at once.
     """
-    from ._text import csv_rows
-
-    blocks = (_format_rows(csv_rows, columns, lo) for lo in range(0, len(columns[0]), _ROWS))
+    blocks = (_format_rows(columns, lo) for lo in range(0, len(columns[0]), _ROWS))
     _atomic_write(Path(path), itertools.chain([header + "\n"], blocks))
 
 

@@ -99,13 +99,19 @@ def _at_unit_scale(op: str, values: np.ndarray, route: Callable[[np.ndarray], np
     stays in the normal range, so the result has the bits of the unscaled
     run (when max|values| is in [1, 2) already, the route runs on values as
     they are), yet no midpoint sum or FFT of a finite input near the float64
-    range overflows.  Complex values and results are scaled part by part.
-    Where the result itself is past that range, op refuses.
+    range overflows.  Complex values and results are scaled part by part,
+    in complex128 (complex64 values widen, as the route's sums would widen
+    them).  Where the result itself is past that range, op refuses.
     """
 
     def times_two_to(power, a):
-        parts = np.ldexp(a.view(np.float64) if np.iscomplexobj(a) else a, power)
-        return parts.view(a.dtype)
+        if not np.iscomplexobj(a):
+            return np.ldexp(a, power)
+        a = a.astype(complex, copy=False)
+        out = np.empty(a.shape, complex)
+        np.ldexp(a.real, power, out=out.real)
+        np.ldexp(a.imag, power, out=out.imag)
+        return out
 
     e = int(np.frexp(np.max(np.abs(values)))[1])  # max|values| = m 2^e, 1/2 <= m < 1
     with np.errstate(over="ignore"):

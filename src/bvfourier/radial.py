@@ -384,10 +384,18 @@ def fractional_integral(p: RadialProfile) -> FractionalIntegral:
     return FractionalIntegral(samples, slope if n == 2 else None)
 
 
-def _cosine_transform(grid: Grid, vals: np.ndarray, radii: np.ndarray, phase: float = 0.0) -> np.ndarray:
-    """Trapezoid sums of vals(t) cos(phase - r t) = Re(e^{i phase} e^{-i r t}) over the grid."""
-    ft = transform_values(SampledFunction(grid, vals, DecayClass.BOUNDED), radii)
-    return math.cos(phase) * ft.real - math.sin(phase) * ft.imag
+def _cosine_transform(route: str, grid: Grid, vals: np.ndarray, radii: np.ndarray, phase: float = 0.0) -> np.ndarray:
+    """Trapezoid sums of vals(t) cos(phase - r t) = Re(e^{i phase} e^{-i r t}) over the grid.
+
+    The sums are taken on vals scaled by a power of two to a maximum in [1, 2)
+    and scaled back, which changes no bit while the values stay normal; where
+    one is past the float64 range, route refuses, naming the first such radius.
+    """
+    e = int(np.frexp(np.max(np.abs(vals)))[1])
+    ft = transform_values(SampledFunction(grid, np.ldexp(vals, 1 - e), DecayClass.BOUNDED), radii)
+    with np.errstate(over="ignore"):
+        sums = np.ldexp(math.cos(phase) * ft.real - math.sin(phase) * ft.imag, e - 1)
+    return _require_finite(route, radii, sums)
 
 
 def _check_radii(radii) -> np.ndarray:
@@ -415,7 +423,9 @@ def radial_ft_leray(p: RadialProfile, radii) -> np.ndarray:
     """
     radii = _check_radii(radii)
     pref = 2.0 * math.pi ** ((p.dim - 1) / 2.0)
-    return pref * _cosine_transform(p.f0.grid, p.frac_integral.samples.values, radii)
+    cos_part = _cosine_transform("radial_ft_leray", p.f0.grid, p.frac_integral.samples.values, radii)
+    with np.errstate(over="ignore"):
+        return _require_finite("radial_ft_leray", radii, pref * cos_part)
 
 
 def _with_jump_end(p: RadialProfile, slope: np.ndarray) -> np.ndarray:
@@ -549,7 +559,7 @@ def radial_ft_ibp(p: RadialProfile, radii) -> np.ndarray:
         n = p.dim
         pref = 2.0 * math.pi ** ((n - 1) / 2.0) * (-1.0) ** (n - 1)
         phase = math.pi * (n - 1) / 2.0
-        cos_part = _cosine_transform(p.f0.grid, integrand, radii[big], phase=phase)
+        cos_part = _cosine_transform("radial_ft_ibp", p.f0.grid, integrand, radii[big], phase=phase)
         with np.errstate(over="ignore", invalid="ignore"):
             vals = pref * radii[big] ** (1 - n) * cos_part
         out[big] = _require_finite("radial_ft_ibp", radii[big], vals)

@@ -416,6 +416,27 @@ def test_radial_refuses_an_I_past_the_float_range_in_one_line(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dim, radius", [(205, "0.05"), (317, "0.5")])
+def test_radial_refuses_a_leray_value_past_the_float_range_naming_the_radius(tmp_path, capsys, dim, radius):
+    # I is finite in both.  At dim 205 on a step at 200 the cosine sum at r = 0.05 is
+    # past the float64 range, which transform_values once refused without the route's
+    # name; at dim 317 on the raised cosine the sums are finite, and the prefactor
+    # pi^158 took them past it, written as inf after a RuntimeWarning
+    if dim == 205:
+        s = np.linspace(0.0, 300.0, 1025).tolist()
+        src = tmp_path / "step.csv"
+        src.write_text("s,f0\n" + "".join(f"{a!r},{float(a <= 200.0)!r}\n" for a in s))
+    else:
+        src = raised_cosine_csv(tmp_path / "rc.csv")
+    out = tmp_path / "r.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["radial", "--csv", str(src), "--dim", str(dim), "--radii", "0.5,0.05", "--out", str(out)])
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err == f"error: radial_ft_leray: the value at r = {radius} is not finite in float64\n"
+    assert not out.exists()
+
+
 def test_radial_refuses_a_value_past_the_float_range(tmp_path, capsys):
     # the grid-aligned unit ball at dim 343: leray gives 1.12e-225, but ibp's
     # pi^((n-1)/2) r^(1-n) prefactor overflows at r = 0.5 and 1, and the oracle's

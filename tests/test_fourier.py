@@ -176,6 +176,22 @@ def test_sub_lattice_path_matches_direct_sum(fold, complex_values, dft_paths):
         assert np.array_equal(got[::-1], np.conj(got))
 
 
+@pytest.mark.parametrize("kind", ["complex64", "strided complex128"])
+def test_transform_of_complex_samples_at_any_scale_matches_direct_sum(kind):
+    # the samples are scaled to unit size part by part: complex64 parts once
+    # took the bit layout of float64, and a strided array could not be viewed
+    f = line_function(Family.POISSON_KERNEL, n=2**8 + 1)
+    z = 1e3 * (f.values * np.exp(0.3j * f.x) + 0.1j * f.values**2) / np.max(f.values)
+    values = z.astype(np.complex64) if kind == "complex64" else np.repeat(z, 2)[::2]
+    g = SampledFunction(f.grid, values, f.decay_class)
+    t = np.array([0.0, 0.37, -1.1, 2.5])  # no lattice and no progression: the direct sum
+    want = direct_transform(g, t)
+    assert np.max(np.abs(transform_values(g, t) - want)) <= 1e-12 * np.max(np.abs(want))
+    t = np.linspace(-3.0, 3.0, 41)  # an arithmetic progression: the chirp-z
+    want = direct_transform(g, t)
+    assert np.max(np.abs(transform_values(g, t) - want)) <= 1e-10 * np.max(np.abs(want))
+
+
 def lattice_dft_reference(f, t, fold):
     """The length-N DFT bins of the lattice path, from numpy's FFT at length N itself."""
     N = 2 * fold * (f.n - 1)

@@ -47,7 +47,7 @@ def test_cli_import_loads_only_what_every_command_needs():
     ]
     assert unneeded == []
     # the CSV text kernel loads with the first table a command writes
-    assert "bvfourier._text" not in package
+    assert "bvfourier._text" not in package and "bvfourier._digits" not in package
 
 
 def test_hilbert_command_loads_no_transform_radial_or_suite_module(tmp_path):
@@ -71,7 +71,7 @@ def test_table_commands_load_the_text_kernel_but_neither_fractions_nor_decimal(t
         "assert 'fractions' not in sys.modules and 'decimal' not in sys.modules"
     )
     package, unneeded = loaded_after(code)
-    assert "bvfourier._text" in package and unneeded == []
+    assert "bvfourier._text" in package and "bvfourier._digits" in package and unneeded == []
 
 
 def test_single_threaded_verify_loads_neither_numpy_ma_nor_a_thread_pool(tmp_path):
@@ -83,7 +83,7 @@ def test_single_threaded_verify_loads_neither_numpy_ma_nor_a_thread_pool(tmp_pat
     )
     package, unneeded = loaded_after(code, {"BVF_THREADS": "1"})
     assert "bvfourier.verification" in package and unneeded == []
-    assert "bvfourier._text" not in package
+    assert "bvfourier._text" not in package and "bvfourier._digits" not in package
 
 
 def test_threaded_verify_loads_no_executor(tmp_path):

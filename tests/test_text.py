@@ -56,9 +56,9 @@ def test_kernel_writes_zeros_itself_and_hands_python_only_what_it_cannot_decide(
     handed = []
     python_text = _text._python_text
 
-    def spy(formats, values):
-        handed.extend(zip(formats, values.tolist()))
-        return python_text(formats, values)
+    def spy(first, values):
+        handed.extend(zip(first.tolist(), values.tolist()))
+        return python_text(first, values)
 
     monkeypatch.setattr(_text, "_python_text", spy)
     columns = [np.array([0.0, -0.0, 1.5]), np.array([-0.0, 0.0, 2.0**-3]), np.array([0.0, 7.0, -0.0])]
@@ -67,8 +67,9 @@ def test_kernel_writes_zeros_itself_and_hands_python_only_what_it_cannot_decide(
     # a 12-digit tie, and values off the fast path
     columns = [np.array([1.0, -math.inf]), np.array([999999999999.5, 1e300]), np.array([math.nan, 5e-324])]
     assert csv_rows(columns) == python_rows(columns)
-    assert [(f, repr(v)) for f, v in handed] == [
-        ("%.12g,", "999999999999.5"), ("%.12g\n", "nan"), ("%r,", "-inf"), ("%.12g,", "1e+300"), ("%.12g\n", "5e-324")
+    # (first column, value), row by row
+    assert [(r, repr(v)) for r, v in handed] == [
+        (False, "999999999999.5"), (False, "nan"), (True, "-inf"), (False, "1e+300"), (False, "5e-324")
     ]
 
 
