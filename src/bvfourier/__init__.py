@@ -13,9 +13,8 @@ __version__ = "0.1.0"
 # submodule -> the public names it defines
 _EXPORTS = {
     "fourier": (
-        "CoefficientSet", "H1Report", "TransformResult", "conjugate_coefficient_check",
-        "derivative_ft_identity", "fourier_coefficients", "fourier_transform", "h1_report", "hardy_check",
-        "l1_norm_ft", "nyquist_cutoff", "transform_values",
+        "CoefficientSet", "H1Report", "TransformResult", "conjugate_coefficient_check", "fourier_coefficients",
+        "fourier_transform", "h1_report", "hardy_check", "l1_norm_ft", "nyquist_cutoff", "transform_values",
     ),
     "grids": (
         "DecayClass", "Family", "FamilySpec", "Grid", "SampledFunction", "derivative", "family_derivative",

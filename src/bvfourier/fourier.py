@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fft import fast_len, needs_bluestein
-from .grids import DecayClass, Grid, SampledFunction, derivative, integrate, trapezoid_weights
+from .grids import DecayClass, Grid, SampledFunction, integrate, trapezoid_weights
 from .hilbert import _at_unit_scale, hilbert_multiplier, periodic_conjugate
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "l1_norm_ft",
     "h1_report",
     "hardy_check",
-    "derivative_ft_identity",
     "fourier_coefficients",
     "conjugate_coefficient_check",
 ]
@@ -222,8 +221,8 @@ def fourier_transform(
     if cutoff is None:
         cutoff = nyquist_cutoff(f.grid)
     cutoff = float(cutoff)
-    if cutoff <= 0.0:
-        raise ValueError("cutoff must be positive")
+    if not (math.isfinite(cutoff) and cutoff > 0.0):
+        raise ValueError("cutoff must be finite and positive")
     if m is None:
         # at the Nyquist default steps is n - 1 up to rounding; a float ceil
         # of n - 1 + ulp would add two nodes and miss the lattice grid
@@ -323,22 +322,6 @@ def hardy_check(g: SampledFunction) -> tuple[float, H1Report]:
     mag = np.abs(_lattice_dft(trapezoid_weights(g.grid) * g.values, k, fold))
     # real input: |ghat(-t)| = |ghat(t)|, so both half lines carry the same mass
     return 2.0 * float(np.trapezoid(mag / t, t)), report
-
-
-def derivative_ft_identity(
-    f: SampledFunction, max_freq: float = 20.0, m: int = 801
-) -> float:
-    """Integration-by-parts defect max_t |(f')hat(t) - i t fhat(t)| (relative).
-
-    Boundary terms vanish only for compactly supported continuous input,
-    which is enforced.  The defect is normalized by 1 + |t fhat(t)|.
-    """
-    if f.decay_class is not DecayClass.COMPACT_SUPPORT:
-        raise ValueError("derivative_ft_identity requires compact support")
-    t = np.linspace(-max_freq, max_freq, m)
-    lhs = transform_values(derivative(f), t)
-    rhs = 1j * t * transform_values(f, t)
-    return float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs))))
 
 
 @dataclass

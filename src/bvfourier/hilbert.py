@@ -19,9 +19,12 @@ kernel: on the line at a circular length where none of the n kept
 outputs wraps, with the kernel's spectrum cached per sample count, and
 on the circle at the period itself.  The two line routes are
 deliberately independent discretizations and are cross-checked against
-each other in the verification suites.  The three line routes run on the
-samples scaled by a power of two to a maximum in [1, 2), so a finite input
-near the float64 range gives a finite output or a one-line refusal.
+each other in the verification suites.  All four, like the transform sums
+of :mod:`fourier` and the three radial routes, run through
+:func:`_at_unit_scale`, the package's one overflow policy: on the input
+scaled by a power of two to a maximum in [1, 2), the answer scaled back, so
+a finite input near the float64 range gives a finite output or a one-line
+refusal.
 """
 
 from __future__ import annotations
@@ -92,16 +95,23 @@ def _pv_weight_spectrum(n: int) -> np.ndarray:
     return spec
 
 
-def _at_unit_scale(op: str, values: np.ndarray, route: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+def _at_unit_scale(
+    op: str, values: np.ndarray | tuple[np.ndarray, ...], route: Callable, radii: np.ndarray | None = None
+) -> np.ndarray:
     """The linear route at values, run on them scaled by a power of two to a maximum in [1, 2) and scaled back.
 
-    Sums and products commute with a power-of-two scale while every value
-    stays in the normal range, so the result has the bits of the unscaled
-    run (when max|values| is in [1, 2) already, the route runs on values as
-    they are), yet no midpoint sum or FFT of a finite input near the float64
-    range overflows.  Complex values and results are scaled part by part,
-    in complex128 (complex64 values widen, as the route's sums would widen
-    them).  Where the result itself is past that range, op refuses.
+    values is one array, or a tuple of arrays the route is linear in
+    jointly, all scaled by the one power that takes their common maximum
+    there.  Sums and products commute with a power-of-two scale while every
+    value stays in the normal range, so the result has the bits of the
+    unscaled run (when the maximum is in [1, 2) already, the route runs on
+    values as they are), yet no sum, FFT or prefactor of a finite input
+    near the float64 range overflows on the way.  Complex values and
+    results are scaled part by part, in complex128 (complex64 values widen,
+    as the route's sums would widen them).  This is the one place a route's
+    answer is checked: where it is past the float64 range, op refuses in
+    one line, naming the first of radii (one per answer entry, if given)
+    whose value is not finite.
     """
 
     def times_two_to(power, a):
@@ -113,11 +123,18 @@ def _at_unit_scale(op: str, values: np.ndarray, route: Callable[[np.ndarray], np
         np.ldexp(a.imag, power, out=out.imag)
         return out
 
-    e = int(np.frexp(np.max(np.abs(values)))[1])  # max|values| = m 2^e, 1/2 <= m < 1
-    with np.errstate(over="ignore"):
-        out = route(values) if e == 1 else times_two_to(e - 1, route(times_two_to(1 - e, values)))
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"{op}: the result is not finite in float64")
+    arrays = values if isinstance(values, tuple) else (values,)
+    e = math.frexp(max(float(np.max(np.abs(a))) for a in arrays))[1]  # the maximum is m 2^e, 1/2 <= m < 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        if e == 1:
+            out = route(values)
+        else:
+            scaled = tuple(times_two_to(1 - e, a) for a in arrays)
+            out = times_two_to(e - 1, route(scaled if isinstance(values, tuple) else scaled[0]))
+    bad = ~np.isfinite(out)
+    if bad.any():
+        where = "the result" if radii is None else f"the value at r = {radii[bad][0]:g}"
+        raise ValueError(f"{op}: {where} is not finite in float64")
     return out
 
 

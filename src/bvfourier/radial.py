@@ -18,7 +18,12 @@ Three evaluation routes are provided and cross-checked: the direct
 reduction above, its (n-1)-fold integrated-by-parts variant, and an
 independent Bessel-quadrature oracle.  Profiles must be compactly
 supported on [0, R] (or numerically negligible at R); all infinite
-upper limits truncate there.
+upper limits truncate there.  Each route is linear in the profile and
+runs through :func:`hilbert._at_unit_scale` (the direct reduction on I,
+the integrated-by-parts one on I, f0 and the dim-2 I' together, the
+oracle on f0), so a profile times 2^k gives answers times 2^k exactly
+while values stay normal, and a value past the float64 range is refused
+in one line naming its radius.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import numpy as np
 
 from .fourier import transform_values
 from .grids import DecayClass, Grid, SampledFunction, _read_uniform_csv, derivative, trapezoid_weights
+from .hilbert import _at_unit_scale
 
 __all__ = [
     "RadialProfile",
@@ -384,20 +390,6 @@ def fractional_integral(p: RadialProfile) -> FractionalIntegral:
     return FractionalIntegral(samples, slope if n == 2 else None)
 
 
-def _cosine_transform(route: str, grid: Grid, vals: np.ndarray, radii: np.ndarray, phase: float = 0.0) -> np.ndarray:
-    """Trapezoid sums of vals(t) cos(phase - r t) = Re(e^{i phase} e^{-i r t}) over the grid.
-
-    The sums are taken on vals scaled by a power of two to a maximum in [1, 2)
-    and scaled back, which changes no bit while the values stay normal; where
-    one is past the float64 range, route refuses, naming the first such radius.
-    """
-    e = int(np.frexp(np.max(np.abs(vals)))[1])
-    ft = transform_values(SampledFunction(grid, np.ldexp(vals, 1 - e), DecayClass.BOUNDED), radii)
-    with np.errstate(over="ignore"):
-        sums = np.ldexp(math.cos(phase) * ft.real - math.sin(phase) * ft.imag, e - 1)
-    return _require_finite(route, radii, sums)
-
-
 def _check_radii(radii) -> np.ndarray:
     radii = np.asarray(radii, dtype=float)
     if radii.size == 0:
@@ -407,31 +399,26 @@ def _check_radii(radii) -> np.ndarray:
     return radii
 
 
-def _require_finite(route: str, radii: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """values, or a ValueError naming the route and the first radius whose value is not finite."""
-    bad = ~np.isfinite(values)
-    if bad.any():
-        raise ValueError(f"{route}: the value at r = {radii[bad][0]:g} is not finite in float64")
-    return values
-
-
 def radial_ft_leray(p: RadialProfile, radii) -> np.ndarray:
     """Radial transform by the reduction formula 2 pi^{(n-1)/2} int I cos(rt) dt.
 
     At dim = 1, I is f0 itself and the value is the transform of the even
-    extension, 2 int_0^R f0 cos(rt) dt.
+    extension, 2 int_0^R f0 cos(rt) dt.  The cosine sums are the real part
+    of :func:`fourier.transform_values`.
     """
     radii = _check_radii(radii)
     pref = 2.0 * math.pi ** ((p.dim - 1) / 2.0)
-    cos_part = _cosine_transform("radial_ft_leray", p.f0.grid, p.frac_integral.samples.values, radii)
-    with np.errstate(over="ignore"):
-        return _require_finite("radial_ft_leray", radii, pref * cos_part)
+
+    def route(vals):
+        return pref * transform_values(SampledFunction(p.f0.grid, vals, DecayClass.BOUNDED), radii).real
+
+    return _at_unit_scale("radial_ft_leray", p.frac_integral.samples.values, route, radii)
 
 
-def _with_jump_end(p: RadialProfile, slope: np.ndarray) -> np.ndarray:
+def _with_jump_end(p: RadialProfile, slope: np.ndarray, f0: np.ndarray) -> np.ndarray:
     """Dim-2 I' with its jump end integrated over the last cell.
 
-    A jump of f0 at its cut-off Rs gives I' the term
+    A jump of the samples f0 at their cut-off Rs gives I' the term
     c f0(Rs) g(t), g = -t / sqrt(Rs^2 - t^2), c = 2/sqrt(pi), which is
     infinite at Rs.  On the last cell [a, Rs] the trapezoid sum is
     replaced by the exact integrals P of g against the two linear hat
@@ -441,7 +428,7 @@ def _with_jump_end(p: RadialProfile, slope: np.ndarray) -> np.ndarray:
     J = p.support_index
     if J == 0:
         return slope
-    h, fJ, R, a = p.f0.h, p.f0.values[J], p.f0.x[J], p.f0.x[J - 1]
+    h, fJ, R, a = p.f0.h, f0[J], p.f0.x[J], p.f0.x[J - 1]
     wa = math.sqrt((R - a) * (R + a))
     phi = math.atan2(wa, a)  # arccos(a/R), accurate near a = R
     # int_a^R g = -wa and int_a^R t g = -(a wa + R^2 phi)/2
@@ -455,8 +442,11 @@ def _with_jump_end(p: RadialProfile, slope: np.ndarray) -> np.ndarray:
     return out
 
 
-def _derivative_levels(p: RadialProfile) -> list[np.ndarray]:
-    """[I, I', ..., I^{(n-1)}] by the least noisy route per dimension.
+def _derivative_levels(p: RadialProfile, vals: np.ndarray, f0: np.ndarray, slope=None) -> list[np.ndarray]:
+    """[I, I', ..., I^{(n-1)}] from I = vals by the least noisy route per dimension.
+
+    vals, f0 and the dim-2 slope are I, the profile samples and I', all
+    times one power of two, so the levels come out times that power too.
 
     Dim 2 takes I' from the closed form, its jump end integrated over
     the last cell; dim 3 the exact identities I' = -2 t f0 (which keeps
@@ -481,13 +471,11 @@ def _derivative_levels(p: RadialProfile) -> list[np.ndarray]:
     terms of at most max(2, 4/h) times its input, kept below the float
     range with a factor 2 to spare.
     """
-    frac = p.frac_integral
-    vals = frac.samples.values
     if p.dim == 2:
-        return [vals, _with_jump_end(p, frac.slope)]
+        return [vals, _with_jump_end(p, slope, f0)]
     if p.dim == 3:
-        s, f0 = p.f0.x, p.f0.values
-        return [vals, -2.0 * s * f0, -2.0 * f0 - 2.0 * s * derivative(p.f0).values]
+        s, df0 = p.f0.x, derivative(SampledFunction(p.f0.grid, f0, DecayClass.BOUNDED)).values
+        return [vals, -2.0 * s * f0, -2.0 * f0 - 2.0 * s * df0]
     h, order = p.f0.h, p.dim - 1
     noise = 128.0 * np.finfo(float).eps * float(np.max(np.abs(vals)))
     limit = np.finfo(float).max / max(4.0, 8.0 / h)
@@ -517,20 +505,18 @@ def _check_boundary_terms(levels: list[np.ndarray]) -> None:
     parts drops a boundary term.  At the outer radius every I^{(k)},
     k <= n-2, must vanish; at t = 0 the trig factor kills the even-k
     terms automatically and only odd k <= n-2 need |I^{(k)}(0)| ~ 0.
-    The offending derivative order is reported.
+    The offending derivative order is reported, with the end value as a
+    share of max|I^{(k)}|, so the message does not depend on the scale
+    the levels were built at.
     """
     for k, vals in enumerate(levels[:-1]):
-        scale = max(float(np.max(np.abs(vals))), 1e-300)
-        if abs(vals[-1]) > _BOUNDARY_TOL * scale:
-            raise ValueError(
-                f"integrated terms would not vanish: |I^({k})(R)| = {abs(vals[-1]):.3e} "
-                f"exceeds {_BOUNDARY_TOL:g} * scale (offending k={k})"
-            )
-        if k % 2 == 1 and abs(vals[0]) > _BOUNDARY_TOL * scale:
-            raise ValueError(
-                f"integrated terms would not vanish: |I^({k})(0)| = {abs(vals[0]):.3e} "
-                f"exceeds {_BOUNDARY_TOL:g} * scale (offending k={k})"
-            )
+        scale = float(np.max(np.abs(vals)))
+        for end, value in (("R", vals[-1]), ("0", vals[0]))[: 1 + k % 2]:
+            if abs(value) > _BOUNDARY_TOL * scale:
+                raise ValueError(
+                    f"integrated terms would not vanish: |I^({k})({end})| = {abs(value) / scale:.3e} max|I^({k})| "
+                    f"exceeds {_BOUNDARY_TOL:g} max|I^({k})| (offending k={k})"
+                )
 
 
 def radial_ft_ibp(p: RadialProfile, radii) -> np.ndarray:
@@ -543,26 +529,28 @@ def radial_ft_ibp(p: RadialProfile, radii) -> np.ndarray:
     0.1 are delegated to the direct reduction, which at dim = 1 is the
     formula itself (no integration by parts is left).  For dim >= 4 the
     derivatives of I come from differencing, which is refused past its
-    noise budget; a value that would not be finite in float64 is
-    refused too.
+    noise budget.  The phase is n - 1 quarter turns, so with the sign
+    (-1)^{n-1} the cosine sums are Re, Im, -Re, -Im of
+    :func:`fourier.transform_values` for n - 1 = 0, 1, 2, 3 mod 4.
     """
     radii = _check_radii(radii)
-    levels = _derivative_levels(p)
-    _check_boundary_terms(levels)
-    integrand = levels[-1]
-    out = np.empty(radii.size)
+    n, frac = p.dim, p.frac_integral
     small = radii < 0.1
+    big = radii[~small]
+    pref = 2.0 * math.pi ** ((n - 1) / 2.0) * (-1.0 if (n - 1) % 4 >= 2 else 1.0)
+
+    def route(arrays):
+        levels = _derivative_levels(p, *arrays)
+        _check_boundary_terms(levels)
+        ft = transform_values(SampledFunction(p.f0.grid, levels[-1], DecayClass.BOUNDED), big)
+        return pref * big ** (1 - n) * (ft.real if n % 2 else ft.imag)
+
+    # the levels run on I, f0 and the dim-2 slope, scaled together
+    inputs = (frac.samples.values, p.f0.values) + ((frac.slope,) if n == 2 else ())
+    out = np.empty(radii.size)
+    out[~small] = _at_unit_scale("radial_ft_ibp", inputs, route, big)
     if np.any(small):
         out[small] = radial_ft_leray(p, radii[small])
-    big = ~small
-    if np.any(big):
-        n = p.dim
-        pref = 2.0 * math.pi ** ((n - 1) / 2.0) * (-1.0) ** (n - 1)
-        phase = math.pi * (n - 1) / 2.0
-        cos_part = _cosine_transform("radial_ft_ibp", p.f0.grid, integrand, radii[big], phase=phase)
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = pref * radii[big] ** (1 - n) * cos_part
-        out[big] = _require_finite("radial_ft_ibp", radii[big], vals)
     return out
 
 
@@ -720,8 +708,7 @@ def radial_ft_oracle(p: RadialProfile, radii) -> np.ndarray:
     quadratured directly on the profile grid, in radius blocks.  Odd
     dimensions have half-integer orders and elementary Bessel functions,
     even ones integer orders (:func:`_integer_jv`).  Shares nothing with
-    the reduction routes beyond the profile samples.  A value that would
-    not be finite in float64 is refused.
+    the reduction routes beyond the profile samples.
     """
     radii = _check_radii(radii)
     n = p.dim
@@ -731,20 +718,22 @@ def radial_ft_oracle(p: RadialProfile, radii) -> np.ndarray:
     else:
         def bessel(x):
             return _integer_jv(n // 2 - 1, x)
-    w = trapezoid_weights(p.f0.grid) * p.f0.values
-    wf = w * p.f0.x ** (n / 2.0)
-    # zero weights add exactly 0: this drops s = 0 too, where for n = 1 the kernel
-    # J_{-1/2}(s r) s^{1/2} reads inf * 0, so that node enters through its limit
-    s, wf = p.f0.x[wf != 0.0], wf[wf != 0.0]
-    rows = max(1, _SUB_BLOCK // max(s.size, 1))
-    out = np.empty(radii.size)
-    for i in range(0, radii.size, rows):
-        out[i : i + rows] = bessel(np.outer(radii[i : i + rows], s)) @ wf
-    if n == 1:
-        out += w[0] * np.sqrt(2.0 / (math.pi * radii))
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = (2.0 * math.pi) ** (n / 2.0) * radii ** (1.0 - n / 2.0) * out
-    return _require_finite("radial_ft_oracle", radii, out)
+
+    def route(f0):
+        w = trapezoid_weights(p.f0.grid) * f0
+        wf = w * p.f0.x ** (n / 2.0)
+        # zero weights add exactly 0: this drops s = 0 too, where for n = 1 the kernel
+        # J_{-1/2}(s r) s^{1/2} reads inf * 0, so that node enters through its limit
+        s, wf = p.f0.x[wf != 0.0], wf[wf != 0.0]
+        rows = max(1, _SUB_BLOCK // max(s.size, 1))
+        out = np.empty(radii.size)
+        for i in range(0, radii.size, rows):
+            out[i : i + rows] = bessel(np.outer(radii[i : i + rows], s)) @ wf
+        if n == 1:
+            out += w[0] * np.sqrt(2.0 / (math.pi * radii))
+        return (2.0 * math.pi) ** (n / 2.0) * radii ** (1.0 - n / 2.0) * out
+
+    return _at_unit_scale("radial_ft_oracle", p.f0.values, route, radii)
 
 
 def read_radial_csv(path: str | Path, dim: int) -> RadialProfile:

@@ -416,11 +416,12 @@ def test_radial_refuses_an_I_past_the_float_range_in_one_line(tmp_path, capsys, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("dim, radius", [(205, "0.05"), (317, "0.5")])
+@pytest.mark.parametrize("dim, radius", [(205, "0.5"), (317, "0.5")])
 def test_radial_refuses_a_leray_value_past_the_float_range_naming_the_radius(tmp_path, capsys, dim, radius):
-    # I is finite in both.  At dim 205 on a step at 200 the cosine sum at r = 0.05 is
-    # past the float64 range, which transform_values once refused without the route's
-    # name; at dim 317 on the raised cosine the sums are finite, and the prefactor
+    # I is finite in both, and the route names the first radius in input order whose
+    # value is not finite.  At dim 205 on a step at 200 the prefactor takes the value
+    # at r = 0.5 past the float64 range, and the cosine sum at r = 0.05 is past it
+    # already; at dim 317 on the raised cosine the sums are finite, and the prefactor
     # pi^158 took them past it, written as inf after a RuntimeWarning
     if dim == 205:
         s = np.linspace(0.0, 300.0, 1025).tolist()
@@ -649,6 +650,19 @@ def test_transform_refuses_a_result_past_the_float_range_in_one_line(tmp_path, c
         warnings.simplefilter("error")
         assert main(["transform", "--csv", str(tmp_path / "huge.csv"), "--out", str(out)]) == EXIT_DATA
     assert capsys.readouterr().err == "error: transform_values: the result is not finite in float64\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cutoff", ["inf", "nan"])
+def test_transform_refuses_a_non_finite_cutoff_in_one_line(tmp_path, capsys, cutoff):
+    # --cutoff inf once ended in an OverflowError traceback and exit 1, the code for a
+    # failed verification; --cutoff nan in "cannot convert float NaN to integer"
+    out = tmp_path / "t.csv"
+    args = ["transform", "--family", "gaussian", "--n", "257", "--cutoff", cutoff, "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == EXIT_DATA
+    assert capsys.readouterr().err == "error: cutoff must be finite and positive\n"
     assert not out.exists()
 
 

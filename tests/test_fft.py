@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -50,7 +51,7 @@ def test_cli_import_leaves_scipy_unloaded():
     src = str(Path(bvfourier.__file__).resolve().parents[1])
     code = "import sys, bvfourier.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run(
-        [sys.executable, "-c", code], env={"PYTHONPATH": src}, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
 
@@ -74,7 +75,7 @@ def test_radial_commands_run_with_scipy_blocked(tmp_path):
         "print(sorted(m for m, mod in sys.modules.items() if m.split('.')[0] == 'scipy' and mod is not None))"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code], env={"PYTHONPATH": src}, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True
     )
     assert out.stdout.split("\n")[:-1] == ["0"] * 6 + ["[]"]
 

@@ -11,7 +11,6 @@ from bvfourier import (
     SampledFunction,
     conjugate_coefficient_check,
     derivative,
-    derivative_ft_identity,
     fourier_coefficients,
     fourier_transform,
     h1_report,
@@ -494,6 +493,10 @@ def test_transform_argument_validation():
         fourier_transform(f, cutoff=-1.0)
     with pytest.raises(ValueError):
         fourier_transform(f, cutoff=1.0, m=1)
+    # a non-finite cutoff once reached round(cutoff * width / pi): an OverflowError for inf
+    for cutoff in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="^cutoff must be finite and positive$"):
+            fourier_transform(f, cutoff=cutoff)
 
 
 def test_plancherel_sanity_on_gaussian():
@@ -610,28 +613,6 @@ def test_hardy_check_requires_cancellation():
     g = line_function(Family.POISSON_KERNEL, n=2**12, a=1.0)
     with pytest.raises(ValueError, match="cancellation"):
         hardy_check(g)
-
-
-def test_derivative_ft_identity_zero():
-    grid = make_uniform_grid(-5, 5, 257)
-    z = SampledFunction(grid, np.zeros(257), DecayClass.COMPACT_SUPPORT)
-    assert derivative_ft_identity(z) == 0.0
-
-
-def test_derivative_ft_identity_raised_cosine():
-    f = line_function(Family.RAISED_COSINE, lo=-8.0, hi=8.0, n=2**14)
-    assert derivative_ft_identity(f, max_freq=20.0) <= 1e-4
-
-
-def test_derivative_ft_identity_triangle_first_order():
-    f = line_function(Family.TRIANGLE, lo=-8.0, hi=8.0, n=2**14)
-    assert derivative_ft_identity(f, max_freq=20.0) <= 1e-2
-
-
-def test_derivative_ft_identity_requires_compact_support():
-    f = line_function(Family.GAUSSIAN, n=257)
-    with pytest.raises(ValueError):
-        derivative_ft_identity(f)
 
 
 def periodic_function(values_fn, n=2**12):

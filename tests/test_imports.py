@@ -2,6 +2,7 @@
 process imports only the modules its command runs."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,14 @@ SRC = str(Path(bvfourier.__file__).resolve().parents[1])
 UNNEEDED = ["numpy.ma", "concurrent.futures"]
 
 
+def child_env(**env):
+    """The caller's environment, PYTHONDONTWRITEBYTECODE among it, for a fresh process
+    that imports bvfourier from SRC, less OPENBLAS_NUM_THREADS, which the tests
+    below expect bvfourier.cli to set itself unless env names it."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return {**base, "PYTHONPATH": SRC, **env}
+
+
 def loaded_after(code, env=None):
     """Sorted bvfourier modules and the UNNEEDED ones loaded once ``code`` has run in a fresh process."""
     report = (
@@ -27,7 +36,7 @@ def loaded_after(code, env=None):
     )
     out = subprocess.run(
         [sys.executable, "-c", code + report],
-        env={"PYTHONPATH": SRC, **(env or {})},
+        env=child_env(**(env or {})),
         capture_output=True,
         text=True,
         check=True,
@@ -105,7 +114,7 @@ def openblas_after_cli_import(env):
         "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), tasks]))"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code], env={"PYTHONPATH": SRC, **env}, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=child_env(**env), capture_output=True, text=True, check=True
     )
     return json.loads(out.stdout)
 
@@ -150,7 +159,7 @@ def gc_after_cli_import(before):
         "print(json.dumps([enabled, gc.get_freeze_count() == frozen, dropped() is None]))"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code], env={"PYTHONPATH": SRC}, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True
     )
     return json.loads(out.stdout)
 
@@ -181,7 +190,7 @@ def test_cli_as_the_program_walks_none_of_its_imports():
         "print(json.dumps([gc.isenabled(), sum(walked)]), file=sys.stderr)"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code], env={"PYTHONPATH": SRC}, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True
     )
     enabled, walked = json.loads(out.stderr.splitlines()[-1])
     assert enabled and walked < 2000
@@ -199,10 +208,10 @@ def test_every_export_and_submodule_resolves_through_the_package():
         "print(len(bvfourier.__all__), len(names))"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code], env={"PYTHONPATH": SRC}, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True
     )
     exports, submodules = map(int, out.stdout.split())
-    assert exports == 50 and submodules == 8
+    assert exports == 49 and submodules == 8
     # each export is its defining module's object, not a copy
     assert bvfourier.Profile is suites.Profile and bvfourier.run_suite is suites.run_suite
     with pytest.raises(AttributeError, match="no_such_name"):

@@ -1,6 +1,7 @@
 """Property-based checks of the structural invariants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,9 +19,10 @@ from bvfourier import (
     total_variation,
     transform_values,
 )
-from bvfourier import hilbert
+from bvfourier import cli, hilbert
 from bvfourier._fft import fast_len, needs_bluestein
 from bvfourier.grids import trapezoid_weights
+from bvfourier.radial import RadialProfile, radial_ft_ibp, radial_ft_leray, radial_ft_oracle
 
 finite_values = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False),
@@ -262,3 +264,49 @@ def test_default_transform_grid_is_exactly_conjugate_with_the_plain_integral_at_
     assert t.size == 2 * n - 1 and np.array_equal(t[::-1], -t)
     assert np.array_equal(F[::-1], np.conj(F))
     assert t[n - 1] == 0.0 and F[n - 1] == complex(integrate(f))
+
+
+# Amplitude: the three radial routes are linear in the profile, and each runs
+# on its input scaled by a power of two to unit size, so a profile times 2^k
+# gives answers times 2^k exactly while every value stays normal.  At 2^1016
+# ibp once overflowed in its dim-3 f0' and refused dims 4-5 at budget 0.  At
+# 2^-1000 the fractional integral I of the raised cosine is not exactly
+# linear at dims 4-5, which moves ibp's last bits at dim 5 while leray's sum
+# of the same I stays exact, so only leray and the oracle are held there.
+RADIAL_GRID = make_uniform_grid(0.0, 2.0, 1025)
+_u = (RADIAL_GRID.points - 1.0) / 0.5  # the raised cosine's support is [1/2, 3/2]
+RADIAL_PROFILES = {
+    "ball": (RADIAL_GRID.points <= 1.0).astype(float),
+    "raised_cosine": np.where(np.abs(_u) <= 1.0, 0.5 * (1.0 + np.cos(np.pi * _u)), 0.0),
+}
+RADIAL_RADII = np.array([0.5, 1.0, 3.0])
+
+
+@pytest.mark.parametrize("dim", range(1, 6))
+@pytest.mark.parametrize("kind", sorted(RADIAL_PROFILES))
+def test_radial_routes_are_exactly_linear_in_amplitude(kind, dim):
+    routes = (radial_ft_leray, radial_ft_ibp, radial_ft_oracle)
+    values = RADIAL_PROFILES[kind]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        unit = RadialProfile.from_samples(RADIAL_GRID, values, dim)
+        for power, held in ((1016, routes), (-1000, (radial_ft_leray, radial_ft_oracle))):
+            scaled = RadialProfile.from_samples(RADIAL_GRID, np.ldexp(values, power), dim)
+            for route in held:
+                want = np.ldexp(route(unit, RADIAL_RADII), power)
+                assert np.array_equal(route(scaled, RADIAL_RADII), want), (route.__name__, power)
+
+
+def test_radial_command_answers_on_a_ball_at_the_top_of_the_float_range(tmp_path, capsys):
+    s, f0 = RADIAL_GRID.points, np.ldexp(RADIAL_PROFILES["ball"], 1016)
+    src, out = tmp_path / "ball.csv", tmp_path / "r.csv"
+    src.write_text("s,f0\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(s.tolist(), f0.tolist())))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["radial", "--csv", str(src), "--dim", "3", "--radii", "0.5,1,3", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    unit = RadialProfile.from_samples(RADIAL_GRID, RADIAL_PROFILES["ball"], 3)
+    for column, route in enumerate((radial_ft_leray, radial_ft_ibp, radial_ft_oracle), start=1):
+        want = np.ldexp(route(unit, RADIAL_RADII), 1016)
+        assert np.all(np.abs(rows[:, column] - want) <= 5e-12 * np.abs(want))
