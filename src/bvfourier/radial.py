@@ -14,16 +14,15 @@ its last nonzero sample Rs, and I is integrated exactly on that
 profile in closed form: odd dimensions by the recurrence
 I_n(t) = 2 int_t^Rs tau I_{n-2}(tau) dtau from I_1 = f0, cell by cell,
 even ones by one term per slope change.  No quadrature parameter enters.
-Three evaluation routes are provided and cross-checked: the direct
-reduction above, its (n-1)-fold integrated-by-parts variant, and an
+Three routes are cross-checked: the direct reduction above, an exact
+walk up in the dimension (integration by parts at dims 2-3), and an
 independent Bessel-quadrature oracle.  Profiles must be compactly
-supported on [0, R] (or numerically negligible at R); all infinite
-upper limits truncate there.  Each route is linear in the profile and
-runs through :func:`hilbert._at_unit_scale` (the direct reduction on I,
-the integrated-by-parts one on I, f0 and the dim-2 I' together, the
-oracle on f0), so a profile times 2^k gives answers times 2^k exactly
-while values stay normal, and a value past the float64 range is refused
-in one line naming its radius.
+supported on [0, R] (or negligible at R); infinite upper limits truncate
+there.  Each route is linear in the profile and runs at unit scale
+(:func:`hilbert._at_unit_scale`: leray on I, ibp on f0 with the dim-2 I'
+or the walk's base, the oracle on f0), so a profile times 2^k gives
+answers times 2^k exactly while values stay normal, and a value past the
+float64 range is refused in one line naming its radius.
 """
 
 from __future__ import annotations
@@ -52,6 +51,7 @@ __all__ = [
 
 _TAIL_TOL = 1e-10
 _BOUNDARY_TOL = 1e-6
+_WALK_SHARE = 1e-6  # the walk answers where its rounding bound is at most this share of ||f||_1
 _SUB_BLOCK = 2**14  # float64 elements per temporary array; blocked passes keep up to eight live
 _LEAF = 32  # finest index box width of the even-dimension kink sum
 _MILLER_TOL = 1e-16  # bound on the relative error of Miller's recurrence at its start order
@@ -442,113 +442,112 @@ def _with_jump_end(p: RadialProfile, slope: np.ndarray, f0: np.ndarray) -> np.nd
     return out
 
 
-def _derivative_levels(p: RadialProfile, vals: np.ndarray, f0: np.ndarray, slope=None) -> list[np.ndarray]:
-    """[I, I', ..., I^{(n-1)}] from I = vals by the least noisy route per dimension.
+def _check_boundary_terms(slope: np.ndarray) -> None:
+    """Refuse a dim-3 profile whose dropped terms I'(R) cos(rR)/r^2 and I'(0)/r^2 would not vanish.
 
-    vals, f0 and the dim-2 slope are I, the profile samples and I', all
-    times one power of two, so the levels come out times that power too.
-
-    Dim 2 takes I' from the closed form, its jump end integrated over
-    the last cell; dim 3 the exact identities I' = -2 t f0 (which keeps
-    structurally-zero boundary values exactly zero) and, from
-    I(t) = 2 int_t^R s f0 ds, I'' = -2 f0 - 2 t f0'.
-
-    Higher dimensions difference I n - 1 times.  I extends evenly across
-    the origin, so mirroring n + 1 samples gives the t = 0 neighbourhood
-    genuine central stencils for every level (a grid shorter than that
-    mirrors the zeros of I past its end); the outer edge differentiates
-    the identical zeros past the support.  This keeps iterated
-    differencing free of one-sided edge artifacts: a stencil reaches one
-    sample per pass.  The exact construction leaves only roundoff on I,
-    bounded here by 128 eps max|I|.  Measured at n = 4097 and 8193: at
-    even dims 2-6 at most 73 eps max|I| on bumps and Gaussian-type
-    profiles, against an 80-bit evaluation of the same formulas; at odd
-    dims 3-7 at most 1 eps on bumps, triangles and Gaussian-type profiles,
-    against the binomial kink formula with 60 guard digits (and at most
-    2 eps at n = 1025 up to dim 101).  Each pass amplifies it by at
-    most 1/h, and the profile is refused once that exceeds 1% of a
-    level's own scale, or before a pass could overflow: a pass forms
-    terms of at most max(2, 4/h) times its input, kept below the float
-    range with a factor 2 to spare.
+    I(R) sin(rR)/r (dim 2's only term) is zero by construction: fractional_integral zeroes I
+    from support_index on.  I' = -2 t f0 = slope need not be, as |f0(R)| <= 1e-10 max|f0| is
+    allowed and the first node may sit a hair off t = 0; ends are stated as shares of max|I'|.
     """
-    if p.dim == 2:
-        return [vals, _with_jump_end(p, slope, f0)]
-    if p.dim == 3:
-        s, df0 = p.f0.x, derivative(SampledFunction(p.f0.grid, f0, DecayClass.BOUNDED)).values
-        return [vals, -2.0 * s * f0, -2.0 * f0 - 2.0 * s * df0]
-    h, order = p.f0.h, p.dim - 1
-    noise = 128.0 * np.finfo(float).eps * float(np.max(np.abs(vals)))
-    limit = np.finfo(float).max / max(4.0, 8.0 / h)
-    pad = order + 2
-    mirror = vals[pad:0:-1]
-    cur = np.concatenate((np.zeros(pad - mirror.size), mirror, vals))
-    levels = [vals]
-    for k in range(order):
-        scale = 0.0  # stays 0 for a pass that could overflow
-        if float(np.max(np.abs(cur))) <= limit:
-            cur = np.gradient(cur, h, edge_order=2)
-            noise /= h
-            scale = float(np.max(np.abs(cur[pad:])))
-        if scale == 0.0 or noise > 0.01 * scale:
+    scale = float(np.max(np.abs(slope)))
+    for end, value in (("R", slope[-1]), ("0", slope[0])):
+        if abs(value) > _BOUNDARY_TOL * scale:
             raise ValueError(
-                f"I^{order} is not numerically trustworthy (budget {k}); each differencing pass "
-                "amplifies rounding by 1/h, so a finer grid lowers the budget"
+                f"integrated terms would not vanish: |I^(1)({end})| = {abs(value) / scale:.3e} max|I^(1)| "
+                f"exceeds {_BOUNDARY_TOL:g} max|I^(1)|"
             )
-        levels.append(cur[pad:])
-    return levels
 
 
-def _check_boundary_terms(levels: list[np.ndarray]) -> None:
-    """Reject profiles whose integrated terms would not vanish.
+def _walk(p: RadialProfile, radii: np.ndarray) -> np.ndarray:
+    """F_n at radii for n >= 4, walked up from dimension n0 = 1 (odd n) or 2 (even n).
 
-    ``levels`` is [I, ..., I^{(n-1)}].  Each of the n-1 integrations by
-    parts drops a boundary term.  At the outer radius every I^{(k)},
-    k <= n-2, must vanish; at t = 0 the trig factor kills the even-k
-    terms automatically and only odd k <= n-2 need |I^{(k)}(0)| ~ 0.
-    The offending derivative order is reported, with the end value as a
-    share of max|I^{(k)}|, so the message does not depend on the scale
-    the levels were built at.
+    F_{n+2} = -(2 pi / r) dF_n/dr (DLMF 10.6.6 on F's Bessel form, Stein & Weiss,
+    Introduction to Fourier Analysis on Euclidean Spaces, ch. IV), so with D = (1/r) d/dr,
+    F_{n0+2k} = (-2 pi)^k D^k F_{n0} and D^k = sum_j a_{k,j} r^{j-2k} d^j/dr^j, where
+    a_{k+1,j} = (j - 2k) a_{k,j} + a_{k,j-1} (integers, kept exact: they pass the float64
+    range at k = 152).  The bases 2 sum w f0 cos(rt) and 2 sqrt(pi) sum w I_2 cos(rt) are
+    trapezoid sums cut at Rs = s_J (end weight h/2) with exact r-derivatives, so with
+    u = t/Rs, x = r Rs, g = f0 or I_2 and P = (2 pi)^k 2 pi^{(n0-1)/2} Rs^{2k},
+
+        F_n(r) = (-1)^k P sum_j a_{k,j} x^{j-2k} Re[(-i)^j sum w g u^j e^{-irt}],
+
+    the inner sums from :func:`fourier.transform_values`.  P is formed in logs and
+    a_{k,j} x^{j-2k} as a float times a power of two.  Each of the k (J + 1) terms takes
+    at most five roundings, so the sum errs by at most (J + k + 4) eps sum|terms| (Higham,
+    Accuracy and Stability of Numerical Algorithms, sec. 4.2); a radius is refused where
+    that exceeds _WALK_SHARE of ||f||_1 = |S^{n-1}| int |f0| s^{n-1} ds >= |F|.
     """
-    for k, vals in enumerate(levels[:-1]):
-        scale = float(np.max(np.abs(vals)))
-        for end, value in (("R", vals[-1]), ("0", vals[0]))[: 1 + k % 2]:
-            if abs(value) > _BOUNDARY_TOL * scale:
-                raise ValueError(
-                    f"integrated terms would not vanish: |I^({k})({end})| = {abs(value) / scale:.3e} max|I^({k})| "
-                    f"exceeds {_BOUNDARY_TOL:g} max|I^({k})| (offending k={k})"
-                )
+    n, J = p.dim, p.support_index
+    if J == 0:
+        return np.zeros(radii.size)  # the profile cut at Rs = 0 is zero
+    k, n0 = (n - 1) // 2, 2 - n % 2
+    grid = Grid(0.0, float(p.f0.x[J]), J + 1)
+    Rs, w, j = grid.b, trapezoid_weights(grid), np.arange(1, k + 1)
+    u = grid.points / Rs
+    a = [1]
+    for m in range(k):
+        a = [(i - 2 * m) * (a[i] if i <= m else 0) + (a[i - 1] if i else 0) for i in range(m + 2)]
+    e_a = np.array([abs(c).bit_length() for c in a[1:]])  # a_{k,0} = 0
+    m_a = np.array([c / (1 << int(e)) for c, e in zip(a[1:], e_a)])  # int / int rounds correctly
+    mx, ex = np.frexp(radii * Rs)
+    expo = e_a + ex[:, None] * (j - 2 * k)  # a_{k,j} x^{j-2k} = m_a mx^{j-2k} 2^expo
+    top = expo.max(axis=1)
+    coef = np.ldexp(m_a * mx[:, None] ** (j - 2 * k), expo - top[:, None])
+    log_pref = k * math.log2(2.0 * math.pi) + 1.0 + (n0 - 1) / 2.0 * math.log2(math.pi) + 2 * k * math.log2(Rs)
+    log_sphere = 1.0 + n / 2.0 * math.log2(math.pi) - math.lgamma(n / 2.0) / math.log(2.0) + (n - 1) * math.log2(Rs)
+    pe, frac = divmod(log_pref, 1.0)  # base-2 logs of P and of |S^{n-1}| Rs^{n-1}
+    base = p.f0.values if n0 == 1 else fractional_integral(RadialProfile(p.f0, 2)).samples.values
+
+    def route(arrays):
+        g, f0 = arrays
+        bound = (J + k + 4) * np.finfo(float).eps * (np.abs(coef) @ [np.sum(w * np.abs(g) * u**i) for i in j])
+        with np.errstate(divide="ignore"):  # a zero bound or mass reads -inf
+            over = np.log2(bound) + log_pref + top - np.log2(np.sum(w * np.abs(f0) * u ** (n - 1))) - log_sphere
+        refused = radii[over > math.log2(_WALK_SHARE)]
+        if refused.size:
+            share = f"{_WALK_SHARE:g} ||f||_1"
+            raise ValueError(f"radial_ft_ibp: at r = {refused[0]:g} the walk's rounding bound exceeds {share}")
+        phase = (1, -1j, -1, 1j)  # (-i)^j: Re[(-i)^j T] is +-Re T or +-Im T exactly
+        sums = [transform_values(SampledFunction(grid, g * u**i, DecayClass.BOUNDED), radii) * phase[i % 4] for i in j]
+        return np.ldexp((-1.0) ** k * 2.0**frac * np.sum(coef * np.stack(sums, axis=1).real, axis=1), top + int(pe))
+
+    return _at_unit_scale("radial_ft_ibp", (base[: J + 1], p.f0.values[: J + 1]), route, radii)
 
 
 def radial_ft_ibp(p: RadialProfile, radii) -> np.ndarray:
-    """Radial transform after n-1 integrations by parts of the reduction:
+    """Radial transform by a route that shares no cosine sum of I_n with leray's.
 
-    fhat(x) = 2 pi^{(n-1)/2} (-1)^{n-1} |x|^{1-n}
-              int_0^inf I^{(n-1)}(t) cos(pi (n-1)/2 - |x| t) dt.
-
-    The |x|^{1-n} prefactor is singular at the origin, so radii below
-    0.1 are delegated to the direct reduction, which at dim = 1 is the
-    formula itself (no integration by parts is left).  For dim >= 4 the
-    derivatives of I come from differencing, which is refused past its
-    noise budget.  The phase is n - 1 quarter turns, so with the sign
-    (-1)^{n-1} the cosine sums are Re, Im, -Re, -Im of
-    :func:`fourier.transform_values` for n - 1 = 0, 1, 2, 3 mod 4.
+    Dims 2-3 integrate the reduction by parts n - 1 times, fhat(x) =
+    2 pi^{(n-1)/2} (-1)^{n-1} |x|^{1-n} int_0^inf I^{(n-1)}(t) cos(pi (n-1)/2 - |x| t) dt:
+    dim 2 with I' in closed form, its jump end integrated over the last cell
+    (:func:`_with_jump_end`), dim 3 with I'' = -2 f0 - 2 t f0', from I(t) = 2 int_t^R s f0 ds.
+    Dim 1 is the direct reduction; dims from 4 walk up from dim 1 or 2 (:func:`_walk`),
+    reading neither I_n nor any Bessel function.  Radii below 0.1, where the
+    prefactors are singular, are delegated to the direct reduction.
     """
     radii = _check_radii(radii)
-    n, frac = p.dim, p.frac_integral
-    small = radii < 0.1
+    n, small = p.dim, radii < 0.1
+    if n == 1:
+        return radial_ft_leray(p, radii)
     big = radii[~small]
     pref = 2.0 * math.pi ** ((n - 1) / 2.0) * (-1.0 if (n - 1) % 4 >= 2 else 1.0)
 
     def route(arrays):
-        levels = _derivative_levels(p, *arrays)
-        _check_boundary_terms(levels)
-        ft = transform_values(SampledFunction(p.f0.grid, levels[-1], DecayClass.BOUNDED), big)
+        if n == 2:
+            last = _with_jump_end(p, arrays[1], arrays[0])
+        else:
+            s, f0 = p.f0.x, arrays[0]
+            _check_boundary_terms(-2.0 * s * f0)
+            last = -2.0 * f0 - 2.0 * s * derivative(SampledFunction(p.f0.grid, f0, DecayClass.BOUNDED)).values
+        ft = transform_values(SampledFunction(p.f0.grid, last, DecayClass.BOUNDED), big)
         return pref * big ** (1 - n) * (ft.real if n % 2 else ft.imag)
 
-    # the levels run on I, f0 and the dim-2 slope, scaled together
-    inputs = (frac.samples.values, p.f0.values) + ((frac.slope,) if n == 2 else ())
     out = np.empty(radii.size)
-    out[~small] = _at_unit_scale("radial_ft_ibp", inputs, route, big)
+    if n >= 4:
+        out[~small] = _walk(p, big)
+    else:  # f0 and the dim-2 I' scaled together
+        inputs = (p.f0.values, p.frac_integral.slope) if n == 2 else (p.f0.values,)
+        out[~small] = _at_unit_scale("radial_ft_ibp", inputs, route, big)
     if np.any(small):
         out[small] = radial_ft_leray(p, radii[small])
     return out

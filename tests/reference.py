@@ -76,3 +76,16 @@ def odd_fractional_integral(p, dims) -> dict[int, np.ndarray]:
                 vals[i] = float(2 * (ball + kinks) / math.factorial(m))
             out[n] = vals
     return out
+
+
+def ball_transform(dim: int, rho: float, radii) -> np.ndarray:
+    """(2 pi rho / r)^{n/2} J_{n/2}(rho r), the transform of the ball of radius rho in R^n, at each radius.
+
+    Evaluated at 30 digits and rounded once to float64, so it neither
+    overflows nor underflows where float64 powers and Bessel values would.
+    """
+    with mpmath.workdps(30):
+        nu, rho = mpmath.mpf(dim) / 2, mpmath.mpf(float(rho))
+        return np.array(
+            [float((2 * mpmath.pi * rho / r) ** nu * mpmath.besselj(nu, rho * r)) for r in map(mpmath.mpf, map(float, radii))]
+        )

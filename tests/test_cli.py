@@ -336,62 +336,15 @@ def test_radial_rejects_dimensions_past_the_float_range(tmp_path, capsys, args):
     assert not (tmp_path / "r.csv").exists()
 
 
-def test_radial_refuses_past_the_differencing_budget_before_differencing(tmp_path, capsys):
-    # the refusal comes before differencing past the budget, whose overflow
-    # warnings would otherwise precede the one error line
-    args = ["radial", "--family", "box", "--dim", "343", "--radii", "1", "--out", str(tmp_path / "r.csv")]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(args) == EXIT_DATA
-    err = capsys.readouterr().err
-    assert err.startswith("error: I^342 is not numerically trustworthy") and err.count("\n") == 1
-    assert not (tmp_path / "r.csv").exists()
-
-
-def test_radial_refuses_before_a_differencing_pass_could_overflow(tmp_path, capsys):
-    # on this coarse Gaussian the noise budget never trips: each pass scales the levels by
-    # about 1/h = 64 at a steady noise ratio, so they would overflow near pass 268 of 341.
-    # An even dimension: at dim 343 the noise budget trips first, at pass 33
-    s = np.linspace(0.0, 2.0, 129)
-    src = tmp_path / "gauss.csv"
-    src.write_text("s,f0\n" + "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(s, np.exp(-8.0 * s * s))))
-    args = ["radial", "--csv", str(src), "--dim", "342", "--radii", "1", "--out", str(tmp_path / "r.csv")]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(args) == EXIT_DATA
-    err = capsys.readouterr().err
-    assert err.startswith("error: I^341 is not numerically trustworthy (budget ") and err.count("\n") == 1
-    assert not (tmp_path / "r.csv").exists()
-
-
-@pytest.mark.parametrize("dim, budget", [(81, 6), (343, 0)])
-def test_radial_answers_leray_at_a_high_odd_dimension_and_ibp_refuses_on_its_budget(tmp_path, capsys, dim, budget):
-    # leray's I is exact to rounding at every odd dimension; ibp's n - 1 differencing
-    # passes outgrow their noise budget on this grid
-    args = ["radial", "--family", "raised_cosine", "--width", "1", "--n", "4097", "--dim", str(dim)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main([*args, "--radii", "0.5,1,3", "--out", str(tmp_path / "r.csv")]) == EXIT_DATA
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: I^{dim - 1} is not numerically trustworthy (budget {budget}); ")
-    assert err.count("\n") == 1
-    assert not (tmp_path / "r.csv").exists()
-
-
-def test_radial_refuses_ibp_on_the_bump_at_dim_27(tmp_path, capsys):
-    # ibp once wrote 5.10e63 at r = 0.5 here (leray 0.626234, oracle 0.626230) with exit 0:
-    # the rounding noise of a binomial kink sum for I had fooled its differencing budget
-    s = np.linspace(0.0, 2.0, 4097)
-    bump = np.where(np.abs(s - 1.0) <= 0.5, 0.5 * (1.0 + np.cos(np.pi * (s - 1.0) / 0.5)), 0.0)
-    src = tmp_path / "bump.csv"
-    src.write_text("s,f0\n" + "".join(f"{float(a)!r},{float(b)!r}\n" for a, b in zip(s, bump)))
+def test_radial_answers_the_raised_cosine_at_dim_6(tmp_path):
+    # the differencing route refused this command with exit 3 on its noise budget
     out = tmp_path / "r.csv"
+    args = ["radial", "--family", "raised_cosine", "--width", "1", "--dim", "6", "--radii", "0.5,1,2,5"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["radial", "--csv", str(src), "--dim", "27", "--radii", "0.5,1,3", "--out", str(out)]) == EXIT_DATA
-    err = capsys.readouterr().err
-    assert err.startswith("error: I^26 is not numerically trustworthy (budget ") and err.count("\n") == 1
-    assert not out.exists()
+        assert main([*args, "--out", str(out)]) == EXIT_OK
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert rows.shape == (4, 4) and np.all(np.isfinite(rows))
 
 
 def raised_cosine_csv(path):
@@ -438,16 +391,17 @@ def test_radial_refuses_a_leray_value_past_the_float_range_naming_the_radius(tmp
     assert not out.exists()
 
 
-def test_radial_refuses_a_value_past_the_float_range(tmp_path, capsys):
-    # the grid-aligned unit ball at dim 343: leray gives 1.12e-225, but ibp's
-    # pi^((n-1)/2) r^(1-n) prefactor overflows at r = 0.5 and 1, and the oracle's
-    # r^(1-n/2) at r = 0.05; RuntimeWarnings are errors under the test settings
+def test_radial_refuses_a_radius_past_the_walks_rounding_bound_in_one_line(tmp_path, capsys):
+    # the grid-aligned unit ball at dim 343: leray gives 1.12e-225, but at r = 0.5 the
+    # walk's largest term is 1e820 times ||f||_1 before the terms cancel; RuntimeWarnings are
+    # errors under the test settings
     s = np.linspace(0.0, 2.0, 129)
     src = tmp_path / "ball.csv"
     src.write_text("s,f0\n" + "".join(f"{float(a)!r},{float(a <= 1.0)!r}\n" for a in s))
     out = tmp_path / "r.csv"
     assert main(["radial", "--csv", str(src), "--dim", "343", "--radii", "0.05,0.5,1", "--out", str(out)]) == EXIT_DATA
-    assert capsys.readouterr().err == "error: radial_ft_ibp: the value at r = 0.5 is not finite in float64\n"
+    err = capsys.readouterr().err
+    assert err == "error: radial_ft_ibp: at r = 0.5 the walk's rounding bound exceeds 1e-06 ||f||_1\n"
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import warnings
 from fractions import Fraction
@@ -25,9 +26,7 @@ from bvfourier import radial
 from bvfourier.radial import (
     _LEAF,
     _MAX_DIM,
-    _check_boundary_terms,
     _cheb_points,
-    _derivative_levels,
     _half_integer_jv,
     _integer_jv,
     _kink_sum_even,
@@ -287,12 +286,21 @@ def test_ibp_answers_in_dim_3_on_a_compact_profile_with_sloped_ends():
     assert np.max(np.abs(radial_ft_ibp(p, radii) - radial_ft_leray(p, radii))) <= 1e-5 * top
 
 
-def test_ibp_rejects_nonvanishing_boundary_terms():
-    p = bump(3)
-    levels = _derivative_levels(p, p.frac_integral.samples.values, p.f0.values)
-    levels[0] = levels[0] + 0.5  # I no longer vanishes at R; its derivatives are unchanged
-    with pytest.raises(ValueError, match="offending k=0"):
-        _check_boundary_terms(levels)
+@pytest.mark.parametrize("end", ["R", "0"])
+def test_ibp_rejects_nonvanishing_boundary_terms(end):
+    # dim 3 drops I'(R) cos(rR)/r^2 and I'(0)/r^2 with I' = -2 t f0.  At R: all of the
+    # profile's mass off the origin sits in its last sample, at the allowed 1e-10 of the
+    # peak.  At 0: the grid starts 1e-13 off the origin, within the allowed 1e-12
+    values = np.zeros(129)
+    values[0] = 1.0
+    start = 0.0
+    if end == "R":
+        values[-1] = 1e-10
+    else:
+        start = 1e-13
+    p = RadialProfile.from_samples(make_uniform_grid(start, 2.0, 129), values, 3)
+    with pytest.raises(ValueError, match=rf"^integrated terms would not vanish: \|I\^\(1\)\({end}\)\| = 1\.000e\+00 max"):
+        radial_ft_ibp(p, [1.0])
 
 
 def test_oracle_gaussian_dim3_closed_form():
@@ -550,7 +558,7 @@ def test_tail_sums_round_as_if_in_twice_the_precision():
 )
 def test_odd_dimension_I_is_exact_to_rounding(kind, n, dims):
     # the cell recurrence against the binomial kink formula in mpmath (tests/reference.py),
-    # within the 128 eps max|I| that _derivative_levels assumes of I.  Measured: at most
+    # within 128 eps max|I|, the roundoff test_dilation_scales_every_route allows I.  Measured: at most
     # 12 eps max|I| at n = 129 and 0.81 eps at n = 1025, so the bound holds an 11x margin.
     # The ball's max|I| at dim 343, 8.1e-310, is subnormal: there the error is 5 units of
     # the least subnormal, against the 100 allowed
@@ -561,32 +569,79 @@ def test_odd_dimension_I_is_exact_to_rounding(kind, n, dims):
         assert np.max(np.abs(got - want[dim])) <= tol, dim
 
 
-@pytest.mark.parametrize("n", [1025, 4097])
-@pytest.mark.parametrize("kind", ["bump", "gaussian", "smoothed_box", "triangle"])
-def test_ibp_refuses_or_agrees_with_leray_at_high_odd_dimensions(kind, n):
-    # ibp once returned values off by 1e47 to 1e161 of max|F| at odd dims 25-55 here, where
-    # the binomial kink sum's rounding noise in I fooled its differencing budget
-    radii = [0.5, 1.0, 3.0]
-    for dim in (21, 27, 41, 53):
-        p = profile(ODD_KINDS[kind], dim, n=n)
-        leray = radial_ft_leray(p, radii)
-        top = abs(radial_ft_leray(p, [1e-9])[0])  # max|F| = F(0): f0 >= 0
+COMPARISON_KINDS = {
+    **ODD_KINDS,
+    "raised_cosine": lambda s: np.where(s <= 1.0, 0.5 * (1.0 + np.cos(np.pi * np.minimum(s, 1.0))), 0.0),
+}
+_WALK_REFUSAL = re.compile(r"radial_ft_ibp: at r = (\S+) the walk's rounding bound exceeds 1e-06 \|\|f\|\|_1")
+
+
+def walk_answers(p, radii) -> dict[float, float]:
+    """{r: ibp value} at the radii the walk answers; each refusal names one radius, which is dropped."""
+    radii = list(radii)
+    while radii:
         try:
-            ibp = radial_ft_ibp(p, radii)
+            return dict(zip(radii, radial_ft_ibp(p, radii)))
         except ValueError as exc:
-            assert "is not numerically trustworthy" in str(exc)
-            continue
-        assert np.max(np.abs(ibp - leray)) <= 1e-3 * top, dim
+            radii.remove(float(_WALK_REFUSAL.fullmatch(str(exc))[1]))
+    return {}
 
 
-def test_ibp_on_a_grid_shorter_than_its_mirror_refuses_with_a_reason():
-    # dim 10 differences I nine times across a mirror of 11 samples at t = 0; a 6-sample
-    # grid mirrors I's zeros past its end instead of reducing an empty array
-    p = profile(bump_values, 10, n=6)
-    assert fractional_integral(p).samples.n == 6
-    with pytest.raises(ValueError, match="integrated terms would not vanish"):
-        radial_ft_ibp(p, [1.0])
+@pytest.mark.parametrize("n", [129, 1025, 4097])
+def test_walk_answers_finite_values_near_leray_on_the_comparison_grid(n):
+    # ibp once differenced I n - 1 times: it answered wrongly with exit 0 (up to 1.3e18 of
+    # max|F| on the 129-point ball at dims 12-23, 3.5 max|F| on the 1025-point ball at dim 11)
+    # and refused every dim from 6 on the 4097-point bump.  Over the five odd-dimension
+    # kinds and an origin-centred raised cosine, the walk's values are finite wherever it
+    # answers, and from n = 1025 on within 1e-3 of max|F| of leray; at n = 129 the ball is
+    # off by up to 1.7e-2, the coarse grid's discretization, so only finiteness is held
+    # there.  Radius 0.05 is leray's by delegation.  Measured: 870 of 1440 answers, at
+    # most 7.5e-4 at n = 1025 and 9.4e-5 at n = 4097 (both the ball at dim 12, r = 1)
+    radii = [0.5, 1.0, 2.5, 7.0, 15.0]
+    grid = make_uniform_grid(0.0, 2.0, n)
+    for kind, values_fn in COMPARISON_KINDS.items():
+        for dim in (*range(4, 13), 21, 27, 31, 41, 81, 151, 343):
+            p = RadialProfile.from_samples(grid, values_fn(grid.points), dim)
+            got = walk_answers(p, radii)
+            assert all(math.isfinite(v) for v in got.values()), (kind, dim)
+            if n >= 1025 and got:
+                leray = radial_ft_leray(p, [1e-9, *got])  # max|F| = F(0): f0 >= 0
+                err = np.abs(np.array(list(got.values())) - leray[1:])
+                assert np.max(err) <= 1e-3 * abs(leray[0]), (kind, dim)
 
+
+def test_walk_is_second_order_on_the_ball_at_odd_dimensions():
+    # F_1's trapezoid sum, cut at the support radius with end weight h/2, is second order
+    # on the grid-aligned ball, and the walk's derivatives of it are exact, so the error
+    # against (2 pi / r)^{n/2} J_{n/2}(r) quarters with h.  Measured: 4.00x at every
+    # odd dim 5-41, over the radii both grids answer (from all five at dim 5 to r = 15
+    # alone from dim 27)
+    radii = [0.5, 1.0, 2.5, 7.0, 15.0]
+    for dim in range(5, 42, 2):
+        exact = dict(zip(radii, reference.ball_transform(dim, 1.0, radii)))
+        coarse, fine = (walk_answers(ball(dim, n=n), radii) for n in (2049, 4097))
+        common = sorted(set(coarse) & set(fine))
+        assert common, dim
+        err = [max(abs(got[r] - exact[r]) for r in common) for got in (coarse, fine)]
+        assert err[0] >= 3.5 * err[1], dim
+
+
+def test_walk_answers_the_dim_7_ball_within_1e_3_or_refuses_in_one_line():
+    # radius 0.5 on [0, 2]: the differencing route answered here with exit 0, off by
+    # 2.2e-3 of max|F|, almost all at r = 0.25 where r^(1-n) = 4096 multiplied the six
+    # times differenced rounding of I.  The walk refuses r = 0.25 and answers from 0.5 on
+    # (measured within 8.3e-7 of max|F|)
+    p = profile(lambda s: (s <= 0.5).astype(float), 7, n=8193)
+    radii = np.linspace(0.25, 20.0, 80)
+    exact = dict(zip(radii, reference.ball_transform(7, 0.5, radii)))
+    top = math.pi**3.5 * 0.5**7 / math.gamma(4.5)  # the ball's volume, max|F| = F(0)
+    try:
+        got = dict(zip(radii, radial_ft_ibp(p, radii)))
+    except ValueError as exc:
+        assert _WALK_REFUSAL.fullmatch(str(exc))  # one line, naming the route and the radius
+        got = walk_answers(p, radii)
+    assert 0.5 in got
+    assert max(abs(v - exact[r]) for r, v in got.items()) <= 1e-3 * top
 
 def test_dimension_limit_is_where_a_prefactor_overflows():
     for n in (_MAX_DIM - 1, _MAX_DIM):
@@ -651,19 +706,6 @@ def test_radial_csv_errors(tmp_path):
         read_radial_csv(path, 2)
 
 
-def test_ibp_refuses_past_the_differencing_budget():
-    # on this grid the 128 eps max|I| noise, amplified by 1/h per pass, stays below 1% of
-    # each of I' to I^(4) in dim 5, but not in dim 6, whose fifth pass is refused
-    radii = [1.0, 2.0]
-    assert np.all(np.isfinite(radial_ft_ibp(bump(5, n=4097), radii)))
-    with pytest.raises(
-        ValueError,
-        match=r"^I\^5 is not numerically trustworthy \(budget 4\); each differencing pass "
-        r"amplifies rounding by 1/h, so a finer grid lowers the budget$",
-    ):
-        radial_ft_ibp(bump(6, n=4097), radii)
-
-
 def test_oracle_refuses_a_value_past_the_float_range():
     # at dim 343 the r^(1 - n/2) prefactor overflows at r = 0.05 while the Bessel sum
     # underflows to 0; their product would be nan
@@ -671,22 +713,16 @@ def test_oracle_refuses_a_value_past_the_float_range():
         radial_ft_oracle(ball(343, n=129), [0.5, 0.05, 1.0])
 
 
-def test_only_the_ibp_route_differences_and_only_once(monkeypatch):
-    calls = []
-    gradient = np.gradient
-
+def test_no_radial_route_calls_np_gradient(monkeypatch):
+    # the walk takes its r-derivatives of cosine sums exactly; no route differences
     def spy(*args, **kwargs):
-        calls.append(1)
-        return gradient(*args, **kwargs)
+        raise AssertionError("np.gradient called")
 
     monkeypatch.setattr(np, "gradient", spy)
-    radial_ft_leray(bump(6, n=4097), [1.0])
-    assert len(calls) == 0
-    p = bump(5, n=4097)
-    radial_ft_ibp(p, [0.05, 1.0])  # the small radius reads I through the direct route
-    assert len(calls) == 4
-    radial_ft_leray(p, [1.0])
-    assert len(calls) == 4
+    for dim in (3, 4, 5, 6):
+        p = bump(dim, n=1025)
+        for route in (radial_ft_leray, radial_ft_ibp, radial_ft_oracle):
+            route(p, [0.05, 1.0, 3.0])
 
 
 def test_ibp_zero_profile():
@@ -695,9 +731,9 @@ def test_ibp_zero_profile():
 
 
 @pytest.mark.parametrize("dim", [4, 5])
-def test_higher_dimensions_run_through_the_differencing_path(dim):
-    # slower and not acceptance-gated, but the generic route must stay
-    # consistent with the oracle on smooth bumps
+def test_higher_dimensions_run_through_the_walk(dim):
+    # not acceptance-gated, but the walk must stay consistent with the
+    # oracle on smooth bumps
     p = bump(dim, n=4097)
     radii = np.linspace(0.5, 8.0, 16)
     oracle = radial_ft_oracle(p, radii)
@@ -722,16 +758,32 @@ def test_dilation_scales_every_route(dim, lam):
     # Each route sums N weighted samples times a kernel bounded by its r = 0
     # value (cos, or x^{1-n/2} J_{n/2-1}(x)); the two sides differ by the
     # sums' rounding (N eps), the kernel argument's (2 eps r R), and for
-    # leray and ibp the roundoff of the I samples, at most 128 eps max|I|
-    # (see _derivative_levels), summed over [0, R].  Below, the
-    # absolute terms of the oracle sum at most to max|F| and those of the
-    # leray sum to 2 pi^{(n-1)/2} R max|I| >= max|F|.  The ibp route takes
-    # n - 1 derivatives, each at most dividing the roundoff by h, and
-    # rho^{1-n} <= 1.
+    # leray the roundoff of the I samples, at most 128 eps max|I| (measured
+    # at most 12 eps at odd dims, test_odd_dimension_I_is_exact_to_rounding,
+    # and 73 eps at even dims 2-6 against an 80-bit evaluation), summed over
+    # [0, R].  Below, the absolute terms of the oracle sum at most to max|F|
+    # and those of the leray sum to 2 pi^{(n-1)/2} R max|I| >= max|F|.
     sums = eps * (N + 2.0 * rho.max() * R)
     leray = sums * top + 2.0 * math.pi ** ((dim - 1) / 2.0) * R * (128.0 * eps + sums) * max_i
     oracle = sums * top
-    ibp = leray * p.f0.h ** (1 - dim)
+    if dim <= 3:
+        # dims 2-3 integrate by parts: I' in closed form, or I'' from one difference
+        # of f0, each dividing the roundoff by at most h, and rho^{1-n} <= 1
+        ibp = leray * p.f0.h ** (1 - dim)
+    else:
+        # the walk: (-1)^k P sum_j a_{k,j} x^{j-2k} S_j, x = r Rs, from g = f0 (dim 5)
+        # or the dim-2 I (dim 4), with |S_j| <= sum w |g| <= Rs max|g|,
+        # P = (2 pi)^k 2 pi^{(n0-1)/2} Rs^{2k}, and D = r^-1 d, D^2 = r^-2 d^2 - r^-3 d,
+        # so sum_j |a_{k,j}| x^{j-2k} is x^-1 (dim 4) or x^-2 + x^-3 (dim 5), largest at
+        # rho = 1.  Its absolute terms take the sums' rounding, eps |ln P| more from P's
+        # log form, and at dim 4 the dim-2 I's roundoff (128 eps of max|g| per sample)
+        rs = p.f0.x[p.support_index]
+        x = rs * rho.min()
+        k, n0 = (dim - 1) // 2, 2 - dim % 2
+        g = fractional_integral(RadialProfile(p.f0, 2)).samples.values if n0 == 2 else vals
+        pref = (2.0 * math.pi) ** k * 2.0 * math.pi ** ((n0 - 1) / 2.0) * rs ** (2 * k)
+        terms = pref * (1.0 / x if k == 1 else x**-2 + x**-3) * rs * float(np.max(np.abs(g)))
+        ibp = (sums + eps * (abs(math.log(pref)) + 128.0 * (n0 == 2))) * terms
     for route, slack in ((radial_ft_leray, leray), (radial_ft_ibp, ibp), (radial_ft_oracle, oracle)):
         got = route(p_lam, lam * rho)
         want = lam**-dim * route(p, rho)
