@@ -643,6 +643,25 @@ def test_walk_answers_the_dim_7_ball_within_1e_3_or_refuses_in_one_line():
     assert 0.5 in got
     assert max(abs(v - exact[r]) for r, v in got.items()) <= 1e-3 * top
 
+
+@pytest.mark.parametrize("n", [1025, 4097])
+@pytest.mark.parametrize("kind", ["bump", "gaussian", "smoothed_box", "triangle"])
+def test_ibp_refuses_or_agrees_with_leray_at_high_odd_dimensions(kind, n):
+    # ibp once returned values off by 1e47 to 1e161 of max|F| at odd dims 25-55 here, where
+    # the binomial kink sum's rounding noise in I fooled its differencing budget.  The walk
+    # reads no I at odd dims; each radius it refuses is named in one line, and every
+    # radius it answers agrees with leray.  Measured: it refuses r <= 3 at all four dims
+    # and answers from r = 7, 15 or 30 on, within 5.0e-5 of max|F| (smoothed_box, n = 1025,
+    # dim 27)
+    radii = [0.5, 1.0, 3.0, 7.0, 15.0, 30.0]
+    for dim in (21, 27, 41, 53):
+        p = profile(ODD_KINDS[kind], dim, n=n)
+        got = walk_answers(p, radii)
+        assert got, dim
+        leray = radial_ft_leray(p, [1e-9, *got])  # max|F| = F(0): f0 >= 0
+        err = np.abs(np.array(list(got.values())) - leray[1:])
+        assert np.max(err) <= 1e-3 * abs(leray[0]), dim
+
 def test_dimension_limit_is_where_a_prefactor_overflows():
     for n in (_MAX_DIM - 1, _MAX_DIM):
         for v in (math.gamma((n - 1) / 2.0), math.pi ** ((n - 1) / 2.0), (2.0 * math.pi) ** (n / 2.0), math.gamma(n / 2.0)):
