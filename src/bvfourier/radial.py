@@ -15,8 +15,8 @@ profile in closed form: odd dimensions by the recurrence
 I_n(t) = 2 int_t^Rs tau I_{n-2}(tau) dtau from I_1 = f0, cell by cell,
 even ones by one term per slope change.  No quadrature parameter enters.
 Three routes are cross-checked: the direct reduction above, an exact
-walk up in the dimension (integration by parts at dims 2-3), and an
-independent Bessel-quadrature oracle.  Profiles must be compactly
+walk up in the dimension from dim 3 (integration by parts at dim 2), and
+an independent Bessel-quadrature oracle.  Profiles must be compactly
 supported on [0, R] (or negligible at R); infinite upper limits truncate
 there.  Each route is linear in the profile and runs at unit scale
 (:func:`hilbert._at_unit_scale`: leray on I, ibp on f0 with the dim-2 I'
@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .fourier import transform_values
-from .grids import DecayClass, Grid, SampledFunction, _read_uniform_csv, derivative, trapezoid_weights
+from .grids import DecayClass, Grid, SampledFunction, _read_uniform_csv, trapezoid_weights
 from .hilbert import _at_unit_scale
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
 ]
 
 _TAIL_TOL = 1e-10
-_BOUNDARY_TOL = 1e-6
 _WALK_SHARE = 1e-6  # the walk answers where its rounding bound is at most this share of ||f||_1
 _SUB_BLOCK = 2**14  # float64 elements per temporary array; blocked passes keep up to eight live
 _LEAF = 32  # finest index box width of the even-dimension kink sum
@@ -374,14 +373,18 @@ def fractional_integral(p: RadialProfile) -> FractionalIntegral:
         if J > 0 and n % 2:
             vals[:J] = _odd_recurrence(s[: J + 1], f[: J + 1], p.f0.h, n)
         elif J > 0:
-            t = s[:J]
+            # lengths in units of 2^c, c the exponent of Rs, and pref = mp 2^ep: every
+            # factor moves by a power of two, so I comes back finite where it is representable
+            c = math.frexp(s[J])[1]
+            h, t, rs = math.ldexp(p.f0.h, -c), np.ldexp(s[:J], -c), math.ldexp(s[J], -c)
             a = np.zeros(J + 1)
-            a[1:] = np.diff(np.diff(f[: J + 1]) / p.f0.h, append=0.0)
-            d = (s[J] - t) * (s[J] + t)
-            kinks, dkinks = _kink_sum_even(a, p.f0.h, n)
+            a[1:] = np.diff(np.diff(f[: J + 1]) / h, append=0.0)
+            d = (rs - t) * (rs + t)
+            kinks, dkinks = _kink_sum_even(a, h, n)
             pref = 2.0 / math.gamma((n - 1) / 2.0)
-            vals[:J] = pref * (f[J] * d ** ((n - 1) / 2.0) / (n - 1) + kinks)
-            slope[:J] = pref * (-f[J] * t / np.sqrt(d) + dkinks)
+            mp, ep = math.frexp(pref)
+            vals[:J] = np.ldexp(mp * (f[J] * d ** ((n - 1) / 2.0) / (n - 1) + kinks), ep + c * (n - 1))
+            slope[:J] = pref * (-f[J] * t / np.sqrt(d) + dkinks)  # read at dim 2 only, where I' is scale-free
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"dimension {n}: I overflows float64 on this profile")
     # I(0) is the full tail integral, generally nonzero, so the samples
@@ -442,24 +445,8 @@ def _with_jump_end(p: RadialProfile, slope: np.ndarray, f0: np.ndarray) -> np.nd
     return out
 
 
-def _check_boundary_terms(slope: np.ndarray) -> None:
-    """Refuse a dim-3 profile whose dropped terms I'(R) cos(rR)/r^2 and I'(0)/r^2 would not vanish.
-
-    I(R) sin(rR)/r (dim 2's only term) is zero by construction: fractional_integral zeroes I
-    from support_index on.  I' = -2 t f0 = slope need not be, as |f0(R)| <= 1e-10 max|f0| is
-    allowed and the first node may sit a hair off t = 0; ends are stated as shares of max|I'|.
-    """
-    scale = float(np.max(np.abs(slope)))
-    for end, value in (("R", slope[-1]), ("0", slope[0])):
-        if abs(value) > _BOUNDARY_TOL * scale:
-            raise ValueError(
-                f"integrated terms would not vanish: |I^(1)({end})| = {abs(value) / scale:.3e} max|I^(1)| "
-                f"exceeds {_BOUNDARY_TOL:g} max|I^(1)|"
-            )
-
-
 def _walk(p: RadialProfile, radii: np.ndarray) -> np.ndarray:
-    """F_n at radii for n >= 4, walked up from dimension n0 = 1 (odd n) or 2 (even n).
+    """F_n at radii for n >= 3, walked up from dimension n0 = 1 (odd n) or 2 (even n).
 
     F_{n+2} = -(2 pi / r) dF_n/dr (DLMF 10.6.6 on F's Bessel form, Stein & Weiss,
     Introduction to Fourier Analysis on Euclidean Spaces, ch. IV), so with D = (1/r) d/dr,
@@ -517,37 +504,29 @@ def _walk(p: RadialProfile, radii: np.ndarray) -> np.ndarray:
 def radial_ft_ibp(p: RadialProfile, radii) -> np.ndarray:
     """Radial transform by a route that shares no cosine sum of I_n with leray's.
 
-    Dims 2-3 integrate the reduction by parts n - 1 times, fhat(x) =
-    2 pi^{(n-1)/2} (-1)^{n-1} |x|^{1-n} int_0^inf I^{(n-1)}(t) cos(pi (n-1)/2 - |x| t) dt:
-    dim 2 with I' in closed form, its jump end integrated over the last cell
-    (:func:`_with_jump_end`), dim 3 with I'' = -2 f0 - 2 t f0', from I(t) = 2 int_t^R s f0 ds.
-    Dim 1 is the direct reduction; dims from 4 walk up from dim 1 or 2 (:func:`_walk`),
-    reading neither I_n nor any Bessel function.  Radii below 0.1, where the
-    prefactors are singular, are delegated to the direct reduction.
+    Dim 2 integrates the reduction by parts once, fhat(x) = -2 sqrt(pi) |x|^{-1}
+    int_0^inf I'(t) sin(|x| t) dt, with I' in closed form and its jump end
+    integrated over the last cell (:func:`_with_jump_end`).  Dims from 3 walk up
+    from dim 1 or 2 (:func:`_walk`), reading neither I_n nor any Bessel function.
+    Dim 1 is the direct reduction.  Radii below 0.1, where the walk's and dim 2's
+    1/r factors are singular, are delegated to the direct reduction.
     """
     radii = _check_radii(radii)
     n, small = p.dim, radii < 0.1
     if n == 1:
         return radial_ft_leray(p, radii)
-    big = radii[~small]
-    pref = 2.0 * math.pi ** ((n - 1) / 2.0) * (-1.0 if (n - 1) % 4 >= 2 else 1.0)
+    big, out = radii[~small], np.empty(radii.size)
+    if n == 2:
 
-    def route(arrays):
-        if n == 2:
+        def route(arrays):  # f0 and I' scaled together
             last = _with_jump_end(p, arrays[1], arrays[0])
-        else:
-            s, f0 = p.f0.x, arrays[0]
-            _check_boundary_terms(-2.0 * s * f0)
-            last = -2.0 * f0 - 2.0 * s * derivative(SampledFunction(p.f0.grid, f0, DecayClass.BOUNDED)).values
-        ft = transform_values(SampledFunction(p.f0.grid, last, DecayClass.BOUNDED), big)
-        return pref * big ** (1 - n) * (ft.real if n % 2 else ft.imag)
+            ft = transform_values(SampledFunction(p.f0.grid, last, DecayClass.BOUNDED), big)
+            # Im = -sum w I' sin(rt); this product order sets the values' last bit
+            return 2.0 * math.pi**0.5 * big**-1 * ft.imag
 
-    out = np.empty(radii.size)
-    if n >= 4:
+        out[~small] = _at_unit_scale("radial_ft_ibp", (p.f0.values, p.frac_integral.slope), route, big)
+    else:
         out[~small] = _walk(p, big)
-    else:  # f0 and the dim-2 I' scaled together
-        inputs = (p.f0.values, p.frac_integral.slope) if n == 2 else (p.f0.values,)
-        out[~small] = _at_unit_scale("radial_ft_ibp", inputs, route, big)
     if np.any(small):
         out[small] = radial_ft_leray(p, radii[small])
     return out

@@ -48,6 +48,9 @@ def _scaled(route, factor):
         ("radial_ft_leray", 1.0 + 1e-5, "radial", "radial-ball-closed-form"),
         ("radial_ft_oracle", 1.0 + 1e-4, "radial", "radial-threeway-dim2"),
         ("radial_ft_oracle", 1.0 + 1e-4, "radial", "radial-threeway-dim3"),
+        # reads 3.73e-8: below the bound from dim 3's old differencing route, 5.34e-8,
+        # above the one from leray's leading term, 2.53e-8
+        ("radial_ft_leray", 1.0 + 3e-8, "radial", "radial-threeway-dim3"),
     ],
 )
 def test_a_seeded_fault_fails_the_line_the_old_literal_passed(monkeypatch, profile, route, factor, suite, name):

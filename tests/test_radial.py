@@ -22,7 +22,7 @@ from bvfourier import (
     radial_ft_oracle,
     read_radial_csv,
 )
-from bvfourier import radial
+from bvfourier import grids, radial
 from bvfourier.radial import (
     _LEAF,
     _MAX_DIM,
@@ -282,15 +282,19 @@ def test_ibp_answers_in_dim_3_on_a_compact_profile_with_sloped_ends():
     assert p.f0.decay_class is DecayClass.COMPACT_SUPPORT
     radii = [0.5, 1.0, 3.0]
     top = radial_ft_leray(p, [1e-9])[0]  # max|F| = F(0): f0 >= 0
-    # measured 9.2e-7 of max|F|: ibp's O(h^2) differencing against leray's exact I
+    # measured 4.1e-7 of max|F|: the walk's trapezoid on f0 against leray's exact I
     assert np.max(np.abs(radial_ft_ibp(p, radii) - radial_ft_leray(p, radii))) <= 1e-5 * top
 
 
 @pytest.mark.parametrize("end", ["R", "0"])
-def test_ibp_rejects_nonvanishing_boundary_terms(end):
-    # dim 3 drops I'(R) cos(rR)/r^2 and I'(0)/r^2 with I' = -2 t f0.  At R: all of the
-    # profile's mass off the origin sits in its last sample, at the allowed 1e-10 of the
-    # peak.  At 0: the grid starts 1e-13 off the origin, within the allowed 1e-12
+def test_ibp_answers_where_integration_by_parts_left_boundary_terms(end):
+    # dim 3 once integrated by parts twice and refused these profiles, whose dropped
+    # terms I'(R) cos(rR)/r^2 and I'(0)/r^2 (I' = -2 t f0) did not vanish.  At R: all of
+    # the profile's mass off the origin sits in its last sample, at the allowed 1e-10 of
+    # the peak.  At 0: the grid starts 1e-13 off the origin, within the allowed 1e-12.
+    # The walk drops no term.  Its F_3 = -(2 pi / r) dF_1/dr of the trapezoid sum F_1 is
+    # the oracle's trapezoid 4 pi sum w f0 s sin(rs) / r (3.30e-11 at r = 0.5); cut at
+    # Rs = s_0, the second profile is zero, as leray reads it
     values = np.zeros(129)
     values[0] = 1.0
     start = 0.0
@@ -299,8 +303,14 @@ def test_ibp_rejects_nonvanishing_boundary_terms(end):
     else:
         start = 1e-13
     p = RadialProfile.from_samples(make_uniform_grid(start, 2.0, 129), values, 3)
-    with pytest.raises(ValueError, match=rf"^integrated terms would not vanish: \|I\^\(1\)\({end}\)\| = 1\.000e\+00 max"):
-        radial_ft_ibp(p, [1.0])
+    radii = [0.5, 1.0, 2.5, 7.0]
+    got = radial_ft_ibp(p, radii)
+    if end == "R":
+        assert got[0] == pytest.approx(3.30e-11, rel=1e-3)
+        assert np.max(np.abs(got - radial_ft_oracle(p, radii))) <= 1e-12 * np.max(np.abs(got))
+    else:
+        assert np.array_equal(got, np.zeros(4))
+        assert np.array_equal(radial_ft_leray(p, radii), np.zeros(4))
 
 
 def test_oracle_gaussian_dim3_closed_form():
@@ -484,11 +494,14 @@ def raised_cosine(s):
     return np.where(np.abs(s - 50.0) <= 20.0, 0.5 * (1.0 + np.cos(np.pi * (s - 50.0) / 20.0)), 0.0)
 
 
-@pytest.mark.parametrize("dim, finite", [(166, True), (170, False), (317, True), (327, True), (329, False)])
+@pytest.mark.parametrize(
+    "dim, finite", [(166, True), (170, True), (317, True), (327, True), (328, True), (329, False), (330, False)]
+)
 def test_fractional_integral_refuses_in_one_line_where_float64_overflows(dim, finite):
     # I is answered up to the float64 range and refused past it, in one line and
-    # without a warning: the odd recurrence overflows from dim 329 on, the even
-    # closed form's L^n = 70^n from dim 168 on (where I itself is about 1e180)
+    # without a warning: max|I| is 9.0e306 at dim 327 and 4.9e307 at dim 328, and both
+    # branches overflow from dim 329 on.  The even closed form once formed L^n = 70^n
+    # before 2 / Gamma((n - 1)/2) shrank it and refused from dim 168 on
     p = profile(raised_cosine, dim, r_end=100.0, n=1025)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -497,6 +510,23 @@ def test_fractional_integral_refuses_in_one_line_where_float64_overflows(dim, fi
         else:
             with pytest.raises(ValueError, match=f"^dimension {dim}: I overflows float64 on this profile$"):
                 fractional_integral(p)
+
+
+def test_even_dimension_I_answers_as_its_exact_dilation():
+    # the even branch works in powers of two of Rs and of its prefactor, so the same
+    # samples on [0, 100/64] give I / 64^(n - 1), and [0, 100] answers where forming
+    # L^n = 70^n first once refused it from dim 168 on.  Measured: bit-identical at
+    # every even dim 168-200
+    values = raised_cosine(make_uniform_grid(0.0, 100.0, 1025).points)
+    for dim in range(168, 201, 2):
+        wide, narrow = (
+            fractional_integral(RadialProfile.from_samples(make_uniform_grid(0.0, b, 1025), values, dim))
+            for b in (100.0, 100.0 / 64.0)
+        )
+        want = np.ldexp(narrow.samples.values, 6 * (dim - 1))
+        top = float(np.max(np.abs(want)))
+        assert np.isfinite(top), dim
+        assert np.max(np.abs(wide.samples.values - want)) <= 4.0 * np.finfo(float).eps * top, dim
 
 
 def airy_start(k, xmax):
@@ -614,10 +644,10 @@ def test_walk_is_second_order_on_the_ball_at_odd_dimensions():
     # F_1's trapezoid sum, cut at the support radius with end weight h/2, is second order
     # on the grid-aligned ball, and the walk's derivatives of it are exact, so the error
     # against (2 pi / r)^{n/2} J_{n/2}(r) quarters with h.  Measured: 4.00x at every
-    # odd dim 5-41, over the radii both grids answer (from all five at dim 5 to r = 15
-    # alone from dim 27)
+    # odd dim 3-41, over the radii both grids answer (from all five at dims 3-5 to r = 15
+    # alone from dim 27).  Dim 3 once differenced f0 and was first order on the jump
     radii = [0.5, 1.0, 2.5, 7.0, 15.0]
-    for dim in range(5, 42, 2):
+    for dim in range(3, 42, 2):
         exact = dict(zip(radii, reference.ball_transform(dim, 1.0, radii)))
         coarse, fine = (walk_answers(ball(dim, n=n), radii) for n in (2049, 4097))
         common = sorted(set(coarse) & set(fine))
@@ -732,13 +762,16 @@ def test_oracle_refuses_a_value_past_the_float_range():
         radial_ft_oracle(ball(343, n=129), [0.5, 0.05, 1.0])
 
 
-def test_no_radial_route_calls_np_gradient(monkeypatch):
-    # the walk takes its r-derivatives of cosine sums exactly; no route differences
+def test_no_radial_route_takes_a_finite_difference(monkeypatch):
+    # the walk takes its r-derivatives of cosine sums exactly; no route differences,
+    # through numpy or through the grids module (which radial does not import by name)
     def spy(*args, **kwargs):
-        raise AssertionError("np.gradient called")
+        raise AssertionError("a finite difference was taken")
 
     monkeypatch.setattr(np, "gradient", spy)
-    for dim in (3, 4, 5, 6):
+    monkeypatch.setattr(grids, "derivative", spy)
+    assert not hasattr(radial, "derivative")
+    for dim in (2, 3, 4, 5, 6):
         p = bump(dim, n=1025)
         for route in (radial_ft_leray, radial_ft_ibp, radial_ft_oracle):
             route(p, [0.05, 1.0, 3.0])
@@ -749,7 +782,7 @@ def test_ibp_zero_profile():
     assert np.max(np.abs(radial_ft_ibp(z, [1.0, 2.0]))) == 0.0
 
 
-@pytest.mark.parametrize("dim", [4, 5])
+@pytest.mark.parametrize("dim", [3, 4, 5])
 def test_higher_dimensions_run_through_the_walk(dim):
     # not acceptance-gated, but the walk must stay consistent with the
     # oracle on smooth bumps
@@ -785,15 +818,15 @@ def test_dilation_scales_every_route(dim, lam):
     sums = eps * (N + 2.0 * rho.max() * R)
     leray = sums * top + 2.0 * math.pi ** ((dim - 1) / 2.0) * R * (128.0 * eps + sums) * max_i
     oracle = sums * top
-    if dim <= 3:
-        # dims 2-3 integrate by parts: I' in closed form, or I'' from one difference
-        # of f0, each dividing the roundoff by at most h, and rho^{1-n} <= 1
+    if dim == 2:
+        # dim 2 integrates by parts with I' in closed form, dividing the roundoff by at
+        # most h, and rho^{1-n} <= 1
         ibp = leray * p.f0.h ** (1 - dim)
     else:
-        # the walk: (-1)^k P sum_j a_{k,j} x^{j-2k} S_j, x = r Rs, from g = f0 (dim 5)
-        # or the dim-2 I (dim 4), with |S_j| <= sum w |g| <= Rs max|g|,
+        # the walk: (-1)^k P sum_j a_{k,j} x^{j-2k} S_j, x = r Rs, from g = f0 (dims 3
+        # and 5) or the dim-2 I (dim 4), with |S_j| <= sum w |g| <= Rs max|g|,
         # P = (2 pi)^k 2 pi^{(n0-1)/2} Rs^{2k}, and D = r^-1 d, D^2 = r^-2 d^2 - r^-3 d,
-        # so sum_j |a_{k,j}| x^{j-2k} is x^-1 (dim 4) or x^-2 + x^-3 (dim 5), largest at
+        # so sum_j |a_{k,j}| x^{j-2k} is x^-1 (dims 3-4) or x^-2 + x^-3 (dim 5), largest at
         # rho = 1.  Its absolute terms take the sums' rounding, eps |ln P| more from P's
         # log form, and at dim 4 the dim-2 I's roundoff (128 eps of max|g| per sample)
         rs = p.f0.x[p.support_index]
