@@ -6,11 +6,11 @@ pocketfft runs such lengths at full radix speed, whereas a large prime
 factor (65537, say) sets the cost of the whole transform (Frigo &
 Johnson, Proc. IEEE 93 (2005) 216).  The zoom DFT and each conjugation
 operator are one circular convolution at such a length, where no kept
-output wraps.  A DFT whose length N the grid fixes runs at N itself
-unless :func:`needs_bluestein` holds, pocketfft's own test for falling
-back to its (uncached) Bluestein algorithm; only then does it run as a
-chirp-z convolution at a 5-smooth length.  Data-independent kernel
-spectra are cached.
+output wraps.  A lattice DFT, whose length N = 2 L (n - 1) its caller's
+grid fixes, runs at N itself unless :func:`needs_bluestein` holds,
+pocketfft's own test for falling back to its (uncached) Bluestein
+algorithm; only then does it run as a chirp-z convolution at a 5-smooth
+length.  Data-independent kernel spectra are cached.
 """
 
 from __future__ import annotations

@@ -2,20 +2,19 @@
 
 The transform convention throughout is ghat(t) = int g(x) e^{-i t x} dx.
 The reference quadrature is the composite trapezoid evaluated at each
-frequency node.  Two exact FFT paths replace the direct sum: nodes on
-an L-fold sub-lattice k pi/(L (b - a)) with L <= 8 are bins of one
-zero-padded DFT of length N = 2 L (n - 1) times the phase e^{-i t a}
-(L = 1 holds the default Nyquist grid, L = 4 the Hardy probe's grid);
-else m >= 3 nodes in one arithmetic progression take one chirp-z (zoom
+frequency node.  Two exact FFT paths replace the direct sum.  A caller
+that lays out a lattice k pi/(L (b - a)) asks :func:`_lattice_dft` for
+bins 0 <= k <= N/2 of one zero-padded DFT of length N = 2 L (n - 1):
+:func:`fourier_transform` on its default grid (L = 1, times the phase
+e^{-i t a}) and :func:`hardy_check` (L = 4, |ghat| as the bins'
+modulus).  The DFT runs at N itself unless N has a prime factor p with
+p^2 > N (pocketfft's test for its Bluestein fallback), else as a cached
+chirp-z convolution.  :func:`transform_values` takes every other node
+set: m >= 3 nodes in one arithmetic progression take one chirp-z (zoom
 DFT) call, a circular convolution at the length n + m - 1 where none of
-its m outputs wraps; any other nodes take the direct sum.  The grid
-fixes N, and the DFT runs at N itself unless N has a prime factor p
-with p^2 > N (pocketfft's test for its Bluestein fallback), in which
-case it runs as a cached chirp-z convolution; every other padded FFT
-has a 5-smooth length.  The Hardy probe reads |ghat| as the modulus of
-the bins, without the phase.  Both paths match the direct sum to better
-than 1e-10 on the test corpus (asserted in the test suite).  Periodic
-coefficients are one FFT.
+its m outputs wraps; any other nodes take the direct sum.  Both paths
+match the direct sum to better than 1e-10 on the test corpus (asserted
+in the test suite).  Periodic coefficients are one FFT.
 """
 
 from __future__ import annotations
@@ -119,81 +118,54 @@ def _chirp_plan(n: int, N: int, lo: int, span: int) -> tuple[np.ndarray, np.ndar
     return pre, kernel, post
 
 
-def _lattice_dft(coeffs: np.ndarray, k: np.ndarray, fold: int) -> np.ndarray:
-    """Bins k mod N of the length-N DFT of the zero-padded coeffs, N = 2 L (n - 1), L = ``fold``.
+def _lattice_dft(coeffs: np.ndarray, lo: int, span: int, fold: int) -> np.ndarray:
+    """Bins lo .. lo + span - 1 of the length-N DFT of the zero-padded real coeffs, N = 2 L (n - 1), L = ``fold``.
 
-    With x_j = x0 + j (b - a)/(n - 1) these are the unphased transform
-    sums: F(t) = e^{-i t x0} times bin k at t = k pi/(L (b - a)).  The
-    unit-modulus phase is left to the callers that read values, so
-    |F(t)| is the bins' modulus.  Real input reads the negative bins as
-    conjugates, so mirrored nodes come out exactly conjugate; one run of
-    bins inside 0 .. N/2 is a slice of the rfft.  N itself
-    takes one fft (rfft for real input) unless it has a prime factor p
-    with p^2 > N, pocketfft's test for its uncached Bluestein fallback;
-    only then do the bins lo .. lo + span - 1 run as one chirp-z
+    The caller that lays out a lattice owns its bins, which must lie in
+    0 .. N/2.  With x_j = x0 + j (b - a)/(n - 1) they are the unphased
+    transform sums: F(t) = e^{-i t x0} times bin k at t = k pi/(L (b - a)),
+    so |F(t)| is the bins' modulus.  They are a slice of one rfft at N
+    unless N has a prime factor p with p^2 > N, pocketfft's test for its
+    uncached Bluestein fallback; only then do they run as one chirp-z
     convolution at a 5-smooth length (Bluestein, IEEE Trans. Audio
     Electroacoust. 18 (1970) 451), its chirps and kernel spectrum cached.
     """
     n, N = coeffs.size, 2 * fold * (coeffs.size - 1)
-    real, lo = not np.iscomplexobj(coeffs), int(k[0])
-    if real and not needs_bluestein(N) and 0 <= lo and int(k[-1]) <= N // 2:
-        if np.array_equal(k, np.arange(lo, lo + k.size)):  # one run inside 0 .. N/2: no bin is mirrored
-            return np.fft.rfft(coeffs, N)[lo : lo + k.size]
-    k = k % N
-    if real:
-        k, mirrored = np.minimum(k, N - k), k > N // 2
     if not needs_bluestein(N):
-        bins = (np.fft.rfft(coeffs, N) if real else np.fft.fft(coeffs, N))[k]
-    else:
-        lo, span = int(k.min()), int(np.ptp(k)) + 1
-        pre, kernel, post = _chirp_plan(n, N, lo, span)
-        core = np.fft.ifft(np.fft.fft(coeffs * pre, kernel.size) * kernel)[n - 1 : n - 1 + span]
-        bins = post * core
-        if real:  # bins 0 and N/2 are their own mirrors, hence real
-            bins.imag[[b - lo for b in (0, N // 2) if lo <= b < lo + span]] = 0.0
-        bins = bins[k - lo]
-    if real:
-        np.conjugate(bins, out=bins, where=mirrored)
+        return np.fft.rfft(coeffs, N)[lo : lo + span]
+    pre, kernel, post = _chirp_plan(n, N, lo, span)
+    bins = post * np.fft.ifft(np.fft.fft(coeffs * pre, kernel.size) * kernel)[n - 1 : n - 1 + span]
+    # bins 0 and N/2 are their own mirrors, hence real
+    bins.imag[[b - lo for b in (0, N // 2) if lo <= b < lo + span]] = 0.0
     return bins
 
 
-# finest sub-lattice pi/(L (b - a)) served by one DFT; its length 2 L (n - 1)
-# grows with L, finer uniform grids take the zoom DFT
-_MAX_FOLD = 8
+def _on_progression(t: np.ndarray, t0: float, step: float) -> bool:
+    """Every node within linspace's jitter, 64 eps max(|t|, 1), of t0 + k step, k = 0, 1, ..."""
+    jitter = 64.0 * np.finfo(float).eps * max(abs(float(t[0])), abs(float(t[-1])), 1.0)
+    return bool(np.all(np.abs(t - (t0 + np.arange(t.size) * step)) <= jitter))
 
 
 def transform_values(f: SampledFunction, t: np.ndarray) -> np.ndarray:
     """Trapezoid quadrature of int f(x) e^{-i t x} dx at the given frequencies.
 
-    Nodes on an L-fold sub-lattice k pi/(L (b - a)), L = 1..8, are e^{-i t a}
-    times bins of one zero-padded DFT of length N = 2 L (n - 1)
-    (:func:`_lattice_dft`: one FFT at N unless a prime p of N has
-    p^2 > N, then a cached chirp-z); the smallest such L is taken, so the
-    default Nyquist grid is L = 1 and the Hardy probe's grid L = 4.
-    Otherwise three or more nodes in one arithmetic progression take one
-    chirp-z (zoom DFT) call with its end-to-end step, matching the direct
-    sum at its given nodes to a few ulps.  Any other node set takes the
-    direct sum.  Each path runs on the samples scaled by a power of two to
-    unit size (:func:`hilbert._at_unit_scale`), so a finite input near the
-    float64 range does not overflow inside the sum.
+    Three or more nodes in one arithmetic progression take one chirp-z
+    (zoom DFT) call with its end-to-end step, matching the direct sum at
+    its given nodes to a few ulps; any other node set takes the direct
+    sum.  Lattice grids are their callers' to lay out: the default
+    Nyquist grid of :func:`fourier_transform` and the Hardy probe ask
+    :func:`_lattice_dft` for their bins.  Each path runs on the samples
+    scaled by a power of two to unit size (:func:`hilbert._at_unit_scale`),
+    so a finite input near the float64 range does not overflow inside the sum.
     """
     t = np.asarray(t, dtype=float)
     weights = trapezoid_weights(f.grid)
 
     def route(values):
         wf = weights * values
-        if t.size >= 2:
-            # linspace spacing jitters by ~eps * max|t|; nodes that close to an
-            # exact arithmetic progression or lattice are indistinguishable here
-            jitter = 64.0 * np.finfo(float).eps * max(abs(float(t[0])), abs(float(t[-1])), 1.0)
-            # a fold must hold at every node, so four probe nodes rule most folds out cheaply
-            probe = t[[0, 1, t.size // 2, -1]]
-            for fold in range(1, _MAX_FOLD + 1):
-                lattice = math.pi / (fold * f.grid.width)
-                if all(np.all(np.abs(nodes - np.rint(nodes / lattice) * lattice) <= jitter) for nodes in (probe, t)):
-                    return _expi(t * f.grid.a) * _lattice_dft(wf, np.rint(t / lattice).astype(np.int64), fold)
+        if t.size >= 3:
             step = float(t[-1] - t[0]) / (t.size - 1)
-            if t.size >= 3 and np.all(np.abs(t - (t[0] + np.arange(t.size) * step)) <= jitter):
+            if _on_progression(t, float(t[0]), step):
                 return _zoom_dft(wf, f.grid.a, f.h, float(t[0]), step, t.size)
         out = np.empty(t.size, dtype=complex)
         rows = max(1, 2**16 // f.n)  # temporaries of at most 2^16 elements
@@ -216,7 +188,10 @@ def fourier_transform(
 
     Defaults: cutoff = pi/h (Nyquist-consistent) and m giving frequency
     spacing at most pi/(b - a).  The zero-frequency value equals the
-    plain trapezoid integral of f bit for bit.
+    plain trapezoid integral of f bit for bit.  Real f on odd m nodes whose
+    half line is k pi/(b - a), k = 0 .. K <= n - 1 (the default grid), reads
+    bins 0 .. K of :func:`_lattice_dft` and mirrors them by conjugation;
+    any other grid goes to :func:`transform_values`.
     """
     if cutoff is None:
         cutoff = nyquist_cutoff(f.grid)
@@ -237,7 +212,18 @@ def fourier_transform(
         t = np.concatenate((-half[:0:-1], half))  # exactly mirrored nodes
     else:
         t = np.linspace(-cutoff, cutoff, m)
-    values = transform_values(f, t)
+    if m % 2 and f.is_real() and half.size <= f.n and _on_progression(half, 0.0, math.pi / f.grid.width):
+        def lattice(values):
+            bins = _lattice_dft(trapezoid_weights(f.grid) * values, 0, half.size, 1)
+            mirror = np.conj(bins[:0:-1])
+            if half.size == f.n:  # t = -pi/h reads bin N/2, its own mirror, as it is
+                mirror[0] = bins[-1]
+            return _expi(t * f.grid.a) * np.concatenate((mirror, bins))
+
+        # the refusal names transform_values, which every other grid takes
+        values = _at_unit_scale("transform_values", f.values, lattice)
+    else:
+        values = transform_values(f, t)
     zero = np.flatnonzero(t == 0.0)
     if zero.size:
         values[zero[0]] = complex(integrate(f))
@@ -261,10 +247,11 @@ def l1_norm_ft(
     cutoffs = np.asarray(cutoffs, dtype=float)
     if cutoffs.size == 0:
         raise ValueError("need at least one cutoff")
-    if np.any(cutoffs <= 0.0) or np.any(np.diff(cutoffs) <= 0.0):
-        raise ValueError("cutoffs must be positive and strictly ascending")
-    if dt is None:
-        dt = min(0.02, math.pi / (4.0 * f.grid.width))
+    if not np.all(np.isfinite(cutoffs)) or np.any(cutoffs <= 0.0) or np.any(np.diff(cutoffs) <= 0.0):
+        raise ValueError("cutoffs must be finite, positive and strictly ascending")
+    dt = min(0.02, math.pi / (4.0 * f.grid.width)) if dt is None else float(dt)
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError("dt must be finite and positive")
     t = np.linspace(0.0, cutoffs[-1], math.ceil(cutoffs[-1] / dt) + 1)
     mag = np.abs(transform_values(f, t))
     cums = np.concatenate(([0.0], np.cumsum(0.5 * (mag[1:] + mag[:-1]) * np.diff(t))))
@@ -300,9 +287,9 @@ def hardy_check(g: SampledFunction) -> tuple[float, H1Report]:
     excised and the cancellation residual is a hard precondition.  The
     nodes are the 4-fold lattice k pi/(4 (b - a)), k = 4 .. 4 (n - 1),
     counted from the sample count, and |ghat| is the modulus of their
-    bins in one DFT of length N = 8 (n - 1) (:func:`_lattice_dft`: one
-    rfft at N unless a prime p of N has p^2 > N, then a cached chirp-z);
-    the unit-modulus phase e^{-i t a} is never formed.
+    bins in one DFT of length N = 8 (n - 1), which the probe asks
+    :func:`_lattice_dft` for; the unit-modulus phase e^{-i t a} is never
+    formed.
     Returns (lhs, h1_report(g)); lhs / h1_norm is the empirical
     convention constant, which the unit-constant inequality would put
     at or below 1.
@@ -319,7 +306,7 @@ def hardy_check(g: SampledFunction) -> tuple[float, H1Report]:
     fold = 4
     k = np.arange(fold, fold * (g.n - 1) + 1)
     t = k * (math.pi / (fold * g.grid.width))
-    mag = np.abs(_lattice_dft(trapezoid_weights(g.grid) * g.values, k, fold))
+    mag = np.abs(_lattice_dft(trapezoid_weights(g.grid) * g.values, fold, k.size, fold))
     # real input: |ghat(-t)| = |ghat(t)|, so both half lines carry the same mass
     return 2.0 * float(np.trapezoid(mag / t, t)), report
 

@@ -375,7 +375,7 @@ def kernel_difference(t: float, terms: int) -> tuple[float, float]:
     t = float(t)
     if not (-2.0 * math.pi < t < 2.0 * math.pi):
         raise ValueError("t must lie in (-2*pi, 2*pi)")
-    if terms < 1:
+    if not isinstance(terms, (int, np.integer)) or terms < 1:
         raise ValueError("terms must be a positive integer")
     if abs(abs(t) - 2.0 * math.pi) < _POLE_WARN_TOL:
         warnings.warn(

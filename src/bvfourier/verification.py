@@ -51,6 +51,8 @@ def classify_l1_growth(cutoffs: np.ndarray, values: np.ndarray) -> GrowthFit:
     values = np.asarray(values, dtype=float)
     if cutoffs.size < 4:
         raise ValueError("slope fit needs at least four cutoffs")
+    if not (np.all(np.isfinite(cutoffs)) and np.all(np.isfinite(values))):
+        raise ValueError("cutoffs and values must be finite")
     lnT = np.log(cutoffs)
     slope, intercept = np.polyfit(lnT, values, 1)
     pred = slope * lnT + intercept
@@ -132,6 +134,8 @@ def ibp_consistency(f: SampledFunction, x: float, deltas: list[float]) -> np.nda
     if not (0 <= i0 < grid.n) or abs(grid.points[i0] - x) > 1e-9 * max(1.0, abs(x)):
         raise ValueError(f"x={x} is not a grid point")
     deltas = [float(d) for d in deltas]
+    if not deltas:
+        raise ValueError("need at least one delta")
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
         raise ValueError("deltas must be strictly descending")
     xs, v, h = grid.points, f.values, grid.h

@@ -85,21 +85,15 @@ def clear_spectrum_caches():
         cached.cache_clear()
 
 
-def test_every_padded_fft_of_the_suites_has_a_smooth_length(padded_fft_lengths, monkeypatch):
+def test_every_padded_fft_of_the_suites_has_a_smooth_length(padded_fft_lengths, dft_paths):
     # A padded length is 5-smooth unless the grid fixes it: the lattice DFT runs
     # at its N = 2L(n - 1) itself when N has no prime p with p^2 > N, else as a
     # chirp-z at a 5-smooth length.  The default profile's hardy grids give
     # N = 8 * 8191 (8191 prime, the chirp-z route) and 8 * 3 * 43 * 127 (one
     # rfft at N); cold caches so every kernel spectrum is built, and checked, here
-    lattice, lattice_dft = [], fourier._lattice_dft
-
-    def lattice_spy(coeffs, k, fold):
-        lattice.append((coeffs.size, 2 * fold * (coeffs.size - 1)))
-        return lattice_dft(coeffs, k, fold)
-
-    monkeypatch.setattr(fourier, "_lattice_dft", lattice_spy)
     clear_spectrum_caches()
     run_suite("all", "default")
+    lattice = [(n, 2 * fold * (n - 1)) for _, n, _, _, fold in dft_paths["lattice"]]
     assert padded_fft_lengths and lattice
     fixed = {N for _, N in lattice}
     assert [n for n in padded_fft_lengths if fast_len(n) != n and (n not in fixed or needs_bluestein(n))] == []

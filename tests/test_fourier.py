@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -97,34 +98,12 @@ def test_real_input_gives_conjugate_symmetric_transform(family):
     assert np.max(np.abs(res.values[::-1] - np.conj(res.values))) <= 1e-10
 
 
-@pytest.fixture
-def dft_paths(monkeypatch):
-    """Record the fast paths transform_values and hardy_check take: the fold L
-    of each (sub-)lattice DFT and the number of zoom-DFT calls."""
-    import bvfourier.fourier as fourier
-
-    taken = {"folds": [], "zoom": 0}
-    lattice_dft, zoom_dft = fourier._lattice_dft, fourier._zoom_dft
-
-    def lattice_spy(coeffs, k, fold):
-        taken["folds"].append(fold)
-        return lattice_dft(coeffs, k, fold)
-
-    def zoom_spy(*args):
-        taken["zoom"] += 1
-        return zoom_dft(*args)
-
-    monkeypatch.setattr(fourier, "_lattice_dft", lattice_spy)
-    monkeypatch.setattr(fourier, "_zoom_dft", zoom_spy)
-    return taken
-
-
 def test_chirp_z_path_matches_direct_reference(dft_paths):
     # accelerated evaluation must agree with the direct trapezoid sum
     f = line_function(Family.POISSON_KERNEL, n=2**12)
     t = np.linspace(-40.0, 40.0, 4097)  # uniform grid takes the czt path
     fast = transform_values(f, t)
-    assert dft_paths == {"folds": [], "zoom": 1}  # one run, one call
+    assert dft_paths == {"lattice": [], "zoom": 1}  # one run, one call
     w = np.full(f.n, f.h)
     w[0] = w[-1] = f.h / 2
     direct = np.empty(t.size, dtype=complex)
@@ -140,9 +119,10 @@ def direct_transform(f, t):
     return np.array([np.sum(w * f.values * np.exp(-1j * tk * f.x)) for tk in t])
 
 
-def test_default_grid_takes_the_lattice_dft_and_matches_direct_sum():
+def test_default_grid_takes_the_lattice_dft_and_matches_direct_sum(dft_paths):
     f = line_function(Family.POISSON_KERNEL, n=2**10 + 1)
     res = fourier_transform(f)
+    assert dft_paths == {"lattice": [("fourier_transform", f.n, 0, f.n, 1)], "zoom": 0}
     t = res.freqs
     assert t.size == 2 * f.n - 1
     assert np.array_equal(t[::-1], -t)  # the evaluated nodes, exactly mirrored
@@ -156,23 +136,34 @@ def test_default_grid_takes_the_lattice_dft_and_matches_direct_sum():
     assert np.max(np.abs(res.values[::-1] - np.conj(res.values))) == 0.0
 
 
+def test_nyquist_bin_is_read_as_it_is_at_both_ends(dft_paths):
+    # t = -pi/h and t = pi/h both read bin N/2 of the length-2(n - 1) DFT, its own
+    # mirror.  The Gaussian's samples underflow at the window ends, so that bin
+    # is exactly 0 and a conjugated copy would write -0 into the CSV at t = -pi/h
+    f = line_function(Family.GAUSSIAN, n=1025)
+    res = fourier_transform(f)
+    assert dft_paths["lattice"] == [("fourier_transform", f.n, 0, f.n, 1)]
+    assert -res.freqs[0] == res.freqs[-1] == pytest.approx(math.pi / f.h, rel=1e-14)
+    assert res.values[0] == 0.0 and res.values[-1] == 0.0
+    assert res.values[[0, -1]].view(np.uint64).tolist() == [0, 0, 0, 0]  # +0 + 0j at both ends
+
+
 @pytest.mark.parametrize("complex_values", [False, True])
 @pytest.mark.parametrize("fold", [2, 3, 4, 8])
 def test_sub_lattice_path_matches_direct_sum(fold, complex_values, dft_paths):
     f = line_function(Family.POISSON_KERNEL, n=2**8 + 1)
     if complex_values:
         f = f.with_values(f.values * np.exp(0.3j * f.x) + 0.1j * f.values**2)
-    # mirrored nodes k pi/(L W), |k| <= L (n - 1): both end nodes sit on the
-    # Nyquist bin of the length-2L(n - 1) DFT, and k = 1 is on no coarser lattice
+    # mirrored nodes k pi/(L W), |k| <= L (n - 1), up to the Nyquist bin of the
+    # length-2L(n - 1) DFT: no caller lays this lattice out, so transform_values
+    # takes it as one arithmetic progression
     half = np.arange(fold * (f.n - 1) + 1) * (math.pi / (fold * f.grid.width))
     t = np.concatenate((-half[:0:-1], half))
     got = transform_values(f, t)
-    assert dft_paths == {"folds": [fold], "zoom": 0}
+    assert dft_paths == {"lattice": [], "zoom": 1}
     want = direct_transform(f, t)
     assert np.max(np.abs(got - want)) <= 1e-10
     assert abs(got[0] - want[0]) <= 1e-10 and abs(got[-1] - want[-1]) <= 1e-10
-    if not complex_values:
-        assert np.array_equal(got[::-1], np.conj(got))
 
 
 @pytest.mark.parametrize("kind", ["complex64", "strided complex128"])
@@ -183,7 +174,7 @@ def test_transform_of_complex_samples_at_any_scale_matches_direct_sum(kind):
     z = 1e3 * (f.values * np.exp(0.3j * f.x) + 0.1j * f.values**2) / np.max(f.values)
     values = z.astype(np.complex64) if kind == "complex64" else np.repeat(z, 2)[::2]
     g = SampledFunction(f.grid, values, f.decay_class)
-    t = np.array([0.0, 0.37, -1.1, 2.5])  # no lattice and no progression: the direct sum
+    t = np.array([0.0, 0.37, -1.1, 2.5])  # no progression: the direct sum
     want = direct_transform(g, t)
     assert np.max(np.abs(transform_values(g, t) - want)) <= 1e-12 * np.max(np.abs(want))
     t = np.linspace(-3.0, 3.0, 41)  # an arithmetic progression: the chirp-z
@@ -204,30 +195,63 @@ def lattice_dft_reference(f, t, fold):
     return np.exp(-1j * t * f.grid.a) * bins, float(np.sum(np.abs(wf)))
 
 
+def hardy_bins(f):
+    """The Hardy probe's nodes k pi/(4W), k = 4 .. 4 (n - 1), and e^{-ita} times the
+    bins it asks the lattice DFT for, from real samples f."""
+    import bvfourier.fourier as fourier
+
+    k = np.arange(4, 4 * (f.n - 1) + 1)
+    t = k * (math.pi / (4 * f.grid.width))
+    return t, np.exp(-1j * t * f.grid.a) * fourier._lattice_dft(trapezoid_weights(f.grid) * f.values, 4, k.size, 4)
+
+
+def lattice_owner_values(f, fold, dft_paths):
+    """Nodes and values from the caller that lays out the L-fold lattice of real f:
+    fourier_transform's default grid for L = 1, the Hardy probe's bins for L = 4."""
+    if fold == 1:
+        res = fourier_transform(f)
+        assert dft_paths["lattice"] == [("fourier_transform", f.n, 0, f.n, 1)]
+        return res.freqs, res.values
+    t, got = hardy_bins(f)
+    assert dft_paths["lattice"] == [("hardy_bins", f.n, 4, t.size, 4)]
+    return t, got
+
+
 @pytest.mark.parametrize("complex_values", [False, True])
 @pytest.mark.parametrize("fold", [1, 4])
 def test_non_smooth_lattice_takes_a_smooth_chirp_z(fold, complex_values, dft_paths, padded_fft_lengths):
-    # n = 2^13: N = 2L (n - 1) = 2L * 8191, and 8191 is prime
+    # n = 2^13: N = 2L (n - 1) = 2L * 8191, and 8191 is prime.  Real samples take
+    # the lattice DFT of the caller that lays the grid out; complex samples on the
+    # mirrored lattice take the zoom DFT, at a 5-smooth length too
     f = line_function(Family.POISSON_KERNEL, n=2**13)
     if complex_values:
         f = f.with_values(f.values * np.exp(0.3j * f.x) + 0.1j * f.values**2)
     N = 2 * fold * (f.n - 1)
     assert fast_len(N) != N
-    half = np.arange(fold * (f.n - 1) + 1) * (math.pi / (fold * f.grid.width))
-    t = np.concatenate((-half[:0:-1], half))
-    want, scale = lattice_dft_reference(f, t, fold)
     padded_fft_lengths.clear()
-    got = transform_values(f, t)
-    assert dft_paths == {"folds": [fold], "zoom": 0}
+    if complex_values:
+        half = np.arange(fold * (f.n - 1) + 1) * (math.pi / (fold * f.grid.width))
+        t = np.concatenate((-half[:0:-1], half))
+        got = transform_values(f, t)
+        assert dft_paths == {"lattice": [], "zoom": 1}
+    else:
+        t, got = lattice_owner_values(f, fold, dft_paths)
+        assert dft_paths["zoom"] == 0
     assert padded_fft_lengths and all(fast_len(L) == L for L in padded_fft_lengths)
-    idx = np.union1d(np.arange(0, t.size, 331), [t.size // 2, t.size - 1])  # both Nyquist ends and 0
-    assert np.max(np.abs(got[idx] - direct_transform(f, t[idx]))) <= 1e-10
+    idx = np.union1d(np.arange(0, t.size, 331), [t.size // 2, t.size - 1])  # 0 and the Nyquist end(s)
+    want = direct_transform(f, t[idx])
+    want[t[idx] == 0.0] = integrate(f)  # fourier_transform's value at t = 0
+    assert np.max(np.abs(got[idx] - want)) <= 1e-10
+    if complex_values:
+        return
     # Each route runs about log2(length) radix passes, each rounding partial
     # sums bounded by sum |w f|, the largest any bin can be: the chirp-z route
     # at its padded length P, forward and inverse, the reference at N
+    want, scale = lattice_dft_reference(f, t, fold)
+    want[t == 0.0] = integrate(f)
     P = max(padded_fft_lengths)
     assert np.max(np.abs(got - want)) <= np.finfo(float).eps * (2.0 * math.log2(P) + math.log2(N)) * scale
-    if not complex_values:
+    if fold == 1:
         assert np.array_equal(got[::-1], np.conj(got))
 
 
@@ -240,31 +264,34 @@ def test_non_smooth_lattice_takes_a_smooth_chirp_z(fold, complex_values, dft_pat
 def test_lattice_dft_runs_at_its_length_unless_a_prime_squared_exceeds_it(
     n, chirped, complex_values, dft_paths, padded_fft_lengths
 ):
-    # the Hardy probe's 4-fold lattice, N = 8 (n - 1): one fft at N itself
-    # unless a prime p of N has p^2 > N, pocketfft's own Bluestein test
+    # the Hardy probe's 4-fold lattice, N = 8 (n - 1): its bins take one rfft at N
+    # itself unless a prime p of N has p^2 > N, pocketfft's own Bluestein test.
+    # Complex samples on the mirrored lattice take the zoom DFT
     f = line_function(Family.POISSON_KERNEL, n=n)
     if complex_values:
         f = f.with_values(f.values * np.exp(0.3j * f.x) + 0.1j * f.values**2)
     N = 8 * (n - 1)
     assert needs_bluestein(N) == chirped
-    half = np.arange(4 * (n - 1) + 1) * (math.pi / (4 * f.grid.width))
-    t = np.concatenate((-half[:0:-1], half))
     padded_fft_lengths.clear()
-    got = transform_values(f, t)
-    assert dft_paths == {"folds": [4], "zoom": 0}
-    if chirped:
-        # every padded length is 5-smooth, and N is not
-        assert padded_fft_lengths and all(fast_len(L) == L != N for L in padded_fft_lengths)
+    if complex_values:
+        half = np.arange(4 * (n - 1) + 1) * (math.pi / (4 * f.grid.width))
+        t = np.concatenate((-half[:0:-1], half))
+        got = transform_values(f, t)
+        assert dft_paths == {"lattice": [], "zoom": 1}
     else:
-        assert padded_fft_lengths == [N]
-    P = max(padded_fft_lengths)
-    passes = 2.0 * math.log2(P) if chirped else math.log2(N)  # chirp-z: forward and inverse
-    want, scale = lattice_dft_reference(f, t, 4)
-    assert np.max(np.abs(got - want)) <= np.finfo(float).eps * (passes + math.log2(N)) * scale
-    idx = np.union1d(np.arange(0, t.size, 997), [0, t.size // 2, t.size - 1])  # both Nyquist ends and 0
+        t, got = lattice_owner_values(f, 4, dft_paths)
+        assert dft_paths["zoom"] == 0
+        if chirped:
+            # every padded length is 5-smooth, and N is not
+            assert padded_fft_lengths and all(fast_len(L) == L != N for L in padded_fft_lengths)
+        else:
+            assert padded_fft_lengths == [N]
+        P = max(padded_fft_lengths)
+        passes = 2.0 * math.log2(P) if chirped else math.log2(N)  # chirp-z: forward and inverse
+        want, scale = lattice_dft_reference(f, t, 4)
+        assert np.max(np.abs(got - want)) <= np.finfo(float).eps * (passes + math.log2(N)) * scale
+    idx = np.union1d(np.arange(0, t.size, 997), [0, t.size // 2, t.size - 1])  # the ends and the middle
     assert np.max(np.abs(got[idx] - direct_transform(f, t[idx]))) <= 1e-10
-    if not complex_values:
-        assert np.array_equal(got[::-1], np.conj(got))
 
 
 def test_repeated_chirp_z_geometry_builds_no_chirp(monkeypatch):
@@ -273,7 +300,6 @@ def test_repeated_chirp_z_geometry_builds_no_chirp(monkeypatch):
 
     g = derivative(line_function(Family.TRIANGLE, n=2**7))
     assert needs_bluestein(8 * (g.n - 1))
-    t = np.linspace(math.pi / g.grid.width, math.pi / g.h, 4 * (g.n - 2) + 1)
     fourier._chirp_plan.cache_clear()
     calls, chirp = [], fourier._chirp
 
@@ -282,27 +308,28 @@ def test_repeated_chirp_z_geometry_builds_no_chirp(monkeypatch):
         return chirp(m, N)
 
     monkeypatch.setattr(fourier, "_chirp", chirp_spy)
-    first = transform_values(g, t)
+    first = hardy_check(g)
     assert len(calls) == 3  # the cold plan: input, kernel and output chirps
     calls.clear()
-    assert np.array_equal(transform_values(g, t), first)
+    assert hardy_check(g) == first
     assert calls == []
 
 
 def test_hardy_nodes_take_the_four_fold_sub_lattice(dft_paths):
     g = derivative(line_function(Family.TRIANGLE, n=2**8))
     hardy_check(g)
-    assert dft_paths == {"folds": [4], "zoom": 0}
+    assert dft_paths == {"lattice": [("hardy_check", g.n, 4, 4 * (g.n - 1) - 3, 4)], "zoom": 0}
     # the probe's nodes k pi/(4W), k = 4..4(n - 1), are linspace(pi/W, pi/h, 4(n - 2) + 1)
-    t = np.linspace(math.pi / g.grid.width, math.pi / g.h, 4 * (g.n - 2) + 1)
-    assert np.max(np.abs(transform_values(g, t) - direct_transform(g, t))) <= 1e-10
+    t, got = hardy_bins(g)
+    assert np.max(np.abs(t - np.linspace(math.pi / g.grid.width, math.pi / g.h, 4 * (g.n - 2) + 1))) <= 1e-12
+    assert np.max(np.abs(got - direct_transform(g, t))) <= 1e-10
 
 
 def hardy_lhs_bound(t, lhs, bin_error=0.0):
     """How far two evaluations of 2 int |ghat(t)|/t dt on the same nodes may differ.
 
     Each node's modulus may differ by a relative 4 eps: the phase e^{-itx0} that
-    transform_values multiplies in has modulus within eps of 1 (cos and sin each
+    one side multiplies in has modulus within eps of 1 (cos and sin each
     within an ulp), the complex product rounds by at most sqrt(5) eps/2, and each
     side's abs rounds by eps/2.  The division by t and np.trapezoid's sum, pair
     sum, step product and halving round each side by (3 + log2 m) eps/2 of a sum
@@ -316,12 +343,13 @@ def hardy_lhs_bound(t, lhs, bin_error=0.0):
 @pytest.mark.parametrize("n", [2**8, 2**10, 2**13])
 def test_hardy_check_reads_the_modulus_of_the_transform(n, dft_paths):
     # hardy_check reads |ghat| as the modulus of the lattice bins and skips the
-    # unit-modulus phase; the lhs is the transform's own, up to that phase's rounding
+    # unit-modulus phase; the lhs is the phased transform's own, up to that phase's rounding
     g = derivative(line_function(Family.RAISED_COSINE, n=n))
     lhs, _ = hardy_check(g)
-    t = np.arange(4, 4 * (n - 1) + 1) * (math.pi / (4 * g.grid.width))
-    want = 2.0 * float(np.trapezoid(np.abs(transform_values(g, t)) / t, t))
-    assert dft_paths == {"folds": [4, 4], "zoom": 0}
+    t, ghat = hardy_bins(g)
+    want = 2.0 * float(np.trapezoid(np.abs(ghat) / t, t))
+    bins = (4, 4 * (n - 1) - 3, 4)
+    assert dft_paths == {"lattice": [("hardy_check", n, *bins), ("hardy_bins", n, *bins)], "zoom": 0}
     assert lhs > 1.0 and abs(lhs - want) <= hardy_lhs_bound(t, want)
 
 
@@ -334,7 +362,7 @@ def test_hardy_grid_count_follows_the_sample_count(n, dft_paths, padded_fft_leng
     g = derivative(line_function(Family.TRIANGLE, n=n))
     N = 8 * (n - 1)
     lhs, _ = hardy_check(g)
-    assert dft_paths == {"folds": [4], "zoom": 0}
+    assert dft_paths == {"lattice": [("hardy_check", n, 4, 4 * (n - 1) - 3, 4)], "zoom": 0}
     assert (N in padded_fft_lengths) != needs_bluestein(N)
     P = max(padded_fft_lengths)
     # the lattice reference: the same bins from numpy's FFT at N itself
@@ -350,7 +378,7 @@ def test_nine_fold_grid_falls_back_to_zoom(dft_paths):
     f = line_function(Family.POISSON_KERNEL, n=2**8 + 1)
     t = np.arange(-100, 101) * (math.pi / (9 * f.grid.width))
     got = transform_values(f, t)
-    assert dft_paths == {"folds": [], "zoom": 1}
+    assert dft_paths == {"lattice": [], "zoom": 1}
     assert np.max(np.abs(got - direct_transform(f, t))) <= 1e-10
 
 
@@ -360,7 +388,7 @@ def test_zoom_dft_pads_only_to_its_circular_length(dft_paths, padded_fft_lengths
     f = line_function(Family.POISSON_KERNEL, n=2**12)
     t = np.linspace(-40.0, 40.0, 4097)
     got = transform_values(f, t)
-    assert dft_paths == {"folds": [], "zoom": 1}
+    assert dft_paths == {"lattice": [], "zoom": 1}
     assert padded_fft_lengths and max(padded_fft_lengths) == fast_len(f.n + t.size - 1)
     idx = np.arange(0, t.size, 64)
     assert np.max(np.abs(got[idx] - direct_transform(f, t[idx]))) <= 1e-10
@@ -372,7 +400,7 @@ def test_long_zoom_run_does_not_drift_from_its_nodes(dft_paths):
     # accumulates; f-hat is steepest near |t| ~ 1, where that shows most
     f = line_function(Family.GAUSSIAN, n=2**14 + 1)
     res = fourier_transform(f, cutoff=1000.0, m=40001)
-    assert dft_paths == {"folds": [], "zoom": 1}
+    assert dft_paths == {"lattice": [], "zoom": 1}
     near_one = np.flatnonzero((np.abs(res.freqs) > 0.5) & (np.abs(res.freqs) < 1.5))
     idx = np.union1d(np.arange(1, res.freqs.size, 97), near_one)
     idx = idx[res.freqs[idx] != 0.0]
@@ -395,7 +423,7 @@ def test_l1_norm_ft_suite_cutoffs_take_one_zoom_call(name, dft_paths):
     p = PROFILES[name]
     f = line_function(Family.TRIANGLE, n=2**11 + 1)  # the suites' window [-50, 50]
     got = l1_norm_ft(f, p.cutoffs, dt=p.l1_dt)
-    assert dft_paths == {"folds": [], "zoom": 1}
+    assert dft_paths == {"lattice": [], "zoom": 1}
     want = reference_l1_norm_ft(f, np.asarray(p.cutoffs), p.l1_dt)
     assert np.max(np.abs(got - want) / want) <= 1e-12
 
@@ -405,7 +433,7 @@ def test_cutoffs_off_the_step_take_one_zoom_call(dft_paths):
     f = line_function(Family.TRIANGLE, n=2**11 + 1)
     cutoffs = np.array([1.0, 3.0, 7.5])
     got = l1_norm_ft(f, cutoffs, dt=0.3)
-    assert dft_paths == {"folds": [], "zoom": 1}
+    assert dft_paths == {"lattice": [], "zoom": 1}
     want = reference_l1_norm_ft(f, cutoffs, 0.3)
     assert np.max(np.abs(got - want) / want) <= 1e-12
 
@@ -414,7 +442,7 @@ def test_scattered_nodes_take_no_zoom_call(dft_paths):
     f = line_function(Family.POISSON_KERNEL, n=2**10 + 1)
     t = np.sort(np.random.default_rng(5).uniform(-10.0, 10.0, 60))
     got = transform_values(f, t)
-    assert dft_paths == {"folds": [], "zoom": 0}
+    assert dft_paths == {"lattice": [], "zoom": 0}
     assert np.max(np.abs(got - direct_transform(f, t))) <= 1e-12
 
 
@@ -424,13 +452,13 @@ def test_moved_node_is_evaluated_where_it_is(dft_paths):
     t = np.linspace(-5.0, 5.0, 201)
     t[77] += 1e-9
     got = transform_values(f, t)
-    assert dft_paths == {"folds": [], "zoom": 0}
+    assert dft_paths == {"lattice": [], "zoom": 0}
     assert np.max(np.abs(got - direct_transform(f, t))) <= 1e-12
 
 
 def test_hardy_suite_runs_six_multipliers_and_no_zoom(monkeypatch, dft_paths):
     # one hilbert_multiplier per hardy_check (3 families x 2 grids), every
-    # transform on the 4-fold sub-lattice
+    # transform the probe's own bins of the 4-fold sub-lattice
     import bvfourier.fourier as fourier
     import bvfourier.suites as suites
 
@@ -445,15 +473,19 @@ def test_hardy_suite_runs_six_multipliers_and_no_zoom(monkeypatch, dft_paths):
     monkeypatch.setattr(suites, "hilbert_multiplier", spy)
     suites._checks_hardy(suites.PROFILES["fast"])
     assert len(calls) == 6
-    assert dft_paths == {"folds": [4] * 6, "zoom": 0}
+    assert [(caller, lo, span, fold) for caller, n, lo, span, fold in dft_paths["lattice"]] == [
+        ("hardy_check", 4, 4 * (n - 1) - 3, 4) for n in calls
+    ]
+    assert dft_paths["zoom"] == 0
 
 
 @pytest.mark.parametrize("name", ["fast", "default", "strict"])
 def test_every_suite_transform_takes_one_fast_path_over_all_its_nodes(name, monkeypatch, dft_paths):
-    # transform_values takes one path per call: a lattice DFT, one zoom DFT over
-    # one arithmetic progression, or else the direct sum.  A suite that passed a
-    # piecewise node set would silently take the direct sum, so every suite call
-    # of three or more nodes must end in exactly one fast-path call over all of them
+    # transform_values takes one path per call: one zoom DFT over one arithmetic
+    # progression, or else the direct sum.  A suite that passed a piecewise node
+    # set would silently take the direct sum, so every suite call of three or
+    # more nodes must end in exactly one zoom DFT over all of them.  The lattice
+    # DFT serves only the callers that lay out a lattice: in the suites, the Hardy probe
     import bvfourier.fourier as fourier
     import bvfourier.radial as radial
     import bvfourier.suites as suites
@@ -466,9 +498,9 @@ def test_every_suite_transform_takes_one_fast_path_over_all_its_nodes(name, monk
         return zoom(*args)
 
     def transform_spy(f, t):
-        lattice, zoomed = len(dft_paths["folds"]), len(zooms)
+        lattice, zoomed = len(dft_paths["lattice"]), len(zooms)
         out = transform(f, t)
-        calls.append((np.size(t), len(dft_paths["folds"]) - lattice, zooms[zoomed:]))
+        calls.append((np.size(t), len(dft_paths["lattice"]) - lattice, zooms[zoomed:]))
         return out
 
     monkeypatch.setattr(fourier, "_zoom_dft", zoom_spy)
@@ -477,7 +509,8 @@ def test_every_suite_transform_takes_one_fast_path_over_all_its_nodes(name, monk
     monkeypatch.setenv("BVF_THREADS", "1")
     suites.run_suite("all", name)
     big = [(size, lattice, zooms) for size, lattice, zooms in calls if size >= 3]
-    assert big and all((lattice, zooms) in ((1, []), (0, [size])) for size, lattice, zooms in big)
+    assert big and all((lattice, zooms) == (0, [size]) for size, lattice, zooms in big)
+    assert dft_paths["lattice"] and {call[0] for call in dft_paths["lattice"]} == {"hardy_check"}
 
 
 @pytest.mark.parametrize("m", [2, 5, 63])
@@ -541,6 +574,24 @@ def test_l1_norm_ft_rejects_bad_cutoffs():
         l1_norm_ft(f, [])
     with pytest.raises(ValueError):
         l1_norm_ft(f, [4.0, 2.0])
+
+
+@pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0, -0.1])
+def test_l1_norm_ft_refuses_a_step_that_is_not_finite_and_positive(dt):
+    # dt = inf once returned [0, 0, 0], and dt = 0 an OverflowError after a RuntimeWarning
+    f = line_function(Family.TRIANGLE, n=257)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^dt must be finite and positive$"):
+            l1_norm_ft(f, [1.0, 2.0, 4.0], dt=dt)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_l1_norm_ft_refuses_a_non_finite_cutoff(bad):
+    # a cutoff of inf once reached math.ceil: an OverflowError
+    f = line_function(Family.TRIANGLE, n=257)
+    with pytest.raises(ValueError, match="^cutoffs must be finite, positive and strictly ascending$"):
+        l1_norm_ft(f, [1.0, 2.0, bad])
 
 
 def test_h1_report_zero_function():

@@ -507,3 +507,10 @@ def test_kernel_difference_pole_warning_and_domain():
         kernel_difference(7.0, 4)
     with pytest.raises(ValueError):
         kernel_difference(1.0, 0)
+
+
+@pytest.mark.parametrize("terms", [2.5, 3.0, "4"])
+def test_kernel_difference_refuses_a_count_that_is_not_an_integer(terms):
+    # terms = 2.5 once ended in range()'s TypeError
+    with pytest.raises(ValueError, match="^terms must be a positive integer$"):
+        kernel_difference(1.0, terms)

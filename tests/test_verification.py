@@ -60,6 +60,24 @@ def test_classifier_needs_four_points():
         classify_l1_growth(np.array([1.0, 2.0, 4.0]), np.array([1.0, 2.0, 3.0]))
 
 
+@pytest.mark.parametrize("cutoffs, values", [
+    ([25.0, 50.0, 100.0, 200.0], [3.0, 3.01, math.nan, 3.014]),
+    ([25.0, 50.0, 100.0, 200.0], [3.0, 3.01, 3.013, math.inf]),
+    ([25.0, 50.0, 100.0, math.inf], [3.0, 3.01, 3.013, 3.014]),
+    ([25.0, math.nan, 100.0, 200.0], [3.0, 3.01, 3.013, 3.014]),
+])
+def test_classifier_refuses_non_finite_input(cutoffs, values):
+    # a NaN mass was once labelled integrable-plateau with slope nan
+    with pytest.raises(ValueError, match="^cutoffs and values must be finite$"):
+        classify_l1_growth(np.array(cutoffs), np.array(values))
+
+
+def test_verdict_refuses_a_step_that_is_not_finite_and_positive():
+    for dt in (math.inf, 0.0):
+        with pytest.raises(ValueError, match="^dt must be finite and positive$"):
+            hardy_littlewood_verdict(line_function(Family.TRIANGLE, n=257), [25.0, 50.0, 100.0, 200.0], dt=dt)
+
+
 def test_commutation_defect_zero_function():
     grid = make_uniform_grid(-5, 5, 1025)
     z = SampledFunction(grid, np.zeros(1025), DecayClass.COMPACT_SUPPORT)
@@ -141,6 +159,13 @@ def test_ibp_argument_validation():
         ibp_consistency(f, 0.0, [2 * h, 4 * h])
     with pytest.raises(ValueError, match="resolution"):
         ibp_consistency(f, 0.0, [h / 2])
+
+
+def test_ibp_refuses_an_empty_delta_list():
+    # it once returned an empty array
+    f = line_function(Family.GAUSSIAN, n=1025)
+    with pytest.raises(ValueError, match="^need at least one delta$"):
+        ibp_consistency(f, 0.0, [])
 
 
 def test_verdict_triangle_is_plateau():
