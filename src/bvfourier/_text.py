@@ -51,11 +51,13 @@ def _layout(form: int, n: int) -> list[int]:
     return [_SIGN, *body, _SEPARATOR]
 
 
-# by code (form 17 + n - 1; _VERBATIM copies Python's text): slot bytes in
-# output order, padded with byte 0 (a NUL).  Building them takes about 0.6 ms.
-_VERBATIM = 24 * 17
-_LAYOUTS = np.zeros((_VERBATIM + 1, _WIDTH), np.intp)
+# by code (form 17 + n - 1; _VERBATIM copies Python's text, _EMPTY writes the
+# separator alone): slot bytes in output order, padded with byte 0 (a NUL).
+# Building them takes about 0.6 ms.
+_VERBATIM, _EMPTY = 24 * 17, 24 * 17 + 1
+_LAYOUTS = np.zeros((_EMPTY + 1, _WIDTH), np.intp)
 _LAYOUTS[_VERBATIM] = [*range(24), _SEPARATOR]
+_LAYOUTS[_EMPTY, 0] = _SEPARATOR
 for _code in range(_VERBATIM):
     _row = _layout(_code // 17, _code % 17 + 1)
     _LAYOUTS[_code, : len(_row)] = _row
@@ -80,12 +82,17 @@ def _python_text(first: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.frombuffer(b"".join(text), np.uint8).reshape(-1, 24)
 
 
-def csv_rows(columns: Sequence[np.ndarray]) -> str:
-    """CSV rows of equal-length float columns: the first as "%r", the others as "%.12g"."""
+def csv_rows(columns: Sequence[np.ndarray | None]) -> str:
+    """CSV rows of equal-length float columns: the first as "%r", the others as "%.12g".
+
+    A column given as None, never the first, has every cell empty.
+    """
     rows, ncols = len(columns[0]), len(columns)
     if rows == 0:
         return ""
-    flat = np.column_stack(columns).astype(float, copy=False).ravel()
+    empty = [c is None for c in columns]
+    flat = np.column_stack([np.zeros(rows) if e else c for e, c in zip(empty, columns)])
+    flat = flat.astype(float, copy=False).ravel()
     fast, x, k, d, frac = decimal17(flat)
     # arrays are dropped once used, so a block of 1536 rows peaks near 0.4 MB
     first = shortest(x[::ncols], d[::ncols], frac[::ncols], k[::ncols])
@@ -121,6 +128,7 @@ def csv_rows(columns: Sequence[np.ndarray]) -> str:
     if fallback.size:
         code[fallback] = _VERBATIM
         source[fallback, :24] = _python_text(fallback % ncols == 0, flat[fallback])
+    code.reshape(rows, ncols)[:, empty] = _EMPTY
     del flat, k, n, digits, rest
 
     text = np.empty((code.size, _WIDTH), np.uint8)

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: ``transform`` (transform CSV), ``hilbert`` (a chosen
-conjugate as CSV), ``radial`` (r,leray,ibp,oracle columns) and
-``verify`` (a named check suite with a plain-text report plus a CSV
-twin).  Exit codes: 0 success, 1 verification failures (report still
-written), 2 bad flags, 3 bad input data or a request too large for memory.
+conjugate as CSV), ``radial`` (r,leray,ibp,oracle columns, a refused
+route's left empty) and ``verify`` (a named check suite with a plain-text
+report plus a CSV twin).  Exit codes: 0 success, 1 verification failures
+(report still written), 2 bad flags, 3 bad input data or a request too
+large for memory.
 """
 
 from __future__ import annotations
@@ -102,15 +103,16 @@ def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
 _ROWS = 1536
 
 
-def _format_rows(columns: tuple[np.ndarray, ...], lo: int) -> str:
+def _format_rows(columns: tuple[np.ndarray | None, ...], lo: int) -> str:
     from ._text import csv_rows
 
-    return csv_rows([c[lo : lo + _ROWS] for c in columns])
+    return csv_rows([None if c is None else c[lo : lo + _ROWS] for c in columns])
 
 
-def _write_table(path: str, header: str, *columns: np.ndarray) -> None:
+def _write_table(path: str, header: str, *columns: np.ndarray | None) -> None:
     """Write real columns under a header line: the first (the abscissa) in shortest
-    round-trip form, so it reads back bit for bit, the rest to 12 significant digits.
+    round-trip form, so it reads back bit for bit, the rest to 12 significant digits
+    (a column given as None is written as empty cells).
 
     The text is Python's "%r" and "%.12g", rendered by :func:`bvfourier._text.csv_rows`.
     Rows are formatted and written _ROWS at a time, so memory does not grow with
@@ -196,10 +198,14 @@ def _cmd_radial(args: argparse.Namespace) -> int:
     else:
         grid = make_uniform_grid(0.0, args.b, args.n)
         profile = RadialProfile.from_samples(grid, family_value(spec, grid.points), args.dim)
-    leray = radial_ft_leray(profile, radii)
-    ibp = radial_ft_ibp(profile, radii)
-    oracle = radial_ft_oracle(profile, radii)
-    _write_table(args.out, "r,leray,ibp,oracle", radii, leray, ibp, oracle)
+    columns = [radial_ft_leray(profile, radii)]  # its refusal ends the command
+    for route in (radial_ft_ibp, radial_ft_oracle):
+        try:
+            columns.append(route(profile, radii))
+        except ValueError as exc:  # the route refused: its cells stay empty
+            print(f"warning: {exc}", file=sys.stderr)
+            columns.append(None)
+    _write_table(args.out, "r,leray,ibp,oracle", radii, *columns)
     return EXIT_OK
 
 

@@ -133,7 +133,7 @@ def _at_unit_scale(
             out = times_two_to(e - 1, route(scaled if isinstance(values, tuple) else scaled[0]))
     bad = ~np.isfinite(out)
     if bad.any():
-        where = "the result" if radii is None else f"the value at r = {radii[bad][0]:g}"
+        where = "the result" if radii is None else f"the value at r = {float(radii[bad][0])!r}"
         raise ValueError(f"{op}: {where} is not finite in float64")
     return out
 

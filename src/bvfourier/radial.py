@@ -14,11 +14,11 @@ its last nonzero sample Rs, and I is integrated exactly on that
 profile in closed form: odd dimensions by the recurrence
 I_n(t) = 2 int_t^Rs tau I_{n-2}(tau) dtau from I_1 = f0, cell by cell,
 even ones by one term per slope change.  No quadrature parameter enters.
-Three routes are cross-checked: the direct reduction above, an exact
-walk up in the dimension from dim 3 (integration by parts at dim 2), and
-an independent Bessel-quadrature oracle.  Profiles must be compactly
-supported on [0, R] (or negligible at R); infinite upper limits truncate
-there.  Each route is linear in the profile and runs at unit scale
+Three routes, none handing a radius to another, are cross-checked: the
+direct reduction above, an exact walk up in the dimension from dim 1 or 2
+(integration by parts at dim 2 itself), and an independent Bessel-quadrature
+oracle.  Profiles must be compactly supported on [0, R] (or negligible at
+R); infinite upper limits truncate there.  Each route is linear in the profile and runs at unit scale
 (:func:`hilbert._at_unit_scale`: leray on I, ibp on f0 with the dim-2 I'
 or the walk's base, the oracle on f0), so a profile times 2^k gives
 answers times 2^k exactly while values stay normal, and a value past the
@@ -446,7 +446,7 @@ def _with_jump_end(p: RadialProfile, slope: np.ndarray, f0: np.ndarray) -> np.nd
 
 
 def _walk(p: RadialProfile, radii: np.ndarray) -> np.ndarray:
-    """F_n at radii for n >= 3, walked up from dimension n0 = 1 (odd n) or 2 (even n).
+    """F_n at radii for n != 2, walked up k = (n - n0)/2 steps from n0 = 1 (odd n) or 2 (even n).
 
     F_{n+2} = -(2 pi / r) dF_n/dr (DLMF 10.6.6 on F's Bessel form, Stein & Weiss,
     Introduction to Fourier Analysis on Euclidean Spaces, ch. IV), so with D = (1/r) d/dr,
@@ -458,24 +458,26 @@ def _walk(p: RadialProfile, radii: np.ndarray) -> np.ndarray:
 
         F_n(r) = (-1)^k P sum_j a_{k,j} x^{j-2k} Re[(-i)^j sum w g u^j e^{-irt}],
 
-    the inner sums from :func:`fourier.transform_values`.  P is formed in logs and
-    a_{k,j} x^{j-2k} as a float times a power of two.  Each of the k (J + 1) terms takes
-    at most five roundings, so the sum errs by at most (J + k + 4) eps sum|terms| (Higham,
-    Accuracy and Stability of Numerical Algorithms, sec. 4.2); a radius is refused where
-    that exceeds _WALK_SHARE of ||f||_1 = |S^{n-1}| int |f0| s^{n-1} ds >= |F|.
+    the inner sums from :func:`fourier.transform_values`, j over the nonzero a_{k,j} (1 .. k,
+    or 0 alone at dim 1, where k = 0).  P is formed in logs and a_{k,j} x^{j-2k} as a float
+    times a power of two.  Each term takes at most five roundings, so the sum errs by at
+    most (J + k + 4) eps sum|terms| (Higham, Accuracy and Stability of Numerical Algorithms,
+    sec. 4.2); a radius is refused where that exceeds _WALK_SHARE of
+    ||f||_1 = |S^{n-1}| int |f0| s^{n-1} ds >= |F|.
     """
     n, J = p.dim, p.support_index
     if J == 0:
         return np.zeros(radii.size)  # the profile cut at Rs = 0 is zero
     k, n0 = (n - 1) // 2, 2 - n % 2
     grid = Grid(0.0, float(p.f0.x[J]), J + 1)
-    Rs, w, j = grid.b, trapezoid_weights(grid), np.arange(1, k + 1)
+    Rs, w = grid.b, trapezoid_weights(grid)
     u = grid.points / Rs
     a = [1]
     for m in range(k):
         a = [(i - 2 * m) * (a[i] if i <= m else 0) + (a[i - 1] if i else 0) for i in range(m + 2)]
-    e_a = np.array([abs(c).bit_length() for c in a[1:]])  # a_{k,0} = 0
-    m_a = np.array([c / (1 << int(e)) for c, e in zip(a[1:], e_a)])  # int / int rounds correctly
+    j = np.flatnonzero(a)  # j = 0 at dim 1 alone: a_{k,0} = 0 for k >= 1
+    e_a = np.array([abs(a[i]).bit_length() for i in j])
+    m_a = np.array([a[i] / (1 << int(e)) for i, e in zip(j, e_a)])  # int / int rounds correctly
     mx, ex = np.frexp(radii * Rs)
     expo = e_a + ex[:, None] * (j - 2 * k)  # a_{k,j} x^{j-2k} = m_a mx^{j-2k} 2^expo
     top = expo.max(axis=1)
@@ -493,7 +495,7 @@ def _walk(p: RadialProfile, radii: np.ndarray) -> np.ndarray:
         refused = radii[over > math.log2(_WALK_SHARE)]
         if refused.size:
             share = f"{_WALK_SHARE:g} ||f||_1"
-            raise ValueError(f"radial_ft_ibp: at r = {refused[0]:g} the walk's rounding bound exceeds {share}")
+            raise ValueError(f"radial_ft_ibp: at r = {float(refused[0])!r} the walk's rounding bound exceeds {share}")
         phase = (1, -1j, -1, 1j)  # (-i)^j: Re[(-i)^j T] is +-Re T or +-Im T exactly
         sums = [transform_values(SampledFunction(grid, g * u**i, DecayClass.BOUNDED), radii) * phase[i % 4] for i in j]
         return np.ldexp((-1.0) ** k * 2.0**frac * np.sum(coef * np.stack(sums, axis=1).real, axis=1), top + int(pe))
@@ -506,30 +508,22 @@ def radial_ft_ibp(p: RadialProfile, radii) -> np.ndarray:
 
     Dim 2 integrates the reduction by parts once, fhat(x) = -2 sqrt(pi) |x|^{-1}
     int_0^inf I'(t) sin(|x| t) dt, with I' in closed form and its jump end
-    integrated over the last cell (:func:`_with_jump_end`).  Dims from 3 walk up
-    from dim 1 or 2 (:func:`_walk`), reading neither I_n nor any Bessel function.
-    Dim 1 is the direct reduction.  Radii below 0.1, where the walk's and dim 2's
-    1/r factors are singular, are delegated to the direct reduction.
+    integrated over the last cell (:func:`_with_jump_end`).  Every other dimension
+    walks up from dim 1 or 2 (:func:`_walk`, whose base at dim 1 is the answer),
+    reading neither I_n nor any Bessel function, and refuses where its rounding
+    bound is too large; no radius is handed to another route.
     """
     radii = _check_radii(radii)
-    n, small = p.dim, radii < 0.1
-    if n == 1:
-        return radial_ft_leray(p, radii)
-    big, out = radii[~small], np.empty(radii.size)
-    if n == 2:
+    if p.dim != 2:
+        return _walk(p, radii)
 
-        def route(arrays):  # f0 and I' scaled together
-            last = _with_jump_end(p, arrays[1], arrays[0])
-            ft = transform_values(SampledFunction(p.f0.grid, last, DecayClass.BOUNDED), big)
-            # Im = -sum w I' sin(rt); this product order sets the values' last bit
-            return 2.0 * math.pi**0.5 * big**-1 * ft.imag
+    def route(arrays):  # f0 and I' scaled together
+        last = _with_jump_end(p, arrays[1], arrays[0])
+        ft = transform_values(SampledFunction(p.f0.grid, last, DecayClass.BOUNDED), radii)
+        # Im = -sum w I' sin(rt); this product order sets the values' last bit
+        return 2.0 * math.pi**0.5 * radii**-1 * ft.imag
 
-        out[~small] = _at_unit_scale("radial_ft_ibp", (p.f0.values, p.frac_integral.slope), route, big)
-    else:
-        out[~small] = _walk(p, big)
-    if np.any(small):
-        out[small] = radial_ft_leray(p, radii[small])
-    return out
+    return _at_unit_scale("radial_ft_ibp", (p.f0.values, p.frac_integral.slope), route, radii)
 
 
 def _jv_series(nu: float, x: np.ndarray, terms: int) -> np.ndarray:

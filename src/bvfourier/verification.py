@@ -53,6 +53,8 @@ def classify_l1_growth(cutoffs: np.ndarray, values: np.ndarray) -> GrowthFit:
         raise ValueError("slope fit needs at least four cutoffs")
     if not (np.all(np.isfinite(cutoffs)) and np.all(np.isfinite(values))):
         raise ValueError("cutoffs and values must be finite")
+    if np.any(cutoffs <= 0.0) or np.any(np.diff(cutoffs) <= 0.0):
+        raise ValueError("cutoffs must be finite, positive and strictly ascending")
     lnT = np.log(cutoffs)
     slope, intercept = np.polyfit(lnT, values, 1)
     pred = slope * lnT + intercept

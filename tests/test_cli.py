@@ -393,16 +393,42 @@ def test_radial_refuses_a_leray_value_past_the_float_range_naming_the_radius(tmp
 
 def test_radial_refuses_a_radius_past_the_walks_rounding_bound_in_one_line(tmp_path, capsys):
     # the grid-aligned unit ball at dim 343: leray gives 1.12e-225, but at r = 0.5 the
-    # walk's largest term is 1e820 times ||f||_1 before the terms cancel; RuntimeWarnings are
-    # errors under the test settings
+    # walk's largest term is 1e820 times ||f||_1 before the terms cancel, and the oracle's
+    # r^(1 - n/2) overflows at r = 0.05.  The walk's refusal once ended the command with
+    # exit 3 (naming r = 0.5, since r = 0.05 went to leray); now each refusing route prints
+    # one line naming its first refused radius in input order, and its cells stay empty.
+    # RuntimeWarnings are errors under the test settings
     s = np.linspace(0.0, 2.0, 129)
     src = tmp_path / "ball.csv"
     src.write_text("s,f0\n" + "".join(f"{float(a)!r},{float(a <= 1.0)!r}\n" for a in s))
     out = tmp_path / "r.csv"
-    assert main(["radial", "--csv", str(src), "--dim", "343", "--radii", "0.05,0.5,1", "--out", str(out)]) == EXIT_DATA
-    err = capsys.readouterr().err
-    assert err == "error: radial_ft_ibp: at r = 0.5 the walk's rounding bound exceeds 1e-06 ||f||_1\n"
-    assert not out.exists()
+    assert main(["radial", "--csv", str(src), "--dim", "343", "--radii", "0.05,0.5,1", "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == (
+        "warning: radial_ft_ibp: at r = 0.05 the walk's rounding bound exceeds 1e-06 ||f||_1\n"
+        "warning: radial_ft_oracle: the value at r = 0.05 is not finite in float64\n"
+    )
+    lines = out.read_text().splitlines()
+    assert lines[0] == "r,leray,ibp,oracle"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[0] for row in rows] == ["0.05", "0.5", "1.0"]
+    assert all(row[2:] == ["", ""] for row in rows)
+    assert float(rows[1][1]) == pytest.approx(1.12e-225, rel=1e-2)
+
+
+def test_radial_writes_the_routes_that_answer_at_dim_9(tmp_path, capsys):
+    # the walk refuses r = 0.5 and 1 here, and its refusal once ended the command with
+    # exit 3 although leray and the oracle answer at every radius; the refusing route's
+    # column is left empty as a whole
+    out = tmp_path / "r.csv"
+    args = ["radial", "--family", "raised_cosine", "--width", "1", "--dim", "9", "--radii", "0.5,1,2,5"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*args, "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().err == "warning: radial_ft_ibp: at r = 0.5 the walk's rounding bound exceeds 1e-06 ||f||_1\n"
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 4 and all(row[2] == "" for row in rows)
+    leray, oracle = (np.array([float(row[i]) for row in rows]) for i in (1, 3))
+    assert np.max(np.abs(leray - oracle)) <= 1e-5 * np.max(np.abs(leray))
 
 
 def test_hilbert_from_csv_round_trip(tmp_path):

@@ -514,3 +514,10 @@ def test_kernel_difference_refuses_a_count_that_is_not_an_integer(terms):
     # terms = 2.5 once ended in range()'s TypeError
     with pytest.raises(ValueError, match="^terms must be a positive integer$"):
         kernel_difference(1.0, terms)
+
+
+def test_unit_scale_names_the_first_radius_without_rounding_it():
+    # "%g" once named 0.22111784 as 0.221118, which no input radius matches
+    radii = np.array([1.0, 0.22111784, 0.5])
+    with pytest.raises(ValueError, match=r"^op: the value at r = 0\.22111784 is not finite in float64$"):
+        hilbert._at_unit_scale("op", np.ones(3), lambda v: np.array([1.0, math.inf, math.nan]), radii)

@@ -245,6 +245,8 @@ def test_leray_zero_profile_and_bad_radii():
 
 
 def test_ibp_dim1_degenerates_to_the_direct_route():
+    # dim 1 is the walk's base, the trapezoid sum cut at Rs; a profile that reaches its
+    # grid end is cut nowhere, so the sum is leray's, bit for bit
     p = profile(lambda s: np.exp(-s * s / 2.0), 1, r_end=8.0)
     radii = np.linspace(0.5, 5.0, 7)
     assert np.array_equal(radial_ft_ibp(p, radii), radial_ft_leray(p, radii))
@@ -268,11 +270,38 @@ def test_ibp_disc_dim2_integrates_the_jump_end():
     assert np.max(np.abs(got - 2.0 * math.pi * j1(radii) / radii)) <= math.sqrt(p.f0.h) * math.pi  # F(0) = pi
 
 
-def test_ibp_small_radii_delegate_to_the_direct_route():
+def test_ibp_dim1_is_second_order_on_the_ball_cut_at_its_support():
+    # the walk's base gives the support end Rs = 1 the end weight h/2, so on the
+    # grid-aligned ball it is second order (measured 4.00x per halving).  Dim-1 ibp was
+    # once leray's sum, which gives Rs the full weight h, off by h |cos r|: first order
+    radii = np.array([0.5, 1.0, 2.5, 7.0])
+    exact = 2.0 * np.sin(radii) / radii
+    err = [np.max(np.abs(radial_ft_ibp(ball(1, n=n), radii) - exact)) for n in (1025, 2049)]
+    assert err[0] >= 3.5 * err[1]
+
+
+def test_ibp_answers_small_radii_with_its_own_construction():
+    # radii below 0.1 were once handed to leray, so the ibp column copied leray's there.
+    # Dim 3 now walks at r = 0.05: 6.485336626 against leray's 6.485337622, the walk's
+    # trapezoid on f0 against leray's exact I.  Dim 2's by-parts route on the 8193-point
+    # bump stays within 5.4e-7 of max|F| = F(0) = pi of the oracle down to r = 1e-3
     p = bump(3)
-    out = radial_ft_ibp(p, [0.05, 0.5])
-    direct = radial_ft_leray(p, [0.05])[0]
-    assert out[0] == pytest.approx(direct, rel=1e-12)
+    got, direct = radial_ft_ibp(p, [0.05])[0], radial_ft_leray(p, [0.05])[0]
+    assert got != direct and got == pytest.approx(direct, rel=1e-6)
+    p = bump(2, n=8193)
+    radii = [1e-3, 1e-2, 0.05, 0.5]
+    assert np.max(np.abs(radial_ft_ibp(p, radii) - radial_ft_oracle(p, radii))) <= 6e-7 * math.pi
+
+
+def test_ibp_never_asks_leray(monkeypatch):
+    # ibp once returned leray's values at dim 1 and below r = 0.1, which voided the
+    # three-way check there; it answers with its own constructions or refuses
+    calls = []
+    leray = radial.radial_ft_leray
+    monkeypatch.setattr(radial, "radial_ft_leray", lambda *args: calls.append(args) or leray(*args))
+    for dim in range(1, 9):
+        assert walk_answers(bump(dim), [0.01, 0.05, 0.1, 0.5, 1.0, 10.0]), dim
+    assert calls == []
 
 
 def test_ibp_answers_in_dim_3_on_a_compact_profile_with_sloped_ends():
@@ -606,6 +635,13 @@ COMPARISON_KINDS = {
 _WALK_REFUSAL = re.compile(r"radial_ft_ibp: at r = (\S+) the walk's rounding bound exceeds 1e-06 \|\|f\|\|_1")
 
 
+def test_walk_names_a_refused_radius_exactly():
+    # six digits (%g) once named 0.22111784 as 0.221118, which no input radius matches
+    p = profile(ODD_KINDS["bump"], 9, n=8193)
+    with pytest.raises(ValueError, match=r"^radial_ft_ibp: at r = 0\.22111784 the walk's"):
+        radial_ft_ibp(p, [0.22111784, 5.0])
+
+
 def walk_answers(p, radii) -> dict[float, float]:
     """{r: ibp value} at the radii the walk answers; each refusal names one radius, which is dropped."""
     radii = list(radii)
@@ -625,8 +661,8 @@ def test_walk_answers_finite_values_near_leray_on_the_comparison_grid(n):
     # kinds and an origin-centred raised cosine, the walk's values are finite wherever it
     # answers, and from n = 1025 on within 1e-3 of max|F| of leray; at n = 129 the ball is
     # off by up to 1.7e-2, the coarse grid's discretization, so only finiteness is held
-    # there.  Radius 0.05 is leray's by delegation.  Measured: 870 of 1440 answers, at
-    # most 7.5e-4 at n = 1025 and 9.4e-5 at n = 4097 (both the ball at dim 12, r = 1)
+    # there.  Measured: 870 of 1440 answers, at most 7.5e-4 at n = 1025 and 9.4e-5 at
+    # n = 4097 (both the ball at dim 12, r = 1)
     radii = [0.5, 1.0, 2.5, 7.0, 15.0]
     grid = make_uniform_grid(0.0, 2.0, n)
     for kind, values_fn in COMPARISON_KINDS.items():

@@ -82,3 +82,9 @@ def test_kernel_writes_nothing_for_no_rows():
 def test_kernel_writes_pythons_bytes_for_any_float(rows):
     columns = list(np.array(rows).T)
     assert csv_rows(columns) == python_rows(columns)
+
+
+def test_a_column_of_none_writes_empty_cells():
+    # a refused radial route leaves its cells empty; nan keeps Python's bytes
+    x, v = np.array([0.5, 1.0]), np.array([math.nan, -0.0])
+    assert csv_rows([x, None, v, None]) == "0.5,,nan,\n1.0,,-0,\n"

@@ -72,6 +72,14 @@ def test_classifier_refuses_non_finite_input(cutoffs, values):
         classify_l1_growth(np.array(cutoffs), np.array(values))
 
 
+@pytest.mark.parametrize("cutoffs", [[25.0, 50.0, 100.0, -200.0], [0.0, 50.0, 100.0, 200.0], [200.0, 100.0, 50.0, 25.0]])
+def test_classifier_refuses_cutoffs_that_are_not_positive_and_ascending(cutoffs):
+    # a cutoff <= 0 once reached np.log and np.polyfit, where LAPACK wrote to stderr and
+    # raised LinAlgError; descending cutoffs were labelled integrable-plateau
+    with pytest.raises(ValueError, match="^cutoffs must be finite, positive and strictly ascending$"):
+        classify_l1_growth(np.array(cutoffs), np.array([3.0, 3.01, 3.013, 3.014]))
+
+
 def test_verdict_refuses_a_step_that_is_not_finite_and_positive():
     for dt in (math.inf, 0.0):
         with pytest.raises(ValueError, match="^dt must be finite and positive$"):
