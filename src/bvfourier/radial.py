@@ -14,15 +14,16 @@ its last nonzero sample Rs, and I is integrated exactly on that
 profile in closed form: odd dimensions by the recurrence
 I_n(t) = 2 int_t^Rs tau I_{n-2}(tau) dtau from I_1 = f0, cell by cell,
 even ones by one term per slope change.  No quadrature parameter enters.
-Three routes, none handing a radius to another, are cross-checked: the
-direct reduction above, an exact walk up in the dimension from dim 1 or 2
-(integration by parts at dim 2 itself), and an independent Bessel-quadrature
-oracle.  Profiles must be compactly supported on [0, R] (or negligible at
-R); infinite upper limits truncate there.  Each route is linear in the profile and runs at unit scale
-(:func:`hilbert._at_unit_scale`: leray on I, ibp on f0 with the dim-2 I'
-or the walk's base, the oracle on f0), so a profile times 2^k gives
-answers times 2^k exactly while values stay normal, and a value past the
-float64 range is refused in one line naming its radius.
+Three routes, none handing a radius to another, are cross-checked: the direct
+reduction above, an exact walk up in the dimension from dim 1 or 2 (integration
+by parts at dim 2 itself), and an independent Bessel-quadrature oracle, sharing
+only the profile samples and their support grid, :attr:`RadialProfile.support`.
+Profiles must be compactly supported on [0, R] (or negligible at R); infinite
+upper limits truncate there.  Each route is linear in the profile and runs at
+unit scale (:func:`hilbert._at_unit_scale`: leray on I, ibp on f0 with the dim-2
+I' or the walk's base, the oracle on f0), so a profile times 2^k gives answers
+times 2^k exactly while values stay normal, and a value past the float64 range
+is refused in one line naming its radius.
 """
 
 from __future__ import annotations
@@ -102,6 +103,12 @@ class RadialProfile:
         """Index J of the last nonzero sample, the cut-off Rs = s_J (0 if none)."""
         nz = np.flatnonzero(self.f0.values)
         return int(nz[-1]) if nz.size else 0
+
+    @cached_property
+    def support(self) -> Grid:
+        """[0, Rs] on samples 0 .. J, the trapezoid grid of every route (samples 0 .. 1 if J = 0)."""
+        J = max(self.support_index, 1)
+        return Grid(0.0, float(self.f0.x[J]), J + 1)
 
     @cached_property
     def frac_integral(self) -> FractionalIntegral:
@@ -406,16 +413,16 @@ def radial_ft_leray(p: RadialProfile, radii) -> np.ndarray:
     """Radial transform by the reduction formula 2 pi^{(n-1)/2} int I cos(rt) dt.
 
     At dim = 1, I is f0 itself and the value is the transform of the even
-    extension, 2 int_0^R f0 cos(rt) dt.  The cosine sums are the real part
-    of :func:`fourier.transform_values`.
+    extension, 2 int_0^Rs f0 cos(rt) dt.  The cosine sums are the real part
+    of :func:`fourier.transform_values` on :attr:`RadialProfile.support`.
     """
     radii = _check_radii(radii)
     pref = 2.0 * math.pi ** ((p.dim - 1) / 2.0)
 
     def route(vals):
-        return pref * transform_values(SampledFunction(p.f0.grid, vals, DecayClass.BOUNDED), radii).real
+        return pref * transform_values(SampledFunction(p.support, vals, DecayClass.BOUNDED), radii).real
 
-    return _at_unit_scale("radial_ft_leray", p.frac_integral.samples.values, route, radii)
+    return _at_unit_scale("radial_ft_leray", p.frac_integral.samples.values[: p.support.n], route, radii)
 
 
 def _with_jump_end(p: RadialProfile, slope: np.ndarray, f0: np.ndarray) -> np.ndarray:
@@ -438,7 +445,7 @@ def _with_jump_end(p: RadialProfile, slope: np.ndarray, f0: np.ndarray) -> np.nd
     p_end = -(R * R * phi - a * wa) / (2.0 * h)
     p_prev = -wa - p_end
     c = 2.0 / math.sqrt(math.pi) * fJ
-    w = trapezoid_weights(p.f0.grid)
+    w = trapezoid_weights(p.support)
     out = slope.copy()
     out[J - 1] += c * (p_prev + 0.5 * h * a / wa) / w[J - 1]
     out[J] = c * p_end / w[J]
@@ -453,7 +460,7 @@ def _walk(p: RadialProfile, radii: np.ndarray) -> np.ndarray:
     F_{n0+2k} = (-2 pi)^k D^k F_{n0} and D^k = sum_j a_{k,j} r^{j-2k} d^j/dr^j, where
     a_{k+1,j} = (j - 2k) a_{k,j} + a_{k,j-1} (integers, kept exact: they pass the float64
     range at k = 152).  The bases 2 sum w f0 cos(rt) and 2 sqrt(pi) sum w I_2 cos(rt) are
-    trapezoid sums cut at Rs = s_J (end weight h/2) with exact r-derivatives, so with
+    trapezoid sums on :attr:`RadialProfile.support` with exact r-derivatives, so with
     u = t/Rs, x = r Rs, g = f0 or I_2 and P = (2 pi)^k 2 pi^{(n0-1)/2} Rs^{2k},
 
         F_n(r) = (-1)^k P sum_j a_{k,j} x^{j-2k} Re[(-i)^j sum w g u^j e^{-irt}],
@@ -469,9 +476,8 @@ def _walk(p: RadialProfile, radii: np.ndarray) -> np.ndarray:
     if J == 0:
         return np.zeros(radii.size)  # the profile cut at Rs = 0 is zero
     k, n0 = (n - 1) // 2, 2 - n % 2
-    grid = Grid(0.0, float(p.f0.x[J]), J + 1)
-    Rs, w = grid.b, trapezoid_weights(grid)
-    u = grid.points / Rs
+    grid = p.support
+    Rs, w, u = grid.b, trapezoid_weights(grid), grid.points / grid.b
     a = [1]
     for m in range(k):
         a = [(i - 2 * m) * (a[i] if i <= m else 0) + (a[i - 1] if i else 0) for i in range(m + 2)]
@@ -519,7 +525,7 @@ def radial_ft_ibp(p: RadialProfile, radii) -> np.ndarray:
 
     def route(arrays):  # f0 and I' scaled together
         last = _with_jump_end(p, arrays[1], arrays[0])
-        ft = transform_values(SampledFunction(p.f0.grid, last, DecayClass.BOUNDED), radii)
+        ft = transform_values(SampledFunction(p.support, last[: p.support.n], DecayClass.BOUNDED), radii)
         # Im = -sum w I' sin(rt); this product order sets the values' last bit
         return 2.0 * math.pi**0.5 * radii**-1 * ft.imag
 
@@ -677,10 +683,10 @@ def radial_ft_oracle(p: RadialProfile, radii) -> np.ndarray:
 
     fhat(r) = (2 pi)^{n/2} r^{1 - n/2} int_0^R f0(s) J_{n/2-1}(s r) s^{n/2} ds,
 
-    quadratured directly on the profile grid, in radius blocks.  Odd
-    dimensions have half-integer orders and elementary Bessel functions,
-    even ones integer orders (:func:`_integer_jv`).  Shares nothing with
-    the reduction routes beyond the profile samples.
+    quadratured directly on :attr:`RadialProfile.support`, in radius blocks.
+    Odd dimensions have half-integer orders and elementary Bessel functions,
+    even ones integer orders (:func:`_integer_jv`).  Shares nothing with the
+    reduction routes beyond the profile samples and that grid.
     """
     radii = _check_radii(radii)
     n = p.dim
@@ -692,11 +698,11 @@ def radial_ft_oracle(p: RadialProfile, radii) -> np.ndarray:
             return _integer_jv(n // 2 - 1, x)
 
     def route(f0):
-        w = trapezoid_weights(p.f0.grid) * f0
-        wf = w * p.f0.x ** (n / 2.0)
+        s, w = p.support.points, trapezoid_weights(p.support) * f0
+        wf = w * s ** (n / 2.0)
         # zero weights add exactly 0: this drops s = 0 too, where for n = 1 the kernel
         # J_{-1/2}(s r) s^{1/2} reads inf * 0, so that node enters through its limit
-        s, wf = p.f0.x[wf != 0.0], wf[wf != 0.0]
+        s, wf = s[wf != 0.0], wf[wf != 0.0]
         rows = max(1, _SUB_BLOCK // max(s.size, 1))
         out = np.empty(radii.size)
         for i in range(0, radii.size, rows):
@@ -705,7 +711,7 @@ def radial_ft_oracle(p: RadialProfile, radii) -> np.ndarray:
             out += w[0] * np.sqrt(2.0 / (math.pi * radii))
         return (2.0 * math.pi) ** (n / 2.0) * radii ** (1.0 - n / 2.0) * out
 
-    return _at_unit_scale("radial_ft_oracle", p.f0.values, route, radii)
+    return _at_unit_scale("radial_ft_oracle", p.f0.values[: p.support.n], route, radii)
 
 
 def read_radial_csv(path: str | Path, dim: int) -> RadialProfile:

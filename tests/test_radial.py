@@ -350,29 +350,61 @@ def test_oracle_gaussian_dim3_closed_form():
     assert np.max(np.abs(got - expected) / expected) <= 1e-6
 
 
+def ball_trapezoid_lead(dim, h, radii):
+    """Leading error (h^2/12) (g'(1) - g'(0)) of the trapezoid sum cut at s = 1 on the unit ball.
+
+    The transform is int_0^1 g, g(s) = (2 pi)^{n/2} r^{1-n/2} s^{nu+1} J_nu(rs),
+    nu = n/2 - 1, and (s^{nu+1} J_nu(rs))' = r s^{nu+1} J_{nu-1}(rs) + s^nu J_nu(rs)
+    (DLMF 10.6.2); g'(0) is 2 pi at dim 2 and 0 at every other dim.
+    """
+    nu = dim / 2.0 - 1.0
+    g1 = (2.0 * math.pi) ** (dim / 2.0) * radii ** -nu * (radii * jv(nu - 1.0, radii) + jv(nu, radii))
+    return h * h / 12.0 * (g1 - (2.0 * math.pi if dim == 2 else 0.0))
+
+
 def test_oracle_disc_transform_converges_to_bessel_form():
-    # half-cell radius smear of the sampled indicator is O(h): the error
-    # against 2 pi J1(r)/r must halve when the profile doubles
+    # the oracle sums over the support [0, 1] with end weight h/2, so its error
+    # against 2 pi J1(r)/r is the trapezoid's (h^2/12) (g'(1) - g'(0)), with
+    # the next order below 1e-5 of it: a quarter when the profile doubles
     radii = np.linspace(0.5, 10.0, 20)
     errs = []
     for n in (2049, 4097):
         got = radial_ft_oracle(ball(2, n=n), radii)
         expected = 2.0 * math.pi * j1(radii) / radii
         errs.append(float(np.max(np.abs(got - expected))))
-    assert errs[0] / errs[1] >= 1.8
-    assert errs[1] <= 2e-3  # half-cell radius smear ~ pi*h*|J0|
+    assert errs[0] / errs[1] >= 3.5
+    assert errs[1] <= 1.5 * np.max(np.abs(ball_trapezoid_lead(2, 2.0 / 4096, radii)))
 
 
 @pytest.mark.parametrize("dim", [4, 6])
 def test_oracle_even_ball_converges_to_bessel_form(dim):
-    # the node at s = 1 carries weight h where the ball's edge wants h/2, so
-    # the error is at most h/2 (2 pi)^{n/2} max_x x^{1-n/2} J_{n/2-1}(x)
-    # = h pi^{n/2} / Gamma(n/2), and halves when the profile doubles
+    # the node at s = 1 carries the end weight h/2 of the support grid, so the
+    # error is the trapezoid's (h^2/12) g'(1) (g'(0) = 0 above dim 2) and falls
+    # to a quarter when the profile doubles
     radii = np.linspace(0.5, 10.0, 20)
     expected = (2.0 * math.pi / radii) ** (dim / 2.0) * jv(dim / 2.0, radii)
     errs = [float(np.max(np.abs(radial_ft_oracle(ball(dim, n=n), radii) - expected))) for n in (2049, 4097)]
-    assert errs[0] / errs[1] >= 1.8
-    assert errs[1] <= math.pi ** (dim / 2.0) / math.gamma(dim / 2.0) * (2.0 / 4096)
+    assert errs[0] / errs[1] >= 3.5
+    assert errs[1] <= 1.5 * np.max(np.abs(ball_trapezoid_lead(dim, 2.0 / 4096, radii)))
+
+
+@pytest.mark.parametrize(
+    "route,dim",
+    [(radial_ft_oracle, d) for d in (1, 3, 21, 81, 132)] + [(radial_ft_leray, 1)],
+    ids=lambda v: getattr(v, "__name__", v),
+)
+def test_ball_sum_is_second_order_on_the_support_grid(route, dim):
+    # the oracle at every dim, and leray at dim 1 (I = f0), sum f0 over
+    # RadialProfile.support, which ends at Rs = 1 with weight h/2, so the
+    # error is the trapezoid's lead term and falls 4x per halving of h
+    radii = np.array([0.5, 1.0, 3.0])
+    exact = reference.ball_transform(dim, 1.0, radii)
+    errs = []
+    for n in (2049, 4097):
+        err = np.abs(route(ball(dim, n=n), radii) - exact)
+        assert np.all(err <= 1.5 * np.abs(ball_trapezoid_lead(dim, 2.0 / (n - 1), radii))), n
+        errs.append(np.max(err / np.abs(exact)))
+    assert errs[0] / errs[1] >= 3.5
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -743,6 +775,23 @@ def test_oracle_zero_profile():
     assert np.max(np.abs(radial_ft_oracle(profile(np.zeros_like, 2), [1.0]))) == 0.0
 
 
+@pytest.mark.parametrize("centre", [0.0, 1.5])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_profile_without_support_cell(dim, centre):
+    # J = 0 (the zero profile, or a centre-only one): the support grid is
+    # samples 0 .. 1, whose node s = 0 keeps its end weight h/2.  The profile
+    # cut at Rs = 0 is zero for every route but the dim-1 even extension, where
+    # leray (I = f0) and the oracle read the centre's half cell, 2 (h/2) f0(0);
+    # the walk's base is cut at Rs = 0
+    p = profile(lambda s: np.where(s == 0.0, centre, 0.0), dim, n=129)
+    assert p.support_index == 0
+    radii = [0.3, 1.0, 7.0]
+    half_cell = np.full(3, centre / 64 if dim == 1 else 0.0)
+    assert np.array_equal(radial_ft_leray(p, radii), half_cell)
+    assert np.array_equal(radial_ft_oracle(p, radii), half_cell)
+    assert np.array_equal(radial_ft_ibp(p, radii), np.zeros(3))
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_oracle_ignores_zero_padding(dim):
     # the bump ends in zeros on [0, 2]: padding it with zeros to [0, 4]
@@ -811,6 +860,22 @@ def test_no_radial_route_takes_a_finite_difference(monkeypatch):
         p = bump(dim, n=1025)
         for route in (radial_ft_leray, radial_ft_ibp, radial_ft_oracle):
             route(p, [0.05, 1.0, 3.0])
+
+
+def test_every_route_sums_over_the_support_grid(monkeypatch):
+    # the routes share one quadrature: trapezoid weights and cosine sums on
+    # RadialProfile.support, [0, Rs] on samples 0 .. J, never on the whole grid
+    seen = []
+    for name in ("trapezoid_weights", "transform_values"):
+        real = getattr(radial, name)
+        monkeypatch.setattr(radial, name, lambda f, *args, real=real: seen.append(getattr(f, "grid", f)) or real(f, *args))
+    for dim in (1, 2, 3, 4):
+        p = bump(dim, n=1025)
+        assert p.support.n == p.support_index + 1 < p.f0.n
+        for route in (radial_ft_leray, radial_ft_ibp, radial_ft_oracle):
+            seen.clear()
+            route(p, [0.05, 1.0, 3.0])
+            assert seen and all(g is p.support for g in seen), (dim, route.__name__)
 
 
 def test_ibp_zero_profile():
