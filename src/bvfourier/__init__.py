@@ -25,8 +25,8 @@ _EXPORTS = {
         "periodic_conjugate",
     ),
     "radial": (
-        "FractionalIntegral", "RadialProfile", "fractional_integral", "leray_condition", "radial_ft_ibp",
-        "radial_ft_leray", "radial_ft_oracle", "read_radial_csv",
+        "FractionalIntegral", "RadialProfile", "RadiiRefused", "fractional_integral", "leray_condition",
+        "radial_ft_ibp", "radial_ft_leray", "radial_ft_oracle", "read_radial_csv",
     ),
     "reports": ("PROFILES", "SUITE_NAMES", "Profile", "VerificationReport", "format_report_line"),
     "suites": ("run_suite",),

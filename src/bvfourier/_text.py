@@ -85,14 +85,20 @@ def _python_text(first: np.ndarray, values: np.ndarray) -> np.ndarray:
 def csv_rows(columns: Sequence[np.ndarray | None]) -> str:
     """CSV rows of equal-length float columns: the first as "%r", the others as "%.12g".
 
-    A column given as None, never the first, has every cell empty.
+    A column given as None, never the first, has every cell empty, and so
+    has each masked cell of a column given as a numpy masked array.
     """
     rows, ncols = len(columns[0]), len(columns)
     if rows == 0:
         return ""
-    empty = [c is None for c in columns]
-    flat = np.column_stack([np.zeros(rows) if e else c for e, c in zip(empty, columns)])
-    flat = flat.astype(float, copy=False).ravel()
+    flat = np.column_stack([np.zeros(rows) if c is None else np.asarray(c) for c in columns]).astype(float, copy=False)
+    cut = [j for j, c in enumerate(columns) if c is None or hasattr(c, "mask")]  # a plain array has no mask
+    if cut:
+        empty = np.zeros((rows, ncols), bool)
+        for j in cut:
+            empty[:, j] = getattr(columns[j], "mask", True)
+        flat[empty] = 0.0
+    flat = flat.ravel()
     fast, x, k, d, frac = decimal17(flat)
     # arrays are dropped once used, so a block of 1536 rows peaks near 0.4 MB
     first = shortest(x[::ncols], d[::ncols], frac[::ncols], k[::ncols])
@@ -128,7 +134,8 @@ def csv_rows(columns: Sequence[np.ndarray | None]) -> str:
     if fallback.size:
         code[fallback] = _VERBATIM
         source[fallback, :24] = _python_text(fallback % ncols == 0, flat[fallback])
-    code.reshape(rows, ncols)[:, empty] = _EMPTY
+    if cut:
+        code[empty.ravel()] = _EMPTY
     del flat, k, n, digits, rest
 
     text = np.empty((code.size, _WIDTH), np.uint8)

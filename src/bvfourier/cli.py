@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: ``transform`` (transform CSV), ``hilbert`` (a chosen
-conjugate as CSV), ``radial`` (r,leray,ibp,oracle columns, a refused
-route's left empty) and ``verify`` (a named check suite with a plain-text
+conjugate as CSV), ``radial`` (r,leray,ibp,oracle columns, the cells a
+route refused left empty) and ``verify`` (a named check suite with a plain-text
 report plus a CSV twin).  Exit codes: 0 success, 1 verification failures
 (report still written), 2 bad flags, 3 bad input data or a request too
 large for memory.
@@ -112,7 +112,7 @@ def _format_rows(columns: tuple[np.ndarray | None, ...], lo: int) -> str:
 def _write_table(path: str, header: str, *columns: np.ndarray | None) -> None:
     """Write real columns under a header line: the first (the abscissa) in shortest
     round-trip form, so it reads back bit for bit, the rest to 12 significant digits
-    (a column given as None is written as empty cells).
+    (a column given as None, or a masked cell of a masked array, is written empty).
 
     The text is Python's "%r" and "%.12g", rendered by :func:`bvfourier._text.csv_rows`.
     Rows are formatted and written _ROWS at a time, so memory does not grow with
@@ -152,22 +152,60 @@ def _family_spec(args: argparse.Namespace) -> FamilySpec | None:
     return FamilySpec(Family(args.family), params)
 
 
-def _load_input(args: argparse.Namespace) -> SampledFunction:
+def _physical_memory() -> int | None:
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no such figure on this platform
+        return None
+
+
+def _peak_bytes(n: int, m: int, fft_len: int, dim: int = 0) -> int:
+    """An upper estimate of a command's peak memory from its n samples, m outputs and padded FFT length.
+
+    The operators hold at most ten float64 arrays (five complex ones) of each
+    of the three lengths at once, and blocked temporaries of at most 4 MB.  A
+    radial request also holds the odd recurrence's dim + 1 rows over the
+    profile's cells next to the previous pass's, and the walk's dim/2 complex
+    sums over the radii: 16 dim bytes per sample and per radius.  Measured
+    with tracemalloc, n = 2^14 + 1 .. 2^18 + 1: transform peaks at 27-56 bytes
+    per n + m + L, hilbert at 18-26, and the dim-41 recurrence at 11.4 dim
+    bytes per cell, so the estimate is up to 5 times the lean methods' peak.
+    """
+    return 80 * (n + m + fft_len) + 16 * dim * (n + m) + 2**22
+
+
+def _check_memory(need: int) -> None:
+    """Refuse, before sampling, a request whose estimated peak passes the machine's physical memory."""
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise MemoryError(f"the request needs about {need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB here")
+
+
+def _load_input(args: argparse.Namespace, peak) -> SampledFunction:
+    """The input the flags name; peak(grid) estimates the command's memory, checked before sampling."""
     spec = _family_spec(args)
     if spec is None:
-        return read_samples_csv(args.csv, DecayClass(args.decay))
+        f = read_samples_csv(args.csv, DecayClass(args.decay))
+        _check_memory(peak(f.grid))
+        return f
     if spec.family is Family.TRIANGLE_WAVE_PERIODIC:
         period = spec.params["period"]
         grid = make_uniform_grid(-period / 2.0, period / 2.0, args.n)
     else:
         grid = make_uniform_grid(args.a, args.b, args.n)
+    _check_memory(peak(grid))
     return sample(spec, grid)
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
-    from .fourier import fourier_transform
+    from ._fft import fast_len
+    from .fourier import _transform_nodes, fourier_transform
 
-    f = _load_input(args)
+    def peak(grid):  # the zoom DFT's length covers the lattice DFT's and its chirp-z
+        m = _transform_nodes(grid, args.cutoff, args.m)[1]
+        return _peak_bytes(grid.n, m, fast_len(grid.n + m - 1))
+
+    f = _load_input(args, peak)
     result = fourier_transform(f, cutoff=args.cutoff, m=args.m)
     _write_table(args.out, "t,re,im", result.freqs, result.values.real, result.values.imag)
     return EXIT_OK
@@ -182,29 +220,47 @@ _HILBERT_METHODS = {
 
 
 def _cmd_hilbert(args: argparse.Namespace) -> int:
-    f = _load_input(args)
+    from ._fft import fast_len
+
+    f = _load_input(args, lambda grid: _peak_bytes(grid.n, grid.n, fast_len(2 * grid.n - 1)))
     out = _HILBERT_METHODS[args.method](f)
     _write_table(args.out, "x,value", out.x, out.values)
     return EXIT_OK
 
 
 def _cmd_radial(args: argparse.Namespace) -> int:
-    from .radial import RadialProfile, radial_ft_ibp, radial_ft_leray, radial_ft_oracle, read_radial_csv
+    from ._fft import fast_len
+    from .radial import (
+        _MAX_DIM,
+        RadialProfile,
+        RadiiRefused,
+        radial_ft_ibp,
+        radial_ft_leray,
+        radial_ft_oracle,
+        read_radial_csv,
+    )
 
     radii = np.array([float(tok) for tok in args.radii.split(",") if tok.strip()])
+
+    def peak(grid):  # a dimension outside 1 .. _MAX_DIM is refused by RadialProfile itself
+        dim = min(max(args.dim, 0), _MAX_DIM)
+        return _peak_bytes(grid.n, radii.size, fast_len(grid.n + radii.size - 1), dim)
+
     spec = _family_spec(args)
     if spec is None:
         profile = read_radial_csv(args.csv, args.dim)
+        _check_memory(peak(profile.f0.grid))
     else:
         grid = make_uniform_grid(0.0, args.b, args.n)
+        _check_memory(peak(grid))
         profile = RadialProfile.from_samples(grid, family_value(spec, grid.points), args.dim)
     columns = [radial_ft_leray(profile, radii)]  # its refusal ends the command
     for route in (radial_ft_ibp, radial_ft_oracle):
         try:
             columns.append(route(profile, radii))
-        except ValueError as exc:  # the route refused: its cells stay empty
+        except ValueError as exc:  # the route refused: the cells it refused stay empty
             print(f"warning: {exc}", file=sys.stderr)
-            columns.append(None)
+            columns.append(np.ma.masked_invalid(exc.values) if isinstance(exc, RadiiRefused) else None)
     _write_table(args.out, "r,leray,ibp,oracle", radii, *columns)
     return EXIT_OK
 

@@ -181,6 +181,25 @@ def nyquist_cutoff(grid: Grid) -> float:
     return math.pi / grid.h
 
 
+def _transform_nodes(grid: Grid, cutoff: float | None = None, m: int | None = None) -> tuple[float, int]:
+    """The cutoff and node count m of :func:`fourier_transform` on grid, defaults filled in and checked."""
+    if cutoff is None:
+        cutoff = nyquist_cutoff(grid)
+    cutoff = float(cutoff)
+    if not (math.isfinite(cutoff) and cutoff > 0.0):
+        raise ValueError("cutoff must be finite and positive")
+    if m is None:
+        # at the Nyquist default steps is n - 1 up to rounding; a float ceil
+        # of n - 1 + ulp would add two nodes and miss the lattice grid
+        steps = cutoff * grid.width / math.pi
+        nearest = round(steps)
+        m = 2 * (nearest if math.isclose(steps, nearest, rel_tol=1e-12) else math.ceil(steps)) + 1
+    m = int(m)
+    if m < 2:
+        raise ValueError("need at least two frequency samples")
+    return cutoff, m
+
+
 def fourier_transform(
     f: SampledFunction, cutoff: float | None = None, m: int | None = None
 ) -> TransformResult:
@@ -193,20 +212,7 @@ def fourier_transform(
     bins 0 .. K of :func:`_lattice_dft` and mirrors them by conjugation;
     any other grid goes to :func:`transform_values`.
     """
-    if cutoff is None:
-        cutoff = nyquist_cutoff(f.grid)
-    cutoff = float(cutoff)
-    if not (math.isfinite(cutoff) and cutoff > 0.0):
-        raise ValueError("cutoff must be finite and positive")
-    if m is None:
-        # at the Nyquist default steps is n - 1 up to rounding; a float ceil
-        # of n - 1 + ulp would add two nodes and miss the lattice grid
-        steps = cutoff * f.grid.width / math.pi
-        nearest = round(steps)
-        m = 2 * (nearest if math.isclose(steps, nearest, rel_tol=1e-12) else math.ceil(steps)) + 1
-    m = int(m)
-    if m < 2:
-        raise ValueError("need at least two frequency samples")
+    cutoff, m = _transform_nodes(f.grid, cutoff, m)
     if m % 2:
         half = np.linspace(0.0, cutoff, (m + 1) // 2)
         t = np.concatenate((-half[:0:-1], half))  # exactly mirrored nodes

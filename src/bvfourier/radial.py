@@ -41,6 +41,7 @@ from .hilbert import _at_unit_scale
 
 __all__ = [
     "RadialProfile",
+    "RadiiRefused",
     "FractionalIntegral",
     "leray_condition",
     "fractional_integral",
@@ -127,6 +128,15 @@ class FractionalIntegral:
 
     samples: SampledFunction
     slope: np.ndarray | None = None
+
+
+class RadiiRefused(ValueError):
+    """A route's refusal at some of its radii, named in the message; ``values`` holds its
+    answers at the others, NaN where it refused."""
+
+    def __init__(self, message: str, values: np.ndarray):
+        super().__init__(message)
+        self.values = values
 
 
 def leray_condition(p: RadialProfile) -> float:
@@ -360,7 +370,10 @@ def fractional_integral(p: RadialProfile) -> FractionalIntegral:
     Dimension 1 is the base case of the recurrence I_n' = -2 t I_{n-2}:
     I_1 is f0 itself.  Above it, f0 is read as linear between samples and
     cut off at its last nonzero sample Rs, and I is integrated exactly on
-    that profile.  Odd n runs the recurrence up from I_1, cell by cell in
+    that profile, on f0 scaled by a power of two to a maximum in [1, 2) and
+    scaled back (as :func:`hilbert._at_unit_scale` runs the routes), so I is
+    exactly linear in a power-of-two amplitude wherever its values stay
+    normal.  Odd n runs the recurrence up from I_1, cell by cell in
     closed form (:func:`_odd_recurrence`).  Even n writes, on [0, Rs],
 
         f0(s) = f0(Rs) + sum_j a_j (s_j - s)_+,
@@ -373,12 +386,13 @@ def fractional_integral(p: RadialProfile) -> FractionalIntegral:
     """
     if p.dim == 1:
         return FractionalIntegral(p.f0)
-    n, s, f = p.dim, p.f0.x, p.f0.values
+    n, s, J = p.dim, p.f0.x, p.support_index
+    e = math.frexp(float(np.max(np.abs(p.f0.values))))[1] - 1  # f0's maximum is in [2^e, 2^(e+1))
+    f = np.ldexp(p.f0.values, -e)
     vals, slope = np.zeros(s.size), np.zeros(s.size)
-    J = p.support_index
     with np.errstate(over="ignore", invalid="ignore"):
         if J > 0 and n % 2:
-            vals[:J] = _odd_recurrence(s[: J + 1], f[: J + 1], p.f0.h, n)
+            vals[:J] = np.ldexp(_odd_recurrence(s[: J + 1], f[: J + 1], p.f0.h, n), e)
         elif J > 0:
             # lengths in units of 2^c, c the exponent of Rs, and pref = mp 2^ep: every
             # factor moves by a power of two, so I comes back finite where it is representable
@@ -390,8 +404,9 @@ def fractional_integral(p: RadialProfile) -> FractionalIntegral:
             kinks, dkinks = _kink_sum_even(a, h, n)
             pref = 2.0 / math.gamma((n - 1) / 2.0)
             mp, ep = math.frexp(pref)
-            vals[:J] = np.ldexp(mp * (f[J] * d ** ((n - 1) / 2.0) / (n - 1) + kinks), ep + c * (n - 1))
-            slope[:J] = pref * (-f[J] * t / np.sqrt(d) + dkinks)  # read at dim 2 only, where I' is scale-free
+            vals[:J] = np.ldexp(mp * (f[J] * d ** ((n - 1) / 2.0) / (n - 1) + kinks), ep + c * (n - 1) + e)
+            # read at dim 2 only, where I' is free of the length scale
+            slope[:J] = np.ldexp(pref * (-f[J] * t / np.sqrt(d) + dkinks), e)
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"dimension {n}: I overflows float64 on this profile")
     # I(0) is the full tail integral, generally nonzero, so the samples
@@ -470,7 +485,8 @@ def _walk(p: RadialProfile, radii: np.ndarray) -> np.ndarray:
     times a power of two.  Each term takes at most five roundings, so the sum errs by at
     most (J + k + 4) eps sum|terms| (Higham, Accuracy and Stability of Numerical Algorithms,
     sec. 4.2); a radius is refused where that exceeds _WALK_SHARE of
-    ||f||_1 = |S^{n-1}| int |f0| s^{n-1} ds >= |F|.
+    ||f||_1 = |S^{n-1}| int |f0| s^{n-1} ds >= |F|.  The sums run over the
+    answered radii alone, and :class:`RadiiRefused` names every refused one.
     """
     n, J = p.dim, p.support_index
     if J == 0:
@@ -492,21 +508,30 @@ def _walk(p: RadialProfile, radii: np.ndarray) -> np.ndarray:
     log_sphere = 1.0 + n / 2.0 * math.log2(math.pi) - math.lgamma(n / 2.0) / math.log(2.0) + (n - 1) * math.log2(Rs)
     pe, frac = divmod(log_pref, 1.0)  # base-2 logs of P and of |S^{n-1}| Rs^{n-1}
     base = p.f0.values if n0 == 1 else fractional_integral(RadialProfile(p.f0, 2)).samples.values
+    refused = np.zeros(radii.size, dtype=bool)
 
     def route(arrays):
         g, f0 = arrays
         bound = (J + k + 4) * np.finfo(float).eps * (np.abs(coef) @ [np.sum(w * np.abs(g) * u**i) for i in j])
         with np.errstate(divide="ignore"):  # a zero bound or mass reads -inf
             over = np.log2(bound) + log_pref + top - np.log2(np.sum(w * np.abs(f0) * u ** (n - 1))) - log_sphere
-        refused = radii[over > math.log2(_WALK_SHARE)]
-        if refused.size:
-            share = f"{_WALK_SHARE:g} ||f||_1"
-            raise ValueError(f"radial_ft_ibp: at r = {float(refused[0])!r} the walk's rounding bound exceeds {share}")
-        phase = (1, -1j, -1, 1j)  # (-i)^j: Re[(-i)^j T] is +-Re T or +-Im T exactly
-        sums = [transform_values(SampledFunction(grid, g * u**i, DecayClass.BOUNDED), radii) * phase[i % 4] for i in j]
-        return np.ldexp((-1.0) ** k * 2.0**frac * np.sum(coef * np.stack(sums, axis=1).real, axis=1), top + int(pe))
+        refused[:] = over > math.log2(_WALK_SHARE)
+        ok, phase = ~refused, (1, -1j, -1, 1j)  # (-i)^j: Re[(-i)^j T] is +-Re T or +-Im T exactly
+        sums = [
+            transform_values(SampledFunction(grid, g * u**i, DecayClass.BOUNDED), radii[ok]) * phase[i % 4] for i in j
+        ]
+        terms = np.sum(coef[ok] * np.stack(sums, axis=1).real, axis=1)
+        out = np.zeros(radii.size)  # a refused radius reads 0 until the caller marks it
+        out[ok] = np.ldexp((-1.0) ** k * 2.0**frac * terms, top[ok] + int(pe))
+        return out
 
-    return _at_unit_scale("radial_ft_ibp", (base[: J + 1], p.f0.values[: J + 1]), route, radii)
+    values = _at_unit_scale("radial_ft_ibp", (base[: J + 1], p.f0.values[: J + 1]), route, radii)
+    if refused.any():
+        values[refused] = np.nan
+        named = ", ".join(repr(float(r)) for r in radii[refused])
+        share = f"{_WALK_SHARE:g} ||f||_1"
+        raise RadiiRefused(f"radial_ft_ibp: at r = {named} the walk's rounding bound exceeds {share}", values)
+    return values
 
 
 def radial_ft_ibp(p: RadialProfile, radii) -> np.ndarray:
@@ -516,8 +541,9 @@ def radial_ft_ibp(p: RadialProfile, radii) -> np.ndarray:
     int_0^inf I'(t) sin(|x| t) dt, with I' in closed form and its jump end
     integrated over the last cell (:func:`_with_jump_end`).  Every other dimension
     walks up from dim 1 or 2 (:func:`_walk`, whose base at dim 1 is the answer),
-    reading neither I_n nor any Bessel function, and refuses where its rounding
-    bound is too large; no radius is handed to another route.
+    reading neither I_n nor any Bessel function, and refuses the radii where its
+    rounding bound is too large (:class:`RadiiRefused`, which carries the answers
+    at the others); no radius is handed to another route.
     """
     radii = _check_radii(radii)
     if p.dim != 2:

@@ -1,16 +1,18 @@
 """Named verification suites behind the ``verify`` command.
 
 The library checks return numbers; only this module names report lines
-and holds their bounds, each written at its one check.  A profile
+and holds their bounds.  Each line is one declared :class:`Check` in
+``_CHECKS``, and :func:`_evaluate` alone turns a suite's records into
+reports; the records share their precomputation through :func:`_shared`,
+a cache that lives for one suite run.  A profile
 (:class:`~bvfourier.reports.Profile`, re-exported here) holds grid sizes
-only: a bound that depends on the grid is the check's leading error
-term in the step h, derived next to it, so a full campaign is a single
-invocation.  The ``BVF_THREADS`` environment variable caps the threads
-that run suites: the calling thread plus up to ``BVF_THREADS - 1``
-helpers take suites longest first from one queue.  Report bytes and the
-error raised do not depend on the thread count.  ``bvf`` sets OpenBLAS
-to one thread unless the caller set ``OPENBLAS_NUM_THREADS``, so these
-threads are the process's one pool.
+only, so a bound that depends on the grid is the check's leading error
+term in the step h, derived next to it.  ``BVF_THREADS`` caps the threads
+that run suites: the caller plus up to ``BVF_THREADS - 1`` helpers take
+suites longest first from one queue, and neither the report bytes nor
+the error raised depend on their number.  ``bvf`` sets OpenBLAS to one
+thread unless the caller set ``OPENBLAS_NUM_THREADS``, so these threads
+are the process's one pool.
 """
 
 from __future__ import annotations
@@ -19,54 +21,93 @@ import math
 import os
 import threading
 from collections import deque
+from collections.abc import Callable
+from contextvars import ContextVar
+from dataclasses import dataclass
+from functools import partial, wraps
+from operator import attrgetter
 
 import numpy as np
 
-from .fourier import (
-    conjugate_coefficient_check,
-    fourier_coefficients,
-    hardy_check,
-    transform_values,
-)
-from .grids import (
-    DecayClass,
-    Family,
-    FamilySpec,
-    SampledFunction,
-    derivative,
-    make_uniform_grid,
-    sample,
-    total_variation,
-)
-from .hilbert import (
-    hilbert_multiplier,
-    hilbert_pv,
-    kernel_difference,
-    modified_hilbert,
-    periodic_conjugate,
-)
-from .radial import (
-    RadialProfile,
-    fractional_integral,
-    leray_condition,
-    radial_ft_ibp,
-    radial_ft_leray,
-    radial_ft_oracle,
-)
+from .fourier import conjugate_coefficient_check, fourier_coefficients, hardy_check, transform_values
+from .grids import DecayClass, Family, FamilySpec, SampledFunction, derivative, make_uniform_grid, sample, total_variation
+from .hilbert import hilbert_multiplier, hilbert_pv, kernel_difference, modified_hilbert, periodic_conjugate
+from .radial import RadialProfile, fractional_integral, leray_condition, radial_ft_ibp, radial_ft_leray, radial_ft_oracle
 from .reports import PROFILES, SUITE_NAMES, Profile, VerificationReport
-from .verification import (
-    PLATEAU_GROWTH_TOL,
-    conjugate_derivative_defect,
-    hardy_littlewood_verdict,
-    ibp_consistency,
-)
+from .verification import PLATEAU_GROWTH_TOL, conjugate_derivative_defect, hardy_littlewood_verdict, ibp_consistency
 
 __all__ = ["Profile", "PROFILES", "SUITE_NAMES", "run_suite"]
 
 
-def _line_function(p: Profile, family: Family, n: int | None = None, **params) -> SampledFunction:
-    grid = make_uniform_grid(-50.0, 50.0, n or p.line_n)
-    return sample(FamilySpec(family, params), grid)
+@dataclass(frozen=True)
+class Check:
+    """One report line: its grid size, its named metrics and its bound, each from the profile."""
+
+    name: str
+    n: Callable[[Profile], int]
+    measure: Callable[[Profile, int], dict]
+    bound: Callable[[Profile, int], float]
+    notes: str = ""
+
+
+_LINE_N, _PERIODIC_N, _RADIAL_N = attrgetter("line_n"), attrgetter("periodic_n"), attrgetter("radial_n")
+# A bound derived from the grid is its check's leading error term times this
+# margin: on every profile's grid the next order stays below half that term.
+_LEAD_MARGIN = 1.5
+_cache: ContextVar[dict | None] = ContextVar("suite_cache", default=None)  # the running suite's, see _shared
+
+
+def _shared(fn):
+    """fn memoized on its arguments while one suite runs; outside a suite run each call computes."""
+
+    @wraps(fn)
+    def once(*args):
+        cache = _cache.get()
+        if cache is None:
+            return fn(*args)
+        if (fn, args) not in cache:
+            cache[fn, args] = fn(*args)
+        return cache[fn, args]
+
+    return once
+
+
+def _evaluate(checks: tuple[Check, ...], profile: Profile) -> list[VerificationReport]:
+    """The reports of one suite's records, in order, over one fresh cache."""
+    token = _cache.set({})
+    try:
+        reports = []
+        for check in checks:
+            n = check.n(profile)
+            metrics = check.measure(profile, n)
+            measured, notes = next(iter(metrics.values())), check.notes.format(**metrics)
+            reports.append(VerificationReport(check.name, measured, check.bound(profile, n), n, notes))
+        return reports
+    finally:
+        _cache.reset(token)
+
+
+def _fixed(value: float) -> Callable[[Profile, int], float]:
+    return lambda p, n: value
+
+
+def _refinement(fn, label: str):
+    """The measure of a refinement line at n: fn(n) / fn(n/2), with both values as {label}_n and {label}_2n."""
+
+    def measure(p, n):
+        lo, hi = fn(n // 2), fn(n)
+        return {"ratio": hi / lo if lo > 0.0 else 0.0, f"{label}_n": lo, f"{label}_2n": hi}
+
+    return measure
+
+
+def _sup(values: np.ndarray) -> dict:
+    return {"sup": float(np.max(np.abs(values)))}
+
+
+@_shared
+def _line(family: Family, n: int) -> SampledFunction:
+    return sample(FamilySpec(family), make_uniform_grid(-50.0, 50.0, n))
 
 
 def _interior(values: np.ndarray) -> np.ndarray:
@@ -74,97 +115,60 @@ def _interior(values: np.ndarray) -> np.ndarray:
     return values[n // 10 : (9 * n) // 10]
 
 
-# A bound derived from the grid is its check's leading error term times this
-# margin: on every profile's grid the next order stays below half that term.
-_LEAD_MARGIN = 1.5
+def _poisson_gap(op, n: int) -> dict:
+    """op's distance from the conjugate on the Poisson pair at its default a = 1, inside the window."""
+    return _sup(_interior(op(_line(Family.POISSON_KERNEL, n)).values - _line(Family.CONJUGATE_POISSON, n).values))
 
 
-def _checks_hilbert(p: Profile) -> list[VerificationReport]:
-    out = []
-    poisson = _line_function(p, Family.POISSON_KERNEL, a=1.0)
-    conj = _line_function(p, Family.CONJUGATE_POISSON, a=1.0)
-    err_pv = float(np.max(np.abs(_interior(hilbert_pv(poisson).values - conj.values))))
+def _pv_poisson_bound(p: Profile, n: int) -> float:
     # The window drops P = 1/(pi (1 + t^2)) beyond |t| = R, which moves HP at x by
     # (1/pi) int_{|t|>R} P(t)/(x - t) dt, the tail below by partial fractions.
     # The midpoint rule adds (h^2/8) (HP)'' (the cross-gaussian line reads that
     # term alone), and |(HP)''| = |2x(x^2 - 3)| / (pi (1 + x^2)^3) peaks at sqrt 2 - 1.
-    x, R, h = _interior(poisson.x), poisson.x[-1], poisson.h
+    grid = make_uniform_grid(-50.0, 50.0, n)
+    x, R, h = _interior(grid.points), grid.points[-1], grid.h
     tail = np.abs(np.log((R - x) / (R + x)) + 2.0 * x * math.atan(1.0 / R)) / (math.pi**2 * (1.0 + x * x))
     x0 = math.sqrt(2.0) - 1.0
     sup_q2 = 2.0 * x0 * (3.0 - x0 * x0) / (math.pi * (1.0 + x0 * x0) ** 3)
-    bound = float(np.max(tail)) + _LEAD_MARGIN * h * h / 8.0 * sup_q2
-    out.append(VerificationReport("hilbert-pv-poisson-pair", err_pv, bound, p.line_n))
-    err_mult = float(np.max(np.abs(_interior(hilbert_multiplier(poisson).values - conj.values))))
-    out.append(VerificationReport("hilbert-multiplier-poisson-pair", err_mult, 1e-6, p.line_n))
+    return float(np.max(tail)) + _LEAD_MARGIN * h * h / 8.0 * sup_q2
+
+
+@_shared
+def _pv_gaussian(n: int) -> np.ndarray:
+    return hilbert_pv(_line(Family.GAUSSIAN, n)).values
+
+
+@_shared
+def _cross(n: int) -> float:
+    return float(np.max(np.abs(_pv_gaussian(n) - hilbert_multiplier(_line(Family.GAUSSIAN, n)).values)))
+
+
+def _cross_bound(p: Profile, n: int) -> float:
     # the multiplier is exact to roundoff on the Gaussian and the midpoint pv rule
     # errs by (h^2/8) (Hg)'', where Hg = (2/sqrt pi) D(x/sqrt 2), D Dawson's
     # function, and sup |(Hg)''| = 0.8270734 (at |x| = 0.8424)
-    cross = []
-    for n in (p.line_n, 2 * p.line_n):
-        g = _line_function(p, Family.GAUSSIAN, n=n)
-        cross.append(float(np.max(np.abs(hilbert_pv(g).values - hilbert_multiplier(g).values))))
-    bound = _LEAD_MARGIN * h * h / 8.0 * 0.8270734
-    out.append(VerificationReport("hilbert-cross-gaussian", cross[0], bound, p.line_n))
-    out.append(
-        VerificationReport(
-            "hilbert-cross-refinement",
-            cross[1] / cross[0],
-            0.5,
-            2 * p.line_n,
-            notes=f"sup_n={cross[0]:.6g} sup_2n={cross[1]:.6g}",
-        )
-    )
-    g = _line_function(p, Family.GAUSSIAN)
-    hg = hilbert_pv(g).values
-    out.append(
-        VerificationReport(
-            "hilbert-antisymmetry-gaussian", float(np.max(np.abs(hg + hg[::-1]))), 1e-10, p.line_n
-        )
-    )
-    tri = _line_function(p, Family.TRIANGLE)
+    h = make_uniform_grid(-50.0, 50.0, n).h
+    return _LEAD_MARGIN * h * h / 8.0 * 0.8270734
+
+
+def _constant_offset(p: Profile, n: int) -> dict:
+    tri = _line(Family.TRIANGLE, n)
     gap = modified_hilbert(tri).values - hilbert_pv(tri).values
-    out.append(
-        VerificationReport(
-            "modified-hilbert-constant-offset",
-            float(np.std(gap)),
-            1e-6,
-            p.line_n,
-            notes=f"offset={float(np.mean(gap)):.6g}",
-        )
-    )
-    return out
+    return {"spread": float(np.std(gap)), "offset": float(np.mean(gap))}
 
 
-def _checks_lemma(p: Profile) -> list[VerificationReport]:
-    defects = [
-        conjugate_derivative_defect(_line_function(p, Family.RAISED_COSINE, n=n))
-        for n in (p.line_n, 2 * p.line_n)
-    ]
-    out = [
-        VerificationReport("conjugate-derivative-raised-cosine", defects[0], 1e-2, p.line_n),
-        VerificationReport(
-            "conjugate-derivative-refinement",
-            defects[1] / defects[0] if defects[0] > 0.0 else 0.0,
-            0.6,
-            2 * p.line_n,
-            notes=f"defect_n={defects[0]:.6g} defect_2n={defects[1]:.6g}",
-        ),
-    ]
-    g = _line_function(p, Family.GAUSSIAN)
+@_shared
+def _defect(n: int) -> float:
+    return conjugate_derivative_defect(_line(Family.RAISED_COSINE, n))
+
+
+def _ibp_limit(p: Profile, n: int) -> dict:
+    g = _line(Family.GAUSSIAN, n)
     a, h = g.grid.a, g.h
     x0 = g.x[int(round((1.0 - a) / h))]
     seq = ibp_consistency(g, x0, [32 * h, 16 * h, 8 * h, 4 * h])
     ref = hilbert_pv(derivative(g)).values[int(round((x0 - a) / h))]
-    out.append(
-        VerificationReport(
-            "ibp-limit-gaussian",
-            abs(float(seq[-1]) - float(ref)),
-            1e-2,
-            p.line_n,
-            notes=f"bracket={seq[-1]:.6g} reference={ref:.6g}",
-        )
-    )
-    return out
+    return {"gap": abs(float(seq[-1]) - float(ref)), "bracket": seq[-1], "reference": ref}
 
 
 _HARDY_FAMILY = (Family.TRIANGLE, Family.RAISED_COSINE, Family.SMOOTHED_BOX)
@@ -172,199 +176,147 @@ _HARDY_FAMILY = (Family.TRIANGLE, Family.RAISED_COSINE, Family.SMOOTHED_BOX)
 _HARDY_STABILITY = 0.02
 
 
-def _checks_hardy(p: Profile) -> list[VerificationReport]:
-    ineq, canc, constants = [], [], {}
-    for fam in _HARDY_FAMILY:
-        for n in (p.line_n // 2, p.line_n):
-            lhs, h1 = hardy_check(derivative(_line_function(p, fam, n=n)))
-            constants[(fam, n)] = lhs / h1.h1_norm
-            if n == p.line_n:
-                ineq.append(
-                    VerificationReport(
-                        f"hardy-inequality-{fam.value}",
-                        lhs,
-                        h1.h1_norm * (1.0 + 1e-2),
-                        n,
-                        notes=f"rhs={h1.h1_norm:.9g} empirical_constant={constants[(fam, n)]:.9g}",
-                    )
-                )
-                canc.append(
-                    VerificationReport(f"hardy-cancellation-{fam.value}", h1.cancellation_residual, 1e-8, n)
-                )
-    grid_dev = max(
-        abs(constants[(fam, p.line_n // 2)] / constants[(fam, p.line_n)] - 1.0)
-        for fam in _HARDY_FAMILY
-    )
-    member_constants = [constants[(fam, p.line_n)] for fam in _HARDY_FAMILY]
+@_shared
+def _hardy_probe(family: Family, p: Profile, n: int) -> dict:
+    """:func:`hardy_check` on the derivative of the family at n: its two sides, their ratio and the residual."""
+    lhs, h1 = hardy_check(derivative(_line(family, n)))
+    return {"lhs": lhs, "rhs": h1.h1_norm, "constant": lhs / h1.h1_norm, "residual": h1.cancellation_residual}
+
+
+def _hardy_grid_stability(p: Profile, n: int) -> dict:
+    constants = {fam.value: _hardy_probe(fam, p, n)["constant"] for fam in _HARDY_FAMILY}
+    dev = max(abs(_hardy_probe(fam, p, n // 2)["constant"] / constants[fam.value] - 1.0) for fam in _HARDY_FAMILY)
+    return {"deviation": dev} | constants
+
+
+def _hardy_family_stability(p: Profile, n: int) -> dict:
+    member_constants = [_hardy_probe(fam, p, n)["constant"] for fam in _HARDY_FAMILY]
     mean = sum(member_constants) / len(member_constants)
-    family_dev = max(abs(c / mean - 1.0) for c in member_constants)
-    stability = [
-        VerificationReport(
-            "hardy-constant-grid-stability",
-            grid_dev,
-            _HARDY_STABILITY,
-            p.line_n,
-            notes=" ".join(f"{fam.value}={constants[(fam, p.line_n)]:.6g}" for fam in _HARDY_FAMILY),
-        ),
-        VerificationReport(
-            "hardy-constant-family-stability",
-            family_dev,
-            _HARDY_STABILITY,
-            p.line_n,
-            notes=f"mean={mean:.6g}",
-        ),
-    ]
-    return ineq + canc + stability
+    return {"deviation": max(abs(c / mean - 1.0) for c in member_constants), "mean": mean}
 
 
-def _checks_hardy_littlewood(p: Profile) -> list[VerificationReport]:
-    fit, tv_n, tv_2n = {}, {}, {}
-    for fam in (Family.BOX, Family.TRIANGLE):
-        fit[fam], _, tv_n[fam] = hardy_littlewood_verdict(_line_function(p, fam), p.cutoffs, dt=p.l1_dt)
-        tv_2n[fam] = total_variation(modified_hilbert(_line_function(p, fam, n=2 * p.line_n)))
-    box, tri = Family.BOX, Family.TRIANGLE
+@_shared
+def _verdict(p: Profile, family: Family, n: int):
+    """(fit, tv_f, tv_conjugate) of :func:`hardy_littlewood_verdict` on the family at n."""
+    return hardy_littlewood_verdict(_line(family, n), p.cutoffs, dt=p.l1_dt)
+
+
+def _tv_drop(family: Family, p: Profile, n: int) -> dict:
+    """How far the TV of the family's modified conjugate falls from n/2 (read by its verdict) to n."""
+    tv_n, tv_2n = _verdict(p, family, n // 2)[2], total_variation(modified_hilbert(_line(family, n)))
+    return {"drop": -(tv_2n - tv_n), "tv_n": tv_n, "tv_2n": tv_2n}
+
+
+def _triangle_plateau(p: Profile, n: int) -> dict:
+    fit = _verdict(p, Family.TRIANGLE, n)[0]
+    return {"growth": abs(fit.final_growth), "classification": fit.label}
+
+
+def _box_slope(p: Profile, n: int) -> dict:
+    fit = _verdict(p, Family.BOX, n)[0]
+    return {"deviation": abs(fit.slope * math.pi / 4.0 - 1.0), "classification": fit.label, "slope": fit.slope}
+
+
+def _box_slope_bound(p: Profile, n: int) -> float:
     # The sampled box's transform is 2 sin(t)/t times (th/2)/sin(th/2) ~ 1 + (th)^2/24,
     # so its mass up to T exceeds (4/pi) ln T by (4/pi)(Th)^2/48, and the fitted
     # slope exceeds 4/pi by the fit of that excess against ln T.
-    h = 100.0 / (p.line_n - 1)  # the step of the [-50, 50] window
+    h = 100.0 / (n - 1)  # the step of the [-50, 50] window
     cutoffs = np.asarray(p.cutoffs)
-    slope_bound = _LEAD_MARGIN * float(np.polyfit(np.log(cutoffs), (cutoffs * h) ** 2 / 48.0, 1)[0])
-    return [
-        VerificationReport(
-            "hardy-littlewood-triangle-plateau",
-            abs(fit[tri].final_growth),
-            PLATEAU_GROWTH_TOL,
-            p.line_n,
-            notes=f"classification={fit[tri].label}",
-        ),
-        VerificationReport(
-            "hardy-littlewood-box-log-slope",
-            abs(fit[box].slope * math.pi / 4.0 - 1.0),
-            slope_bound,
-            p.line_n,
-            notes=f"classification={fit[box].label} slope={fit[box].slope:.6g}",
-        ),
-        VerificationReport("hardy-littlewood-box-fit-r2", 1.0 - fit[box].r_squared, 0.01, p.line_n),
-        VerificationReport(
-            "hardy-littlewood-box-tv-growth",
-            -(tv_2n[box] - tv_n[box]),
-            -0.1,
-            2 * p.line_n,
-            notes=f"tv_n={tv_n[box]:.6g} tv_2n={tv_2n[box]:.6g}",
-        ),
-        VerificationReport(
-            "hardy-littlewood-triangle-tv-stability", abs(tv_2n[tri] - tv_n[tri]), 1e-3, 2 * p.line_n
-        ),
-    ]
+    return _LEAD_MARGIN * float(np.polyfit(np.log(cutoffs), (cutoffs * h) ** 2 / 48.0, 1)[0])
 
 
-def _periodic_grid_function(p: Profile, values_fn) -> SampledFunction:
-    grid = make_uniform_grid(-math.pi, math.pi, p.periodic_n)
-    vals = values_fn(grid.points)
-    return SampledFunction(grid, vals, DecayClass.PERIODIC)
+def _periodic_grid_function(n: int, values_fn) -> SampledFunction:
+    grid = make_uniform_grid(-math.pi, math.pi, n)
+    return SampledFunction(grid, values_fn(grid.points), DecayClass.PERIODIC)
 
 
-def _checks_periodic(p: Profile) -> list[VerificationReport]:
-    out = []
+def _conjugate_modes(p: Profile, n: int) -> dict:
     worst = 0.0
     for k in (1, 2, 3, 5, 11):
-        f = _periodic_grid_function(p, lambda x, k=k: np.cos(k * x))
-        err = float(np.max(np.abs(periodic_conjugate(f).values - np.sin(k * f.x))))
-        worst = max(worst, err)
-    out.append(VerificationReport("periodic-conjugate-modes", worst, 1e-6, p.periodic_n))
+        f = _periodic_grid_function(n, lambda x, k=k: np.cos(k * x))
+        worst = max(worst, float(np.max(np.abs(periodic_conjugate(f).values - np.sin(k * f.x)))))
+    return {"worst": worst}
+
+
+@_shared
+def _triangle_wave(n: int) -> SampledFunction:
+    return sample(FamilySpec(Family.TRIANGLE_WAVE_PERIODIC), make_uniform_grid(-math.pi, math.pi, n))
+
+
+def _absolute_sum_growth(p: Profile, n: int) -> dict:
     k_lo, k_hi = p.kmax_pair
-    wave = sample(
-        FamilySpec(Family.TRIANGLE_WAVE_PERIODIC),
-        make_uniform_grid(-math.pi, math.pi, p.periodic_n),
-    )
-    out.append(
-        VerificationReport(
-            "periodic-coefficient-modulus-triangle-wave",
-            conjugate_coefficient_check(wave, k_hi),
-            1e-8,
-            p.periodic_n,
-        )
-    )
-    sums = fourier_coefficients(wave, k_hi).abs_partial_sums
+    sums = fourier_coefficients(_triangle_wave(n), k_hi).abs_partial_sums
     growth = (sums[k_hi] - sums[k_lo]) / sums[k_lo]
-    out.append(
-        VerificationReport(
-            "periodic-absolute-sum-growth",
-            growth,
-            0.005,
-            p.periodic_n,
-            notes=f"S{k_lo}={sums[k_lo]:.9g} S{k_hi}={sums[k_hi]:.9g}",
-        )
-    )
-    f = _periodic_grid_function(p, lambda x: np.cos(3 * x) + 0.5 * np.sin(11 * x))
-    twice = periodic_conjugate(periodic_conjugate(f)).values
-    out.append(
-        VerificationReport(
-            "periodic-conjugate-involution", float(np.max(np.abs(twice + f.values))), 1e-8, p.periodic_n
-        )
-    )
-    partial, closed = kernel_difference(1.0, 10_000)
-    out.append(VerificationReport("kernel-difference-tail-t1", abs(partial - closed), 1e-4, 10_000))
-    odd = max(
-        abs(kernel_difference(t, 8)[1] + kernel_difference(-t, 8)[1])
-        for t in (0.25, 1.0, 2.0, 3.0, 5.0)
-    )
-    out.append(VerificationReport("kernel-difference-oddness", odd, 0.0, 8))
-    _, closed_pi = kernel_difference(math.pi, 8)
-    out.append(VerificationReport("kernel-difference-at-pi", abs(closed_pi + 1.0 / math.pi), 1e-15, 8))
-    return out
+    return {"growth": growth, "k_lo": k_lo, "s_lo": sums[k_lo], "k_hi": k_hi, "s_hi": sums[k_hi]}
 
 
-def _radial_profile(p: Profile, values_fn, dim: int, r_end: float = 2.0) -> RadialProfile:
-    grid = make_uniform_grid(0.0, r_end, p.radial_n)
+def _involution(p: Profile, n: int) -> dict:
+    f = _periodic_grid_function(n, lambda x: np.cos(3 * x) + 0.5 * np.sin(11 * x))
+    return _sup(periodic_conjugate(periodic_conjugate(f)).values + f.values)
+
+
+def _radial_profile(n: int, values_fn, dim: int, r_end: float = 2.0) -> RadialProfile:
+    grid = make_uniform_grid(0.0, r_end, n)
     return RadialProfile.from_samples(grid, values_fn(grid.points), dim)
 
 
-def _checks_radial(p: Profile) -> list[VerificationReport]:
-    out = []
-    ball3 = _radial_profile(p, lambda s: (s <= 1.0).astype(float), 3)
+@_shared
+def _ball(n: int, dim: int) -> RadialProfile:
+    """The unit ball's indicator: one profile per suite run, so its I is computed once."""
+    return _radial_profile(n, lambda s: (s <= 1.0).astype(float), dim)
+
+
+def _ball_transform() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Radii 0.1 .. 10, the dim-3 unit ball's transform there, and where it is not near a zero."""
     radii = np.round(np.arange(0.1, 10.0 + 1e-9, 0.1), 10)
     exact = 4.0 * math.pi * (np.sin(radii) - radii * np.cos(radii)) / radii**3
-    mask = np.abs(exact) >= 1e-3 * float(np.max(np.abs(exact)))
-    vals = radial_ft_leray(ball3, radii)
-    rel = float(np.max(np.abs(vals - exact)[mask] / np.abs(exact)[mask]))
+    return radii, exact, np.abs(exact) >= 1e-3 * float(np.max(np.abs(exact)))
+
+
+def _ball_closed_form(p: Profile, n: int) -> dict:
+    radii, exact, mask = _ball_transform()
+    vals = radial_ft_leray(_ball(n, 3), radii)
+    return {"relative": float(np.max(np.abs(vals - exact)[mask] / np.abs(exact)[mask]))}
+
+
+def _ball_closed_form_bound(p: Profile, n: int) -> float:
     # Leray's I is the ball's exact closed form, so the route is the trapezoid on
     # fhat(r) = 2 pi int_0^1 (1 - t^2) cos(rt) dt; it misses the kink at the node
     # t = 1 (radial_n is odd) by (h^2/12) g'(1-) = -(h^2/6) cos r, times 2 pi.
-    h = ball3.f0.h
+    radii, exact, mask = _ball_transform()
+    h = _ball(n, 3).f0.h
     lead = math.pi * h * h / 3.0 * np.abs(np.cos(radii)) / np.abs(exact)
-    bound = _LEAD_MARGIN * float(np.max(lead[mask]))
-    out.append(VerificationReport("radial-ball-closed-form", rel, bound, p.radial_n))
-    v0 = radial_ft_leray(ball3, [1e-6])[0]
-    out.append(
-        VerificationReport(
-            "radial-ball-volume-limit",
-            abs(v0 - 4.0 * math.pi / 3.0) / (4.0 * math.pi / 3.0),
-            1e-4,
-            p.radial_n,
-        )
-    )
-    ball2 = _radial_profile(p, lambda s: (s <= 1.0).astype(float), 2)
-    frac2 = fractional_integral(ball2)
-    s = frac2.samples.x
-    inside = s < 1.0
-    closed = (2.0 / math.sqrt(math.pi)) * np.sqrt(1.0 - s[inside] ** 2)
-    out.append(
-        VerificationReport(
-            "radial-disc-fractional-integral",
-            float(np.max(np.abs(frac2.samples.values[inside] - closed))),
-            1e-6,
-            p.radial_n,
-        )
-    )
+    return _LEAD_MARGIN * float(np.max(lead[mask]))
 
-    def bump(s):
-        inside = np.abs(s - 1.0) <= 0.5
-        vals = np.zeros_like(s)
-        vals[inside] = 0.5 * (1.0 + np.cos(np.pi * (s[inside] - 1.0) / 0.5))
-        return vals
 
+def _disc_fractional_integral(p: Profile, n: int) -> dict:
+    frac2 = fractional_integral(_ball(n, 2))
+    s, inside = frac2.samples.x, frac2.samples.x < 1.0
+    return _sup(frac2.samples.values[inside] - (2.0 / math.sqrt(math.pi)) * np.sqrt(1.0 - s[inside] ** 2))
+
+
+def _bump(s):
+    inside = np.abs(s - 1.0) <= 0.5
+    vals = np.zeros_like(s)
+    vals[inside] = 0.5 * (1.0 + np.cos(np.pi * (s[inside] - 1.0) / 0.5))
+    return vals
+
+
+@_shared
+def _threeway(dim: int, p: Profile, n: int) -> dict:
+    """The worse reduction route's distance from the oracle on the bump, relative to the oracle's size."""
     radii = np.linspace(0.5, 10.0, 39)
+    prof = _radial_profile(n, _bump, dim)
+    oracle = radial_ft_oracle(prof, radii)
+    scale = float(np.max(np.abs(oracle)))
+    d_leray = float(np.max(np.abs(radial_ft_leray(prof, radii) - oracle))) / scale
+    d_ibp = float(np.max(np.abs(radial_ft_ibp(prof, radii) - oracle))) / scale
+    return {"worst": max(d_leray, d_ibp), "leray": d_leray, "ibp": d_ibp, "scale": scale}
+
+
+@_shared
+def _threeway_lead(n: int) -> dict[int, np.ndarray]:
     # The oracle's own error is far below h^2 on the bump, so each line measures the
     # worse reduction route, whose leading term sets its bound below.  Both routes
     # read f0 as linear, whose slope is off by the sawtooth f0''(s) (h/2 - u), u the
@@ -376,69 +328,116 @@ def _checks_radial(p: Profile) -> list[VerificationReport]:
     # bump with exact r-derivatives, and errs less (1/7 as much at n = 1025, 1/56 at
     # 8193).  The linear reading's cell mean is off by -(h^2/12) f0'', so leray is
     # off by (h^2/12) |F_3[f0''](r)| = (pi h^2 / 3) |int f0''(s) s sin(rs) ds| / r.
-    grid = make_uniform_grid(0.0, 2.0, p.radial_n)
+    radii = np.linspace(0.5, 10.0, 39)
+    grid = make_uniform_grid(0.0, 2.0, n)
     h, s = grid.h, grid.points[np.abs(grid.points - 1.0) <= 0.5]
     w = -2.0 * math.pi**2 * np.cos(2.0 * math.pi * (s - 1.0)) * h  # f0'' ds on the support
     sin_rs = np.sin(np.outer(radii, s))
-    lead = {
-        2: 2.0 * math.sqrt(2.0) * 0.4157725 * h**1.5 * np.abs(sin_rs @ (np.sqrt(s) * w)) / radii,
-        3: math.pi * h * h / 3.0 * np.abs(sin_rs @ (s * w)) / radii,
-    }
-    for dim in (2, 3):
-        prof = _radial_profile(p, bump, dim)
-        oracle = radial_ft_oracle(prof, radii)
-        scale = float(np.max(np.abs(oracle)))
-        d_leray = float(np.max(np.abs(radial_ft_leray(prof, radii) - oracle))) / scale
-        d_ibp = float(np.max(np.abs(radial_ft_ibp(prof, radii) - oracle))) / scale
-        out.append(
-            VerificationReport(
-                f"radial-threeway-dim{dim}",
-                max(d_leray, d_ibp),
-                _LEAD_MARGIN * float(np.max(lead[dim])) / scale,
-                p.radial_n,
-                notes=f"leray={d_leray:.6g} ibp={d_ibp:.6g}",
-            )
-        )
-    gauss_prof = _radial_profile(p, lambda s: np.exp(-s * s / 2.0), 1, r_end=8.0)
+    dim2 = 2.0 * math.sqrt(2.0) * 0.4157725 * h**1.5 * np.abs(sin_rs @ (np.sqrt(s) * w)) / radii
+    return {2: dim2, 3: math.pi * h * h / 3.0 * np.abs(sin_rs @ (s * w)) / radii}
+
+
+def _threeway_bound(dim: int, p: Profile, n: int) -> float:
+    return _LEAD_MARGIN * float(np.max(_threeway_lead(n)[dim])) / _threeway(dim, p, n)["scale"]
+
+
+def _dim1_even_extension(p: Profile, n: int) -> dict:
+    gauss_prof = _radial_profile(n, lambda s: np.exp(-s * s / 2.0), 1, r_end=8.0)
     radii1 = np.linspace(0.1, 5.0, 17)
-    even = sample(
-        FamilySpec(Family.GAUSSIAN),
-        make_uniform_grid(-8.0, 8.0, 2 * p.radial_n - 1),
-    )
-    reference = transform_values(even, radii1).real
-    d1 = float(np.max(np.abs(radial_ft_leray(gauss_prof, radii1) - reference)))
-    out.append(VerificationReport("radial-dim1-even-extension", d1, 1e-6, p.radial_n))
-    out.append(
-        VerificationReport(
-            "radial-leray-condition-ball",
-            abs(leray_condition(ball3) - (math.log(2.0) - 0.5)),
-            # the trapezoid on g(s) = s^2/(1 + s) gives the jump node s = 1 full
-            # weight h, an exact excess (h/2) g(1) = h/4, and Euler-Maclaurin adds
-            # (h^2/12) (g'(1) - g'(0)) = h^2/16
-            ball3.f0.h / 4.0 + _LEAD_MARGIN * ball3.f0.h**2 / 16.0,
-            p.radial_n,
-        )
-    )
-    return out
+    even = sample(FamilySpec(Family.GAUSSIAN), make_uniform_grid(-8.0, 8.0, 2 * n - 1))
+    return _sup(radial_ft_leray(gauss_prof, radii1) - transform_values(even, radii1).real)
 
 
-_SUITE_FUNCS = {
-    "hilbert": _checks_hilbert,
-    "lemma-dc": _checks_lemma,
-    "hardy": _checks_hardy,
-    "hardy-littlewood": _checks_hardy_littlewood,
-    "periodic": _checks_periodic,
-    "radial": _checks_radial,
+def _leray_condition_bound(p: Profile, n: int) -> float:
+    # the trapezoid on g(s) = s^2/(1 + s) gives the jump node s = 1 full
+    # weight h, an exact excess (h/2) g(1) = h/4, and Euler-Maclaurin adds
+    # (h^2/12) (g'(1) - g'(0)) = h^2/16
+    h = _ball(n, 3).f0.h
+    return h / 4.0 + _LEAD_MARGIN * h**2 / 16.0
+
+
+_BALL3 = 4.0 * math.pi / 3.0  # the unit ball's volume in dim 3
+_CHECKS: dict[str, tuple[Check, ...]] = {
+    "hilbert": (
+        Check("hilbert-pv-poisson-pair", _LINE_N, lambda p, n: _poisson_gap(hilbert_pv, n), _pv_poisson_bound),
+        Check("hilbert-multiplier-poisson-pair", _LINE_N, lambda p, n: _poisson_gap(hilbert_multiplier, n), _fixed(1e-6)),
+        Check("hilbert-cross-gaussian", _LINE_N, lambda p, n: {"sup": _cross(n)}, _cross_bound),
+        Check("hilbert-cross-refinement", lambda p: 2 * p.line_n, _refinement(_cross, "sup"), _fixed(0.5),
+              "sup_n={sup_n:.6g} sup_2n={sup_2n:.6g}"),
+        Check("hilbert-antisymmetry-gaussian", _LINE_N, lambda p, n: _sup(_pv_gaussian(n) + _pv_gaussian(n)[::-1]),
+              _fixed(1e-10)),
+        Check("modified-hilbert-constant-offset", _LINE_N, _constant_offset, _fixed(1e-6), "offset={offset:.6g}"),
+    ),
+    "lemma-dc": (
+        Check("conjugate-derivative-raised-cosine", _LINE_N, lambda p, n: {"defect": _defect(n)}, _fixed(1e-2)),
+        Check("conjugate-derivative-refinement", lambda p: 2 * p.line_n, _refinement(_defect, "defect"), _fixed(0.6),
+              "defect_n={defect_n:.6g} defect_2n={defect_2n:.6g}"),
+        Check("ibp-limit-gaussian", _LINE_N, _ibp_limit, _fixed(1e-2), "bracket={bracket:.6g} reference={reference:.6g}"),
+    ),
+    "hardy": (
+        *(Check(f"hardy-inequality-{fam.value}", _LINE_N, partial(_hardy_probe, fam),
+                lambda p, n, fam=fam: _hardy_probe(fam, p, n)["rhs"] * (1.0 + 1e-2),
+                "rhs={rhs:.9g} empirical_constant={constant:.9g}") for fam in _HARDY_FAMILY),
+        *(Check(f"hardy-cancellation-{fam.value}", _LINE_N,
+                lambda p, n, fam=fam: {"residual": _hardy_probe(fam, p, n)["residual"]}, _fixed(1e-8))
+          for fam in _HARDY_FAMILY),
+        Check("hardy-constant-grid-stability", _LINE_N, _hardy_grid_stability, _fixed(_HARDY_STABILITY),
+              " ".join(f"{fam.value}={{{fam.value}:.6g}}" for fam in _HARDY_FAMILY)),
+        Check("hardy-constant-family-stability", _LINE_N, _hardy_family_stability, _fixed(_HARDY_STABILITY),
+              "mean={mean:.6g}"),
+    ),
+    "hardy-littlewood": (
+        Check("hardy-littlewood-triangle-plateau", _LINE_N, _triangle_plateau, _fixed(PLATEAU_GROWTH_TOL),
+              "classification={classification}"),
+        Check("hardy-littlewood-box-log-slope", _LINE_N, _box_slope, _box_slope_bound,
+              "classification={classification} slope={slope:.6g}"),
+        Check("hardy-littlewood-box-fit-r2", _LINE_N,
+              lambda p, n: {"misfit": 1.0 - _verdict(p, Family.BOX, n)[0].r_squared}, _fixed(0.01)),
+        Check("hardy-littlewood-box-tv-growth", lambda p: 2 * p.line_n, partial(_tv_drop, Family.BOX), _fixed(-0.1),
+              "tv_n={tv_n:.6g} tv_2n={tv_2n:.6g}"),
+        Check("hardy-littlewood-triangle-tv-stability", lambda p: 2 * p.line_n,
+              lambda p, n: {"change": abs(_tv_drop(Family.TRIANGLE, p, n)["drop"])}, _fixed(1e-3)),
+    ),
+    "periodic": (
+        Check("periodic-conjugate-modes", _PERIODIC_N, _conjugate_modes, _fixed(1e-6)),
+        Check("periodic-coefficient-modulus-triangle-wave", _PERIODIC_N,
+              lambda p, n: {"sup": conjugate_coefficient_check(_triangle_wave(n), p.kmax_pair[1])}, _fixed(1e-8)),
+        Check("periodic-absolute-sum-growth", _PERIODIC_N, _absolute_sum_growth, _fixed(0.005),
+              "S{k_lo}={s_lo:.9g} S{k_hi}={s_hi:.9g}"),
+        Check("periodic-conjugate-involution", _PERIODIC_N, _involution, _fixed(1e-8)),
+        # the kernel-difference lines take n as the partial sum's number of terms
+        Check("kernel-difference-tail-t1", lambda p: 10_000,
+              lambda p, n: {"gap": abs(np.subtract(*kernel_difference(1.0, n)))}, _fixed(1e-4)),
+        Check("kernel-difference-oddness", lambda p: 8,
+              lambda p, n: {"sup": max(abs(kernel_difference(t, n)[1] + kernel_difference(-t, n)[1])
+                                       for t in (0.25, 1.0, 2.0, 3.0, 5.0))}, _fixed(0.0)),
+        Check("kernel-difference-at-pi", lambda p: 8,
+              lambda p, n: {"gap": abs(kernel_difference(math.pi, n)[1] + 1.0 / math.pi)}, _fixed(1e-15)),
+    ),
+    "radial": (
+        Check("radial-ball-closed-form", _RADIAL_N, _ball_closed_form, _ball_closed_form_bound),
+        Check("radial-ball-volume-limit", _RADIAL_N,
+              lambda p, n: {"relative": abs(radial_ft_leray(_ball(n, 3), [1e-6])[0] - _BALL3) / _BALL3}, _fixed(1e-4)),
+        Check("radial-disc-fractional-integral", _RADIAL_N, _disc_fractional_integral, _fixed(1e-6)),
+        *(Check(f"radial-threeway-dim{dim}", _RADIAL_N, partial(_threeway, dim), partial(_threeway_bound, dim),
+                "leray={leray:.6g} ibp={ibp:.6g}") for dim in (2, 3)),
+        Check("radial-dim1-even-extension", _RADIAL_N, _dim1_even_extension, _fixed(1e-6)),
+        Check("radial-leray-condition-ball", _RADIAL_N,
+              lambda p, n: {"gap": abs(leray_condition(_ball(n, 3)) - (math.log(2.0) - 0.5))}, _leray_condition_bound),
+    ),
 }
+
+# each suite is its records through the one evaluator
+_SUITE_FUNCS = {suite: partial(_evaluate, checks) for suite, checks in _CHECKS.items()}
 
 
 # Graham's longest-first rule, "Bounds on multiprocessing timing anomalies"
 # (SIAM J. Appl. Math. 17, 1969): the threads take the suites in this order,
 # longest first on the strict profile, where the bench runs two threads.
 # Seconds per suite, strict / default, in process on one thread, median of 7
-# on a 2-vCPU VM: hardy 0.041 / 0.021, radial 0.034 / 0.036, hilbert
-# 0.022 / 0.012, hardy-littlewood 0.020 / 0.011, lemma-dc 0.014 / 0.007,
-# periodic 0.003 / 0.003.
+# on a 2-vCPU VM: hardy 0.046 / 0.022, radial 0.034 / 0.036, hilbert 0.022 /
+# 0.011, hardy-littlewood 0.023 / 0.013 (a tie with hilbert within the noise),
+# lemma-dc 0.017 / 0.008, periodic 0.004 / 0.004.
 _LONGEST_FIRST = ("hardy", "radial", "hilbert", "hardy-littlewood", "lemma-dc", "periodic")
 
 

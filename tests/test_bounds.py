@@ -5,6 +5,8 @@ per-profile literal it replaced, and each catches a seeded fault that
 the literal let pass.
 """
 
+import math
+
 import pytest
 
 from bvfourier import suites
@@ -57,3 +59,13 @@ def test_a_seeded_fault_fails_the_line_the_old_literal_passed(monkeypatch, profi
     monkeypatch.setattr(suites, route, _scaled(getattr(suites, route), factor))
     (report,) = [r for r in run_suite(suite, profile) if r.name == name]
     assert report.bound < report.measured <= OLD_BOUNDS[name][PROFILE_ORDER.index(profile)]
+
+
+def test_a_record_measured_at_half_its_grid_gives_its_observed_order():
+    # an observed-order twin needs no per-line code: the record's own measure at n
+    # and n/2; the midpoint pv rule errs by (h^2/8) (Hg)'', so the order is 2
+    (check,) = [c for checks in suites._CHECKS.values() for c in checks if c.name == "hilbert-cross-gaussian"]
+    p = suites.PROFILES["default"]
+    n = check.n(p)
+    fine, coarse = (next(iter(check.measure(p, m).values())) for m in (n, n // 2))
+    assert abs(math.log2(coarse / fine) - 2.0) <= 1e-3

@@ -325,6 +325,7 @@ def test_radial_rejects_non_finite_radii(tmp_path, capsys):
     [
         ["--family", "box", "--dim", "344"],
         ["--family", "box", "--dim", "400"],
+        ["--family", "box", "--dim", "1000000000"],  # not refused as a request too large for memory
         ["--family", "gaussian", "--b", "8", "--dim", "345"],
     ],
 )
@@ -396,15 +397,15 @@ def test_radial_refuses_a_radius_past_the_walks_rounding_bound_in_one_line(tmp_p
     # walk's largest term is 1e820 times ||f||_1 before the terms cancel, and the oracle's
     # r^(1 - n/2) overflows at r = 0.05.  The walk's refusal once ended the command with
     # exit 3 (naming r = 0.5, since r = 0.05 went to leray); now each refusing route prints
-    # one line naming its first refused radius in input order, and its cells stay empty.
-    # RuntimeWarnings are errors under the test settings
+    # one line, the walk naming every radius it refused and the oracle its first, and the
+    # refused cells stay empty.  RuntimeWarnings are errors under the test settings
     s = np.linspace(0.0, 2.0, 129)
     src = tmp_path / "ball.csv"
     src.write_text("s,f0\n" + "".join(f"{float(a)!r},{float(a <= 1.0)!r}\n" for a in s))
     out = tmp_path / "r.csv"
     assert main(["radial", "--csv", str(src), "--dim", "343", "--radii", "0.05,0.5,1", "--out", str(out)]) == EXIT_OK
     assert capsys.readouterr().err == (
-        "warning: radial_ft_ibp: at r = 0.05 the walk's rounding bound exceeds 1e-06 ||f||_1\n"
+        "warning: radial_ft_ibp: at r = 0.05, 0.5, 1.0 the walk's rounding bound exceeds 1e-06 ||f||_1\n"
         "warning: radial_ft_oracle: the value at r = 0.05 is not finite in float64\n"
     )
     lines = out.read_text().splitlines()
@@ -417,16 +418,26 @@ def test_radial_refuses_a_radius_past_the_walks_rounding_bound_in_one_line(tmp_p
 
 def test_radial_writes_the_routes_that_answer_at_dim_9(tmp_path, capsys):
     # the walk refuses r = 0.5 and 1 here, and its refusal once ended the command with
-    # exit 3 although leray and the oracle answer at every radius; the refusing route's
-    # column is left empty as a whole
+    # exit 3 although leray and the oracle answer at every radius; later it emptied
+    # the whole ibp column, although the walk answers r = 2 and 5 (2.6284e-4 and
+    # 2.2102e-4).  Now only the refused cells are empty, named in one line, and the
+    # answered cells hold the walk's values at the answered radii asked alone
+    from bvfourier.grids import Family, FamilySpec, family_value
+    from bvfourier.radial import RadialProfile, radial_ft_ibp
+
     out = tmp_path / "r.csv"
     args = ["radial", "--family", "raised_cosine", "--width", "1", "--dim", "9", "--radii", "0.5,1,2,5"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main([*args, "--out", str(out)]) == EXIT_OK
-    assert capsys.readouterr().err == "warning: radial_ft_ibp: at r = 0.5 the walk's rounding bound exceeds 1e-06 ||f||_1\n"
+    assert capsys.readouterr().err == (
+        "warning: radial_ft_ibp: at r = 0.5, 1.0 the walk's rounding bound exceeds 1e-06 ||f||_1\n"
+    )
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-    assert len(rows) == 4 and all(row[2] == "" for row in rows)
+    assert len(rows) == 4 and [row[2] == "" for row in rows] == [True, True, False, False]
+    grid = make_uniform_grid(0.0, 2.0, 8193)
+    p = RadialProfile.from_samples(grid, family_value(FamilySpec(Family.RAISED_COSINE, {"width": 1.0}), grid.points), 9)
+    assert [row[2] for row in rows[2:]] == [f"{v:.12g}" for v in radial_ft_ibp(p, [2.0, 5.0])]
     leray, oracle = (np.array([float(row[i]) for row in rows]) for i in (1, 3))
     assert np.max(np.abs(leray - oracle)) <= 1e-5 * np.max(np.abs(leray))
 
@@ -684,3 +695,55 @@ def test_multiplier_on_short_grids_returns(tmp_path, window):
     assert proc.returncode == EXIT_OK and proc.stderr == ""
     _, data = read_csv(out)
     assert data.shape == (int(window[-1]), 2) and np.all(np.isfinite(data))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transform", "--family", "gaussian", "--n", "100000000"],
+        ["hilbert", "--family", "gaussian", "--n", "100000000"],
+        ["radial", "--family", "box", "--width", "1", "--dim", "3", "--n", "100000000", "--radii", "1,2"],
+    ],
+)
+def test_a_request_past_physical_memory_is_refused_before_sampling(tmp_path, capsys, monkeypatch, argv):
+    # `bvf transform --family gaussian --n 100000000` was once killed by the kernel's
+    # OOM killer (exit 137) on an 8 GB machine.  The estimate is all this test takes:
+    # the machine is made to report 1 GiB, and sampling would fail the test
+    from bvfourier._fft import fast_len
+
+    assert cli._peak_bytes(10**8, 2 * 10**8 - 1, fast_len(3 * 10**8 - 2)) > 8 * 2**30
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 2**30)
+    for name in ("sample", "family_value"):
+        monkeypatch.setattr(cli, name, lambda *args: pytest.fail("sampled an oversized request"))
+    out = tmp_path / "o.csv"
+    assert main([*argv, "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: the request needs about ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transform", "--family", "gaussian", "--n", "16385"],
+        ["transform", "--family", "gaussian", "--n", "100003"],  # N = 2 (n - 1) takes the chirp-z
+        ["transform", "--family", "gaussian", "--n", "16385", "--m", "49155"],
+        *(["hilbert", "--family", "gaussian", "--n", "65537", "--method", m] for m in ("pv", "multiplier", "modified")),
+        # the odd recurrence over a support of nearly the whole grid
+        ["radial", "--family", "box", "--width", "3.9", "--n", "65537", "--dim", "41", "--radii", "0.5,1,2,5"],
+        ["radial", "--family", "box", "--width", "1", "--n", "8193", "--dim", "8",
+         "--radii", ",".join(str(0.1 * i) for i in range(1, 2001))],
+    ],
+)
+def test_the_memory_estimate_bounds_the_measured_peak(tmp_path, monkeypatch, argv):
+    needs = []
+    check = cli._check_memory
+    monkeypatch.setattr(cli, "_check_memory", lambda need: check(needs.append(need) or need))
+    tracemalloc.start()
+    try:
+        assert main([*argv, "--out", str(tmp_path / "o.csv")]) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an upper estimate, at most 6 times the peak past its 4 MB for blocked temporaries
+    assert peak <= needs[0] <= 6 * peak + 2**22, (peak, needs)

@@ -471,7 +471,7 @@ def test_hardy_suite_runs_six_multipliers_and_no_zoom(monkeypatch, dft_paths):
 
     monkeypatch.setattr(fourier, "hilbert_multiplier", spy)
     monkeypatch.setattr(suites, "hilbert_multiplier", spy)
-    suites._checks_hardy(suites.PROFILES["fast"])
+    suites._SUITE_FUNCS["hardy"](suites.PROFILES["fast"])
     assert len(calls) == 6
     assert [(caller, lo, span, fold) for caller, n, lo, span, fold in dft_paths["lattice"]] == [
         ("hardy_check", 4, 4 * (n - 1) - 3, 4) for n in calls
@@ -645,7 +645,7 @@ def test_hardy_check_constant_is_grid_stable():
 def test_hardy_grid_stability_line_is_the_full_precision_constant_ratio():
     # the ratio minus 1 is about 5e-3, so constants rounded to 9 digits
     # would move its 6th printed digit
-    from bvfourier.suites import PROFILES, _checks_hardy
+    from bvfourier.suites import _SUITE_FUNCS, PROFILES
 
     p = PROFILES["fast"]
     want = 0.0
@@ -655,7 +655,7 @@ def test_hardy_grid_stability_line_is_the_full_precision_constant_ratio():
             lhs, h1 = hardy_check(derivative(line_function(fam, n=n)))
             c.append(lhs / h1.h1_norm)
         want = max(want, abs(c[0] / c[1] - 1.0))
-    (line,) = [r for r in _checks_hardy(p) if r.name == "hardy-constant-grid-stability"]
+    (line,) = [r for r in _SUITE_FUNCS["hardy"](p) if r.name == "hardy-constant-grid-stability"]
     assert line.measured == want
     assert f"{line.measured:.6g}" == "0.00532882"
 

@@ -211,7 +211,7 @@ def test_every_export_and_submodule_resolves_through_the_package():
         [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, check=True
     )
     exports, submodules = map(int, out.stdout.split())
-    assert exports == 49 and submodules == 8
+    assert exports == 50 and submodules == 8
     # each export is its defining module's object, not a copy
     assert bvfourier.Profile is suites.Profile and bvfourier.run_suite is suites.run_suite
     with pytest.raises(AttributeError, match="no_such_name"):

@@ -22,7 +22,7 @@ from bvfourier import (
 from bvfourier import cli, hilbert
 from bvfourier._fft import fast_len, needs_bluestein
 from bvfourier.grids import trapezoid_weights
-from bvfourier.radial import RadialProfile, radial_ft_ibp, radial_ft_leray, radial_ft_oracle
+from bvfourier.radial import RadialProfile, fractional_integral, radial_ft_ibp, radial_ft_leray, radial_ft_oracle
 
 finite_values = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False),
@@ -266,13 +266,39 @@ def test_default_transform_grid_is_exactly_conjugate_with_the_plain_integral_at_
     assert t[n - 1] == 0.0 and F[n - 1] == complex(integrate(f))
 
 
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.one_of(*(st.sampled_from(ns) for ns in DEFAULT_GRID_N.values())),
+    a=st.floats(min_value=-100.0, max_value=100.0),
+    width=st.floats(min_value=0.1, max_value=200.0),
+    exponent=st.integers(min_value=-6, max_value=6),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_default_transform_grid_keeps_plancherel(seed, n, a, width, exponent):
+    # For real samples the default nodes k pi/(b - a), k = -(n - 2) .. n - 1, are one
+    # period of the length-N DFT, N = 2 (n - 1), of the weighted samples w_j f_j, so
+    # Parseval gives (pi/(b - a))/(2 pi) sum |F(t_k)|^2 = (N / (2 (b - a))) sum w_j^2 f_j^2
+    # = (1/h) sum w_j^2 f_j^2 exactly in real arithmetic.  Slack, in units of u = eps/2:
+    # an FFT of length L errs by at most 6 u log2 L in the 2-norm (Higham, Accuracy and
+    # Stability of Numerical Algorithms, Thm 24.2), the chirp-z route runs three of them
+    # and three unit-modulus products, 18 u log2 L + 6 u; squaring doubles that; the
+    # pairwise sums add log2 N u and (log2 n + 2) u; F(0), set to the plain trapezoid sum,
+    # adds 2 log2 n u.  With L <= fast_len(2n) all of it is below (20 log2 L + 8) eps.
+    grid = make_uniform_grid(a, a + width, n)
+    f = SampledFunction(grid, 10.0**exponent * np.random.default_rng(seed).standard_normal(n), DecayClass.BOUNDED)
+    F = fourier_transform(f).values[1:]  # drops k = -(n - 1), the mirror of k = n - 1
+    lhs = (math.pi / grid.width) / (2.0 * math.pi) * float(np.sum(np.abs(F) ** 2))  # b - a, as rounded
+    rhs = float(np.sum((trapezoid_weights(grid) * f.values) ** 2)) / grid.h
+    slack = (20.0 * math.log2(fast_len(2 * n)) + 8.0) * np.finfo(float).eps
+    assert abs(lhs - rhs) <= slack * rhs
+
+
 # Amplitude: the three radial routes are linear in the profile, and each runs
 # on its input scaled by a power of two to unit size, so a profile times 2^k
 # gives answers times 2^k exactly while every value stays normal.  At 2^1016
-# ibp once overflowed in its dim-3 f0' and refused dims 4-5 at budget 0.  At
-# 2^-1000 the fractional integral I of the raised cosine is not exactly
-# linear at dims 4-5; leray's sum of that I still is, and ibp reads only f0
-# and the dim-2 I and I', which are exact, so every route is held at both.
+# ibp once overflowed in its dim-3 f0' and refused dims 4-5 at budget 0.  The
+# fractional integral I runs on f0 at unit scale too, so it is exactly linear
+# as well, and every route is held at both powers.
 RADIAL_GRID = make_uniform_grid(0.0, 2.0, 1025)
 _u = (RADIAL_GRID.points - 1.0) / 0.5  # the raised cosine's support is [1/2, 3/2]
 RADIAL_PROFILES = {
@@ -295,6 +321,21 @@ def test_radial_routes_are_exactly_linear_in_amplitude(kind, dim):
             for route in routes:
                 want = np.ldexp(route(unit, RADIAL_RADII), power)
                 assert np.array_equal(route(scaled, RADIAL_RADII), want), (route.__name__, power)
+
+
+@pytest.mark.parametrize("dim", range(2, 8))
+@pytest.mark.parametrize("kind", sorted(RADIAL_PROFILES))
+def test_fractional_integral_is_exactly_linear_in_amplitude(kind, dim):
+    # I once ran on f0 as given: at 2^-1000, where the raised cosine's I is subnormal
+    # near its support end, it differed from 2^-1000 times the unit I in 10 samples
+    # at dim 4 and 8 at dim 5
+    unit = fractional_integral(RadialProfile.from_samples(RADIAL_GRID, RADIAL_PROFILES[kind], dim))
+    for power in (1016, -1000):
+        values = np.ldexp(RADIAL_PROFILES[kind], power)
+        scaled = fractional_integral(RadialProfile.from_samples(RADIAL_GRID, values, dim))
+        assert np.array_equal(scaled.samples.values, np.ldexp(unit.samples.values, power)), power
+        if dim == 2:
+            assert np.array_equal(scaled.slope, np.ldexp(unit.slope, power)), power
 
 
 def test_radial_command_answers_on_a_ball_at_the_top_of_the_float_range(tmp_path, capsys):

@@ -13,6 +13,7 @@ from scipy.special import j1, jv, yv
 from bvfourier import (
     DecayClass,
     RadialProfile,
+    RadiiRefused,
     SampledFunction,
     fractional_integral,
     leray_condition,
@@ -664,7 +665,7 @@ COMPARISON_KINDS = {
     **ODD_KINDS,
     "raised_cosine": lambda s: np.where(s <= 1.0, 0.5 * (1.0 + np.cos(np.pi * np.minimum(s, 1.0))), 0.0),
 }
-_WALK_REFUSAL = re.compile(r"radial_ft_ibp: at r = (\S+) the walk's rounding bound exceeds 1e-06 \|\|f\|\|_1")
+_WALK_REFUSAL = re.compile(r"radial_ft_ibp: at r = (\S+(?:, \S+)*) the walk's rounding bound exceeds 1e-06 \|\|f\|\|_1")
 
 
 def test_walk_names_a_refused_radius_exactly():
@@ -675,14 +676,14 @@ def test_walk_names_a_refused_radius_exactly():
 
 
 def walk_answers(p, radii) -> dict[float, float]:
-    """{r: ibp value} at the radii the walk answers; each refusal names one radius, which is dropped."""
-    radii = list(radii)
-    while radii:
-        try:
-            return dict(zip(radii, radial_ft_ibp(p, radii)))
-        except ValueError as exc:
-            radii.remove(float(_WALK_REFUSAL.fullmatch(str(exc))[1]))
-    return {}
+    """{r: ibp value} at the radii the walk answers; its refusal names the others, NaN in its values."""
+    try:
+        values = radial_ft_ibp(p, radii)
+    except RadiiRefused as exc:
+        named = [float(r) for r in _WALK_REFUSAL.fullmatch(str(exc))[1].split(", ")]
+        assert named == [r for r, v in zip(radii, exc.values) if math.isnan(v)]
+        values = exc.values
+    return {r: v for r, v in zip(radii, values) if not math.isnan(v)}
 
 
 @pytest.mark.parametrize("n", [129, 1025, 4097])
@@ -941,3 +942,19 @@ def test_dilation_scales_every_route(dim, lam):
         got = route(p_lam, lam * rho)
         want = lam**-dim * route(p, rho)
         assert np.max(np.abs(got - want)) <= lam**-dim * slack, route.__name__
+
+
+def test_walk_answers_every_radius_under_its_bound_as_if_asked_for_those_alone():
+    # the walk once raised at its first refused radius, so a caller lost the radii it
+    # answers; now it refuses only the radii past its rounding bound, names them all,
+    # and its answers are bit for bit those it gives when asked for them alone
+    from bvfourier import Family, FamilySpec, family_value
+
+    grid = make_uniform_grid(0.0, 2.0, 8193)  # `bvf radial --family raised_cosine --width 1 --dim 9`
+    p = RadialProfile.from_samples(grid, family_value(FamilySpec(Family.RAISED_COSINE, {"width": 1.0}), grid.points), 9)
+    radii = np.array([0.5, 1.0, 2.0, 5.0])
+    with pytest.raises(RadiiRefused, match=r"^radial_ft_ibp: at r = 0\.5, 1\.0 the walk's") as refusal:
+        radial_ft_ibp(p, radii)
+    values = refusal.value.values
+    assert np.array_equal(np.isnan(values), [True, True, False, False])
+    assert np.array_equal(values[2:], radial_ft_ibp(p, radii[2:]))

@@ -88,3 +88,10 @@ def test_a_column_of_none_writes_empty_cells():
     # a refused radial route leaves its cells empty; nan keeps Python's bytes
     x, v = np.array([0.5, 1.0]), np.array([math.nan, -0.0])
     assert csv_rows([x, None, v, None]) == "0.5,,nan,\n1.0,,-0,\n"
+
+
+def test_a_masked_cell_writes_empty():
+    # the radial table leaves the radii a route refused empty and writes the rest
+    x = np.array([0.5, 1.0, 2.0])
+    v = np.ma.masked_invalid([math.nan, 0.25, -3.0])
+    assert csv_rows([x, v, None, np.array([1.0, 2.0, math.nan])]) == "0.5,,,1\n1.0,0.25,,2\n2.0,-3,,nan\n"
