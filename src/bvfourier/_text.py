@@ -82,21 +82,21 @@ def _python_text(first: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.frombuffer(b"".join(text), np.uint8).reshape(-1, 24)
 
 
-def csv_rows(columns: Sequence[np.ndarray | None]) -> str:
+def csv_rows(columns: Sequence[np.ndarray]) -> str:
     """CSV rows of equal-length float columns: the first as "%r", the others as "%.12g".
 
-    A column given as None, never the first, has every cell empty, and so
-    has each masked cell of a column given as a numpy masked array.
+    Each masked cell of a column given as a numpy masked array, never the
+    first, is written empty.
     """
     rows, ncols = len(columns[0]), len(columns)
     if rows == 0:
         return ""
-    flat = np.column_stack([np.zeros(rows) if c is None else np.asarray(c) for c in columns]).astype(float, copy=False)
-    cut = [j for j, c in enumerate(columns) if c is None or hasattr(c, "mask")]  # a plain array has no mask
+    flat = np.column_stack([np.asarray(c) for c in columns]).astype(float, copy=False)
+    cut = [j for j, c in enumerate(columns) if hasattr(c, "mask")]  # a plain array has no mask
     if cut:
         empty = np.zeros((rows, ncols), bool)
         for j in cut:
-            empty[:, j] = getattr(columns[j], "mask", True)
+            empty[:, j] = columns[j].mask
         flat[empty] = 0.0
     flat = flat.ravel()
     fast, x, k, d, frac = decimal17(flat)

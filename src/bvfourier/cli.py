@@ -48,7 +48,7 @@ try:
         sample,
     )
     from .hilbert import hilbert_multiplier, hilbert_pv, modified_hilbert, periodic_conjugate
-    from .reports import PROFILES, SUITE_NAMES, format_report_line
+    from .reports import PROFILES, SUITE_NAMES, format_report_line, report_fields
 finally:
     if __name__ == "__main__":
         gc.freeze()
@@ -103,16 +103,16 @@ def _atomic_write(path: Path, chunks: Iterable[str]) -> None:
 _ROWS = 1536
 
 
-def _format_rows(columns: tuple[np.ndarray | None, ...], lo: int) -> str:
+def _format_rows(columns: tuple[np.ndarray, ...], lo: int) -> str:
     from ._text import csv_rows
 
-    return csv_rows([None if c is None else c[lo : lo + _ROWS] for c in columns])
+    return csv_rows([c[lo : lo + _ROWS] for c in columns])
 
 
-def _write_table(path: str, header: str, *columns: np.ndarray | None) -> None:
+def _write_table(path: str, header: str, *columns: np.ndarray) -> None:
     """Write real columns under a header line: the first (the abscissa) in shortest
     round-trip form, so it reads back bit for bit, the rest to 12 significant digits
-    (a column given as None, or a masked cell of a masked array, is written empty).
+    (a masked cell of a masked array is written empty).
 
     The text is Python's "%r" and "%.12g", rendered by :func:`bvfourier._text.csv_rows`.
     Rows are formatted and written _ROWS at a time, so memory does not grow with
@@ -159,19 +159,24 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _peak_bytes(n: int, m: int, fft_len: int, dim: int = 0) -> int:
-    """An upper estimate of a command's peak memory from its n samples, m outputs and padded FFT length.
+def _peak_bytes(n: int, m: int, dim: int = 0) -> int:
+    """An upper estimate of a command's peak memory from its n samples and m outputs.
 
-    The operators hold at most ten float64 arrays (five complex ones) of each
-    of the three lengths at once, and blocked temporaries of at most 4 MB.  A
-    radial request also holds the odd recurrence's dim + 1 rows over the
-    profile's cells next to the previous pass's, and the walk's dim/2 complex
-    sums over the radii: 16 dim bytes per sample and per radius.  Measured
+    Every command is held to one padded FFT length, L = fast_len(n + m - 1):
+    the zoom DFT's, which covers the lattice DFT and its chirp-z, and for
+    hilbert (m = n) the convolution's.  The operators hold at most ten
+    float64 arrays (five complex ones) of each of the lengths n, m and L at
+    once, and blocked temporaries of at most 4 MB.  A radial request also
+    holds the odd recurrence's dim + 1 rows over the profile's cells next to
+    the previous pass's, and the walk's dim/2 complex sums over the radii:
+    16 dim bytes per sample and per radius.  Measured
     with tracemalloc, n = 2^14 + 1 .. 2^18 + 1: transform peaks at 27-56 bytes
     per n + m + L, hilbert at 18-26, and the dim-41 recurrence at 11.4 dim
     bytes per cell, so the estimate is up to 5 times the lean methods' peak.
     """
-    return 80 * (n + m + fft_len) + 16 * dim * (n + m) + 2**22
+    from ._fft import fast_len
+
+    return 80 * (n + m + fast_len(n + m - 1)) + 16 * dim * (n + m) + 2**22
 
 
 def _check_memory(need: int) -> None:
@@ -181,31 +186,27 @@ def _check_memory(need: int) -> None:
         raise MemoryError(f"the request needs about {need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB here")
 
 
-def _load_input(args: argparse.Namespace, peak) -> SampledFunction:
-    """The input the flags name; peak(grid) estimates the command's memory, checked before sampling."""
+def _load_input(args: argparse.Namespace, outputs) -> SampledFunction:
+    """The input the flags name; outputs(grid) is the command's output count, from
+    which its memory is estimated and checked before sampling."""
     spec = _family_spec(args)
     if spec is None:
         f = read_samples_csv(args.csv, DecayClass(args.decay))
-        _check_memory(peak(f.grid))
+        _check_memory(_peak_bytes(f.n, outputs(f.grid)))
         return f
     if spec.family is Family.TRIANGLE_WAVE_PERIODIC:
         period = spec.params["period"]
         grid = make_uniform_grid(-period / 2.0, period / 2.0, args.n)
     else:
         grid = make_uniform_grid(args.a, args.b, args.n)
-    _check_memory(peak(grid))
+    _check_memory(_peak_bytes(grid.n, outputs(grid)))
     return sample(spec, grid)
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
-    from ._fft import fast_len
     from .fourier import _transform_nodes, fourier_transform
 
-    def peak(grid):  # the zoom DFT's length covers the lattice DFT's and its chirp-z
-        m = _transform_nodes(grid, args.cutoff, args.m)[1]
-        return _peak_bytes(grid.n, m, fast_len(grid.n + m - 1))
-
-    f = _load_input(args, peak)
+    f = _load_input(args, lambda grid: _transform_nodes(grid, args.cutoff, args.m)[1])
     result = fourier_transform(f, cutoff=args.cutoff, m=args.m)
     _write_table(args.out, "t,re,im", result.freqs, result.values.real, result.values.imag)
     return EXIT_OK
@@ -220,16 +221,13 @@ _HILBERT_METHODS = {
 
 
 def _cmd_hilbert(args: argparse.Namespace) -> int:
-    from ._fft import fast_len
-
-    f = _load_input(args, lambda grid: _peak_bytes(grid.n, grid.n, fast_len(2 * grid.n - 1)))
+    f = _load_input(args, lambda grid: grid.n)
     out = _HILBERT_METHODS[args.method](f)
     _write_table(args.out, "x,value", out.x, out.values)
     return EXIT_OK
 
 
 def _cmd_radial(args: argparse.Namespace) -> int:
-    from ._fft import fast_len
     from .radial import (
         _MAX_DIM,
         RadialProfile,
@@ -241,18 +239,12 @@ def _cmd_radial(args: argparse.Namespace) -> int:
     )
 
     radii = np.array([float(tok) for tok in args.radii.split(",") if tok.strip()])
-
-    def peak(grid):  # a dimension outside 1 .. _MAX_DIM is refused by RadialProfile itself
-        dim = min(max(args.dim, 0), _MAX_DIM)
-        return _peak_bytes(grid.n, radii.size, fast_len(grid.n + radii.size - 1), dim)
-
     spec = _family_spec(args)
-    if spec is None:
-        profile = read_radial_csv(args.csv, args.dim)
-        _check_memory(peak(profile.f0.grid))
-    else:
-        grid = make_uniform_grid(0.0, args.b, args.n)
-        _check_memory(peak(grid))
+    profile = read_radial_csv(args.csv, args.dim) if spec is None else None
+    grid = make_uniform_grid(0.0, args.b, args.n) if profile is None else profile.f0.grid
+    # a dimension outside 1 .. _MAX_DIM is refused by RadialProfile itself
+    _check_memory(_peak_bytes(grid.n, radii.size, min(max(args.dim, 0), _MAX_DIM)))
+    if profile is None:
         profile = RadialProfile.from_samples(grid, family_value(spec, grid.points), args.dim)
     columns = [radial_ft_leray(profile, radii)]  # its refusal ends the command
     for route in (radial_ft_ibp, radial_ft_oracle):
@@ -260,7 +252,8 @@ def _cmd_radial(args: argparse.Namespace) -> int:
             columns.append(route(profile, radii))
         except ValueError as exc:  # the route refused: the cells it refused stay empty
             print(f"warning: {exc}", file=sys.stderr)
-            columns.append(np.ma.masked_invalid(exc.values) if isinstance(exc, RadiiRefused) else None)
+            refused = isinstance(exc, RadiiRefused)
+            columns.append(np.ma.masked_invalid(exc.values) if refused else np.ma.masked_all(radii.size))
     _write_table(args.out, "r,leray,ibp,oracle", radii, *columns)
     return EXIT_OK
 
@@ -275,8 +268,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     csv_buf = io.StringIO()
     writer = csv.writer(csv_buf, lineterminator="\n")
     writer.writerow(["name", "status", "measured", "bound", "grid_n", "notes"])
-    for r in reports:
-        writer.writerow([r.name, r.status, f"{r.measured:.6g}", f"{r.bound:.6g}", r.grid_n, r.notes])
+    writer.writerows([*report_fields(r), r.notes] for r in reports)
     _atomic_write(out_path.with_suffix(".csv"), [csv_buf.getvalue()])
     sys.stdout.write(text)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED

@@ -140,16 +140,17 @@ class RadiiRefused(ValueError):
 
 
 def leray_condition(p: RadialProfile) -> float:
-    """Truncated integral int_0^R |f0(t)| t^{n-1} / (1+t)^{(n-1)/2} dt.
+    """Truncated integral int_0^Rs |f0(t)| t^{n-1} / (1+t)^{(n-1)/2} dt.
 
+    The trapezoid runs on :attr:`RadialProfile.support`, as every route's does.
     Finiteness is the hypothesis under which the reduction formula
     holds; on a truncated profile the value is always finite and is
     reported so callers can judge the size.
     """
-    s = p.f0.x
+    s = p.support.points
     e = (p.dim - 1) / 2.0
-    integrand = np.abs(p.f0.values) * s ** (p.dim - 1) / (1.0 + s) ** e
-    return float(np.sum(trapezoid_weights(p.f0.grid) * integrand))
+    integrand = np.abs(p.f0.values[: s.size]) * s ** (p.dim - 1) / (1.0 + s) ** e
+    return float(np.sum(trapezoid_weights(p.support) * integrand))
 
 
 def _tail_sums(w: np.ndarray) -> np.ndarray:

@@ -68,8 +68,11 @@ class VerificationReport:
         return "PASS" if self.passed else "FAIL"
 
 
+def report_fields(report: VerificationReport) -> list[str]:
+    """The name, status, measured and bound (to 6 significant digits) and grid_n of a
+    report: its text line, and the first five fields of its CSV row."""
+    return [report.name, report.status, f"{report.measured:.6g}", f"{report.bound:.6g}", str(report.grid_n)]
+
+
 def format_report_line(report: VerificationReport) -> str:
-    return (
-        f"{report.name} {report.status} "
-        f"{report.measured:.6g} {report.bound:.6g} {report.grid_n}"
-    )
+    return " ".join(report_fields(report))

@@ -349,11 +349,9 @@ def _dim1_even_extension(p: Profile, n: int) -> dict:
 
 
 def _leray_condition_bound(p: Profile, n: int) -> float:
-    # the trapezoid on g(s) = s^2/(1 + s) gives the jump node s = 1 full
-    # weight h, an exact excess (h/2) g(1) = h/4, and Euler-Maclaurin adds
-    # (h^2/12) (g'(1) - g'(0)) = h^2/16
-    h = _ball(n, 3).f0.h
-    return h / 4.0 + _LEAD_MARGIN * h**2 / 16.0
+    # the trapezoid on g(s) = s^2/(1 + s) over the support [0, 1], whose
+    # jump node takes weight h/2: Euler-Maclaurin's (h^2/12) (g'(1) - g'(0)) = h^2/16
+    return _LEAD_MARGIN * _ball(n, 3).f0.h ** 2 / 16.0
 
 
 _BALL3 = 4.0 * math.pi / 3.0  # the unit ball's volume in dim 3

@@ -442,6 +442,18 @@ def test_radial_writes_the_routes_that_answer_at_dim_9(tmp_path, capsys):
     assert np.max(np.abs(leray - oracle)) <= 1e-5 * np.max(np.abs(leray))
 
 
+def test_radial_writes_a_radius_alike_alone_and_beside_others(tmp_path, capsys):
+    # ibp's walk lifts the direct sum's rounding to the printed digits: r = 2 once
+    # read 0.000262844952744 alone and 0.000262844952746 beside r = 5
+    args = ["radial", "--family", "raised_cosine", "--width", "1", "--dim", "9"]
+    rows = []
+    for radii in ("2", "2,5"):
+        out = tmp_path / f"r{radii}.csv"
+        assert main([*args, "--radii", radii, "--out", str(out)]) == EXIT_OK
+        rows.append(out.read_text().splitlines()[1])
+    assert rows[0] == rows[1] and rows[0].startswith("2.0,")
+
+
 def test_hilbert_from_csv_round_trip(tmp_path):
     src = tmp_path / "g.csv"
     x = np.linspace(-20.0, 20.0, 2049)
@@ -709,9 +721,7 @@ def test_a_request_past_physical_memory_is_refused_before_sampling(tmp_path, cap
     # `bvf transform --family gaussian --n 100000000` was once killed by the kernel's
     # OOM killer (exit 137) on an 8 GB machine.  The estimate is all this test takes:
     # the machine is made to report 1 GiB, and sampling would fail the test
-    from bvfourier._fft import fast_len
-
-    assert cli._peak_bytes(10**8, 2 * 10**8 - 1, fast_len(3 * 10**8 - 2)) > 8 * 2**30
+    assert cli._peak_bytes(10**8, 2 * 10**8 - 1) > 8 * 2**30
     monkeypatch.setattr(cli, "_physical_memory", lambda: 2**30)
     for name in ("sample", "family_value"):
         monkeypatch.setattr(cli, name, lambda *args: pytest.fail("sampled an oversized request"))

@@ -456,6 +456,18 @@ def test_moved_node_is_evaluated_where_it_is(dft_paths):
     assert np.max(np.abs(got - direct_transform(f, t))) <= 1e-12
 
 
+def test_a_direct_sum_node_reads_the_same_bits_in_any_batch(dft_paths):
+    # a matrix-vector product once rounded t = 2 to 0.33923524751608825+2.07e-18j alone and
+    # to 0.3392352475160881-1.11e-16j beside t = 5; 8193 samples make 7 rows per block,
+    # so the batch of 8 spans two blocks
+    f = line_function(Family.GAUSSIAN, n=8193)
+    alone = transform_values(f, [2.0])
+    for batch in ([2.0, 5.0], [5.0, 2.0], [2.0, 5.0, 7.5], [0.3, 11.0, 13.2, 17.0, 0.01, 5.0, 7.5, 2.0]):
+        got = transform_values(f, batch)
+        assert got[batch.index(2.0)].tobytes() == alone.tobytes(), batch
+    assert dft_paths == {"lattice": [], "zoom": 0}
+
+
 def test_hardy_suite_runs_six_multipliers_and_no_zoom(monkeypatch, dft_paths):
     # one hilbert_multiplier per hardy_check (3 families x 2 grids), every
     # transform the probe's own bins of the 4-fold sub-lattice

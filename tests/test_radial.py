@@ -68,6 +68,15 @@ def test_leray_condition_ball_closed_form():
     assert got == pytest.approx(math.log(2.0) - 0.5, abs=2e-4)  # half-cell indicator smear
 
 
+@pytest.mark.parametrize("n", [1025, 8193])
+def test_leray_condition_ball_sits_at_the_euler_maclaurin_term(n):
+    # on the support [0, 1] the jump node takes weight h/2, so what is left of
+    # int_0^1 t^2/(1+t) dt = ln 2 - 1/2 is (h^2/12) (g'(1) - g'(0)) = h^2/16; the
+    # node once took the full weight h, a gap of h/4 (6.1e-5 at n = 8193)
+    p = ball(3, n=n)
+    assert abs(leray_condition(p) - (math.log(2.0) - 0.5)) <= 1.5 * p.f0.h**2 / 16.0
+
+
 def test_leray_condition_gaussian_stable_in_radius():
     vals = []
     for r_end in (8.0, 12.0):
