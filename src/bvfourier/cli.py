@@ -32,7 +32,9 @@ try:
     from collections.abc import Iterable
     from pathlib import Path
 
-    # BVF_THREADS sets the process's one pool, so OpenBLAS gets no threads of its own
+    # BVF_THREADS sets the process's one pool, so OpenBLAS gets no threads of its
+    # own; starting them made a fresh `import numpy` take 158 ms against 97 ms at
+    # one thread (medians of 15, numpy 2.4.6 on a 2-vCPU VM)
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
     import numpy as np

@@ -625,21 +625,30 @@ def _miller_start(k: int, xmax: float) -> int:
 def _miller_jv(k: int, x: np.ndarray) -> np.ndarray:
     """J_k(x), x >= 1, by Miller's backward recurrence (DLMF 10.74(iv)).
 
-    J_{m-1} = (2m/x) J_m - J_{m+1} runs down from the even start order
-    top of :func:`_miller_start`, which bounds its relative error, and is
-    normalised by J_0 + 2 sum_m J_{2m} = 1.  Started from J_top = 1,
-    J_{top+1} = 0, every entry is at most prod_{m <= top} (1 + 2m / min x)
-    (the running maximum grows by at most that factor per step); only
-    where that bound passes 1e200 are entries past 1e200 rescaled on the
-    way down.
+    J_{m-1} = (2m/x) J_m - J_{m+1} runs down from an even start order
+    top, that of :func:`_miller_start` at the upper end of x's octave
+    [2^(e-1), 2^e) (or at 25 + k^2, if lower), which bounds its relative
+    error, and is normalised by J_0 + 2 sum_m J_{2m} = 1.  An entry's J
+    waits at exact zeros until the pass reaches its own start, so its bits
+    depend on its x alone.  Started from J_top = 1, J_{top+1} = 0,
+    every entry is at most prod_{m <= top} (1 + 2m / min x) (the running
+    maximum grows by at most that factor per step); only where that bound
+    passes 1e200 are entries past 1e200 rescaled on the way down.
     """
-    top = _miller_start(k, float(np.max(x)))
-    growth = float(np.sum(np.log1p(2.0 * np.arange(1, top + 1) / float(np.min(x)))))
+    xmin = float(np.min(x))
+    octave = np.frexp(x)[1]  # x in [2^(e-1), 2^e)
+    starts: dict[int, list[int]] = {}  # start order -> the octaves that start there
+    for e in range(math.frexp(xmin)[1], math.frexp(float(np.max(x)))[1] + 1):
+        starts.setdefault(_miller_start(k, min(2.0**e, 25.0 + k * k)), []).append(e)
+    top = max(starts)
+    growth = float(np.sum(np.log1p(2.0 * np.arange(1, top + 1) / xmin)))
     rescale = growth > 200.0 * math.log(10.0)
     two_over_x = 2.0 / x
-    j_next, j, tmp = np.zeros_like(x), np.ones_like(x), np.empty_like(x)
-    norm, jk = 2.0 * j, np.zeros_like(x)
+    j_next, j, tmp = np.zeros_like(x), np.zeros_like(x), np.empty_like(x)
+    norm, jk = np.full_like(x, 2.0), np.zeros_like(x)  # norm adds exact zeros until its entry starts
     for m in range(top, 0, -1):
+        for e in starts.get(m, ()):
+            np.copyto(j, 1.0, where=octave == e)
         np.multiply(j, two_over_x, out=tmp)
         tmp *= m
         tmp -= j_next
@@ -733,7 +742,8 @@ def radial_ft_oracle(p: RadialProfile, radii) -> np.ndarray:
         rows = max(1, _SUB_BLOCK // max(s.size, 1))
         out = np.empty(radii.size)
         for i in range(0, radii.size, rows):
-            out[i : i + rows] = bessel(np.outer(radii[i : i + rows], s)) @ wf
+            # each row's own sum, so a radius's bits do not depend on the other radii
+            out[i : i + rows] = np.sum(bessel(np.outer(radii[i : i + rows], s)) * wf, axis=1)
         if n == 1:
             out += w[0] * np.sqrt(2.0 / (math.pi * radii))
         return (2.0 * math.pi) ** (n / 2.0) * radii ** (1.0 - n / 2.0) * out

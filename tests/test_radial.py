@@ -802,6 +802,19 @@ def test_profile_without_support_cell(dim, centre):
     assert np.array_equal(radial_ft_ibp(p, radii), np.zeros(3))
 
 
+@pytest.mark.parametrize("dim", [2, 3, 5, 9])
+def test_oracle_bits_at_a_radius_do_not_depend_on_the_other_radii(dim):
+    # the radii reach the power series, Miller's recurrence over several octaves
+    # and (at dim 2) Hankel's expansion, alone and in batches of 2, 3 and 8
+    p = bump(dim)
+    radii = np.array([0.3, 3.7, 40.0, 5.0, 0.01, 13.0, 100.0, 0.77])
+    alone = np.array([radial_ft_oracle(p, [r])[0] for r in radii])
+    for size in (2, 3, 8):
+        for first in range(radii.size):
+            batch = np.roll(radii, -first)[:size]
+            assert radial_ft_oracle(p, batch).tobytes() == np.roll(alone, -first)[:size].tobytes(), (size, batch)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_oracle_ignores_zero_padding(dim):
     # the bump ends in zeros on [0, 2]: padding it with zeros to [0, 4]
