@@ -7,17 +7,13 @@ factor (65537, say) sets the cost of the whole transform (Frigo &
 Johnson, Proc. IEEE 93 (2005) 216).  The zoom DFT and each conjugation
 operator are one circular convolution at such a length, where no kept
 output wraps.  A lattice DFT, whose length N = 2 L (n - 1) its caller's
-grid fixes, runs at N itself unless :func:`needs_bluestein` holds,
-pocketfft's own test for falling back to its (uncached) Bluestein
-algorithm; only then does it run as a chirp-z convolution at a 5-smooth
-length.  Data-independent kernel spectra are cached.
+grid fixes, is one rfft at N itself.  Data-independent kernel spectra are
+cached.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-__all__ = ["fast_len", "needs_bluestein"]
+__all__ = ["fast_len"]
 
 
 def fast_len(n: int) -> int:
@@ -36,15 +32,3 @@ def fast_len(n: int) -> int:
         p5 *= 5
     return best
 
-
-def needs_bluestein(n: int) -> bool:
-    """True when n >= 1 has a prime factor p with p^2 > n."""
-    m, d = int(n), 2
-    if m < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    while d * d <= m:  # divide out every prime up to the root of what is left
-        while m % d == 0:
-            m //= d
-        d += 1
-    # what is left is 1 or the largest prime factor, which a prime p with p^2 > n never divides out
-    return m * m > n

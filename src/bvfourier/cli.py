@@ -165,16 +165,23 @@ def _peak_bytes(n: int, m: int, dim: int = 0) -> int:
     """An upper estimate of a command's peak memory from its n samples and m outputs.
 
     Every command is held to one padded FFT length, L = fast_len(n + m - 1):
-    the zoom DFT's, which covers the lattice DFT and its chirp-z, and for
-    hilbert (m = n) the convolution's.  The operators hold at most ten
-    float64 arrays (five complex ones) of each of the lengths n, m and L at
-    once, and blocked temporaries of at most 4 MB.  A radial request also
-    holds the odd recurrence's dim + 1 rows over the profile's cells next to
-    the previous pass's, and the walk's dim/2 complex sums over the radii:
-    16 dim bytes per sample and per radius.  Measured
-    with tracemalloc, n = 2^14 + 1 .. 2^18 + 1: transform peaks at 27-56 bytes
-    per n + m + L, hilbert at 18-26, and the dim-41 recurrence at 11.4 dim
-    bytes per cell, so the estimate is up to 5 times the lean methods' peak.
+    the zoom DFT's, and for hilbert (m = n) the convolution's.  The
+    operators hold at most ten float64 arrays (five complex ones) of each
+    of the lengths n, m and L at once, and blocked temporaries of at most
+    4 MB.  A radial request also holds the odd recurrence's dim + 1 rows
+    over the profile's cells next to the previous pass's, and the walk's
+    dim/2 complex sums over the radii: 16 dim bytes per sample and per
+    radius.  Measured with tracemalloc, n = 2^14 + 1 .. 2^18 + 1: transform
+    peaks at 27-56 bytes per n + m + L, hilbert at 18-26, and the dim-41
+    recurrence at 11.4 dim bytes per cell, so the estimate is up to 5 times
+    the lean methods' peak.
+
+    A lattice grid's one rfft runs at N = 2 (n - 1) whatever m, so transform
+    counts at least 2n - 1 outputs: 80 (m + L) >= 400 n bytes.  For an N
+    with a prime p, p^2 > N, pocketfft's Bluestein pads N to P <=
+    fast_len(2N - 1), near 4n, and holds at most 48 N + 40 P bytes, about
+    260 n, out of tracemalloc's sight: at n = 400002 the peak RSS past
+    start-up is 130 MB at m = 3 and 139 MB at m = 2n - 1, estimate 188 MB.
     """
     from ._fft import fast_len
 
@@ -208,7 +215,7 @@ def _load_input(args: argparse.Namespace, outputs) -> SampledFunction:
 def _cmd_transform(args: argparse.Namespace) -> int:
     from .fourier import _transform_nodes, fourier_transform
 
-    f = _load_input(args, lambda grid: _transform_nodes(grid, args.cutoff, args.m)[1])
+    f = _load_input(args, lambda grid: max(_transform_nodes(grid, args.cutoff, args.m)[1], 2 * grid.n - 1))
     result = fourier_transform(f, cutoff=args.cutoff, m=args.m)
     _write_table(args.out, "t,re,im", result.freqs, result.values.real, result.values.imag)
     return EXIT_OK

@@ -4,12 +4,10 @@ The transform convention throughout is ghat(t) = int g(x) e^{-i t x} dx.
 The reference quadrature is the composite trapezoid evaluated at each
 frequency node.  Two exact FFT paths replace the direct sum.  A caller
 that lays out a lattice k pi/(L (b - a)) asks :func:`_lattice_dft` for
-bins 0 <= k <= N/2 of one zero-padded DFT of length N = 2 L (n - 1):
-:func:`fourier_transform` on its default grid (L = 1, times the phase
-e^{-i t a}) and :func:`hardy_check` (L = 4, |ghat| as the bins'
-modulus).  The DFT runs at N itself unless N has a prime factor p with
-p^2 > N (pocketfft's test for its Bluestein fallback), else as a cached
-chirp-z convolution.  :func:`transform_values` takes every other node
+bins 0 <= k <= N/2 of one zero-padded DFT of length N = 2 L (n - 1),
+one rfft at N: :func:`fourier_transform` on its default grid (L = 1,
+times the phase e^{-i t a}) and :func:`hardy_check` (L = 4, |ghat| as
+the bins' modulus).  :func:`transform_values` takes every other node
 set: m >= 3 nodes in one arithmetic progression take one chirp-z (zoom
 DFT) call, a circular convolution at the length n + m - 1 where none of
 its m outputs wraps; any other nodes take the direct sum.  Both paths
@@ -19,13 +17,12 @@ in the test suite).  Periodic coefficients are one FFT.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._fft import fast_len, needs_bluestein
+from ._fft import fast_len
 from .grids import DecayClass, Grid, SampledFunction, integrate, trapezoid_weights
 from .hilbert import _at_unit_scale, hilbert_multiplier, periodic_conjugate
 
@@ -102,42 +99,15 @@ def _zoom_dft(coeffs: np.ndarray, x0: float, h: float, t0: float, dt: float, m: 
     return _expi(kk * dt * xc) * _expi(0.5 * theta * kk * kk) * core
 
 
-def _chirp(m: np.ndarray, N: int) -> np.ndarray:
-    """e^{-i pi m^2 / N} from the exact residue m^2 mod 2N, so no phase rounds at large m."""
-    return _expi((np.pi / N) * ((m * m) % (2 * N)))
-
-
-@functools.lru_cache(maxsize=4)
-def _chirp_plan(n: int, N: int, lo: int, span: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only input chirp, kernel spectrum and output chirp of the length-N DFT
-    bins lo .. lo + span - 1 of n points."""
-    pre = _chirp(np.arange(n), N)
-    kernel = np.fft.fft(np.conj(_chirp(np.arange(lo + 1 - n, lo + span), N)), fast_len(n + span - 1))
-    post = _chirp(np.arange(lo, lo + span), N)
-    pre.flags.writeable = kernel.flags.writeable = post.flags.writeable = False
-    return pre, kernel, post
-
-
 def _lattice_dft(coeffs: np.ndarray, lo: int, span: int, fold: int) -> np.ndarray:
     """Bins lo .. lo + span - 1 of the length-N DFT of the zero-padded real coeffs, N = 2 L (n - 1), L = ``fold``.
 
     The caller that lays out a lattice owns its bins, which must lie in
     0 .. N/2.  With x_j = x0 + j (b - a)/(n - 1) they are the unphased
     transform sums: F(t) = e^{-i t x0} times bin k at t = k pi/(L (b - a)),
-    so |F(t)| is the bins' modulus.  They are a slice of one rfft at N
-    unless N has a prime factor p with p^2 > N, pocketfft's test for its
-    uncached Bluestein fallback; only then do they run as one chirp-z
-    convolution at a 5-smooth length (Bluestein, IEEE Trans. Audio
-    Electroacoust. 18 (1970) 451), its chirps and kernel spectrum cached.
+    so |F(t)| is the bins' modulus.  They are a slice of one rfft at N.
     """
-    n, N = coeffs.size, 2 * fold * (coeffs.size - 1)
-    if not needs_bluestein(N):
-        return np.fft.rfft(coeffs, N)[lo : lo + span]
-    pre, kernel, post = _chirp_plan(n, N, lo, span)
-    bins = post * np.fft.ifft(np.fft.fft(coeffs * pre, kernel.size) * kernel)[n - 1 : n - 1 + span]
-    # bins 0 and N/2 are their own mirrors, hence real
-    bins.imag[[b - lo for b in (0, N // 2) if lo <= b < lo + span]] = 0.0
-    return bins
+    return np.fft.rfft(coeffs, 2 * fold * (coeffs.size - 1))[lo : lo + span]
 
 
 def _on_progression(t: np.ndarray, t0: float, step: float) -> bool:
@@ -259,10 +229,12 @@ def l1_norm_ft(
     dt = min(0.02, math.pi / (4.0 * f.grid.width)) if dt is None else float(dt)
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError("dt must be finite and positive")
-    t = np.linspace(0.0, cutoffs[-1], math.ceil(cutoffs[-1] / dt) + 1)
-    mag = np.abs(transform_values(f, t))
-    cums = np.concatenate(([0.0], np.cumsum(0.5 * (mag[1:] + mag[:-1]) * np.diff(t))))
-    return np.interp(cutoffs, t, cums)
+    curve = Grid(0.0, float(cutoffs[-1]), math.ceil(cutoffs[-1] / dt) + 1)
+    mag = np.abs(transform_values(f, curve.points))
+    # the trapezoid up to each node is the weighted sum through it, less its own half step before the last
+    cums = np.cumsum(trapezoid_weights(curve) * mag)
+    cums[:-1] -= 0.5 * curve.h * mag[:-1]
+    return np.interp(cutoffs, curve.points, cums)
 
 
 def h1_report(g: SampledFunction) -> H1Report:

@@ -363,7 +363,10 @@ def _read_uniform_csv(path: str | Path, header: tuple[str, str], min_rows: int) 
     path = Path(path)
     name = header[0]
     with path.open(newline="") as fh:
-        got = next(csv.reader(fh), None)
+        try:
+            got = next(csv.reader(fh), None)
+        except UnicodeDecodeError as exc:  # not text, e.g. gzip bytes; loadtxt's own case is a malformed row
+            raise ValueError(f"{path}: {exc}") from None
         if got is None:
             raise ValueError(f"{path}: empty CSV")
         if [c.strip().lower() for c in got] != list(header):

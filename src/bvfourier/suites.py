@@ -185,7 +185,8 @@ def _hardy_probe(family: Family, p: Profile, n: int) -> dict:
 
 def _hardy_grid_stability(p: Profile, n: int) -> dict:
     constants = {fam.value: _hardy_probe(fam, p, n)["constant"] for fam in _HARDY_FAMILY}
-    dev = max(abs(_hardy_probe(fam, p, n // 2)["constant"] / constants[fam.value] - 1.0) for fam in _HARDY_FAMILY)
+    # the coarse grid's lattice length 8 (n // 2) is a power of two on every profile
+    dev = max(abs(_hardy_probe(fam, p, n // 2 + 1)["constant"] / constants[fam.value] - 1.0) for fam in _HARDY_FAMILY)
     return {"deviation": dev} | constants
 
 
@@ -433,9 +434,10 @@ _SUITE_FUNCS = {suite: partial(_evaluate, checks) for suite, checks in _CHECKS.i
 # (SIAM J. Appl. Math. 17, 1969): the threads take the suites in this order,
 # longest first on the strict profile, where the bench runs two threads.
 # Seconds per suite, strict / default, in process on one thread, median of 7
-# on a 2-vCPU VM: hardy 0.046 / 0.022, radial 0.034 / 0.036, hilbert 0.022 /
-# 0.011, hardy-littlewood 0.023 / 0.013 (a tie with hilbert within the noise),
-# lemma-dc 0.017 / 0.008, periodic 0.004 / 0.004.
+# on a 2-vCPU VM: hardy 0.040 / 0.018, radial 0.038 / 0.039 (on strict a tie
+# with hardy within the noise), hilbert 0.023 / 0.011, hardy-littlewood 0.023
+# / 0.013 (a tie with hilbert within the noise), lemma-dc 0.017 / 0.008,
+# periodic 0.004 / 0.004.
 _LONGEST_FIRST = ("hardy", "radial", "hilbert", "hardy-littlewood", "lemma-dc", "periodic")
 
 

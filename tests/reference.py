@@ -1,4 +1,5 @@
-"""Arbitrary-precision reference values for the radial tests (mpmath).
+"""Arbitrary-precision reference values for the radial tests (mpmath), and
+the FFT length predicate the transform tests classify their grids by.
 
 Nothing here is imported by the package; it shares no code with it.
 """
@@ -89,3 +90,17 @@ def ball_transform(dim: int, rho: float, radii) -> np.ndarray:
         return np.array(
             [float((2 * mpmath.pi * rho / r) ** nu * mpmath.besselj(nu, rho * r)) for r in map(mpmath.mpf, map(float, radii))]
         )
+
+
+def needs_bluestein(n: int) -> bool:
+    """True when n >= 1 has a prime factor p with p^2 > n: pocketfft's test for
+    running a length-n transform by its Bluestein algorithm."""
+    m, d = int(n), 2
+    if m < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    while d * d <= m:  # divide out every prime up to the root of what is left
+        while m % d == 0:
+            m //= d
+        d += 1
+    # what is left is 1 or the largest prime factor, which a prime p with p^2 > n never divides out
+    return m * m > n

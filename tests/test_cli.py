@@ -1,4 +1,6 @@
 import csv
+import gzip
+import json
 import math
 import os
 import subprocess
@@ -278,6 +280,18 @@ def test_transform_csv_row_with_extra_field_exits_data(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "malformed data row" in err and err.count("\n") == 1
     assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("command", [["transform"], ["radial", "--dim", "3", "--radii", "1"]])
+def test_csv_that_is_not_text_exits_data_naming_the_file(tmp_path, capsys, command):
+    # a gzip file's header bytes 1f 8b do not decode as UTF-8; the name is read as the text it holds
+    bad = tmp_path / "f.csv.gz"
+    bad.write_bytes(gzip.compress(b"x,value\n0,1\n1,2\n2,3\n"))
+    rc = main([*command, "--csv", str(bad), "--out", str(tmp_path / "o.csv")])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0x8b") and err.count("\n") == 1
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_memory_error_maps_to_data_exit_code(tmp_path, monkeypatch, capsys):
@@ -736,7 +750,7 @@ def test_a_request_past_physical_memory_is_refused_before_sampling(tmp_path, cap
     "argv",
     [
         ["transform", "--family", "gaussian", "--n", "16385"],
-        ["transform", "--family", "gaussian", "--n", "100003"],  # N = 2 (n - 1) takes the chirp-z
+        ["transform", "--family", "gaussian", "--n", "100003"],  # N = 2 (n - 1) takes pocketfft's Bluestein
         ["transform", "--family", "gaussian", "--n", "16385", "--m", "49155"],
         *(["hilbert", "--family", "gaussian", "--n", "65537", "--method", m] for m in ("pv", "multiplier", "modified")),
         # the odd recurrence over a support of nearly the whole grid
@@ -757,3 +771,34 @@ def test_the_memory_estimate_bounds_the_measured_peak(tmp_path, monkeypatch, arg
         tracemalloc.stop()
     # an upper estimate, at most 6 times the peak past its 4 MB for blocked temporaries
     assert peak <= needs[0] <= 6 * peak + 2**22, (peak, needs)
+
+
+def test_the_memory_estimate_bounds_the_peak_rss_of_a_bluestein_lattice(tmp_path):
+    # pocketfft allocates its Bluestein buffers where tracemalloc does not see
+    # them, so the process's own RSS high-water mark (VmHWM; ru_maxrss keeps
+    # the forking parent's) is the measure.  N = 2 (n - 1) = 4 * 3 * 7 * 2381
+    # runs by Bluestein, and the m = 3 nodes -pi/W, 0, pi/W (W = b - a = 100)
+    # lie on the lattice, whose rfft needs about 4n points however few nodes
+    # are asked for
+    if not Path("/proc/self/status").is_file():
+        pytest.skip("no /proc/self/status")
+    argv = ["transform", "--family", "gaussian", "--n", "100003", "--cutoff", repr(math.pi / 100.0), "--m", "3",
+            "--out", str(tmp_path / "o.csv")]
+    code = (
+        "import json\n"
+        "from bvfourier import cli, fourier\n"
+        "def hwm():\n"
+        "    return next(1024 * int(line.split()[1]) for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+        "needs, lattice, check, dft = [], [], cli._check_memory, fourier._lattice_dft\n"
+        "cli._check_memory = lambda need: check(needs.append(need) or need)\n"
+        "fourier._lattice_dft = lambda *args: lattice.append(args[0].size) or dft(*args)\n"
+        "base = hwm()\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print(json.dumps([lattice, needs[0], hwm() - base]))"
+    )
+    src = str(Path(bvfourier.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True
+    )
+    lattice, need, peak = json.loads(out.stdout)
+    assert lattice == [100003] and peak <= need, (need, peak)

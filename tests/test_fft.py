@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import bvfourier
-from bvfourier import fourier, hilbert
-from bvfourier._fft import fast_len, needs_bluestein
-from bvfourier.suites import run_suite
+from bvfourier import hilbert
+from bvfourier._fft import fast_len
+from bvfourier.suites import PROFILES, run_suite
+from reference import needs_bluestein
 
 
 def five_smooth(k):
@@ -81,42 +82,31 @@ def test_radial_commands_run_with_scipy_blocked(tmp_path):
 
 
 def clear_spectrum_caches():
-    for cached in (fourier._chirp_plan, hilbert._pv_weight_spectrum, hilbert._multiplier_spectrum):
+    for cached in (hilbert._pv_weight_spectrum, hilbert._multiplier_spectrum):
         cached.cache_clear()
 
 
-def test_every_padded_fft_of_the_suites_has_a_smooth_length(padded_fft_lengths, dft_paths):
-    # A padded length is 5-smooth unless the grid fixes it: the lattice DFT runs
-    # at its N = 2L(n - 1) itself when N has no prime p with p^2 > N, else as a
-    # chirp-z at a 5-smooth length.  The default profile's hardy grids give
-    # N = 8 * 8191 (8191 prime, the chirp-z route) and 8 * 3 * 43 * 127 (one
-    # rfft at N); cold caches so every kernel spectrum is built, and checked, here
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_every_padded_fft_of_the_suites_has_a_smooth_length(profile, padded_fft_lengths, dft_paths):
+    # A padded length is 5-smooth unless the grid fixes it: the lattice DFT is one
+    # rfft at its N = 2L(n - 1).  No suite's N has a prime p with p^2 > N, which
+    # pocketfft would run by its Bluestein algorithm at twice the cost of its radix
+    # passes or more; cold caches so every kernel spectrum is built, and checked, here
     clear_spectrum_caches()
-    run_suite("all", "default")
-    lattice = [(n, 2 * fold * (n - 1)) for _, n, _, _, fold in dft_paths["lattice"]]
+    run_suite("all", profile)
+    lattice = {2 * fold * (n - 1) for _, n, _, _, fold in dft_paths["lattice"]}
     assert padded_fft_lengths and lattice
-    fixed = {N for _, N in lattice}
-    assert [n for n in padded_fft_lengths if fast_len(n) != n and (n not in fixed or needs_bluestein(n))] == []
-    chirped = {(n, N) for n, N in lattice if needs_bluestein(N)}
-    assert {N for _, N in chirped} == {8 * 8191} and not set(padded_fft_lengths) & {N for _, N in chirped}
-    # one cold plan per chirp-z geometry
-    assert fourier._chirp_plan.cache_info().misses == len(chirped) >= 1
+    assert [n for n in padded_fft_lengths if fast_len(n) != n and n not in lattice] == []
+    assert sorted(N for N in lattice if needs_bluestein(N)) == []
 
 
 def test_suites_report_the_same_with_cold_and_warm_caches():
-    # the default profile, whose hardy grid at n = 2^13 takes the chirp-z route
     clear_spectrum_caches()
     cold = [repr(r) for r in run_suite("all", "default")]
-    assert fourier._chirp_plan.cache_info().currsize > 0
     assert [repr(r) for r in run_suite("all", "default")] == cold
 
 
 def test_cached_spectra_are_read_only():
-    # N = 2 * 7 * 100 is not 5-smooth
-    for spectrum in (
-        hilbert._pv_weight_spectrum(101),
-        hilbert._multiplier_spectrum(101),
-        *fourier._chirp_plan(101, 1400, 0, 701),
-    ):
+    for spectrum in (hilbert._pv_weight_spectrum(101), hilbert._multiplier_spectrum(101)):
         with pytest.raises(ValueError, match="read-only"):
             spectrum[0] = 0.0

@@ -22,8 +22,9 @@ from bvfourier import (
     sample,
     transform_values,
 )
-from bvfourier._fft import fast_len, needs_bluestein
+from bvfourier._fft import fast_len
 from bvfourier.grids import trapezoid_weights
+from reference import needs_bluestein
 
 
 def line_function(family, lo=-50.0, hi=50.0, n=2**13, **params):
@@ -219,59 +220,57 @@ def lattice_owner_values(f, fold, dft_paths):
 
 @pytest.mark.parametrize("complex_values", [False, True])
 @pytest.mark.parametrize("fold", [1, 4])
-def test_non_smooth_lattice_takes_a_smooth_chirp_z(fold, complex_values, dft_paths, padded_fft_lengths):
-    # n = 2^13: N = 2L (n - 1) = 2L * 8191, and 8191 is prime.  Real samples take
-    # the lattice DFT of the caller that lays the grid out; complex samples on the
-    # mirrored lattice take the zoom DFT, at a 5-smooth length too
+def test_lattice_with_a_large_prime_factor_matches_direct_sum(fold, complex_values, dft_paths, padded_fft_lengths):
+    # n = 2^13: N = 2L (n - 1) = 2L * 8191, and 8191 is prime, so pocketfft runs
+    # the rfft at N by its Bluestein algorithm.  Real samples take the lattice DFT
+    # of the caller that lays the grid out; complex samples on the mirrored
+    # lattice take the zoom DFT, at a 5-smooth length
     f = line_function(Family.POISSON_KERNEL, n=2**13)
     if complex_values:
         f = f.with_values(f.values * np.exp(0.3j * f.x) + 0.1j * f.values**2)
     N = 2 * fold * (f.n - 1)
-    assert fast_len(N) != N
+    assert needs_bluestein(N)
     padded_fft_lengths.clear()
     if complex_values:
         half = np.arange(fold * (f.n - 1) + 1) * (math.pi / (fold * f.grid.width))
         t = np.concatenate((-half[:0:-1], half))
         got = transform_values(f, t)
         assert dft_paths == {"lattice": [], "zoom": 1}
+        assert padded_fft_lengths and all(fast_len(L) == L for L in padded_fft_lengths)
     else:
         t, got = lattice_owner_values(f, fold, dft_paths)
-        assert dft_paths["zoom"] == 0
-    assert padded_fft_lengths and all(fast_len(L) == L for L in padded_fft_lengths)
+        assert dft_paths["zoom"] == 0 and padded_fft_lengths == [N]
     idx = np.union1d(np.arange(0, t.size, 331), [t.size // 2, t.size - 1])  # 0 and the Nyquist end(s)
     want = direct_transform(f, t[idx])
     want[t[idx] == 0.0] = integrate(f)  # fourier_transform's value at t = 0
     assert np.max(np.abs(got[idx] - want)) <= 1e-10
     if complex_values:
         return
-    # Each route runs about log2(length) radix passes, each rounding partial
-    # sums bounded by sum |w f|, the largest any bin can be: the chirp-z route
-    # at its padded length P, forward and inverse, the reference at N
+    # Each FFT runs about log2(N) radix passes, each rounding partial sums
+    # bounded by sum |w f|, the largest any bin can be: the route and the
+    # reference, both at N
     want, scale = lattice_dft_reference(f, t, fold)
     want[t == 0.0] = integrate(f)
-    P = max(padded_fft_lengths)
-    assert np.max(np.abs(got - want)) <= np.finfo(float).eps * (2.0 * math.log2(P) + math.log2(N)) * scale
+    assert np.max(np.abs(got - want)) <= np.finfo(float).eps * 2.0 * math.log2(N) * scale
     if fold == 1:
         assert np.array_equal(got[::-1], np.conj(got))
 
 
 @pytest.mark.parametrize("complex_values", [False, True])
 @pytest.mark.parametrize(
-    "n, chirped",
+    "n, bluestein",
     [(2**12 + 1, False), (2**14, False), (2**13, True)],
     ids=["N=2^15", "N=8*3*43*127", "N=8*8191"],
 )
-def test_lattice_dft_runs_at_its_length_unless_a_prime_squared_exceeds_it(
-    n, chirped, complex_values, dft_paths, padded_fft_lengths
-):
+def test_lattice_dft_runs_at_its_length(n, bluestein, complex_values, dft_paths, padded_fft_lengths):
     # the Hardy probe's 4-fold lattice, N = 8 (n - 1): its bins take one rfft at N
-    # itself unless a prime p of N has p^2 > N, pocketfft's own Bluestein test.
-    # Complex samples on the mirrored lattice take the zoom DFT
+    # itself, whether or not a prime p of N has p^2 > N (pocketfft's own Bluestein
+    # test).  Complex samples on the mirrored lattice take the zoom DFT
     f = line_function(Family.POISSON_KERNEL, n=n)
     if complex_values:
         f = f.with_values(f.values * np.exp(0.3j * f.x) + 0.1j * f.values**2)
     N = 8 * (n - 1)
-    assert needs_bluestein(N) == chirped
+    assert needs_bluestein(N) == bluestein
     padded_fft_lengths.clear()
     if complex_values:
         half = np.arange(4 * (n - 1) + 1) * (math.pi / (4 * f.grid.width))
@@ -280,39 +279,11 @@ def test_lattice_dft_runs_at_its_length_unless_a_prime_squared_exceeds_it(
         assert dft_paths == {"lattice": [], "zoom": 1}
     else:
         t, got = lattice_owner_values(f, 4, dft_paths)
-        assert dft_paths["zoom"] == 0
-        if chirped:
-            # every padded length is 5-smooth, and N is not
-            assert padded_fft_lengths and all(fast_len(L) == L != N for L in padded_fft_lengths)
-        else:
-            assert padded_fft_lengths == [N]
-        P = max(padded_fft_lengths)
-        passes = 2.0 * math.log2(P) if chirped else math.log2(N)  # chirp-z: forward and inverse
+        assert dft_paths["zoom"] == 0 and padded_fft_lengths == [N]
         want, scale = lattice_dft_reference(f, t, 4)
-        assert np.max(np.abs(got - want)) <= np.finfo(float).eps * (passes + math.log2(N)) * scale
+        assert np.max(np.abs(got - want)) <= np.finfo(float).eps * 2.0 * math.log2(N) * scale
     idx = np.union1d(np.arange(0, t.size, 997), [0, t.size // 2, t.size - 1])  # the ends and the middle
     assert np.max(np.abs(got[idx] - direct_transform(f, t[idx]))) <= 1e-10
-
-
-def test_repeated_chirp_z_geometry_builds_no_chirp(monkeypatch):
-    # n = 2^7 on the Hardy probe's 4-fold lattice: N = 8 * 127, and 127^2 > N
-    import bvfourier.fourier as fourier
-
-    g = derivative(line_function(Family.TRIANGLE, n=2**7))
-    assert needs_bluestein(8 * (g.n - 1))
-    fourier._chirp_plan.cache_clear()
-    calls, chirp = [], fourier._chirp
-
-    def chirp_spy(m, N):
-        calls.append(m.size)
-        return chirp(m, N)
-
-    monkeypatch.setattr(fourier, "_chirp", chirp_spy)
-    first = hardy_check(g)
-    assert len(calls) == 3  # the cold plan: input, kernel and output chirps
-    calls.clear()
-    assert hardy_check(g) == first
-    assert calls == []
 
 
 def test_hardy_nodes_take_the_four_fold_sub_lattice(dft_paths):
@@ -353,25 +324,25 @@ def test_hardy_check_reads_the_modulus_of_the_transform(n, dft_paths):
     assert lhs > 1.0 and abs(lhs - want) <= hardy_lhs_bound(t, want)
 
 
-@pytest.mark.parametrize("n", [4077, 4081])
+@pytest.mark.parametrize("n", [4077, 4081, 2**7])
 def test_hardy_grid_count_follows_the_sample_count(n, dft_paths, padded_fft_lengths):
     # on [-50, 50] the float ceil of (pi/h - pi/W)/(pi/W) is n - 1, not n - 2,
-    # at these n: a count taken from it laid 4 extra nodes off the lattice and
-    # sent the probe to the zoom DFT.  N = 8 * 4 * 1019 (1019^2 > N) takes the
-    # chirp-z route, N = 8 * 16 * 3 * 5 * 17 one rfft at N.
+    # at 4077 and 4081: a count taken from it laid 4 extra nodes off the lattice
+    # and sent the probe to the zoom DFT.  Every N is one rfft at N itself:
+    # N = 8 * 4 * 1019 and 8 * 127 (1019^2, 127^2 > N) by pocketfft's Bluestein,
+    # N = 8 * 16 * 3 * 5 * 17 by its radix passes
     g = derivative(line_function(Family.TRIANGLE, n=n))
     N = 8 * (n - 1)
     lhs, _ = hardy_check(g)
     assert dft_paths == {"lattice": [("hardy_check", n, 4, 4 * (n - 1) - 3, 4)], "zoom": 0}
-    assert (N in padded_fft_lengths) != needs_bluestein(N)
-    P = max(padded_fft_lengths)
+    assert N in padded_fft_lengths
     # the lattice reference: the same bins from numpy's FFT at N itself
     t = np.arange(4, 4 * (n - 1) + 1) * (math.pi / (4 * g.grid.width))
     ref, scale = lattice_dft_reference(g, t, 4)
     want = 2.0 * float(np.trapezoid(np.abs(ref) / t, t))
-    passes = 2.0 * math.log2(P) if needs_bluestein(N) else math.log2(N)  # as in the route test above
-    bin_error = np.finfo(float).eps * (passes + math.log2(N)) * scale
+    bin_error = np.finfo(float).eps * 2.0 * math.log2(N) * scale  # as in the route test above
     assert abs(lhs - want) <= hardy_lhs_bound(t, want, bin_error)
+    assert hardy_check(g)[0] == lhs
 
 
 def test_nine_fold_grid_falls_back_to_zoom(dft_paths):
@@ -656,20 +627,20 @@ def test_hardy_check_constant_is_grid_stable():
 
 def test_hardy_grid_stability_line_is_the_full_precision_constant_ratio():
     # the ratio minus 1 is about 5e-3, so constants rounded to 9 digits
-    # would move its 6th printed digit
+    # would move its 6th printed digit; the coarse grid has n/2 + 1 samples
     from bvfourier.suites import _SUITE_FUNCS, PROFILES
 
     p = PROFILES["fast"]
     want = 0.0
     for fam in (Family.TRIANGLE, Family.RAISED_COSINE, Family.SMOOTHED_BOX):
         c = []
-        for n in (p.line_n // 2, p.line_n):
+        for n in (p.line_n // 2 + 1, p.line_n):
             lhs, h1 = hardy_check(derivative(line_function(fam, n=n)))
             c.append(lhs / h1.h1_norm)
         want = max(want, abs(c[0] / c[1] - 1.0))
     (line,) = [r for r in _SUITE_FUNCS["hardy"](p) if r.name == "hardy-constant-grid-stability"]
     assert line.measured == want
-    assert f"{line.measured:.6g}" == "0.00532882"
+    assert f"{line.measured:.6g}" == "0.00471002"
 
 
 def test_hardy_check_requires_cancellation():

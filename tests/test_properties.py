@@ -20,9 +20,10 @@ from bvfourier import (
     transform_values,
 )
 from bvfourier import cli, hilbert
-from bvfourier._fft import fast_len, needs_bluestein
+from bvfourier._fft import fast_len
 from bvfourier.grids import trapezoid_weights
 from bvfourier.radial import RadialProfile, fractional_integral, radial_ft_ibp, radial_ft_leray, radial_ft_oracle
+from reference import needs_bluestein
 
 finite_values = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False),
@@ -235,9 +236,9 @@ def test_hilbert_multiplier_commutes_with_whole_step_shifts(seed, exponent, k):
 
 
 # fourier_transform's default grid is the lattice k pi/(b - a), |k| <= n - 1,
-# whose bins come from one DFT of length N = 2 (n - 1).  Three route classes:
+# whose bins come from one rfft of length N = 2 (n - 1).  Three length classes:
 # a 5-smooth N, an N that is not 5-smooth but has no prime p with p^2 > N
-# (both one rfft at N), and an N with such a prime (the chirp-z route).
+# (both pocketfft's radix passes), and an N with such a prime (its Bluestein).
 DEFAULT_GRID_N = {
     "smooth": [n for n in range(3, 4098) if fast_len(2 * (n - 1)) == 2 * (n - 1)],
     "rough": [n for n in range(3, 4098) if fast_len(2 * (n - 1)) != 2 * (n - 1) and not needs_bluestein(2 * (n - 1))],
@@ -280,16 +281,17 @@ def test_default_transform_grid_keeps_plancherel(seed, n, a, width, exponent):
     # Parseval gives (pi/(b - a))/(2 pi) sum |F(t_k)|^2 = (N / (2 (b - a))) sum w_j^2 f_j^2
     # = (1/h) sum w_j^2 f_j^2 exactly in real arithmetic.  Slack, in units of u = eps/2:
     # an FFT of length L errs by at most 6 u log2 L in the 2-norm (Higham, Accuracy and
-    # Stability of Numerical Algorithms, Thm 24.2), the chirp-z route runs three of them
+    # Stability of Numerical Algorithms, Thm 24.2), pocketfft's Bluestein runs three of them
     # and three unit-modulus products, 18 u log2 L + 6 u; squaring doubles that; the
     # pairwise sums add log2 N u and (log2 n + 2) u; F(0), set to the plain trapezoid sum,
-    # adds 2 log2 n u.  With L <= fast_len(2n) all of it is below (20 log2 L + 8) eps.
+    # adds 2 log2 n u.  Bluestein pads N to at most fast_len(2N - 1), so with
+    # L = fast_len(4n), N < L/2 and n < L/4, all of it is below (20 log2 L + 8) eps.
     grid = make_uniform_grid(a, a + width, n)
     f = SampledFunction(grid, 10.0**exponent * np.random.default_rng(seed).standard_normal(n), DecayClass.BOUNDED)
     F = fourier_transform(f).values[1:]  # drops k = -(n - 1), the mirror of k = n - 1
     lhs = (math.pi / grid.width) / (2.0 * math.pi) * float(np.sum(np.abs(F) ** 2))  # b - a, as rounded
     rhs = float(np.sum((trapezoid_weights(grid) * f.values) ** 2)) / grid.h
-    slack = (20.0 * math.log2(fast_len(2 * n)) + 8.0) * np.finfo(float).eps
+    slack = (20.0 * math.log2(fast_len(4 * n)) + 8.0) * np.finfo(float).eps
     assert abs(lhs - rhs) <= slack * rhs
 
 
