@@ -7,8 +7,7 @@ factor (65537, say) sets the cost of the whole transform (Frigo &
 Johnson, Proc. IEEE 93 (2005) 216).  The zoom DFT and each conjugation
 operator are one circular convolution at such a length, where no kept
 output wraps.  A lattice DFT, whose length N = 2 L (n - 1) its caller's
-grid fixes, is one rfft at N itself.  Data-independent kernel spectra are
-cached.
+grid fixes, is one rfft at N itself.  Kernel spectra are cached.
 """
 
 from __future__ import annotations

@@ -161,31 +161,30 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _peak_bytes(n: int, m: int, dim: int = 0) -> int:
+def _peak_bytes(n: int, m: int, fft_len: int | None = None, dim: int = 0) -> int:
     """An upper estimate of a command's peak memory from its n samples and m outputs.
 
-    Every command is held to one padded FFT length, L = fast_len(n + m - 1):
-    the zoom DFT's, and for hilbert (m = n) the convolution's.  The
-    operators hold at most ten float64 arrays (five complex ones) of each
-    of the lengths n, m and L at once, and blocked temporaries of at most
-    4 MB.  A radial request also holds the odd recurrence's dim + 1 rows
-    over the profile's cells next to the previous pass's, and the walk's
-    dim/2 complex sums over the radii: 16 dim bytes per sample and per
-    radius.  Measured with tracemalloc, n = 2^14 + 1 .. 2^18 + 1: transform
-    peaks at 27-56 bytes per n + m + L, hilbert at 18-26, and the dim-41
-    recurrence at 11.4 dim bytes per cell, so the estimate is up to 5 times
-    the lean methods' peak.
-
-    A lattice grid's one rfft runs at N = 2 (n - 1) whatever m, so transform
-    counts at least 2n - 1 outputs: 80 (m + L) >= 400 n bytes.  For an N
-    with a prime p, p^2 > N, pocketfft's Bluestein pads N to P <=
-    fast_len(2N - 1), near 4n, and holds at most 48 N + 40 P bytes, about
-    260 n, out of tracemalloc's sight: at n = 400002 the peak RSS past
-    start-up is 130 MB at m = 3 and 139 MB at m = 2n - 1, estimate 188 MB.
+    Every command is held to one FFT length L: ``fft_len``, a transform's
+    lattice N = 2 (n - 1), else the zoom DFT's fast_len(n + m - 1), and for
+    hilbert (m = n) the convolution's.  An L that is not 5-smooth may run by
+    pocketfft's Bluestein, which pads it to P <= fast_len(2L - 1) and holds
+    48 L + 40 P <= 64 P bytes out of tracemalloc's sight; it counts as P.
+    The operators hold at most ten float64 arrays (five complex ones) of
+    each of the lengths n, m and L at once, and blocked temporaries of at
+    most 4 MB.  A radial request also holds the odd recurrence's dim + 1
+    rows over the profile's cells next to the previous pass's, and the
+    walk's dim/2 complex sums over the radii: 16 dim bytes per sample and
+    per radius.  Measured with tracemalloc, n = 2^14 + 1 .. 2^18 + 1:
+    transform peaks at 27-56 bytes per n + m + L, hilbert at 18-26, and the
+    dim-41 recurrence at 11.4 dim bytes per cell, so the estimate is up to
+    5 times the lean methods' peak.  A lattice at n = 400002 (N = 2 7 57143)
+    peaks at 136 MB of RSS past start-up for m = 3, estimate 166 MB.
     """
     from ._fft import fast_len
 
-    return 80 * (n + m + fast_len(n + m - 1)) + 16 * dim * (n + m) + 2**22
+    L = fast_len(n + m - 1) if fft_len is None else fft_len
+    L = L if fast_len(L) == L else fast_len(2 * L - 1)
+    return 80 * (n + m + L) + 16 * dim * (n + m) + 2**22
 
 
 def _check_memory(need: int) -> None:
@@ -195,27 +194,27 @@ def _check_memory(need: int) -> None:
         raise MemoryError(f"the request needs about {need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB here")
 
 
-def _load_input(args: argparse.Namespace, outputs) -> SampledFunction:
-    """The input the flags name; outputs(grid) is the command's output count, from
-    which its memory is estimated and checked before sampling."""
+def _load_input(args: argparse.Namespace, need) -> SampledFunction:
+    """The input the flags name; need(grid) is the command's estimated peak
+    memory, which is checked before sampling."""
     spec = _family_spec(args)
     if spec is None:
         f = read_samples_csv(args.csv, DecayClass(args.decay))
-        _check_memory(_peak_bytes(f.n, outputs(f.grid)))
+        _check_memory(need(f.grid))
         return f
     if spec.family is Family.TRIANGLE_WAVE_PERIODIC:
         period = spec.params["period"]
         grid = make_uniform_grid(-period / 2.0, period / 2.0, args.n)
     else:
         grid = make_uniform_grid(args.a, args.b, args.n)
-    _check_memory(_peak_bytes(grid.n, outputs(grid)))
+    _check_memory(need(grid))
     return sample(spec, grid)
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
     from .fourier import _transform_nodes, fourier_transform
 
-    f = _load_input(args, lambda grid: max(_transform_nodes(grid, args.cutoff, args.m)[1], 2 * grid.n - 1))
+    f = _load_input(args, lambda grid: _peak_bytes(grid.n, *_transform_nodes(grid, args.cutoff, args.m)[1:]))
     result = fourier_transform(f, cutoff=args.cutoff, m=args.m)
     _write_table(args.out, "t,re,im", result.freqs, result.values.real, result.values.imag)
     return EXIT_OK
@@ -230,7 +229,7 @@ _HILBERT_METHODS = {
 
 
 def _cmd_hilbert(args: argparse.Namespace) -> int:
-    f = _load_input(args, lambda grid: grid.n)
+    f = _load_input(args, lambda grid: _peak_bytes(grid.n, grid.n))
     out = _HILBERT_METHODS[args.method](f)
     _write_table(args.out, "x,value", out.x, out.values)
     return EXIT_OK
@@ -252,7 +251,7 @@ def _cmd_radial(args: argparse.Namespace) -> int:
     profile = read_radial_csv(args.csv, args.dim) if spec is None else None
     grid = make_uniform_grid(0.0, args.b, args.n) if profile is None else profile.f0.grid
     # a dimension outside 1 .. _MAX_DIM is refused by RadialProfile itself
-    _check_memory(_peak_bytes(grid.n, radii.size, min(max(args.dim, 0), _MAX_DIM)))
+    _check_memory(_peak_bytes(grid.n, radii.size, dim=min(max(args.dim, 0), _MAX_DIM)))
     if profile is None:
         profile = RadialProfile.from_samples(grid, family_value(spec, grid.points), args.dim)
     columns = [radial_ft_leray(profile, radii)]  # its refusal ends the command

@@ -152,8 +152,12 @@ def nyquist_cutoff(grid: Grid) -> float:
     return math.pi / grid.h
 
 
-def _transform_nodes(grid: Grid, cutoff: float | None = None, m: int | None = None) -> tuple[float, int]:
-    """The cutoff and node count m of :func:`fourier_transform` on grid, defaults filled in and checked."""
+def _transform_nodes(grid: Grid, cutoff: float | None = None, m: int | None = None) -> tuple[float, int, int | None]:
+    """The cutoff, node count m and lattice length of :func:`fourier_transform` on grid, defaults filled in and checked.
+
+    The length is N = 2 (n - 1), whatever m, for odd m nodes whose half line, evenly from 0 to
+    cutoff, ends at K pi/(b - a), K <= n - 1; None for any other nodes, which take the zoom DFT.
+    """
     if cutoff is None:
         cutoff = nyquist_cutoff(grid)
     cutoff = float(cutoff)
@@ -168,7 +172,8 @@ def _transform_nodes(grid: Grid, cutoff: float | None = None, m: int | None = No
     m = int(m)
     if m < 2:
         raise ValueError("need at least two frequency samples")
-    return cutoff, m
+    lattice = m % 2 and m // 2 < grid.n and _on_progression(np.array([0.0, cutoff]), 0.0, m // 2 * (math.pi / grid.width))
+    return cutoff, m, 2 * (grid.n - 1) if lattice else None
 
 
 def fourier_transform(
@@ -178,18 +183,18 @@ def fourier_transform(
 
     Defaults: cutoff = pi/h (Nyquist-consistent) and m giving frequency
     spacing at most pi/(b - a).  The zero-frequency value equals the
-    plain trapezoid integral of f bit for bit.  Real f on odd m nodes whose
-    half line is k pi/(b - a), k = 0 .. K <= n - 1 (the default grid), reads
+    plain trapezoid integral of f bit for bit.  Real f on the lattice
+    nodes of :func:`_transform_nodes` (the default grid among them) reads
     bins 0 .. K of :func:`_lattice_dft` and mirrors them by conjugation;
     any other grid goes to :func:`transform_values`.
     """
-    cutoff, m = _transform_nodes(f.grid, cutoff, m)
+    cutoff, m, lattice_n = _transform_nodes(f.grid, cutoff, m)
     if m % 2:
         half = np.linspace(0.0, cutoff, (m + 1) // 2)
         t = np.concatenate((-half[:0:-1], half))  # exactly mirrored nodes
     else:
         t = np.linspace(-cutoff, cutoff, m)
-    if m % 2 and f.is_real() and half.size <= f.n and _on_progression(half, 0.0, math.pi / f.grid.width):
+    if lattice_n and f.is_real():
         def lattice(values):
             bins = _lattice_dft(trapezoid_weights(f.grid) * values, 0, half.size, 1)
             mirror = np.conj(bins[:0:-1])

@@ -434,10 +434,9 @@ _SUITE_FUNCS = {suite: partial(_evaluate, checks) for suite, checks in _CHECKS.i
 # (SIAM J. Appl. Math. 17, 1969): the threads take the suites in this order,
 # longest first on the strict profile, where the bench runs two threads.
 # Seconds per suite, strict / default, in process on one thread, median of 7
-# on a 2-vCPU VM: hardy 0.040 / 0.018, radial 0.038 / 0.039 (on strict a tie
-# with hardy within the noise), hilbert 0.023 / 0.011, hardy-littlewood 0.023
-# / 0.013 (a tie with hilbert within the noise), lemma-dc 0.017 / 0.008,
-# periodic 0.004 / 0.004.
+# on a 2-vCPU VM: hardy 0.040 / 0.018, radial 0.038 / 0.039, hilbert 0.023 /
+# 0.011, hardy-littlewood 0.023 / 0.013 (ties within the noise), lemma-dc
+# 0.017 / 0.008, periodic 0.004 / 0.004.
 _LONGEST_FIRST = ("hardy", "radial", "hilbert", "hardy-littlewood", "lemma-dc", "periodic")
 
 

@@ -802,3 +802,29 @@ def test_the_memory_estimate_bounds_the_peak_rss_of_a_bluestein_lattice(tmp_path
     )
     lattice, need, peak = json.loads(out.stdout)
     assert lattice == [100003] and peak <= need, (need, peak)
+
+
+@pytest.mark.parametrize(
+    "nodes, lattice",
+    [
+        (["--m", "4"], False),  # an even m takes the zoom DFT
+        (["--m", "3", "--cutoff", "1.0"], False),  # nodes off the lattice k pi/W, W = b - a = 100
+        (["--m", "3", "--cutoff", repr(math.pi / 100.0)], True),
+        ([], True),  # the default grid
+    ],
+)
+def test_a_transform_is_estimated_at_the_fft_length_it_runs_at(tmp_path, monkeypatch, nodes, lattice):
+    # off the lattice the zoom DFT's padded length n + m - 1 counts, as it always did;
+    # on it the rfft at N = 2 (n - 1) = 4 * 3 * 7 * 2381, counted at its Bluestein padding
+    from bvfourier._fft import fast_len
+
+    def refuse(need):
+        needs.append(need)
+        raise MemoryError("estimated only")
+
+    needs, n = [], 100003
+    monkeypatch.setattr(cli, "_check_memory", refuse)
+    assert main(["transform", "--family", "gaussian", "--n", str(n), *nodes, "--out", str(tmp_path / "o.csv")]) == EXIT_DATA
+    m = int(nodes[1]) if nodes else 2 * n - 1
+    L = fast_len(2 * (2 * (n - 1)) - 1) if lattice else fast_len(n + m - 1)
+    assert needs == [80 * (n + m + L) + 2**22]

@@ -281,17 +281,19 @@ def test_default_transform_grid_keeps_plancherel(seed, n, a, width, exponent):
     # Parseval gives (pi/(b - a))/(2 pi) sum |F(t_k)|^2 = (N / (2 (b - a))) sum w_j^2 f_j^2
     # = (1/h) sum w_j^2 f_j^2 exactly in real arithmetic.  Slack, in units of u = eps/2:
     # an FFT of length L errs by at most 6 u log2 L in the 2-norm (Higham, Accuracy and
-    # Stability of Numerical Algorithms, Thm 24.2), pocketfft's Bluestein runs three of them
-    # and three unit-modulus products, 18 u log2 L + 6 u; squaring doubles that; the
-    # pairwise sums add log2 N u and (log2 n + 2) u; F(0), set to the plain trapezoid sum,
-    # adds 2 log2 n u.  Bluestein pads N to at most fast_len(2N - 1), so with
-    # L = fast_len(4n), N < L/2 and n < L/4, all of it is below (20 log2 L + 8) eps.
+    # Stability of Numerical Algorithms, Thm 24.2); the radix classes run one at N < L =
+    # fast_len(2n); squaring doubles that; the pairwise sums add log2 N u and
+    # (log2 n + 2) u; F(0), set to the plain trapezoid sum, adds 2 log2 n u: all of it
+    # is below (20 log2 L + 8) eps.  pocketfft's Bluestein runs three FFTs at up to
+    # fast_len(2N - 1) and three unit-modulus products, a worst case this slack does not
+    # cover; its class is held to the same slack, of which 300 drawn grids of each class
+    # used at most 3% (Bluestein 1.8%).
     grid = make_uniform_grid(a, a + width, n)
     f = SampledFunction(grid, 10.0**exponent * np.random.default_rng(seed).standard_normal(n), DecayClass.BOUNDED)
     F = fourier_transform(f).values[1:]  # drops k = -(n - 1), the mirror of k = n - 1
     lhs = (math.pi / grid.width) / (2.0 * math.pi) * float(np.sum(np.abs(F) ** 2))  # b - a, as rounded
     rhs = float(np.sum((trapezoid_weights(grid) * f.values) ** 2)) / grid.h
-    slack = (20.0 * math.log2(fast_len(4 * n)) + 8.0) * np.finfo(float).eps
+    slack = (20.0 * math.log2(fast_len(2 * n)) + 8.0) * np.finfo(float).eps
     assert abs(lhs - rhs) <= slack * rhs
 
 
