@@ -814,8 +814,8 @@ def test_the_memory_estimate_bounds_the_peak_rss_of_a_bluestein_lattice(tmp_path
     ],
 )
 def test_a_transform_is_estimated_at_the_fft_length_it_runs_at(tmp_path, monkeypatch, nodes, lattice):
-    # off the lattice the zoom DFT's padded length n + m - 1 counts, as it always did;
-    # on it the rfft at N = 2 (n - 1) = 4 * 3 * 7 * 2381, counted at its Bluestein padding
+    # off the lattice the zoom DFT's padded length n + m - 1 counts; on it the rfft at
+    # N = 2 (n - 1) = 4 * 3 * 7 * 2381, counted at its Bluestein padding fast_len(2N - 1)
     from bvfourier._fft import fast_len
 
     def refuse(need):
