@@ -166,25 +166,24 @@ def _peak_bytes(n: int, m: int, fft_len: int | None = None, dim: int = 0) -> int
 
     Every command is held to one FFT length L: ``fft_len``, a transform's
     lattice N = 2 (n - 1), else the zoom DFT's fast_len(n + m - 1), and for
-    hilbert (m = n) the convolution's.  An L that is not 5-smooth may run by
-    pocketfft's Bluestein, which pads it to P <= fast_len(2L - 1) and holds
-    48 L + 40 P <= 64 P bytes out of tracemalloc's sight; it counts as P.
-    The operators hold at most ten float64 arrays (five complex ones) of
-    each of the lengths n, m and L at once, and blocked temporaries of at
-    most 4 MB.  A radial request also holds the odd recurrence's dim + 1
-    rows over the profile's cells next to the previous pass's, and the
-    walk's dim/2 complex sums over the radii: 16 dim bytes per sample and
-    per radius.  Measured with tracemalloc, n = 2^14 + 1 .. 2^18 + 1:
-    transform peaks at 27-56 bytes per n + m + L, hilbert at 18-26, and the
-    dim-41 recurrence at 11.4 dim bytes per cell, so the estimate is up to
-    5 times the lean methods' peak.  A lattice at n = 400002 (N = 2 7 57143)
-    peaks at 136 MB of RSS past start-up for m = 3, estimate 166 MB.
+    hilbert (m = n) the convolution's; an L that is not 5-smooth may run by
+    pocketfft's Bluestein, padded to P <= fast_len(2L - 1), and counts as P.
+    In peak RSS past start-up (VmHWM of a fresh process), a complex FFT at L
+    peaks 48 L bytes above its input: its 16 L output and 32 L of
+    pocketfft's buffers, which tracemalloc does not see.  The zoom DFT at a
+    small m peaks highest per sample, at R n + 64 L in its second FFT, with
+    R = 113-127 bytes (n = 10^5 .. 1.6 10^6) resident before its FFTs; so a
+    sample counts 128 bytes, and an output or a point of L 64.  Lattice
+    transforms and hilbert peak at 15-50 bytes per n + m + L (n = 65,537 ..
+    400,002), blocked temporaries at 4 MB.  A radial request also holds the
+    odd recurrence's dim + 1 rows per cell, twice, and the walk's dim/2
+    complex sums per radius: 16 dim bytes each (11.4 per cell at dim 41).
     """
     from ._fft import fast_len
 
     L = fast_len(n + m - 1) if fft_len is None else fft_len
     L = L if fast_len(L) == L else fast_len(2 * L - 1)
-    return 80 * (n + m + L) + 16 * dim * (n + m) + 2**22
+    return 128 * n + 64 * (m + L) + 16 * dim * (n + m) + 2**22
 
 
 def _check_memory(need: int) -> None:
@@ -267,11 +266,14 @@ def _cmd_radial(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    out_path = Path(args.out)
+    if out_path.with_suffix(".csv") == out_path:  # the CSV twin would overwrite the text report
+        print(f"error: --out {args.out} is the path of its own CSV twin; give it another suffix", file=sys.stderr)
+        return EXIT_USAGE
     from .suites import run_suite
 
     reports = run_suite(args.suite, args.profile)
     text = "".join(format_report_line(r) + "\n" for r in reports)
-    out_path = Path(args.out)
     _atomic_write(out_path, [text])
     csv_buf = io.StringIO()
     writer = csv.writer(csv_buf, lineterminator="\n")

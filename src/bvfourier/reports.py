@@ -14,30 +14,17 @@ __all__ = ["Profile", "PROFILES", "SUITE_NAMES", "VerificationReport", "format_r
 
 @dataclass(frozen=True)
 class Profile:
-    """Grid sizes for one verification campaign; every bound follows from them."""
+    """The grid sizes of one verification campaign; every cutoff, coefficient index and bound follows from them."""
 
-    name: str
     line_n: int = 2**14
     periodic_n: int = 2**12
-    kmax_pair: tuple[int, int] = (256, 512)
     radial_n: int = 8193
-    l1_dt: float = 0.02
-    cutoffs: tuple[float, ...] = (25.0, 50.0, 100.0, 200.0)
 
 
 PROFILES: dict[str, Profile] = {
-    "default": Profile(name="default"),
-    "fast": Profile(
-        name="fast",
-        line_n=2**12,
-        periodic_n=2**10,
-        kmax_pair=(128, 256),
-        radial_n=1025,
-        l1_dt=0.05,
-        # the coarse grid's Nyquist is ~129, so the transform-mass cutoffs stay below it
-        cutoffs=(12.5, 25.0, 50.0, 100.0),
-    ),
-    "strict": Profile(name="strict", line_n=2**15),
+    "default": Profile(),
+    "fast": Profile(line_n=2**12, periodic_n=2**10, radial_n=1025),
+    "strict": Profile(line_n=2**15),
 }
 
 SUITE_NAMES = ("hilbert", "lemma-dc", "hardy", "hardy-littlewood", "periodic", "radial")

@@ -179,10 +179,5 @@ def hardy_littlewood_verdict(
     plateau, |fit.final_growth| <= PLATEAU_GROWTH_TOL, whenever both
     variations stay bounded.
     """
-    cutoffs = np.asarray(cutoffs, dtype=float)
-    if cutoffs.size < 4:
-        raise ValueError("need at least four cutoffs for the slope fit")
-    tv_f = total_variation(f)
-    tv_conj = total_variation(modified_hilbert(f))
-    fit = classify_l1_growth(cutoffs, l1_norm_ft(f, cutoffs, dt=dt))
-    return fit, tv_f, tv_conj
+    fit = classify_l1_growth(cutoffs, l1_norm_ft(f, cutoffs, dt=dt))  # the fit refuses fewer than four cutoffs
+    return fit, total_variation(f), total_variation(modified_hilbert(f))

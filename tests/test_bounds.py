@@ -65,7 +65,6 @@ def test_a_record_measured_at_half_its_grid_gives_its_observed_order():
     # an observed-order twin needs no per-line code: the record's own measure at n
     # and n/2; the midpoint pv rule errs by (h^2/8) (Hg)'', so the order is 2
     (check,) = [c for checks in suites._CHECKS.values() for c in checks if c.name == "hilbert-cross-gaussian"]
-    p = suites.PROFILES["default"]
-    n = check.n(p)
-    fine, coarse = (next(iter(check.measure(p, m).values())) for m in (n, n // 2))
+    n = check.n(suites.PROFILES["default"])
+    fine, coarse = (next(iter(check.measure(m).values())) for m in (n, n // 2))
     assert abs(math.log2(coarse / fine) - 2.0) <= 1e-3

@@ -14,7 +14,7 @@ import pytest
 
 import bvfourier
 from bvfourier import cli
-from bvfourier.cli import EXIT_CHECK_FAILED, EXIT_DATA, EXIT_OK, _write_table, main
+from bvfourier.cli import EXIT_CHECK_FAILED, EXIT_DATA, EXIT_OK, EXIT_USAGE, _write_table, main
 from bvfourier.grids import make_uniform_grid, read_samples_csv
 
 
@@ -133,6 +133,19 @@ def test_verify_exit_code_reflects_report(tmp_path):
     assert "FAIL" in statuses  # no silent passes
 
 
+def test_verify_refuses_an_out_path_its_csv_twin_would_overwrite(tmp_path, monkeypatch, capsys):
+    # the CSV twin goes to --out with the suffix .csv, so an --out ending in .csv
+    # once kept the twin alone; the refusal comes before any suite runs
+    from bvfourier import suites
+
+    monkeypatch.setattr(suites, "run_suite", lambda *args: pytest.fail("a suite ran"))
+    rc = main(["verify", "--suite", "periodic", "--profile", "fast", "--out", str(tmp_path / "rep.csv")])
+    assert rc == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_reports_are_deterministic(tmp_path):
     out1, out2 = tmp_path / "r1.txt", tmp_path / "r2.txt"
     assert main(["verify", "--suite", "lemma-dc", "--profile", "fast", "--out", str(out1)]) == main(
@@ -246,6 +259,22 @@ def test_non_integer_thread_cap_names_the_variable(tmp_path, monkeypatch, capsys
     assert capsys.readouterr().err == "error: BVF_THREADS must be an integer, got 'abc'\n"
 
 
+def test_a_profile_is_its_three_grid_sizes():
+    # the verdict's top cutoff is the largest 200/2^j at or below the line grid's
+    # Nyquist pi (n - 1)/100, and k_hi the largest 512/2^j at or below periodic_n/4
+    from dataclasses import fields
+
+    from bvfourier import suites
+    from bvfourier.suites import PROFILES, Profile
+
+    assert [f.name for f in fields(Profile)] == ["line_n", "periodic_n", "radial_n"]
+    for p in PROFILES.values():
+        top = max(200.0 / 2**j for j in range(12) if 200.0 / 2**j <= math.pi * (p.line_n - 1) / 100.0)
+        assert suites._cutoffs(p.line_n) == (top / 8, top / 4, top / 2, top)
+        k_hi = max(512 // 2**j for j in range(10) if 512 // 2**j <= p.periodic_n / 4)
+        assert suites._coefficient_pair(p.periodic_n) == (k_hi // 2, k_hi)
+
+
 def test_every_profile_field_varies_across_profiles():
     # a field with one value in every profile is a constant, and belongs
     # at its one check
@@ -254,9 +283,8 @@ def test_every_profile_field_varies_across_profiles():
     from bvfourier.suites import PROFILES, Profile
 
     for field in fields(Profile):
-        if field.name != "name":
-            values = {getattr(p, field.name) for p in PROFILES.values()}
-            assert len(values) >= 2, field.name
+        values = {getattr(p, field.name) for p in PROFILES.values()}
+        assert len(values) >= 2, field.name
 
 
 def test_usage_error_exit_code():
@@ -773,35 +801,54 @@ def test_the_memory_estimate_bounds_the_measured_peak(tmp_path, monkeypatch, arg
     assert peak <= needs[0] <= 6 * peak + 2**22, (peak, needs)
 
 
-def test_the_memory_estimate_bounds_the_peak_rss_of_a_bluestein_lattice(tmp_path):
-    # pocketfft allocates its Bluestein buffers where tracemalloc does not see
-    # them, so the process's own RSS high-water mark (VmHWM; ru_maxrss keeps
-    # the forking parent's) is the measure.  N = 2 (n - 1) = 4 * 3 * 7 * 2381
-    # runs by Bluestein, and the m = 3 nodes -pi/W, 0, pi/W (W = b - a = 100)
-    # lie on the lattice, whose rfft needs about 4n points however few nodes
-    # are asked for
+def _estimate_and_peak_rss(argv, spy=""):
+    """The memory estimate of a bvf call and its peak RSS past start-up, in a fresh child,
+    with what the code spy, run before the call, appended to the list ``seen``.
+
+    pocketfft allocates its buffers where tracemalloc does not see them, so the
+    process's own RSS high-water mark (VmHWM; ru_maxrss keeps the forking
+    parent's) is the measure.
+    """
     if not Path("/proc/self/status").is_file():
         pytest.skip("no /proc/self/status")
-    argv = ["transform", "--family", "gaussian", "--n", "100003", "--cutoff", repr(math.pi / 100.0), "--m", "3",
-            "--out", str(tmp_path / "o.csv")]
     code = (
         "import json\n"
         "from bvfourier import cli, fourier\n"
         "def hwm():\n"
         "    return next(1024 * int(line.split()[1]) for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
-        "needs, lattice, check, dft = [], [], cli._check_memory, fourier._lattice_dft\n"
+        "needs, seen, check = [], [], cli._check_memory\n"
         "cli._check_memory = lambda need: check(needs.append(need) or need)\n"
-        "fourier._lattice_dft = lambda *args: lattice.append(args[0].size) or dft(*args)\n"
+        f"{spy}"
         "base = hwm()\n"
         f"assert cli.main({argv!r}) == 0\n"
-        "print(json.dumps([lattice, needs[0], hwm() - base]))"
+        "print(json.dumps([needs[0], hwm() - base, seen]))"
     )
     src = str(Path(bvfourier.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True
     )
-    lattice, need, peak = json.loads(out.stdout)
+    return json.loads(out.stdout)
+
+
+def test_the_memory_estimate_bounds_the_peak_rss_of_a_bluestein_lattice(tmp_path):
+    # N = 2 (n - 1) = 4 * 3 * 7 * 2381 runs by Bluestein, and the m = 3 nodes
+    # -pi/W, 0, pi/W (W = b - a = 100) lie on the lattice, whose rfft needs about
+    # 4n points however few nodes are asked for
+    argv = ["transform", "--family", "gaussian", "--n", "100003", "--cutoff", repr(math.pi / 100.0), "--m", "3",
+            "--out", str(tmp_path / "o.csv")]
+    spy = "dft = fourier._lattice_dft\nfourier._lattice_dft = lambda *args: seen.append(args[0].size) or dft(*args)\n"
+    need, peak, lattice = _estimate_and_peak_rss(argv, spy)
     assert lattice == [100003] and peak <= need, (need, peak)
+
+
+def test_the_memory_estimate_bounds_the_peak_rss_of_a_zoom_dft(tmp_path):
+    # m = 4 nodes take the zoom DFT, whose second complex FFT at L = fast_len(n + m - 1)
+    # peaks 48 L bytes (its output and pocketfft's buffers) above the first's 16 L output;
+    # 80 bytes per n + m + L, fitted to tracemalloc, fell about 7 MB short here
+    argv = ["transform", "--family", "gaussian", "--n", "400002", "--m", "4", "--out", str(tmp_path / "o.csv")]
+    spy = "zoom = fourier._zoom_dft\nfourier._zoom_dft = lambda *args: seen.append(args[0].size) or zoom(*args)\n"
+    need, peak, zooms = _estimate_and_peak_rss(argv, spy)
+    assert zooms == [400002] and peak <= need, (need, peak)
 
 
 @pytest.mark.parametrize(
@@ -827,4 +874,4 @@ def test_a_transform_is_estimated_at_the_fft_length_it_runs_at(tmp_path, monkeyp
     assert main(["transform", "--family", "gaussian", "--n", str(n), *nodes, "--out", str(tmp_path / "o.csv")]) == EXIT_DATA
     m = int(nodes[1]) if nodes else 2 * n - 1
     L = fast_len(2 * (2 * (n - 1)) - 1) if lattice else fast_len(n + m - 1)
-    assert needs == [80 * (n + m + L) + 2**22]
+    assert needs == [128 * n + 64 * (m + L) + 2**22]

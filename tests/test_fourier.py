@@ -389,13 +389,13 @@ def reference_l1_norm_ft(f, cutoffs, dt):
 
 @pytest.mark.parametrize("name", ["fast", "default", "strict"])
 def test_l1_norm_ft_suite_cutoffs_take_one_zoom_call(name, dft_paths):
-    from bvfourier.suites import PROFILES
+    from bvfourier.suites import _L1_DT, PROFILES, _cutoffs
 
-    p = PROFILES[name]
+    cutoffs = _cutoffs(PROFILES[name].line_n)
     f = line_function(Family.TRIANGLE, n=2**11 + 1)  # the suites' window [-50, 50]
-    got = l1_norm_ft(f, p.cutoffs, dt=p.l1_dt)
+    got = l1_norm_ft(f, cutoffs, dt=_L1_DT)
     assert dft_paths == {"lattice": [], "zoom": 1}
-    want = reference_l1_norm_ft(f, np.asarray(p.cutoffs), p.l1_dt)
+    want = reference_l1_norm_ft(f, np.asarray(cutoffs), _L1_DT)
     assert np.max(np.abs(got - want) / want) <= 1e-12
 
 
